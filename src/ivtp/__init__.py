@@ -17,13 +17,12 @@ from .arbitration import (
 )
 from .consensus import (
     Endorsement,
-    PodContext,
     active_vehicles,
     pod_check,
     quorum_threshold,
     try_commit,
 )
-from .identity import DealerAuthority, Issuance, KeyPair, issue_ivtp, ivtp_id_from, keygen
+from .identity import DealerAuthority, Issuance, KeyPair, ivtp_id_from, keygen
 from .ledger import (
     ArbitrationTx,
     BeaconTx,

@@ -12,20 +12,13 @@ network events and timers.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from . import identity
 from .identity import IvTpId, KeyPair
-from .ledger import (
-    ArbitrationTx,
-    RewardTx,
-    TimeFlag,
-    agree_message,
-    tx_signing_bytes,
-)
+from .ledger import TimeFlag, agree_message
 
 REWARD_MILLI_TRUST = 500
 
@@ -38,10 +31,6 @@ REWARD_PROPOSER_TO_FIRST = "proposer_to_first"
 
 class EmptyIntentsError(ValueError):
     """Ordering requested with no arrival announcements at all."""
-
-
-class NotUnanimousError(ValueError):
-    """Commit attempted without agreement from every other participant."""
 
 
 class SessionStateError(RuntimeError):
@@ -191,60 +180,6 @@ def recover(session: IntersectionSession) -> Phase:
     return session.phase
 
 
-def commit_and_reward(
-    session: IntersectionSession,
-    agreements: Mapping[IvTpId, bytes],
-    keys: Mapping[IvTpId, KeyPair],
-    tf: TimeFlag,
-    reward_direction: str = REWARD_FIRST_TO_PROPOSER,
-) -> tuple[ArbitrationTx, RewardTx | None]:
-    """Build the signed outcome transactions for a unanimous session.
-
-    Needs the signing keys of the proposer and of the paying vehicle;
-    in the networked simulation the payer signs its own reward after the
-    outcome notice instead, this composite serves direct library use.
-    """
-    if session.schedule is None or session.proposer is None:
-        raise SessionStateError("no proposed schedule to commit")
-    ordering = session.schedule.ordering
-    expected = set(session.participants) - {session.proposer}
-    if set(agreements) != expected:
-        missing = {v.hex()[:8] for v in expected - set(agreements)}
-        raise NotUnanimousError(f"missing agreement from {sorted(missing)}")
-    msg = agree_message(session.intersection_id, ordering)
-    for veh, sig in agreements.items():
-        if not identity.verify(keys[veh].public_key, msg, sig):
-            raise NotUnanimousError(f"bad agreement signature from {veh.hex()[:8]}")
-
-    arb = ArbitrationTx(
-        author=session.proposer,
-        tf=tf,
-        signature=b"",
-        intersection_id=session.intersection_id,
-        ordering=ordering,
-        proposer=session.proposer,
-        agreements=tuple(sorted(agreements.items())),
-    )
-    arb = _signed(arb, keys[session.proposer])
-
-    payer, payee = reward_parties(ordering, session.proposer, reward_direction)
-    reward = None
-    if payer != payee:
-        reward = RewardTx(
-            author=payer,
-            tf=tf,
-            signature=b"",
-            from_id=payer,
-            to_id=payee,
-            amount=REWARD_MILLI_TRUST,
-            reason=session.intersection_id,
-        )
-        reward = _signed(reward, keys[payer])
-    session.phase = Phase.COMMITTED
-    session.agreements = dict(agreements)
-    return arb, reward
-
-
 def reward_parties(ordering, proposer: IvTpId, direction: str) -> tuple[IvTpId, IvTpId]:
     """Resolve (payer, payee) for a committed ordering. Equal payer and
     payee means no reward changes hands (no self-payment)."""
@@ -254,7 +189,3 @@ def reward_parties(ordering, proposer: IvTpId, direction: str) -> tuple[IvTpId, 
     if direction == REWARD_FIRST_TO_PROPOSER:
         return first, proposer
     raise ValueError(f"unknown reward direction: {direction}")
-
-
-def _signed(tx, keypair: KeyPair):
-    return dataclasses.replace(tx, signature=identity.sign(keypair, tx_signing_bytes(tx)))

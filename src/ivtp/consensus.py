@@ -10,21 +10,11 @@ never count toward their own quorum.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from . import identity, ledger
 from .identity import IvTpId
-from .ledger import (
-    ArbitrationTx,
-    BeaconTx,
-    Chain,
-    CommTx,
-    RegisterTx,
-    RewardTx,
-    TimeFlag,
-    Transaction,
-)
+from .ledger import ArbitrationTx, Chain, RegisterTx, TimeFlag, Transaction
 
 VERDICT_VALID = "valid"
 VERDICT_INVALID = "invalid"
@@ -56,29 +46,6 @@ def check_endorsement(e: Endorsement, endorser_pk: bytes) -> bool:
     return identity.verify(endorser_pk, endorsement_message(e.tx_id, e.verdict), e.signature)
 
 
-@dataclass
-class PodContext:
-    """Snapshot of who counts as driving right now."""
-
-    active_set: set[IvTpId]
-    beacon_window_ms: int
-    network_id: str = "net-0"
-
-
-@dataclass(frozen=True)
-class PodVerdict:
-    valid: bool
-    cause: str | None = None
-
-    @staticmethod
-    def ok() -> "PodVerdict":
-        return PodVerdict(True, None)
-
-    @staticmethod
-    def bad(cause: str) -> "PodVerdict":
-        return PodVerdict(False, cause)
-
-
 def active_vehicles(
     chain: Chain,
     now: TimeFlag,
@@ -97,45 +64,20 @@ def active_vehicles(
     return {veh for veh, tf in latest.items() if lo <= tf <= now and chain.is_registered(veh)}
 
 
-def pod_check(ctx: PodContext, tx: Transaction, chain: Chain) -> PodVerdict:
-    """One vehicle's validity verdict on a pending transaction."""
-    if isinstance(tx, RegisterTx):
-        # Registrations are dealer business, not driving evidence: check
-        # the dealer binding and uniqueness against the current chain.
-        cause = chain.state.check_tx(tx, chain.height + 1)
-        return PodVerdict.ok() if cause is None else PodVerdict.bad(cause)
-
-    pk = chain.public_key_of(tx.author)
-    if pk is None:
-        return PodVerdict.bad("not_registered")
-    if not identity.verify(pk, ledger.tx_signing_bytes(tx), tx.signature):
-        return PodVerdict.bad("bad_signature")
-    if tx.author not in ctx.active_set:
-        return PodVerdict.bad("not_driving")
-
-    if isinstance(tx, CommTx):
-        if tx.sender != tx.author:
-            return PodVerdict.bad("sender_mismatch")
-        for rcv in tx.receivers:
-            if not chain.is_registered(rcv):
-                return PodVerdict.bad("receiver_not_registered")
-    elif isinstance(tx, RewardTx):
-        if tx.author != tx.from_id:
-            return PodVerdict.bad("author_not_payer")
-        if tx.amount <= 0:
-            return PodVerdict.bad("non_positive_amount")
-        if not chain.is_registered(tx.to_id):
-            return PodVerdict.bad("recipient_not_registered")
-        if chain.state.balances.get(tx.from_id, 0) < tx.amount:
-            return PodVerdict.bad("insufficient_balance")
-    elif isinstance(tx, ArbitrationTx):
-        cause = chain.state.check_tx(tx, chain.height + 1)
-        if cause is not None:
-            return PodVerdict.bad(cause)
-        for member in tx.ordering:
-            if member not in ctx.active_set:
-                return PodVerdict.bad("member_not_active")
-    return PodVerdict.ok()
+def pod_check(active_set: set[IvTpId], tx: Transaction, chain: Chain) -> str | None:
+    """One vehicle's verdict on a pending transaction: the failure code,
+    or None if it is valid. Valid means it would apply on top of the
+    chain (the ledger's one rule set) and its author, and every member
+    of an arbitration, is driving. Registrations are dealer business,
+    not driving evidence, so they skip the liveness test."""
+    cause = chain.state.check_tx(tx, chain.height + 1)
+    if cause is not None or isinstance(tx, RegisterTx):
+        return cause
+    if tx.author not in active_set:
+        return "not_driving"
+    if isinstance(tx, ArbitrationTx) and not active_set.issuperset(tx.ordering):
+        return "member_not_active"
+    return None
 
 
 def quorum_threshold(n_active_excluding_author: int) -> int:
@@ -171,7 +113,7 @@ class CommitResult:
 
 
 def try_commit(
-    pending: list[PendingTx], ctx: PodContext, chain: Chain, now: TimeFlag
+    pending: list[PendingTx], active_set: set[IvTpId], chain: Chain, now: TimeFlag
 ) -> CommitResult:
     """Select every pending tx that reached quorum, commit them as one
     block (ordered by tf then tx_id), and report quorum-rejected txs.
@@ -184,7 +126,7 @@ def try_commit(
     still_pending: list[PendingTx] = []
     rejected: list[tuple[PendingTx, str]] = []
     for item in pending:
-        others = ctx.active_set - {item.tx.author}
+        others = active_set - {item.tx.author}
         needed = quorum_threshold(len(others))
         if item.count(VERDICT_VALID) >= needed:
             committable.append(item)
@@ -193,23 +135,15 @@ def try_commit(
         else:
             still_pending.append(item)
 
-    if not committable:
-        return CommitResult(None, still_pending, rejected)
-
     committable.sort(key=lambda p: (p.tx.tf, p.tx.tx_id))
-    # Replay-check against a scratch state so one stale tx (say a payer
-    # that spent its balance since endorsement) cannot poison the block.
-    scratch = copy.deepcopy(chain.state)
-    height = chain.height + 1
-    accepted: list[Transaction] = []
-    for item in committable:
-        cause = scratch.check_tx(item.tx, height)
-        if cause is None:
-            scratch.apply_tx(item.tx, height)
-            accepted.append(item.tx)
-        else:
-            rejected.append((item, cause))
-    if not accepted:
-        return CommitResult(None, still_pending, rejected)
-    block = chain.append_block(accepted, timestamp=now)
-    return CommitResult(block, still_pending, rejected)
+    # append_block is all or nothing: drop the tx it names and retry, so
+    # one stale tx cannot poison the block.
+    while committable:
+        try:
+            block = chain.append_block([item.tx for item in committable], timestamp=now)
+        except ledger.InvalidTxError as exc:
+            i = next(i for i, item in enumerate(committable) if item.tx.tx_id == exc.tx_id)
+            rejected.append((committable.pop(i), exc.cause))
+            continue
+        return CommitResult(block, still_pending, rejected)
+    return CommitResult(None, still_pending, rejected)

@@ -2,9 +2,9 @@
 
 Every vehicle owns a deterministic keypair derived from a 32-byte seed.
 A dealer authority binds each public key to a unique 32-byte trust-point
-ID (the IV-TP ID) and signs that binding. All signing in the system goes
-through a pluggable scheme; the default is Ed25519, which is fully
-deterministic, so a simulation run never depends on ambient randomness.
+ID (the IV-TP ID) and signs that binding. All signing in the system is
+Ed25519, which is fully deterministic, so a simulation run never depends
+on ambient randomness.
 """
 
 from __future__ import annotations
@@ -42,56 +42,30 @@ class KeyPair:
     public_key: bytes
 
 
-class Ed25519Scheme:
-    """Default signature scheme: deterministic, 32-byte keys, 64-byte sigs."""
-
-    name = "ed25519"
-
-    def keypair_from_seed(self, seed: bytes) -> KeyPair:
-        if len(seed) != SEED_LEN:
-            raise SeedLengthError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
-        sk = ed25519.Ed25519PrivateKey.from_private_bytes(seed)
-        pk = sk.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        return KeyPair(secret_key=seed, public_key=pk)
-
-    def sign(self, secret_key: bytes, message: bytes) -> bytes:
-        sk = ed25519.Ed25519PrivateKey.from_private_bytes(secret_key)
-        return sk.sign(message)
-
-    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        # Malformed inputs are a verification failure, never an exception.
-        if len(public_key) != PUBLIC_KEY_LEN or len(signature) != SIGNATURE_LEN:
-            return False
-        try:
-            pk = ed25519.Ed25519PublicKey.from_public_bytes(public_key)
-            pk.verify(signature, message)
-            return True
-        except (InvalidSignature, ValueError):
-            return False
+def keygen(seed: bytes) -> KeyPair:
+    """Derive an Ed25519 keypair from a 32-byte seed. Same seed, same keypair."""
+    if len(seed) != SEED_LEN:
+        raise SeedLengthError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
+    sk = ed25519.Ed25519PrivateKey.from_private_bytes(seed)
+    pk = sk.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    return KeyPair(secret_key=seed, public_key=pk)
 
 
-DEFAULT_SCHEME = Ed25519Scheme()
-
-
-def keygen(seed: bytes, scheme: Ed25519Scheme = DEFAULT_SCHEME) -> KeyPair:
-    """Derive a keypair from a 32-byte seed. Same seed, same keypair."""
-    return scheme.keypair_from_seed(seed)
-
-
-def sign(kp: KeyPair, message: bytes, scheme: Ed25519Scheme = DEFAULT_SCHEME) -> bytes:
+def sign(kp: KeyPair, message: bytes) -> bytes:
     """Sign message bytes; deterministic, no per-call randomness."""
-    return scheme.sign(kp.secret_key, message)
+    return ed25519.Ed25519PrivateKey.from_private_bytes(kp.secret_key).sign(message)
 
 
-def verify(
-    public_key: bytes,
-    message: bytes,
-    signature: bytes,
-    scheme: Ed25519Scheme = DEFAULT_SCHEME,
-) -> bool:
+def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """True iff signature was produced over exactly these bytes by the
     secret key matching public_key. Never raises on malformed input."""
-    return scheme.verify(public_key, message, signature)
+    if len(public_key) != PUBLIC_KEY_LEN or len(signature) != SIGNATURE_LEN:
+        return False
+    try:
+        ed25519.Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+        return True
+    except (InvalidSignature, ValueError):
+        return False
 
 
 def ivtp_id_from(dealer_id: bytes, vehicle_pk: bytes, counter: int) -> IvTpId:
@@ -151,16 +125,6 @@ class DealerAuthority:
         self.issued_keys.add(vehicle_pk)
         self.issuance_counter += 1
         return issuance
-
-
-def issue_ivtp(dealer: DealerAuthority, vehicle_pk: bytes, tf: int = 0):
-    """Issue an identity and build its dealer-signed registration
-    transaction. Returns (IvTpId, RegisterTx)."""
-    from .ledger import register_tx_from_issuance
-
-    issuance = dealer.issue(vehicle_pk)
-    tx = register_tx_from_issuance(issuance, dealer, tf)
-    return issuance.ivtp_id, tx
 
 
 def short_id(ivtp_id: bytes) -> str:

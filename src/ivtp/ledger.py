@@ -15,8 +15,10 @@ transfers, so total supply only changes at registration.
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import identity
 from .identity import IvTpId, sha256
@@ -60,7 +62,7 @@ class NonMonotonicTimestampError(ValueError):
     """Block timestamp went backwards."""
 
 
-class InsufficientBalanceError(ValueError):
+class InsufficientBalanceError(InvalidTxError):
     """Reward sender does not hold the transferred amount."""
 
 
@@ -69,7 +71,7 @@ class UnknownVehicleError(KeyError):
 
 
 class CorruptChainFileError(ValueError):
-    """Chain file does not parse as a valid encoding."""
+    """Chain file or block list does not decode or does not replay."""
 
 
 # ---------------------------------------------------------------------------
@@ -321,31 +323,27 @@ def agree_message(intersection_id: str, ordering) -> bytes:
     return b"ivtp/agree" + _blob(intersection_id.encode()) + _id_list(ordering)
 
 
+def sign_tx(tx: Transaction, keypair: identity.KeyPair) -> Transaction:
+    """tx with its envelope signature made by keypair (the signature
+    field of tx itself is not signed, so any placeholder will do)."""
+    return dataclasses.replace(tx, signature=identity.sign(keypair, tx_signing_bytes(tx)))
+
+
 def register_tx_from_issuance(
     issuance: identity.Issuance, dealer: identity.DealerAuthority, tf: TimeFlag
 ) -> RegisterTx:
     """Build the dealer-signed registration for a fresh issuance."""
-    unsigned = RegisterTx(
+    tx = RegisterTx(
         author=issuance.ivtp_id,
         tf=tf,
-        signature=b"\x00" * identity.SIGNATURE_LEN,
+        signature=b"",
         ivtp_id=issuance.ivtp_id,
         vehicle_pk=issuance.vehicle_pk,
         dealer_id=issuance.dealer_id,
         counter=issuance.counter,
         dealer_sig=issuance.binding_sig,
     )
-    sig = identity.sign(dealer.keypair, tx_signing_bytes(unsigned))
-    return RegisterTx(
-        author=unsigned.author,
-        tf=tf,
-        signature=sig,
-        ivtp_id=unsigned.ivtp_id,
-        vehicle_pk=unsigned.vehicle_pk,
-        dealer_id=unsigned.dealer_id,
-        counter=unsigned.counter,
-        dealer_sig=unsigned.dealer_sig,
-    )
+    return sign_tx(tx, dealer.keypair)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +411,14 @@ class ValidationReport:
     height: int | None = None
     tx_id: bytes | None = None
     cause: str | None = None
+    # The replayed state of a valid chain, for Chain.from_blocks.
+    state: LedgerState | None = field(default=None, repr=False, compare=False)
 
     def describe(self) -> str:
         if self.ok:
             return "chain valid"
+        if self.height is None:
+            return f"chain INVALID: {self.cause}"
         where = f"block {self.height}"
         if self.tx_id is not None:
             where += f", tx {self.tx_id.hex()[:12]}"
@@ -426,7 +428,11 @@ class ValidationReport:
 @dataclass
 class LedgerState:
     """Replayed view of the chain. balances and comm_index preserve
-    insertion order, which is first-contact / registration order."""
+    insertion order, which is first-contact / registration order.
+
+    apply_block is the one way the state changes: every chain, whether
+    built block by block or read back from a file, is replayed through
+    it, and check_tx is the one rule set it applies."""
 
     endowment: int
     balances: dict[IvTpId, int] = field(default_factory=dict)
@@ -435,8 +441,23 @@ class LedgerState:
     comm_index: dict[IvTpId, dict[IvTpId, None]] = field(default_factory=dict)
     history: dict[IvTpId, list[bytes]] = field(default_factory=dict)
     last_beacon: dict[IvTpId, TimeFlag] = field(default_factory=dict)
+    tx_by_id: dict[bytes, Transaction] = field(default_factory=dict)
     dealer_id: IvTpId | None = None
     dealer_pk: bytes | None = None
+    # Inverse of each change apply_tx made in the current apply_block.
+    _undo: list = field(default_factory=list, repr=False, compare=False)
+
+    def _put(self, d: dict, key, value) -> None:
+        self._undo.append(
+            partial(d.__setitem__, key, d[key]) if key in d else partial(d.__delitem__, key)
+        )
+        d[key] = value
+
+    def _append(self, d: dict, key, item) -> None:
+        if key not in d:
+            self._put(d, key, [])
+        d[key].append(item)
+        self._undo.append(d[key].pop)
 
     def _touch_history(self, ids, tx_id: bytes) -> None:
         seen = set()
@@ -444,99 +465,104 @@ class LedgerState:
             if i in seen or i not in self.registrations:
                 continue
             seen.add(i)
-            self.history.setdefault(i, []).append(tx_id)
+            self._append(self.history, i, tx_id)
 
     def _link(self, a: IvTpId, b: IvTpId) -> None:
-        self.comm_index.setdefault(a, {})[b] = None
+        if a not in self.comm_index:
+            self._put(self.comm_index, a, {})
+        self._put(self.comm_index[a], b, None)
 
     def check_tx(self, tx: Transaction, height: int) -> str | None:
-        """Return a failure cause, or None if tx can apply to this state.
+        """Return a failure code, or None if tx can apply to this state.
         Signature checks live here too so replay is self-contained."""
         if isinstance(tx, RegisterTx):
             if height > 0:
                 if self.dealer_id is None:
-                    return "no dealer registered"
+                    return "no_dealer"
                 if tx.dealer_id != self.dealer_id:
-                    return "unknown dealer"
+                    return "unknown_dealer"
                 if tx.ivtp_id != identity.ivtp_id_from(tx.dealer_id, tx.vehicle_pk, tx.counter):
-                    return "ivtp id does not match derivation"
+                    return "bad_id_derivation"
                 signer_pk = self.dealer_pk
             else:
                 # Genesis self-registration is the trust root.
                 signer_pk = tx.vehicle_pk
             if tx.author != tx.ivtp_id:
-                return "register author must be the registered id"
+                return "author_not_registrant"
             if tx.ivtp_id in self.registrations:
-                return "duplicate ivtp id"
+                return "duplicate_id"
             if tx.vehicle_pk in self.registered_pks:
-                return "duplicate public key"
+                return "duplicate_public_key"
             if not identity.verify(
                 signer_pk, identity.binding_message(tx.ivtp_id, tx.vehicle_pk), tx.dealer_sig
             ):
-                return "bad dealer binding signature"
+                return "bad_binding_signature"
             if not identity.verify(signer_pk, tx_signing_bytes(tx), tx.signature):
-                return "bad envelope signature"
+                return "bad_signature"
             return None
 
         pk = self.registrations.get(tx.author)
         if pk is None:
-            return "author not registered"
+            return "not_registered"
         if not identity.verify(pk, tx_signing_bytes(tx), tx.signature):
-            return "bad signature"
+            return "bad_signature"
 
         if isinstance(tx, CommTx):
             if tx.sender != tx.author:
-                return "comm sender must be the author"
+                return "sender_mismatch"
             for rcv in tx.receivers:
                 if rcv not in self.registrations:
-                    return "receiver not registered"
+                    return "receiver_not_registered"
         elif isinstance(tx, RewardTx):
             if tx.author != tx.from_id:
-                return "reward author must be the payer"
+                return "author_not_payer"
             if tx.amount <= 0:
-                return "reward amount must be positive"
+                return "non_positive_amount"
             if tx.to_id not in self.registrations:
-                return "reward recipient not registered"
+                return "recipient_not_registered"
             if self.balances.get(tx.from_id, 0) < tx.amount:
-                return "insufficient balance"
+                return "insufficient_balance"
         elif isinstance(tx, ArbitrationTx):
             if len(set(tx.ordering)) != len(tx.ordering):
-                return "duplicate ids in ordering"
+                return "duplicate_in_ordering"
             if tx.author != tx.proposer:
-                return "arbitration author must be the proposer"
+                return "author_not_proposer"
             if tx.proposer not in tx.ordering:
-                return "proposer not part of the ordering"
+                return "proposer_not_in_ordering"
             for member in tx.ordering:
                 if member not in self.registrations:
-                    return "ordering member not registered"
+                    return "member_not_registered"
             voters = [v for v, _ in tx.agreements]
             if set(voters) != set(tx.ordering) - {tx.proposer} or len(voters) != len(
                 set(voters)
             ):
-                return "agreements must cover every participant except the proposer"
+                return "agreements_incomplete"
             statement = agree_message(tx.intersection_id, tx.ordering)
             for voter, sig in tx.agreements:
                 if not identity.verify(self.registrations[voter], statement, sig):
-                    return "bad agreement signature"
+                    return "bad_agreement_signature"
         return None
 
     def apply_tx(self, tx: Transaction, height: int) -> None:
         tx_id = tx.tx_id
+        self._put(self.tx_by_id, tx_id, tx)
         if isinstance(tx, RegisterTx):
-            self.registrations[tx.ivtp_id] = tx.vehicle_pk
+            self._put(self.registrations, tx.ivtp_id, tx.vehicle_pk)
             self.registered_pks.add(tx.vehicle_pk)
+            self._undo.append(partial(self.registered_pks.discard, tx.vehicle_pk))
             if height == 0:
+                # Not undoable, and need not be: genesis holds one tx.
                 self.dealer_id = tx.ivtp_id
                 self.dealer_pk = tx.vehicle_pk
-                self.balances[tx.ivtp_id] = 0  # authority holds no endowment
+                self._put(self.balances, tx.ivtp_id, 0)  # authority holds no endowment
             else:
-                self.balances[tx.ivtp_id] = self.endowment
-            self.history.setdefault(tx.ivtp_id, []).append(tx_id)
+                self._put(self.balances, tx.ivtp_id, self.endowment)
+            self._append(self.history, tx.ivtp_id, tx_id)
             return
         if isinstance(tx, BeaconTx):
             prev = self.last_beacon.get(tx.author)
             if prev is None or tx.tf > prev:
-                self.last_beacon[tx.author] = tx.tf
+                self._put(self.last_beacon, tx.author, tx.tf)
             self._touch_history([tx.author], tx_id)
             return
         if isinstance(tx, CommTx):
@@ -546,8 +572,8 @@ class LedgerState:
             self._touch_history([tx.author, tx.sender, *tx.receivers], tx_id)
             return
         if isinstance(tx, RewardTx):
-            self.balances[tx.from_id] -= tx.amount
-            self.balances[tx.to_id] = self.balances.get(tx.to_id, 0) + tx.amount
+            self._put(self.balances, tx.from_id, self.balances[tx.from_id] - tx.amount)
+            self._put(self.balances, tx.to_id, self.balances.get(tx.to_id, 0) + tx.amount)
             self._touch_history([tx.author, tx.from_id, tx.to_id], tx_id)
             return
         if isinstance(tx, ArbitrationTx):
@@ -556,16 +582,59 @@ class LedgerState:
             return
         raise TypeError(f"unknown transaction type {type(tx).__name__}")
 
+    def apply_block(self, block: Block, prev: Block | None) -> ValidationReport | None:
+        """The replay step. Check block's header against prev (None for
+        genesis), then check_tx and apply_tx each transaction in order,
+        refusing a tx_id already applied in this block or before it.
+
+        All or nothing: on failure the state is left exactly as it was
+        and the returned report names the cause."""
+        h = block.height
+        cause = _header_fault(block, prev)
+        if cause is not None:
+            return ValidationReport(False, h, None, cause)
+        self._undo.clear()
+        for tx in block.txs:
+            cause = "duplicate_tx" if tx.tx_id in self.tx_by_id else self.check_tx(tx, h)
+            if cause is not None:
+                while self._undo:
+                    self._undo.pop()()
+                return ValidationReport(False, h, tx.tx_id, cause)
+            self.apply_tx(tx, h)
+        self._undo.clear()
+        return None
+
+
+def _header_fault(block: Block, prev: Block | None) -> str | None:
+    if prev is None:
+        if block.height != 0 or block.prev_hash != GENESIS_PREV_HASH:
+            return "bad genesis header"
+        if len(block.txs) != 1:
+            # Each extra self-registration would take over dealer_id.
+            return "genesis must hold exactly one transaction"
+    else:
+        if block.height != prev.height + 1:
+            return "non-contiguous height"
+        if block.prev_hash != prev.block_hash:
+            return "prev_hash mismatch"
+        if block.timestamp < prev.timestamp:
+            return "timestamp not monotone"
+    if not block.txs:
+        return "empty block"
+    if block.merkle_root != merkle_root([tx.tx_id for tx in block.txs]):
+        return "merkle root mismatch"
+    return None
+
 
 class Chain:
     """Append-only block list plus its replayed state. Single owner;
     readers take snapshots via validate/replay, never mutate."""
 
-    def __init__(self, genesis: Block, endowment: int = DEFAULT_ENDOWMENT):
-        self.blocks: list[Block] = []
-        self.state = LedgerState(endowment=endowment)
-        self.tx_by_id: dict[bytes, Transaction] = {}
-        self._apply_block(genesis)
+    def __init__(self, blocks: list[Block], state: LedgerState):
+        """Wrap blocks and the state replayed from them. Build a chain
+        with create or from_blocks, which do the replay."""
+        self.blocks = blocks
+        self.state = state
 
     @classmethod
     def create(
@@ -575,31 +644,17 @@ class Chain:
         genesis_tf: TimeFlag = 0,
     ) -> "Chain":
         """New chain whose genesis block self-registers the dealer."""
-        binding = identity.sign(
-            dealer.keypair,
-            identity.binding_message(dealer.dealer_id, dealer.keypair.public_key),
-        )
-        unsigned = RegisterTx(
-            author=dealer.dealer_id,
-            tf=genesis_tf,
-            signature=b"\x00" * identity.SIGNATURE_LEN,
+        pk = dealer.keypair.public_key
+        issuance = identity.Issuance(
             ivtp_id=dealer.dealer_id,
-            vehicle_pk=dealer.keypair.public_key,
+            vehicle_pk=pk,
             dealer_id=dealer.dealer_id,
             counter=0,
-            dealer_sig=binding,
+            binding_sig=identity.sign(
+                dealer.keypair, identity.binding_message(dealer.dealer_id, pk)
+            ),
         )
-        sig = identity.sign(dealer.keypair, tx_signing_bytes(unsigned))
-        tx = RegisterTx(
-            author=unsigned.author,
-            tf=genesis_tf,
-            signature=sig,
-            ivtp_id=unsigned.ivtp_id,
-            vehicle_pk=unsigned.vehicle_pk,
-            dealer_id=unsigned.dealer_id,
-            counter=unsigned.counter,
-            dealer_sig=unsigned.dealer_sig,
-        )
+        tx = register_tx_from_issuance(issuance, dealer, genesis_tf)
         genesis = Block(
             height=0,
             prev_hash=GENESIS_PREV_HASH,
@@ -607,14 +662,16 @@ class Chain:
             timestamp=genesis_tf,
             txs=(tx,),
         )
-        return cls(genesis, endowment=endowment)
+        return cls.from_blocks([genesis], endowment)
 
     @classmethod
     def from_blocks(cls, blocks: list[Block], endowment: int) -> "Chain":
-        chain = cls(blocks[0], endowment=endowment)
-        for block in blocks[1:]:
-            chain._apply_block(block)
-        return chain
+        """Replay blocks once, through validate_blocks; raises
+        CorruptChainFileError naming the first failure."""
+        report = validate_blocks(blocks, endowment)
+        if not report.ok:
+            raise CorruptChainFileError(report.describe())
+        return cls(list(blocks), report.state)
 
     @property
     def height(self) -> int:
@@ -624,29 +681,19 @@ class Chain:
     def tip(self) -> Block:
         return self.blocks[-1]
 
-    def _apply_block(self, block: Block) -> None:
-        for tx in block.txs:
-            cause = self.state.check_tx(tx, block.height)
-            if cause is not None:
-                raise InvalidTxError(tx.tx_id, cause)
-            self.state.apply_tx(tx, block.height)
-            self.tx_by_id[tx.tx_id] = tx
-        self.blocks.append(block)
+    @property
+    def tx_by_id(self) -> dict[bytes, Transaction]:
+        return self.state.tx_by_id
 
     def append_block(self, txs: list[Transaction], timestamp: TimeFlag) -> Block:
-        """Validate txs against current state and append one new block."""
+        """Validate txs against current state and append one new block.
+        All or nothing: if any tx fails, the chain is left unchanged."""
         if not txs:
             raise ValueError("a block needs at least one transaction")
         if timestamp < self.tip.timestamp:
             raise NonMonotonicTimestampError(
                 f"timestamp {timestamp} precedes tip {self.tip.timestamp}"
             )
-        # Pre-check Reward guard explicitly so callers get the named error.
-        for tx in txs:
-            if isinstance(tx, RewardTx) and self.state.balances.get(tx.from_id, 0) < tx.amount:
-                raise InsufficientBalanceError(
-                    f"{tx.from_id.hex()[:12]} holds less than {tx.amount}"
-                )
         block = Block(
             height=self.height + 1,
             prev_hash=self.tip.block_hash,
@@ -654,7 +701,12 @@ class Chain:
             timestamp=timestamp,
             txs=tuple(txs),
         )
-        self._apply_block(block)
+        failure = self.state.apply_block(block, self.tip)
+        if failure is not None:
+            if failure.cause == "insufficient_balance":
+                raise InsufficientBalanceError(failure.tx_id, failure.cause)
+            raise InvalidTxError(failure.tx_id, failure.cause)
+        self.blocks.append(block)
         return block
 
     def is_registered(self, ivtp_id: IvTpId) -> bool:
@@ -671,35 +723,18 @@ def validate_chain(chain: Chain) -> ValidationReport:
 
 
 def validate_blocks(blocks: list[Block], endowment: int) -> ValidationReport:
+    """Replay blocks from genesis through LedgerState.apply_block. A
+    valid chain's report carries the replayed state."""
     if not blocks:
         return ValidationReport(ok=False, height=None, cause="empty chain")
     state = LedgerState(endowment=endowment)
     prev: Block | None = None
     for block in blocks:
-        h = block.height
-        if prev is None:
-            if h != 0 or block.prev_hash != GENESIS_PREV_HASH:
-                return ValidationReport(False, h, None, "bad genesis header")
-        else:
-            if h != prev.height + 1:
-                return ValidationReport(False, h, None, "non-contiguous height")
-            if block.prev_hash != prev.block_hash:
-                return ValidationReport(False, h, None, "prev_hash mismatch")
-            if block.timestamp < prev.timestamp:
-                return ValidationReport(False, h, None, "timestamp not monotone")
-        if not block.txs:
-            return ValidationReport(False, h, None, "empty block")
-        if block.merkle_root != merkle_root([tx.tx_id for tx in block.txs]):
-            return ValidationReport(False, h, None, "merkle root mismatch")
-        for tx in block.txs:
-            cause = state.check_tx(tx, h)
-            if cause is not None:
-                return ValidationReport(False, h, tx.tx_id, cause)
-            state.apply_tx(tx, h)
-            if any(v < 0 for v in state.balances.values()):
-                return ValidationReport(False, h, tx.tx_id, "negative balance")
+        failure = state.apply_block(block, prev)
+        if failure is not None:
+            return failure
         prev = block
-    return ValidationReport(ok=True)
+    return ValidationReport(ok=True, state=state)
 
 
 # ---------------------------------------------------------------------------
@@ -746,11 +781,6 @@ def chain_from_bytes(data: bytes) -> Chain:
     blocks, endowment, checksum_ok = parse_chain_bytes(data)
     if not checksum_ok:
         raise CorruptChainFileError("checksum mismatch")
-    if not blocks:
-        raise CorruptChainFileError("no blocks")
-    report = validate_blocks(blocks, endowment)
-    if not report.ok:
-        raise CorruptChainFileError(report.describe())
     return Chain.from_blocks(blocks, endowment)
 
 

@@ -40,13 +40,11 @@ class LedgerHost:
         chain: ledger.Chain,
         beacon_window_ms: int,
         pending_ttl_ms: int,
-        network_id: str = "net-0",
     ):
         self.ivtp_id = HOST_ID
         self.chain = chain
         self.beacon_window_ms = beacon_window_ms
         self.pending_ttl_ms = pending_ttl_ms
-        self.network_id = network_id
         self.net = None
         self.pending: list[consensus.PendingTx] = []
         self.pending_beacons: dict[IvTpId, TimeFlag] = {}
@@ -112,14 +110,10 @@ class LedgerHost:
                 fresh.append(item)
         self.pending = fresh
 
-        ctx = consensus.PodContext(
-            active_set=consensus.active_vehicles(
-                self.chain, now, self.beacon_window_ms, self.pending_beacons
-            ),
-            beacon_window_ms=self.beacon_window_ms,
-            network_id=self.network_id,
+        active = consensus.active_vehicles(
+            self.chain, now, self.beacon_window_ms, self.pending_beacons
         )
-        result = consensus.try_commit(self.pending, ctx, self.chain, now)
+        result = consensus.try_commit(self.pending, active, self.chain, now)
         self.pending = result.still_pending
         for item, cause in result.rejected:
             self.rejected.append((item.tx.tx_id, cause, now))

@@ -28,7 +28,7 @@ from .ledger import (
     agree_message,
     canonical_decode,
     canonical_encode,
-    tx_signing_bytes,
+    sign_tx,
 )
 
 KIND_BEACON = 1
@@ -210,7 +210,6 @@ class Vehicle:
         self.net = None  # netsim.Network, set when joining
         self.peer_beacons: dict[IvTpId, TimeFlag] = {}
         self.endorsed: set[bytes] = set()
-        self.inbox: list[tuple[TimeFlag, str, IvTpId]] = []
         self.drop_count = 0
         self.drop_log: list[tuple[TimeFlag, str]] = []
         self.sessions: dict[str, IntersectionSession] = {}
@@ -218,11 +217,6 @@ class Vehicle:
         self.submitted: list[Transaction] = []
 
     # -- plumbing -----------------------------------------------------------
-
-    def _sign_tx(self, tx: Transaction) -> Transaction:
-        return dataclasses.replace(
-            tx, signature=identity.sign(self.keypair, tx_signing_bytes(tx))
-        )
 
     def _frame(self, kind: int, obj, now: TimeFlag, audience=None) -> Frame:
         return make_frame(kind, self.keypair, self.ivtp_id, now, _compact(obj), audience)
@@ -262,39 +256,25 @@ class Vehicle:
     def active_peers(self, now: TimeFlag) -> set[IvTpId]:
         """Registered vehicles heard beaconing within the window,
         excluding this one."""
-        lo = now - self.config.beacon_window_ms
-        return {
-            veh
-            for veh, tf in self.peer_beacons.items()
-            if lo <= tf <= now and veh != self.ivtp_id and self.chain.is_registered(veh)
-        }
-
-    def _pod_ctx(self, now: TimeFlag) -> consensus.PodContext:
-        lo = now - self.config.beacon_window_ms
-        active = {
-            veh
-            for veh, tf in self.peer_beacons.items()
-            if lo <= tf <= now and self.chain.is_registered(veh)
-        }
-        return consensus.PodContext(
-            active_set=active,
-            beacon_window_ms=self.config.beacon_window_ms,
-            network_id=self.config.network_id,
+        active = consensus.active_vehicles(
+            self.chain, now, self.config.beacon_window_ms, self.peer_beacons
         )
+        return active - {self.ivtp_id}
 
     # -- sending ------------------------------------------------------------
 
     def emit_beacon(self, now: TimeFlag) -> Frame:
         """Signed liveness announcement; also refreshes our own entry in
         the local freshness table so we count ourselves active."""
-        tx = self._sign_tx(
+        tx = sign_tx(
             BeaconTx(
                 author=self.ivtp_id,
                 tf=now,
                 signature=b"",
                 network_id=self.config.network_id,
                 position_zone=self.config.position_zone,
-            )
+            ),
+            self.keypair,
         )
         self.peer_beacons[self.ivtp_id] = now
         return self._frame(KIND_BEACON, {"tx": canonical_encode(tx).hex()}, now)
@@ -305,7 +285,7 @@ class Vehicle:
         if not self.chain.is_registered(self.ivtp_id):
             raise NotRegisteredError(self.alias)
         receivers = tuple(sorted(self.active_peers(now)))
-        tx = self._sign_tx(
+        tx = sign_tx(
             CommTx(
                 author=self.ivtp_id,
                 tf=now,
@@ -314,7 +294,8 @@ class Vehicle:
                 receivers=receivers,
                 message_hash=sha256(payload),
                 tf_sent=now,
-            )
+            ),
+            self.keypair,
         )
         self.submitted.append(tx)
         frame = self._frame(
@@ -393,7 +374,7 @@ class Vehicle:
         """Proposer side: unanimity reached, publish the outcome."""
         session.phase = Phase.COMMITTED
         self._cancel_session_timers(session.intersection_id)
-        arb = self._sign_tx(
+        arb = sign_tx(
             ArbitrationTx(
                 author=self.ivtp_id,
                 tf=now,
@@ -402,7 +383,8 @@ class Vehicle:
                 ordering=session.schedule.ordering,
                 proposer=self.ivtp_id,
                 agreements=tuple(sorted(session.agreements.items())),
-            )
+            ),
+            self.keypair,
         )
         self.submitted.append(arb)
         self._note(
@@ -432,7 +414,7 @@ class Vehicle:
         )
         if payer != self.ivtp_id or payer == payee:
             return []
-        reward = self._sign_tx(
+        reward = sign_tx(
             RewardTx(
                 author=self.ivtp_id,
                 tf=now,
@@ -441,7 +423,8 @@ class Vehicle:
                 to_id=payee,
                 amount=arbitration.REWARD_MILLI_TRUST,
                 reason=arb.intersection_id,
-            )
+            ),
+            self.keypair,
         )
         self.submitted.append(reward)
         return [
@@ -499,7 +482,6 @@ class Vehicle:
             return self._drop(f, now, "bad_signature")
         if f.audience is not None and self.ivtp_id not in f.audience:
             return []
-        self.inbox.append((now, f.kind_label, f.sender))
         handler = {
             KIND_BEACON: self._on_beacon,
             KIND_COMM: self._on_comm,
@@ -567,8 +549,11 @@ class Vehicle:
         if verdict_override is not None:
             verdict = verdict_override
         else:
-            pod = consensus.pod_check(self._pod_ctx(now), tx, self.chain)
-            verdict = consensus.VERDICT_VALID if pod.valid else consensus.VERDICT_INVALID
+            active = consensus.active_vehicles(
+                self.chain, now, self.config.beacon_window_ms, self.peer_beacons
+            )
+            cause = consensus.pod_check(active, tx, self.chain)
+            verdict = consensus.VERDICT_VALID if cause is None else consensus.VERDICT_INVALID
         e = consensus.make_endorsement(tx_id, self.ivtp_id, verdict, self.keypair)
         payload = {
             "tx_id": tx_id.hex(),

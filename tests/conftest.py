@@ -49,8 +49,7 @@ def make_fleet(n: int, endowment: int = 100_000):
         ids.append(issuance.ivtp_id)
         keys[issuance.ivtp_id] = kp
     if pending:
-        ctx = consensus.PodContext(active_set=set(), beacon_window_ms=500)
-        result = consensus.try_commit(pending, ctx, chain, now=0)
+        result = consensus.try_commit(pending, set(), chain, now=0)
         assert result.block is not None and not result.still_pending
     return dealer, chain, ids, keys
 

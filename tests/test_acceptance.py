@@ -75,9 +75,7 @@ def test_criterion_3_quorum_rule(acceptance):
         ok &= 2 * t > n or n == 0  # strict majority
         ok &= 2 * (t - 1) <= n  # least such count
 
-        ctx = consensus.PodContext(
-            active_set={author} | set(others[:n]), beacon_window_ms=500
-        )
+        active = {author} | set(others[:n])
         tx = _signed(
             ledger.BeaconTx(author=author, tf=now, signature=b""), keys[author]
         )
@@ -89,14 +87,14 @@ def test_criterion_3_quorum_rule(acceptance):
                 )
             )
         if t >= 1:  # one short of quorum: must stay pending
-            result = consensus.try_commit([item], ctx, chain, now=now)
+            result = consensus.try_commit([item], active, chain, now=now)
             ok &= result.block is None and result.still_pending == [item]
             item.add(
                 consensus.make_endorsement(
                     tx.tx_id, others[t - 1], consensus.VERDICT_VALID, keys[others[t - 1]]
                 )
             )
-        result = consensus.try_commit([item], ctx, chain, now=now)
+        result = consensus.try_commit([item], active, chain, now=now)
         ok &= result.block is not None and list(result.block.txs) == [tx]
         now += 1
     assert acceptance(3, "strict-majority quorum", ok)

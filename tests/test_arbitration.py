@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivtp import arbitration, identity, ledger
+from ivtp import arbitration
 from ivtp.arbitration import (
     IntersectionSession,
     Phase,
@@ -20,10 +20,6 @@ from ivtp.arbitration import (
 
 def _vids(n):
     return [bytes([i]) * 32 for i in range(1, n + 1)]
-
-
-def _keys(ids):
-    return {veh: identity.keygen(identity.sha256(veh)) for veh in ids}
 
 
 def _session(ids, delays, deadline=500, intents=None):
@@ -225,78 +221,6 @@ class TestRecovery:
         scheduler, t = s.elect(200)
         assert scheduler == ids[0]  # retry: lowest id
         assert t == 209
-
-
-class TestCommitAndReward:
-    def _ready(self, n=3, direction=arbitration.REWARD_FIRST_TO_PROPOSER):
-        ids = _vids(n)
-        keys = _keys(ids)
-        s = _session(ids, list(range(2, 2 + n)),
-                     intents={veh: 10 + i for i, veh in enumerate(ids)})
-        s.proposer = ids[-1]  # slowest arrival proposes: payer != payee
-        s.schedule = s.make_schedule(s.proposer)
-        msg = ledger.agree_message("x-1", s.schedule.ordering)
-        agreements = {
-            veh: identity.sign(keys[veh], msg) for veh in ids[:-1]
-        }
-        return ids, keys, s, agreements, direction
-
-    def test_unanimous_commit_pays_fixed_fee(self):
-        ids, keys, s, agreements, direction = self._ready()
-        arb, reward = arbitration.commit_and_reward(
-            s, agreements, keys, tf=99, reward_direction=direction
-        )
-        assert s.phase is Phase.COMMITTED
-        assert arb.ordering == tuple(ids)
-        assert arb.proposer == ids[-1]
-        assert identity.verify(
-            keys[ids[-1]].public_key, ledger.tx_signing_bytes(arb), arb.signature
-        )
-        assert (reward.from_id, reward.to_id) == (ids[0], ids[-1])
-        assert reward.amount == 500
-        assert reward.reason == "x-1"
-        assert identity.verify(
-            keys[ids[0]].public_key, ledger.tx_signing_bytes(reward), reward.signature
-        )
-
-    def test_no_self_payment_when_proposer_is_first(self):
-        ids, keys, s, _, _ = self._ready()
-        s.proposer = ids[0]
-        s.schedule = s.make_schedule(ids[0])
-        msg = ledger.agree_message("x-1", s.schedule.ordering)
-        agreements = {veh: identity.sign(keys[veh], msg) for veh in ids[1:]}
-        arb, reward = arbitration.commit_and_reward(s, agreements, keys, tf=1)
-        assert reward is None
-        assert arb.proposer == ids[0]
-
-    def test_missing_agreement_rejected(self):
-        ids, keys, s, agreements, _ = self._ready()
-        agreements.pop(ids[0])
-        with pytest.raises(arbitration.NotUnanimousError):
-            arbitration.commit_and_reward(s, agreements, keys, tf=1)
-        assert s.phase is not Phase.COMMITTED
-
-    def test_bad_agreement_signature_rejected(self):
-        ids, keys, s, agreements, _ = self._ready()
-        agreements[ids[0]] = b"\x00" * 64
-        with pytest.raises(arbitration.NotUnanimousError):
-            arbitration.commit_and_reward(s, agreements, keys, tf=1)
-
-    def test_commit_without_schedule_rejected(self):
-        a, b = _vids(2)
-        s = _session([a, b], [1, 2])
-        with pytest.raises(arbitration.SessionStateError):
-            arbitration.commit_and_reward(s, {}, {}, tf=1)
-
-    def test_reward_direction_switch(self):
-        ids, keys, s, agreements, _ = self._ready(
-            direction=arbitration.REWARD_PROPOSER_TO_FIRST
-        )
-        _, reward = arbitration.commit_and_reward(
-            s, agreements, keys, tf=1,
-            reward_direction=arbitration.REWARD_PROPOSER_TO_FIRST,
-        )
-        assert (reward.from_id, reward.to_id) == (ids[-1], ids[0])
 
 
 class TestRewardParties:

@@ -21,6 +21,15 @@ def run_dir(tmp_path_factory):
     return out, handles
 
 
+def _write_forged(path, blocks, endowment):
+    """Write blocks as a chain file whose checksum is rebuilt to match."""
+    body = b"".join(
+        [ledger.CHAIN_MAGIC, bytes([ledger.CHAIN_VERSION]), ledger._u64(endowment)]
+        + [ledger._blob(ledger.encode_block(b)) for b in blocks]
+    )
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
 class TestRunCommand:
     def test_run_prints_outcome_and_writes_artifacts(self, tmp_path, capsys):
         rc = cli.main(
@@ -79,19 +88,34 @@ class TestInspectValidate:
             tx, signature=bytes([tx.signature[0] ^ 1]) + tx.signature[1:]
         )
         blocks[2] = dataclasses.replace(victim, txs=(forged_tx,) + victim.txs[1:])
-        body = b"".join(
-            [ledger.CHAIN_MAGIC, bytes([ledger.CHAIN_VERSION]),
-             ledger._u64(handles.chain.state.endowment)]
-            + [ledger._blob(ledger.encode_block(b)) for b in blocks]
-        )
         path = tmp_path / "tampered.bin"
-        path.write_bytes(body + hashlib.sha256(body).digest())
+        _write_forged(path, blocks, handles.chain.state.endowment)
 
         rc = cli.main(["inspect", str(path), "validate"])
         out = capsys.readouterr().out
         assert rc == 1
         assert out.startswith("INVALID:")
         assert "block 2" in out
+
+    def test_duplicated_tx_refused(self, run_dir, tmp_path, capsys):
+        """Repeating block 7's single reward keeps its Merkle root (an odd
+        leaf pairs with itself), so block hashes still link; with the file
+        checksum rebuilt, only the repeated-tx rule stops a second payment."""
+        out_dir, handles = run_dir
+        import dataclasses
+
+        blocks = list(handles.chain.blocks)
+        (reward,) = blocks[7].txs
+        assert isinstance(reward, ledger.RewardTx)
+        blocks[7] = dataclasses.replace(blocks[7], txs=(reward, reward))
+        assert ledger.merkle_root([reward.tx_id] * 2) == blocks[7].merkle_root
+        path = tmp_path / "doubled.bin"
+        _write_forged(path, blocks, handles.chain.state.endowment)
+
+        with pytest.raises(ledger.CorruptChainFileError, match="duplicate_tx"):
+            ledger.chain_from_bytes(path.read_bytes())
+        assert cli.main(["inspect", str(path), "validate"]) == 1
+        assert "block 7" in capsys.readouterr().out
 
     def test_header_tamper_caught_by_checksum(self, run_dir, tmp_path, capsys):
         """The endowment header is not covered by any block hash; the
@@ -132,6 +156,26 @@ class TestInspectQueries:
                 if a != alias
             }
             assert set(table[veh]) == others
+
+    def test_balance_replays_the_chain_once(self, run_dir, monkeypatch, capsys):
+        """Every signature on the chain is verified exactly once."""
+        out_dir, handles = run_dir
+        real_verify = identity.verify
+        calls = []
+
+        def counting_verify(*args):
+            calls.append(args)
+            return real_verify(*args)
+
+        monkeypatch.setattr(identity, "verify", counting_verify)
+        vehicle = handles.chain.blocks[1].txs[0].ivtp_id.hex()
+        assert cli.main(["inspect", str(out_dir / "chain.bin"), "balance", vehicle]) == 0
+        signatures = sum(
+            1 + isinstance(tx, ledger.RegisterTx) + len(getattr(tx, "agreements", ()))
+            for block in handles.chain.blocks
+            for tx in block.txs
+        )
+        assert len(calls) == signatures
 
     def test_balance_accepts_hex_prefix(self, run_dir, capsys):
         out_dir, handles = run_dir
@@ -196,8 +240,29 @@ class TestUsage:
         assert cli.main(["frobnicate"]) == 2
 
     def test_console_script_entrypoint(self):
-        """Installed entry point resolves to the same main."""
-        from importlib.metadata import entry_points
+        """The ivtp console script resolves to the same main: through the
+        installed entry point when the distribution is installed, else
+        through the line pyproject.toml declares for it."""
+        from importlib import import_module
+        from importlib.metadata import PackageNotFoundError, distribution, entry_points
 
-        (ep,) = entry_points(group="console_scripts", name="ivtp")
-        assert ep.load() is cli.main
+        try:
+            distribution("ivtp")
+        except PackageNotFoundError:
+            module, _, attr = _declared_script("ivtp").partition(":")
+            assert getattr(import_module(module), attr) is cli.main
+        else:
+            (ep,) = entry_points(group="console_scripts", name="ivtp")
+            assert ep.load() is cli.main
+
+
+def _declared_script(name: str) -> str:
+    """The target of `name = "module:attr"` under [project.scripts] in
+    pyproject.toml, read by hand because Python 3.10 has no tomllib."""
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    for line in section.splitlines():
+        key, sep, value = line.partition("=")
+        if sep and key.strip() == name:
+            return value.strip().strip('"')
+    raise AssertionError(f"pyproject.toml declares no {name} script")

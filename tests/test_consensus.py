@@ -137,9 +137,6 @@ class TestEndorsements:
 
 
 class TestPodCheck:
-    def _ctx(self, active):
-        return consensus.PodContext(active_set=set(active), beacon_window_ms=500)
-
     def test_valid_comm(self):
         _, chain, ids, keys = make_fleet(3)
         tx = _signed(
@@ -154,14 +151,13 @@ class TestPodCheck:
             ),
             keys[ids[0]],
         )
-        assert consensus.pod_check(self._ctx(ids), tx, chain).valid
+        assert consensus.pod_check(set(ids), tx, chain) is None
 
     def test_stale_beacon_means_not_driving(self):
         _, chain, ids, keys = make_fleet(3)
         tx = _signed(ledger.BeaconTx(author=ids[0], tf=1, signature=b""), keys[ids[0]])
-        verdict = consensus.pod_check(self._ctx(ids[1:]), tx, chain)
-        assert not verdict.valid
-        assert verdict.cause == "not_driving"
+        verdict = consensus.pod_check(set(ids[1:]), tx, chain)
+        assert verdict == "not_driving"
 
     def test_unregistered_author(self):
         _, chain, ids, keys = make_fleet(1)
@@ -169,14 +165,14 @@ class TestPodCheck:
         tx = _signed(
             ledger.BeaconTx(author=ghost, tf=1, signature=b""), keys[ids[0]]
         )
-        verdict = consensus.pod_check(self._ctx([ghost]), tx, chain)
-        assert verdict.cause == "not_registered"
+        verdict = consensus.pod_check({ghost}, tx, chain)
+        assert verdict == "not_registered"
 
     def test_forged_signature(self):
         _, chain, ids, keys = make_fleet(2)
         tx = ledger.BeaconTx(author=ids[0], tf=1, signature=b"\x00" * 64)
-        verdict = consensus.pod_check(self._ctx(ids), tx, chain)
-        assert verdict.cause == "bad_signature"
+        verdict = consensus.pod_check(set(ids), tx, chain)
+        assert verdict == "bad_signature"
 
     def test_comm_sender_must_be_author(self):
         _, chain, ids, keys = make_fleet(3)
@@ -192,8 +188,8 @@ class TestPodCheck:
             ),
             keys[ids[0]],
         )
-        verdict = consensus.pod_check(self._ctx(ids), tx, chain)
-        assert verdict.cause == "sender_mismatch"
+        verdict = consensus.pod_check(set(ids), tx, chain)
+        assert verdict == "sender_mismatch"
 
     def test_reward_needs_funded_payer(self):
         _, chain, ids, keys = make_fleet(2, endowment=100)
@@ -209,8 +205,8 @@ class TestPodCheck:
             ),
             keys[ids[0]],
         )
-        verdict = consensus.pod_check(self._ctx(ids), tx, chain)
-        assert verdict.cause == "insufficient_balance"
+        verdict = consensus.pod_check(set(ids), tx, chain)
+        assert verdict == "insufficient_balance"
 
     def test_arbitration_members_must_be_active(self):
         _, chain, ids, keys = make_fleet(3)
@@ -231,9 +227,9 @@ class TestPodCheck:
             ),
             keys[ids[0]],
         )
-        assert consensus.pod_check(self._ctx(ids), tx, chain).valid
-        verdict = consensus.pod_check(self._ctx(ids[:2]), tx, chain)
-        assert verdict.cause == "member_not_active"
+        assert consensus.pod_check(set(ids), tx, chain) is None
+        verdict = consensus.pod_check(set(ids[:2]), tx, chain)
+        assert verdict == "member_not_active"
 
 
 class TestTryCommit:
@@ -255,35 +251,35 @@ class TestTryCommit:
 
     def test_commits_at_threshold(self):
         _, chain, ids, keys = make_fleet(4)
-        ctx = consensus.PodContext(active_set=set(ids), beacon_window_ms=500)
+        active = set(ids)
         # 3 others active, threshold 2.
         item = self._pending(chain, ids, keys, ids[0], ids[1:3])
-        result = consensus.try_commit([item], ctx, chain, now=20)
+        result = consensus.try_commit([item], active, chain, now=20)
         assert result.block is not None
         assert [t.author for t in result.block.txs] == [ids[0]]
         assert not result.still_pending and not result.rejected
 
     def test_below_threshold_stays_pending(self):
         _, chain, ids, keys = make_fleet(4)
-        ctx = consensus.PodContext(active_set=set(ids), beacon_window_ms=500)
+        active = set(ids)
         item = self._pending(chain, ids, keys, ids[0], ids[1:2])
-        result = consensus.try_commit([item], ctx, chain, now=20)
+        result = consensus.try_commit([item], active, chain, now=20)
         assert result.block is None
         assert result.still_pending == [item]
 
     def test_invalid_quorum_rejects(self):
         _, chain, ids, keys = make_fleet(4)
-        ctx = consensus.PodContext(active_set=set(ids), beacon_window_ms=500)
+        active = set(ids)
         item = self._pending(
             chain, ids, keys, ids[0], ids[1:3], verdict=consensus.VERDICT_INVALID
         )
-        result = consensus.try_commit([item], ctx, chain, now=20)
+        result = consensus.try_commit([item], active, chain, now=20)
         assert result.block is None
         assert [cause for _, cause in result.rejected] == ["quorum_invalid"]
 
     def test_block_orders_by_tf_then_id(self):
         _, chain, ids, keys = make_fleet(4)
-        ctx = consensus.PodContext(active_set=set(ids), beacon_window_ms=500)
+        active = set(ids)
         items = []
         for author, tf in [(ids[0], 30), (ids[1], 10), (ids[2], 10)]:
             tx = _signed(
@@ -298,7 +294,7 @@ class TestTryCommit:
                         )
                     )
             items.append(item)
-        result = consensus.try_commit(items, ctx, chain, now=40)
+        result = consensus.try_commit(items, active, chain, now=40)
         txs = result.block.txs
         assert [t.tf for t in txs] == [10, 10, 30]
         assert txs[0].tx_id < txs[1].tx_id
@@ -307,7 +303,7 @@ class TestTryCommit:
         """Two rewards each quorum-endorsed, but the payer can only fund
         one: the second is rejected at commit time, not force-applied."""
         _, chain, ids, keys = make_fleet(4, endowment=600)
-        ctx = consensus.PodContext(active_set=set(ids), beacon_window_ms=500)
+        active = set(ids)
         items = []
         for tf in (10, 11):
             tx = _signed(
@@ -330,30 +326,30 @@ class TestTryCommit:
                     )
                 )
             items.append(item)
-        result = consensus.try_commit(items, ctx, chain, now=20)
+        result = consensus.try_commit(items, active, chain, now=20)
         assert result.block is not None
         assert len(result.block.txs) == 1
         assert result.block.txs[0].tf == 10
-        assert [cause for _, cause in result.rejected] == ["insufficient balance"]
+        assert [cause for _, cause in result.rejected] == ["insufficient_balance"]
         assert ledger.balance(chain, ids[0]) == 100
         assert ledger.total_supply(chain) == 4 * 600
 
     def test_lone_vehicle_commits_without_endorsements(self):
         """With nobody else active the threshold is zero."""
         _, chain, ids, keys = make_fleet(1)
-        ctx = consensus.PodContext(active_set={ids[0]}, beacon_window_ms=500)
+        active = {ids[0]}
         tx = _signed(
             ledger.BeaconTx(author=ids[0], tf=10, signature=b""), keys[ids[0]]
         )
         result = consensus.try_commit(
-            [consensus.PendingTx(tx=tx)], ctx, chain, now=20
+            [consensus.PendingTx(tx=tx)], active, chain, now=20
         )
         assert result.block is not None
 
     def test_no_committable_returns_no_block(self):
         _, chain, ids, _ = make_fleet(2)
-        ctx = consensus.PodContext(active_set=set(ids), beacon_window_ms=500)
+        active = set(ids)
         before = chain.height
-        result = consensus.try_commit([], ctx, chain, now=20)
+        result = consensus.try_commit([], active, chain, now=20)
         assert result.block is None
         assert chain.height == before

@@ -118,14 +118,3 @@ class TestDealer:
         issued = dealer.issue(pk)
         msg = identity.binding_message(issued.ivtp_id, pk)
         assert identity.verify(dealer.keypair.public_key, msg, issued.binding_sig)
-
-    def test_issue_ivtp_returns_register_tx(self):
-        from ivtp import ledger
-
-        dealer = identity.DealerAuthority.from_name("d")
-        pk = identity.keygen(identity.sha256(b"1")).public_key
-        ivtp_id, tx = identity.issue_ivtp(dealer, pk, tf=5)
-        assert isinstance(tx, ledger.RegisterTx)
-        assert tx.ivtp_id == ivtp_id == tx.author
-        assert tx.vehicle_pk == pk
-        assert tx.tf == 5

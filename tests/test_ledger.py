@@ -1,5 +1,7 @@
 """Transactions, blocks, chain validation, balances, persistence."""
 
+import copy
+import dataclasses
 import hashlib
 
 import pytest
@@ -303,8 +305,82 @@ class TestChain:
             "RewardTx",
         ]
 
+    @pytest.mark.parametrize("cause", ["sender_mismatch", "insufficient_balance"])
+    def test_failed_append_leaves_chain_unchanged(self, cause):
+        """A block whose last tx fails must leave none of the txs before
+        it applied: the live state has to keep matching a replay."""
+        dealer, chain, ids, keys = make_fleet(3, endowment=1000)
+        newcomer = _kp(b"newcomer")
+        applied = [
+            ledger.register_tx_from_issuance(dealer.issue(newcomer.public_key), dealer, tf=1),
+            _signed(ledger.BeaconTx(author=ids[2], tf=1, signature=b""), keys[ids[2]]),
+            _signed(
+                ledger.CommTx(
+                    author=ids[0], tf=1, signature=b"", sender=ids[0], receivers=(ids[1],),
+                    message_hash=identity.sha256(b"m"), tf_sent=1,
+                ),
+                keys[ids[0]],
+            ),
+            _signed(
+                ledger.RewardTx(
+                    author=ids[0], tf=1, signature=b"", from_id=ids[0], to_id=ids[1],
+                    amount=600, reason="first",
+                ),
+                keys[ids[0]],
+            ),
+        ]
+        if cause == "sender_mismatch":
+            bad = ledger.CommTx(
+                author=ids[0], tf=1, signature=b"", sender=ids[1], receivers=(ids[2],),
+                message_hash=identity.sha256(b"m"), tf_sent=1,
+            )
+        else:
+            bad = ledger.RewardTx(
+                author=ids[0], tf=1, signature=b"", from_id=ids[0], to_id=ids[2],
+                amount=600, reason="second",
+            )
+        before = copy.deepcopy(chain.state)
+        with pytest.raises(ledger.InvalidTxError) as exc:
+            chain.append_block(applied + [_signed(bad, keys[ids[0]])], timestamp=1)
+        assert chain.height == 1
+        assert chain.state == before
+        assert list(chain.state.history) == list(before.history)
+        assert not any(tx.tx_id in chain.tx_by_id for tx in applied)
+        assert ledger.validate_chain(chain).state == chain.state
+        assert exc.value.cause == cause
+
+    def test_repeated_tx_rejected(self):
+        """A tx_id already on the chain cannot be committed again."""
+        _, chain, ids, keys = make_fleet(2)
+        tx = _signed(
+            ledger.CommTx(
+                author=ids[0], tf=1, signature=b"", sender=ids[0], receivers=(ids[1],),
+                message_hash=identity.sha256(b"m"), tf_sent=1,
+            ),
+            keys[ids[0]],
+        )
+        chain.append_block([tx], timestamp=1)
+        with pytest.raises(ledger.InvalidTxError) as exc:
+            chain.append_block([tx], timestamp=2)
+        assert exc.value.cause == "duplicate_tx"
+        assert chain.height == 2
+
 
 class TestValidation:
+    def test_genesis_holds_exactly_one_tx(self):
+        """A second self-registration in genesis would take over as dealer."""
+        chain = ledger.Chain.create(identity.DealerAuthority.from_name("dealer"))
+        rival = ledger.Chain.create(identity.DealerAuthority.from_name("rival"))
+        txs = chain.blocks[0].txs + rival.blocks[0].txs
+        genesis = dataclasses.replace(
+            chain.blocks[0], txs=txs, merkle_root=ledger.merkle_root([t.tx_id for t in txs])
+        )
+        report = ledger.validate_blocks([genesis], chain.state.endowment)
+        assert not report.ok
+        assert report.height == 0
+        with pytest.raises(ledger.CorruptChainFileError):
+            ledger.Chain.from_blocks([genesis], chain.state.endowment)
+
     def test_fresh_chain_validates(self):
         _, chain, _, _ = make_fleet(4)
         assert ledger.validate_chain(chain).ok
