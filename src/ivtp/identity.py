@@ -9,6 +9,7 @@ on ambient randomness.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -22,6 +23,11 @@ IvTpId = bytes
 SEED_LEN = 32
 PUBLIC_KEY_LEN = 32
 SIGNATURE_LEN = 64
+
+# Distinct (public key, message, signature) triples whose verdicts are
+# kept. Every receiver of a broadcast checks the same triple, so a small
+# window holds all repeats; 256 entries cost about 130 KB.
+VERIFY_MEMO_SIZE = 256
 
 
 class SeedLengthError(ValueError):
@@ -41,6 +47,11 @@ class KeyPair:
     secret_key: bytes  # the 32-byte seed; public key is derivable from it
     public_key: bytes
 
+    @functools.cached_property
+    def _signer(self) -> ed25519.Ed25519PrivateKey:
+        """The loaded private key, kept in __dict__: out of == and repr."""
+        return ed25519.Ed25519PrivateKey.from_private_bytes(self.secret_key)
+
 
 def keygen(seed: bytes) -> KeyPair:
     """Derive an Ed25519 keypair from a 32-byte seed. Same seed, same keypair."""
@@ -53,14 +64,20 @@ def keygen(seed: bytes) -> KeyPair:
 
 def sign(kp: KeyPair, message: bytes) -> bytes:
     """Sign message bytes; deterministic, no per-call randomness."""
-    return ed25519.Ed25519PrivateKey.from_private_bytes(kp.secret_key).sign(message)
+    return kp._signer.sign(message)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """True iff signature was produced over exactly these bytes by the
-    secret key matching public_key. Never raises on malformed input."""
+    secret key matching public_key. Never raises on malformed input.
+    Memoised on the exact bytes of all three (bounded LRU)."""
     if len(public_key) != PUBLIC_KEY_LEN or len(signature) != SIGNATURE_LEN:
         return False
+    return _ed25519_verify(bytes(public_key), bytes(message), bytes(signature))
+
+
+@functools.lru_cache(maxsize=VERIFY_MEMO_SIZE)
+def _ed25519_verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     try:
         ed25519.Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
         return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from .identity import IvTpId, sha256, short_id
@@ -71,15 +71,6 @@ class Participant(Protocol):
     def handle_timer(self, tag, now: TimeFlag) -> list: ...
 
 
-@dataclass(order=True)
-class SimEvent:
-    due: TimeFlag
-    seq: int
-    kind: str = field(compare=False)  # "deliver" or "timer"
-    target: IvTpId = field(compare=False)
-    payload: object = field(compare=False, default=None)
-
-
 class Network:
     """The event loop. Single-threaded by contract; participants are
     invoked one at a time and outgoing frames they return are broadcast
@@ -100,7 +91,9 @@ class Network:
         self.trace: list = trace if trace is not None else []
         self.alias_of = alias_of or short_id
         self.drop_rule = drop_rule  # test seam for targeted loss injection
-        self._queue: list[SimEvent] = []
+        # (due, seq, kind, target, payload) with kind "deliver" or "timer".
+        # seq is unique, so heap order never compares past it.
+        self._queue: list[tuple[TimeFlag, int, str, IvTpId, object]] = []
         self._seq = 0
         self._cancelled: set[int] = set()
 
@@ -113,10 +106,10 @@ class Network:
         )
 
     def _push(self, due: TimeFlag, kind: str, target: IvTpId, payload) -> int:
-        ev = SimEvent(due=due, seq=self._seq, kind=kind, target=target, payload=payload)
+        seq = self._seq
         self._seq += 1
-        heapq.heappush(self._queue, ev)
-        return ev.seq
+        heapq.heappush(self._queue, (due, seq, kind, target, payload))
+        return seq
 
     def broadcast(self, frame, at: TimeFlag) -> list[tuple[IvTpId, TimeFlag]]:
         """Schedule one delivery per other participant; the sender never
@@ -176,29 +169,29 @@ class Network:
         order, then advance the clock to t_end. Returns the trace."""
         if t_end < self.clock:
             raise ValueError("cannot run backwards")
-        while self._queue and self._queue[0].due <= t_end:
-            ev = heapq.heappop(self._queue)
-            if ev.kind == "timer" and ev.seq in self._cancelled:
-                self._cancelled.discard(ev.seq)
+        while self._queue and self._queue[0][0] <= t_end:
+            due, seq, kind, target_id, payload = heapq.heappop(self._queue)
+            if kind == "timer" and seq in self._cancelled:
+                self._cancelled.discard(seq)
                 continue
-            self.clock = ev.due
-            target = self.participants.get(ev.target)
+            self.clock = due
+            target = self.participants.get(target_id)
             if target is None:
                 continue
-            if ev.kind == "deliver":
+            if kind == "deliver":
                 self.trace.append(
                     {
-                        "t_ms": ev.due,
-                        "vehicle": self.alias_of(ev.target),
+                        "t_ms": due,
+                        "vehicle": self.alias_of(target_id),
                         "dir": "recv",
-                        "kind": ev.payload.kind_label,
-                        "detail": {"from": self.alias_of(ev.payload.sender)},
+                        "kind": payload.kind_label,
+                        "detail": {"from": self.alias_of(payload.sender)},
                     }
                 )
-                out = target.handle_frame(ev.payload, ev.due)
+                out = target.handle_frame(payload, due)
             else:
-                out = target.handle_timer(ev.payload, ev.due)
+                out = target.handle_timer(payload, due)
             for frame in out or []:
-                self.broadcast(frame, ev.due)
+                self.broadcast(frame, due)
         self.clock = t_end
         return self.trace

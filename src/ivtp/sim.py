@@ -279,9 +279,13 @@ def run(cfg: ScenarioConfig, out_dir=None) -> RunHandles:
     )
 
 
+# One encoder for every trace row; json.dumps with options builds one per call.
+_trace_row = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def encode_trace(trace: list[dict]) -> bytes:
-    lines = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in trace]
-    return ("\n".join(lines) + "\n").encode() if lines else b""
+    # Row by row, so the whole trace's text is never held next to its bytes.
+    return b"".join((_trace_row(row) + "\n").encode() for row in trace)
 
 
 def encode_report(report: dict) -> bytes:

@@ -10,6 +10,7 @@ fail are dropped and counted, never raised.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -86,36 +87,39 @@ class Frame:
     def kind_label(self) -> str:
         return KIND_LABELS.get(self.kind, f"kind-{self.kind}")
 
-
-def _encode(f: Frame, with_signature: bool) -> bytes:
-    if not 0 < f.kind < 256:
-        raise FieldOverflowError(f"frame kind out of range: {f.kind}")
-    if len(f.sender) != 32:
-        raise FieldOverflowError("sender id must be 32 bytes")
-    parts = [bytes([f.kind]), f.sender]
-    if f.audience is None:
-        parts.append(bytes([_AUDIENCE_BROADCAST]) + ledger._u32(0))
-    else:
-        parts.append(bytes([_AUDIENCE_DIRECTED]) + ledger._u32(len(f.audience)))
-        for veh in f.audience:
-            if len(veh) != 32:
-                raise FieldOverflowError("audience id must be 32 bytes")
-            parts.append(veh)
-    parts.append(ledger._u64(f.tf))
-    parts.append(ledger._blob(f.payload))
-    if with_signature:
-        if len(f.signature) != identity.SIGNATURE_LEN:
-            raise FieldOverflowError("signature must be 64 bytes")
-        parts.append(f.signature)
-    return b"".join(parts)
+    @functools.cached_property
+    def signing_bytes(self) -> bytes:
+        """The wire encoding without the signature: what the sender signs.
+        Built once per frame however many receivers check it; the cache
+        lives in __dict__, so == and hash see only the fields. Raises
+        FieldOverflowError on a malformed frame (and caches nothing)."""
+        if not 0 < self.kind < 256:
+            raise FieldOverflowError(f"frame kind out of range: {self.kind}")
+        if len(self.sender) != 32:
+            raise FieldOverflowError("sender id must be 32 bytes")
+        parts = [bytes([self.kind]), self.sender]
+        if self.audience is None:
+            parts.append(bytes([_AUDIENCE_BROADCAST]) + ledger._u32(0))
+        else:
+            parts.append(bytes([_AUDIENCE_DIRECTED]) + ledger._u32(len(self.audience)))
+            for veh in self.audience:
+                if len(veh) != 32:
+                    raise FieldOverflowError("audience id must be 32 bytes")
+                parts.append(veh)
+        parts.append(ledger._u64(self.tf))
+        parts.append(ledger._blob(self.payload))
+        return b"".join(parts)
 
 
 def encode_frame(f: Frame) -> bytes:
-    return _encode(f, with_signature=True)
+    body = f.signing_bytes
+    if len(f.signature) != identity.SIGNATURE_LEN:
+        raise FieldOverflowError("signature must be 64 bytes")
+    return body + f.signature
 
 
 def frame_signing_bytes(f: Frame) -> bytes:
-    return _encode(f, with_signature=False)
+    return f.signing_bytes
 
 
 def decode_frame(data: bytes) -> Frame:

@@ -1,5 +1,6 @@
-"""Behaviour lock: every bundled scenario reproduces the SHA-256 of each
-artifact it writes, frozen in vectors/runs.json from earlier runs."""
+"""Behaviour lock: every bundled scenario, and the synthetic wide fan-out
+scenarios under vectors/, reproduces the SHA-256 of each artifact it
+writes, frozen in vectors/runs.json from earlier runs."""
 
 import hashlib
 import json
@@ -13,9 +14,28 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "vectors" / "runs.json").read_text())
 
 
+def _scenario_path(name: str) -> Path:
+    """Bundled scenarios live in scenarios/, the synthetic N-vehicle
+    ones (1 ms latency, 2 ms jitter, 10% loss) next to their digests."""
+    bundled = ROOT / "scenarios" / f"{name}.json"
+    return bundled if bundled.exists() else ROOT / "vectors" / f"{name}.json"
+
+
+def test_synthetic_scenarios_are_locked():
+    assert {"synthetic_n8", "synthetic_n32"} <= set(GOLDEN)
+    for n in (8, 32):
+        cfg = scenario.load_scenario(_scenario_path(f"synthetic_n{n}"))
+        assert len(cfg.vehicles) == n
+        assert len(cfg.comms) == n
+        assert [len(x.participants) for x in cfg.intersections] == [8]
+        assert (cfg.network.latency_ms, cfg.network.jitter_ms) == (1, 2)
+        assert cfg.network.drop_probability == 0.1
+        assert cfg.run.t_end_ms == 2000
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifacts_match_golden_digests(name, tmp_path):
-    sim.run(scenario.load_scenario(ROOT / "scenarios" / f"{name}.json"), out_dir=tmp_path)
+    sim.run(scenario.load_scenario(_scenario_path(name)), out_dir=tmp_path)
     got = {
         artifact: hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
         for artifact in GOLDEN[name]

@@ -55,6 +55,17 @@ class TestKeys:
         assert not identity.verify(b"\x00" * 32, b"m", b"\x00" * 64)
         assert not identity.verify(b"notakey", b"m", b"\x00" * 64)
 
+    def test_signing_key_loaded_once_outside_equality(self):
+        """The loaded private key is kept with the pair but is not part
+        of its value: equal seeds still give equal, equally printed pairs."""
+        a = identity.keygen(identity.sha256(b"k"))
+        b = identity.keygen(identity.sha256(b"k"))
+        assert identity.sign(a, b"m") == identity.sign(b, b"m")
+        signer = vars(a)["_signer"]
+        identity.sign(a, b"n")
+        assert vars(a)["_signer"] is signer
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
     def test_signatures_deterministic(self):
         """Identical inputs produce identical signatures, which the
         whole reproducibility contract leans on."""

@@ -1,0 +1,132 @@
+"""The verification memo under identity.verify: exact-bytes keys, any
+bytes-like input, one Ed25519 check per distinct triple in a run, and
+frames whose signing bytes are cached still fail closed."""
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from ivtp import identity, scenario, sim
+from ivtp.vehicle import KIND_BEACON, KIND_COMM, Frame, Vehicle, make_frame, verify_frame
+
+from conftest import make_fleet
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _pair():
+    """Two registered vehicles sharing one chain, off the network."""
+    _, chain, ids, keys = make_fleet(2)
+    return [Vehicle(veh, keys[veh], chain) for veh in ids]
+
+
+@pytest.fixture
+def signed():
+    kp = identity.keygen(identity.sha256(b"memo"))
+    message = b"status report from IV-1"
+    return kp, message, identity.sign(kp, message)
+
+
+class TestExactKeys:
+    def test_one_byte_different_message_misses_the_memo(self, signed):
+        kp, message, sig = signed
+        assert identity.verify(kp.public_key, message, sig)
+        for i in range(len(message)):
+            tampered = bytearray(message)
+            tampered[i] ^= 0x01
+            assert not identity.verify(kp.public_key, bytes(tampered), sig)
+        assert not identity.verify(kp.public_key, message + b"\x00", sig)
+        assert not identity.verify(kp.public_key, message[:-1], sig)
+
+    def test_other_key_misses_the_memo(self, signed):
+        kp, message, sig = signed
+        other = identity.keygen(identity.sha256(b"other"))
+        assert identity.verify(kp.public_key, message, sig)
+        assert not identity.verify(other.public_key, message, sig)
+
+    def test_memo_is_bounded(self):
+        assert identity._ed25519_verify.cache_info().maxsize == identity.VERIFY_MEMO_SIZE
+        assert identity.VERIFY_MEMO_SIZE == 256
+
+
+class TestBytesLike:
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_verifies_exactly_as_bytes(self, signed, kind):
+        kp, message, sig = signed
+        other = identity.sign(kp, b"other message")
+        for args in [
+            (kp.public_key, message, sig),
+            (kp.public_key, message, other),
+            (kp.public_key, b"x" + message, sig),
+            (b"\x00" * 32, message, sig),
+            (kp.public_key, message, b""),
+            (kp.public_key, message, sig[:-1]),
+            (b"notakey", message, sig),
+        ]:
+            wrapped = [kind(bytearray(a)) for a in args]
+            assert identity.verify(*wrapped) is identity.verify(*args)
+
+    def test_mutated_buffer_is_checked_afresh(self, signed):
+        """A cached verdict belongs to the bytes, not to the buffer."""
+        kp, message, sig = signed
+        buf = bytearray(message)
+        assert identity.verify(kp.public_key, buf, sig)
+        buf[0] ^= 0x01
+        assert not identity.verify(kp.public_key, buf, sig)
+
+
+def test_run_checks_each_distinct_triple_once(monkeypatch):
+    real_verify = identity.verify
+    calls = []
+
+    def counting_verify(public_key, message, signature):
+        calls.append((bytes(public_key), bytes(message), bytes(signature)))
+        return real_verify(public_key, message, signature)
+
+    monkeypatch.setattr(identity, "verify", counting_verify)
+    identity._ed25519_verify.cache_clear()
+    cfg = scenario.load_scenario(ROOT / "scenarios" / "intersection_table2.json")
+    sim.run(cfg)
+    info = identity._ed25519_verify.cache_info()
+    assert info.misses == len(set(calls))
+    assert len(calls) > info.misses
+    assert info.hits == len(calls) - info.misses
+
+
+class TestCachedSigningBytes:
+    def test_signing_bytes_cached_outside_equality(self):
+        kp = identity.keygen(identity.sha256(b"v"))
+        f = make_frame(KIND_BEACON, kp, b"\x05" * 32, 12, b"{}")
+        g = dataclasses.replace(f)
+        assert f.signing_bytes is f.signing_bytes
+        assert "signing_bytes" in vars(f) and "signing_bytes" not in vars(g)
+        assert f == g and hash(f) == hash(g)
+        assert "signing_bytes" not in repr(f)
+
+    def test_forged_frame_drops_after_the_original_is_cached(self):
+        a, b = _pair()
+        f = make_frame(KIND_BEACON, b.keypair, b.ivtp_id, 0, b"{}")
+        assert a.on_receive(f, 0) == [] and a.drop_count == 0
+        for forged in (
+            dataclasses.replace(f, tf=999),
+            dataclasses.replace(f, payload=b"{ }"),
+            dataclasses.replace(f, signature=bytes(64)),
+        ):
+            a.on_receive(forged, 0)
+        assert [reason for _, reason in a.drop_log] == ["bad_signature"] * 3
+
+    def test_malformed_frame_drops_every_time(self):
+        """A frame that cannot be encoded has no signing bytes to cache:
+        each check fails again and drops as bad_signature, never raises."""
+        a, b = _pair()
+        good = make_frame(KIND_COMM, b.keypair, b.ivtp_id, 0, b"{}", audience=(a.ivtp_id,))
+        bad = Frame(
+            kind=KIND_COMM, sender=b.ivtp_id, audience=(a.ivtp_id, b"\x01" * 31),
+            tf=0, payload=b"{}", signature=good.signature,
+        )
+        for _ in range(2):
+            assert not verify_frame(bad, b.keypair.public_key)
+            assert a.on_receive(bad, 0) == []
+            assert "signing_bytes" not in vars(bad)
+        assert [reason for _, reason in a.drop_log] == ["bad_signature"] * 2
