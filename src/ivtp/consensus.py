@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import identity, ledger
+from . import ledger
 from .identity import IvTpId
 from .ledger import ArbitrationTx, Chain, RegisterTx, TimeFlag, Transaction
 
@@ -22,28 +22,13 @@ VERDICT_INVALID = "invalid"
 
 @dataclass(frozen=True)
 class Endorsement:
-    """A signed verdict on a pending transaction by a non-author."""
+    """A verdict on a pending transaction by a non-author. Pool
+    bookkeeping only: the ledger host builds one from an endorse frame
+    whose signature it has checked, so the endorser is the frame sender."""
 
     tx_id: bytes
     endorser: IvTpId
     verdict: str  # VERDICT_VALID or VERDICT_INVALID
-    signature: bytes  # over endorsement_message(tx_id, verdict)
-
-
-def endorsement_message(tx_id: bytes, verdict: str) -> bytes:
-    flag = b"\x01" if verdict == VERDICT_VALID else b"\x00"
-    return b"ivtp/endorse" + tx_id + flag
-
-
-def make_endorsement(
-    tx_id: bytes, endorser: IvTpId, verdict: str, keypair: identity.KeyPair
-) -> Endorsement:
-    sig = identity.sign(keypair, endorsement_message(tx_id, verdict))
-    return Endorsement(tx_id=tx_id, endorser=endorser, verdict=verdict, signature=sig)
-
-
-def check_endorsement(e: Endorsement, endorser_pk: bytes) -> bool:
-    return identity.verify(endorser_pk, endorsement_message(e.tx_id, e.verdict), e.signature)
 
 
 def active_vehicles(
@@ -118,9 +103,10 @@ def try_commit(
     """Select every pending tx that reached quorum, commit them as one
     block (ordered by tf then tx_id), and report quorum-rejected txs.
 
-    Endorsements are assumed signature-checked and deduplicated on
-    ingestion. A tx that would no longer apply cleanly (say its payer
-    spent the balance since endorsement) is rejected, not committed.
+    Endorsements are assumed authenticated (by their frame) and
+    deduplicated on ingestion. A tx that would no longer apply cleanly
+    (say its payer spent the balance since endorsement) is rejected, not
+    committed.
     """
     committable: list[PendingTx] = []
     still_pending: list[PendingTx] = []

@@ -48,7 +48,11 @@ class LedgerHost:
         self.net = None
         self.pending: list[consensus.PendingTx] = []
         self.pending_beacons: dict[IvTpId, TimeFlag] = {}
-        self.early_endorsements: dict[bytes, list[consensus.Endorsement]] = {}
+        # tx_id -> (arrival time, endorsement) for txs not heard yet;
+        # sweep drops an entry pending_ttl_ms after it arrived.
+        self.early_endorsements: dict[
+            bytes, list[tuple[TimeFlag, consensus.Endorsement]]
+        ] = {}
         self.rejected: list[tuple[bytes, str, TimeFlag]] = []
 
     def _note(self, now: TimeFlag, kind: str, detail) -> None:
@@ -62,29 +66,24 @@ class LedgerHost:
 
     def ingest_tx(self, tx: Transaction, now: TimeFlag, sweep: bool = True) -> None:
         """Pool a transaction for quorum. Beacons are kept out of the
-        pool: they are liveness metadata, vehicles never endorse them."""
+        pool: vehicles never endorse them, and liveness comes only from
+        verified beacon frames (handle_frame)."""
         if isinstance(tx, BeaconTx):
-            pk = self.chain.public_key_of(tx.author)
-            if pk is None or not identity.verify(
-                pk, ledger.tx_signing_bytes(tx), tx.signature
-            ):
-                return
-            if tx.tf > self.pending_beacons.get(tx.author, -1):
-                self.pending_beacons[tx.author] = tx.tf
             return
         tx_id = tx.tx_id
         if self._known(tx_id):
             return
         item = consensus.PendingTx(tx=tx)
-        for e in self.early_endorsements.pop(tx_id, []):
+        for _arrived, e in self.early_endorsements.pop(tx_id, []):
             item.add(e)
         self.pending.append(item)
         if sweep:
             self.sweep(now)
 
     def ingest_endorsement(self, e: consensus.Endorsement, now: TimeFlag) -> None:
-        pk = self.chain.public_key_of(e.endorser)
-        if pk is None or not consensus.check_endorsement(e, pk):
+        """Pool an endorsement taken from a verified endorse frame; only
+        registered endorsers count."""
+        if not self.chain.is_registered(e.endorser):
             return
         if e.tx_id in self.chain.tx_by_id:
             return
@@ -93,14 +92,23 @@ class LedgerHost:
                 item.add(e)
                 break
         else:
-            self.early_endorsements.setdefault(e.tx_id, []).append(e)
+            self.early_endorsements.setdefault(e.tx_id, []).append((now, e))
         self.sweep(now)
 
     def sweep(self, now: TimeFlag) -> None:
-        """Reap expired transactions, then commit whatever has quorum."""
+        """Reap expired transactions and early endorsements, then commit
+        whatever has quorum. An honest endorser hears a tx no earlier than
+        its tf, so a tx arriving pending_ttl_ms after its endorsements
+        would be expired anyway."""
+        ttl = self.pending_ttl_ms
+        self.early_endorsements = {
+            tx_id: kept
+            for tx_id, entries in self.early_endorsements.items()
+            if (kept := [(t, e) for t, e in entries if now - t <= ttl])
+        }
         fresh: list[consensus.PendingTx] = []
         for item in self.pending:
-            if now - item.tx.tf > self.pending_ttl_ms:
+            if now - item.tx.tf > ttl:
                 self._note(
                     now,
                     "tx_expired",
@@ -139,7 +147,10 @@ class LedgerHost:
         pk = self.chain.public_key_of(f.sender)
         if pk is None or not verify_frame(f, pk):
             return []
-        if f.kind in (KIND_BEACON, KIND_COMM, KIND_REWARD_NOTICE):
+        if f.kind == KIND_BEACON:
+            if f.tf > self.pending_beacons.get(f.sender, -1):
+                self.pending_beacons[f.sender] = f.tf
+        elif f.kind in (KIND_COMM, KIND_REWARD_NOTICE):
             try:
                 body = json.loads(f.payload.decode())
                 tx = ledger.canonical_decode(bytes.fromhex(body["tx"]))
@@ -154,7 +165,6 @@ class LedgerHost:
                     tx_id=bytes.fromhex(body["tx_id"]),
                     endorser=f.sender,
                     verdict=body["verdict"],
-                    signature=bytes.fromhex(body["sig"]),
                 )
             except (ValueError, KeyError):
                 return []
@@ -176,6 +186,16 @@ class RunHandles:
     net: netsim.Network
     aliases: dict[IvTpId, str]
     report: dict
+
+
+def _namer(aliases: dict[IvTpId, str]):
+    """Alias of an id, else its short hex form (built only on a miss)."""
+
+    def name(veh: IvTpId) -> str:
+        alias = aliases.get(veh)
+        return short_id(veh) if alias is None else alias
+
+    return name
 
 
 def _build_world(cfg: ScenarioConfig):
@@ -214,7 +234,7 @@ def _build_world(cfg: ScenarioConfig):
             drop_probability=cfg.network.drop_probability,
         ),
         seed=cfg.network.seed,
-        alias_of=lambda veh: aliases.get(veh, short_id(veh)),
+        alias_of=_namer(aliases),
     )
     host.net = net
     net.join(host)
@@ -301,9 +321,7 @@ def build_report(
 ) -> dict:
     """Deterministic run summary; rebuilding from the persisted chain
     and trace yields identical bytes."""
-
-    def name(veh: IvTpId) -> str:
-        return aliases.get(veh, short_id(veh))
+    name = _namer(aliases)
 
     blocks = [
         {

@@ -19,7 +19,6 @@ from .arbitration import IntersectionSession, Phase, Schedule
 from .identity import IvTpId, KeyPair, sha256, short_id
 from .ledger import (
     ArbitrationTx,
-    BeaconTx,
     CommTx,
     FieldOverflowError,
     RewardTx,
@@ -160,8 +159,11 @@ def make_frame(
     audience: tuple[IvTpId, ...] | None = None,
 ) -> Frame:
     f = Frame(kind=kind, sender=sender, audience=audience, tf=tf, payload=payload)
-    sig = identity.sign(keypair, frame_signing_bytes(f))
-    return dataclasses.replace(f, signature=sig)
+    body = f.signing_bytes
+    signed = dataclasses.replace(f, signature=identity.sign(keypair, body))
+    # The signature is not part of the signing bytes: keep the encoding.
+    vars(signed)["signing_bytes"] = body
+    return signed
 
 
 def verify_frame(f: Frame, sender_pk: bytes) -> bool:
@@ -268,20 +270,15 @@ class Vehicle:
     # -- sending ------------------------------------------------------------
 
     def emit_beacon(self, now: TimeFlag) -> Frame:
-        """Signed liveness announcement; also refreshes our own entry in
-        the local freshness table so we count ourselves active."""
-        tx = sign_tx(
-            BeaconTx(
-                author=self.ivtp_id,
-                tf=now,
-                signature=b"",
-                network_id=self.config.network_id,
-                position_zone=self.config.position_zone,
-            ),
-            self.keypair,
-        )
+        """Liveness announcement, authenticated by the frame signature
+        alone; also refreshes our own entry in the local freshness table
+        so we count ourselves active."""
         self.peer_beacons[self.ivtp_id] = now
-        return self._frame(KIND_BEACON, {"tx": canonical_encode(tx).hex()}, now)
+        payload = {
+            "network_id": self.config.network_id,
+            "position_zone": self.config.position_zone,
+        }
+        return self._frame(KIND_BEACON, payload, now)
 
     def send_comm(self, payload: bytes, now: TimeFlag) -> tuple[Frame, CommTx]:
         """Broadcast a message and the matching on-chain record. The
@@ -545,7 +542,8 @@ class Vehicle:
         return []
 
     def _endorse_tx(self, tx: Transaction, verdict_override: str | None, now: TimeFlag):
-        """One endorsement per transaction id, ever."""
+        """One endorsement per transaction id, ever. The frame signature
+        is its only signature: it binds the endorser to tx_id and verdict."""
         tx_id = tx.tx_id
         if tx_id in self.endorsed or tx.author == self.ivtp_id:
             return []
@@ -558,13 +556,7 @@ class Vehicle:
             )
             cause = consensus.pod_check(active, tx, self.chain)
             verdict = consensus.VERDICT_VALID if cause is None else consensus.VERDICT_INVALID
-        e = consensus.make_endorsement(tx_id, self.ivtp_id, verdict, self.keypair)
-        payload = {
-            "tx_id": tx_id.hex(),
-            "verdict": e.verdict,
-            "sig": e.signature.hex(),
-        }
-        return [self._frame(KIND_ENDORSE, payload, now)]
+        return [self._frame(KIND_ENDORSE, {"tx_id": tx_id.hex(), "verdict": verdict}, now)]
 
     def _on_comm(self, f: Frame, now: TimeFlag) -> list[Frame]:
         body = json.loads(f.payload.decode())

@@ -81,18 +81,12 @@ def test_criterion_3_quorum_rule(acceptance):
         )
         item = consensus.PendingTx(tx=tx)
         for veh in others[: max(t - 1, 0)]:
-            item.add(
-                consensus.make_endorsement(
-                    tx.tx_id, veh, consensus.VERDICT_VALID, keys[veh]
-                )
-            )
+            item.add(consensus.Endorsement(tx.tx_id, veh, consensus.VERDICT_VALID))
         if t >= 1:  # one short of quorum: must stay pending
             result = consensus.try_commit([item], active, chain, now=now)
             ok &= result.block is None and result.still_pending == [item]
             item.add(
-                consensus.make_endorsement(
-                    tx.tx_id, others[t - 1], consensus.VERDICT_VALID, keys[others[t - 1]]
-                )
+                consensus.Endorsement(tx.tx_id, others[t - 1], consensus.VERDICT_VALID)
             )
         result = consensus.try_commit([item], active, chain, now=now)
         ok &= result.block is not None and list(result.block.txs) == [tx]

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivtp import consensus, identity, ledger
+from ivtp import consensus, identity, ledger, sim, vehicle
+from ivtp.vehicle import KIND_ENDORSE, make_frame
 from conftest import make_fleet
 
 
@@ -95,42 +96,63 @@ class TestQuorum:
             consensus.quorum_threshold(-1)
 
 
+def _endorse_frame(kp, sender, tx_id, verdict, tf=1):
+    body = {"tx_id": tx_id.hex(), "verdict": verdict}
+    return make_frame(KIND_ENDORSE, kp, sender, tf, vehicle._compact(body))
+
+
+def _host(chain):
+    return sim.LedgerHost(chain, beacon_window_ms=500, pending_ttl_ms=2000)
+
+
 class TestEndorsements:
+    """An endorsement's only signature is its frame's; the ledger host
+    checks it against the sender's on-chain key."""
+
     def test_roundtrip_verifies(self):
-        kp = identity.keygen(identity.sha256(b"e"))
-        e = consensus.make_endorsement(
-            identity.sha256(b"tx"), b"\x01" * 32, consensus.VERDICT_VALID, kp
-        )
-        assert consensus.check_endorsement(e, kp.public_key)
+        _, chain, ids, keys = make_fleet(2)
+        host = _host(chain)
+        tx_id = identity.sha256(b"tx")
+        f = _endorse_frame(keys[ids[1]], ids[1], tx_id, consensus.VERDICT_VALID)
+        host.handle_frame(f, now=1)
+        assert host.early_endorsements == {
+            tx_id: [(1, consensus.Endorsement(tx_id, ids[1], consensus.VERDICT_VALID))]
+        }
 
     def test_verdict_is_signed(self):
-        """Flipping the verdict must break the signature."""
-        kp = identity.keygen(identity.sha256(b"e"))
-        e = consensus.make_endorsement(
-            identity.sha256(b"tx"), b"\x01" * 32, consensus.VERDICT_VALID, kp
+        """Flipping the verdict after signing must break the signature."""
+        _, chain, ids, keys = make_fleet(2)
+        host = _host(chain)
+        tx_id = identity.sha256(b"tx")
+        f = _endorse_frame(keys[ids[1]], ids[1], tx_id, consensus.VERDICT_VALID)
+        flipped = dataclasses.replace(
+            f,
+            payload=vehicle._compact(
+                {"tx_id": tx_id.hex(), "verdict": consensus.VERDICT_INVALID}
+            ),
         )
-        flipped = dataclasses.replace(e, verdict=consensus.VERDICT_INVALID)
-        assert not consensus.check_endorsement(flipped, kp.public_key)
+        host.handle_frame(flipped, now=1)
+        assert host.early_endorsements == {}
+        host.handle_frame(f, now=1)
+        assert [e.verdict for _, e in host.early_endorsements[tx_id]] == [
+            consensus.VERDICT_VALID
+        ]
 
     def test_author_cannot_self_endorse(self):
         author = b"\x07" * 32
-        kp = identity.keygen(identity.sha256(b"a"))
         tx = ledger.BeaconTx(author=author, tf=1, signature=b"\x00" * 64)
         item = consensus.PendingTx(tx=tx)
-        e = consensus.make_endorsement(tx.tx_id, author, consensus.VERDICT_VALID, kp)
+        e = consensus.Endorsement(tx.tx_id, author, consensus.VERDICT_VALID)
         assert not item.add(e)
         assert item.count(consensus.VERDICT_VALID) == 0
 
     def test_first_verdict_per_endorser_wins(self):
-        kp = identity.keygen(identity.sha256(b"a"))
         tx = ledger.BeaconTx(author=b"\x07" * 32, tf=1, signature=b"\x00" * 64)
         item = consensus.PendingTx(tx=tx)
         other = b"\x08" * 32
-        assert item.add(
-            consensus.make_endorsement(tx.tx_id, other, consensus.VERDICT_VALID, kp)
-        )
+        assert item.add(consensus.Endorsement(tx.tx_id, other, consensus.VERDICT_VALID))
         assert not item.add(
-            consensus.make_endorsement(tx.tx_id, other, consensus.VERDICT_INVALID, kp)
+            consensus.Endorsement(tx.tx_id, other, consensus.VERDICT_INVALID)
         )
         assert item.count(consensus.VERDICT_VALID) == 1
         assert item.count(consensus.VERDICT_INVALID) == 0
@@ -240,12 +262,7 @@ class TestTryCommit:
         item = consensus.PendingTx(tx=tx)
         for veh in endorsers:
             item.add(
-                consensus.make_endorsement(
-                    tx.tx_id,
-                    veh,
-                    verdict or consensus.VERDICT_VALID,
-                    keys[veh],
-                )
+                consensus.Endorsement(tx.tx_id, veh, verdict or consensus.VERDICT_VALID)
             )
         return item
 
@@ -288,11 +305,7 @@ class TestTryCommit:
             item = consensus.PendingTx(tx=tx)
             for veh in ids:
                 if veh != author:
-                    item.add(
-                        consensus.make_endorsement(
-                            tx.tx_id, veh, consensus.VERDICT_VALID, keys[veh]
-                        )
-                    )
+                    item.add(consensus.Endorsement(tx.tx_id, veh, consensus.VERDICT_VALID))
             items.append(item)
         result = consensus.try_commit(items, active, chain, now=40)
         txs = result.block.txs
@@ -320,11 +333,7 @@ class TestTryCommit:
             )
             item = consensus.PendingTx(tx=tx)
             for veh in ids[1:]:
-                item.add(
-                    consensus.make_endorsement(
-                        tx.tx_id, veh, consensus.VERDICT_VALID, keys[veh]
-                    )
-                )
+                item.add(consensus.Endorsement(tx.tx_id, veh, consensus.VERDICT_VALID))
             items.append(item)
         result = consensus.try_commit(items, active, chain, now=20)
         assert result.block is not None

@@ -1,11 +1,13 @@
 """Scenario schema, the ledger host, and end-to-end runs."""
 
+import dataclasses
 import json
 import pathlib
 
 import pytest
 
-from ivtp import consensus, identity, ledger, scenario, sim
+from ivtp import consensus, identity, ledger, scenario, sim, vehicle
+from ivtp.vehicle import KIND_BEACON, KIND_ENDORSE, Vehicle, make_frame
 from conftest import make_fleet
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -132,8 +134,6 @@ class TestLoad:
 
 
 def _signed(tx, kp):
-    import dataclasses
-
     return dataclasses.replace(
         tx, signature=identity.sign(kp, ledger.tx_signing_bytes(tx))
     )
@@ -147,27 +147,38 @@ class TestLedgerHost:
             # Liveness first: with nobody active the quorum threshold is
             # zero and everything would commit on ingestion.
             for veh in ids:
-                host.ingest_tx(
-                    _signed(
-                        ledger.BeaconTx(author=veh, tf=beacons_at, signature=b""),
-                        keys[veh],
-                    ),
-                    now=beacons_at,
-                )
+                beacon = Vehicle(veh, keys[veh], chain).emit_beacon(beacons_at)
+                host.handle_frame(beacon, now=beacons_at)
         return host, chain, ids, keys
 
     def test_beacons_feed_freshness_not_the_pool(self):
-        host, _, ids, keys = self._host()
-        tx = _signed(ledger.BeaconTx(author=ids[0], tf=10, signature=b""), keys[ids[0]])
-        host.ingest_tx(tx, now=10)
+        host, chain, ids, keys = self._host()
+        beacon = Vehicle(ids[0], keys[ids[0]], chain).emit_beacon
+        host.handle_frame(beacon(10), now=10)
+        assert host.pending == []
+        assert host.pending_beacons == {ids[0]: 10}
+        host.handle_frame(beacon(5), now=11)  # older tf must not regress
+        assert host.pending_beacons == {ids[0]: 10}
+        # A signed BeaconTx carries no liveness and stays out of the pool.
+        tx = _signed(ledger.BeaconTx(author=ids[1], tf=20, signature=b""), keys[ids[1]])
+        host.ingest_tx(tx, now=20)
         assert host.pending == []
         assert host.pending_beacons == {ids[0]: 10}
 
     def test_forged_beacon_ignored(self):
-        host, _, ids, _ = self._host()
-        tx = ledger.BeaconTx(author=ids[0], tf=10, signature=b"\x00" * 64)
-        host.ingest_tx(tx, now=10)
+        host, chain, ids, keys = self._host()
+        genuine = Vehicle(ids[0], keys[ids[0]], chain).emit_beacon(10)
+        ghost_kp = identity.keygen(identity.sha256(b"ghost"))
+        for forged in (
+            dataclasses.replace(genuine, tf=20),  # tf changed after signing
+            dataclasses.replace(genuine, signature=bytes(64)),
+            make_frame(KIND_BEACON, keys[ids[1]], ids[0], 10, genuine.payload),
+            make_frame(KIND_BEACON, ghost_kp, identity.sha256(b"ghost"), 10, b"{}"),
+        ):
+            host.handle_frame(forged, now=20)
         assert host.pending_beacons == {}
+        host.handle_frame(genuine, now=20)
+        assert host.pending_beacons == {ids[0]: 10}
 
     def test_duplicate_tx_pooled_once(self):
         host, _, ids, keys = self._host(beacons_at=1)
@@ -192,9 +203,7 @@ class TestLedgerHost:
             ),
             keys[ids[0]],
         )
-        e = consensus.make_endorsement(
-            tx.tx_id, ids[1], consensus.VERDICT_VALID, keys[ids[1]]
-        )
+        e = consensus.Endorsement(tx.tx_id, ids[1], consensus.VERDICT_VALID)
         host.ingest_endorsement(e, now=1)
         assert host.early_endorsements
         host.ingest_tx(tx, now=2)
@@ -203,11 +212,46 @@ class TestLedgerHost:
 
     def test_unverifiable_endorsement_ignored(self):
         host, _, ids, keys = self._host()
-        e = consensus.Endorsement(
-            tx_id=identity.sha256(b"t"), endorser=ids[1],
-            verdict=consensus.VERDICT_VALID, signature=b"\x00" * 64,
-        )
+        tx_id = identity.sha256(b"t")
+        body = {"tx_id": tx_id.hex(), "verdict": consensus.VERDICT_VALID}
+        genuine = make_frame(KIND_ENDORSE, keys[ids[1]], ids[1], 1, vehicle._compact(body))
+        ghost_kp = identity.keygen(identity.sha256(b"ghost"))
+        for forged in (
+            dataclasses.replace(
+                genuine,
+                payload=vehicle._compact({**body, "verdict": consensus.VERDICT_INVALID}),
+            ),
+            dataclasses.replace(genuine, signature=bytes(64)),
+            make_frame(KIND_ENDORSE, keys[ids[2]], ids[1], 1, genuine.payload),
+            make_frame(
+                KIND_ENDORSE, ghost_kp, identity.sha256(b"ghost"), 1, genuine.payload
+            ),
+        ):
+            host.handle_frame(forged, now=1)
+        assert host.early_endorsements == {}
+        host.handle_frame(genuine, now=1)
+        assert list(host.early_endorsements) == [tx_id]
+
+    def test_unregistered_endorser_ignored(self):
+        host, _, _, _ = self._host()
+        ghost = identity.sha256(b"ghost")
+        e = consensus.Endorsement(identity.sha256(b"t"), ghost, consensus.VERDICT_VALID)
         host.ingest_endorsement(e, now=1)
+        assert host.early_endorsements == {}
+
+    def test_early_endorsements_expire_with_the_ttl(self):
+        """An endorsement for a tx the host never hears is dropped
+        pending_ttl_ms after it arrived, not kept for the whole run."""
+        host, _, ids, keys = self._host(ttl=100, beacons_at=1)
+        early = consensus.Endorsement(identity.sha256(b"t"), ids[1], consensus.VERDICT_VALID)
+        late = consensus.Endorsement(identity.sha256(b"t"), ids[2], consensus.VERDICT_VALID)
+        host.ingest_endorsement(early, now=1)
+        host.ingest_endorsement(late, now=50)
+        host.sweep(now=101)  # exactly ttl old: still kept
+        assert host.early_endorsements == {early.tx_id: [(1, early), (50, late)]}
+        host.sweep(now=102)
+        assert host.early_endorsements == {early.tx_id: [(50, late)]}
+        host.sweep(now=151)
         assert host.early_endorsements == {}
 
     def test_ttl_reaps_stale_pending(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivtp import arbitration, consensus, identity, ledger, netsim, vehicle
+from ivtp import arbitration, consensus, identity, ledger, netsim, sim, vehicle
 from ivtp.arbitration import Phase
 from ivtp.vehicle import (
     KIND_AGREE,
@@ -173,22 +173,27 @@ class TestComm:
             outsider.send_comm(b"x", now=0)
 
     def test_valid_comm_yields_valid_endorsement(self):
-        _, _, (a, b) = _wire(2)
+        """The endorse frame carries tx_id and verdict under the frame
+        signature alone; the ledger host pools it only untampered."""
+        chain, _, (a, b) = _wire(2)
         a.on_receive(b.emit_beacon(10), 10)
         b.on_receive(a.emit_beacon(10), 10)
         frame, tx = b.send_comm(b"ping", now=20)
         out = a.on_receive(frame, 20)
         assert [f.kind for f in out] == [KIND_ENDORSE]
         body = json.loads(out[0].payload)
-        assert body["tx_id"] == tx.tx_id.hex()
-        assert body["verdict"] == consensus.VERDICT_VALID
-        e = consensus.Endorsement(
-            tx_id=bytes.fromhex(body["tx_id"]),
-            endorser=a.ivtp_id,
-            verdict=body["verdict"],
-            signature=bytes.fromhex(body["sig"]),
+        assert body == {"tx_id": tx.tx_id.hex(), "verdict": consensus.VERDICT_VALID}
+        host = sim.LedgerHost(chain, beacon_window_ms=500, pending_ttl_ms=2000)
+        flipped = dataclasses.replace(
+            out[0],
+            payload=vehicle._compact({**body, "verdict": consensus.VERDICT_INVALID}),
         )
-        assert consensus.check_endorsement(e, a.keypair.public_key)
+        host.handle_frame(flipped, 20)
+        assert host.early_endorsements == {}
+        host.handle_frame(out[0], 20)
+        assert host.early_endorsements == {
+            tx.tx_id: [(20, consensus.Endorsement(tx.tx_id, a.ivtp_id, consensus.VERDICT_VALID))]
+        }
 
     def test_body_hash_mismatch_endorsed_invalid(self):
         """Broadcast content that contradicts the on-chain record is

@@ -1,14 +1,24 @@
 """The verification memo under identity.verify: exact-bytes keys, any
-bytes-like input, one Ed25519 check per distinct triple in a run, and
-frames whose signing bytes are cached still fail closed."""
+bytes-like input, one Ed25519 check per distinct triple in a run,
+frames whose signing bytes are cached still fail closed, and beacons
+and endorsements carry no signature but their frame's."""
 
 import dataclasses
 from pathlib import Path
 
 import pytest
 
-from ivtp import identity, scenario, sim
-from ivtp.vehicle import KIND_BEACON, KIND_COMM, Frame, Vehicle, make_frame, verify_frame
+from ivtp import identity, ledger, netsim, scenario, sim
+from ivtp.ledger import FieldOverflowError
+from ivtp.vehicle import (
+    KIND_BEACON,
+    KIND_COMM,
+    KIND_ENDORSE,
+    Frame,
+    Vehicle,
+    make_frame,
+    verify_frame,
+)
 
 from conftest import make_fleet
 
@@ -104,6 +114,17 @@ class TestCachedSigningBytes:
         assert f == g and hash(f) == hash(g)
         assert "signing_bytes" not in repr(f)
 
+    def test_make_frame_hands_its_encoding_to_the_signed_frame(self):
+        kp = identity.keygen(identity.sha256(b"v"))
+        f = make_frame(KIND_COMM, kp, b"\x05" * 32, 12, b"{}", audience=(b"\x06" * 32,))
+        assert "signing_bytes" in vars(f)
+        assert f.signing_bytes == dataclasses.replace(f).signing_bytes
+        assert verify_frame(f, kp.public_key)
+        with pytest.raises(FieldOverflowError):
+            make_frame(KIND_COMM, kp, b"\x05" * 31, 12, b"{}")
+        with pytest.raises(FieldOverflowError):
+            make_frame(KIND_COMM, kp, b"\x05" * 32, 12, b"{}", audience=(b"\x06",))
+
     def test_forged_frame_drops_after_the_original_is_cached(self):
         a, b = _pair()
         f = make_frame(KIND_BEACON, b.keypair, b.ivtp_id, 0, b"{}")
@@ -130,3 +151,50 @@ class TestCachedSigningBytes:
             assert a.on_receive(bad, 0) == []
             assert "signing_bytes" not in vars(bad)
         assert [reason for _, reason in a.drop_log] == ["bad_signature"] * 2
+
+
+def test_beacons_and_endorsements_are_signed_once(monkeypatch):
+    """intersection_table2: each beacon and endorse frame costs one
+    identity.sign, its own. Every other signature made or checked in the
+    run belongs to a frame, a transaction, an agreement or a dealer
+    binding: no inner beacon transaction, no endorsement message."""
+    signed, verified, frames = [], [], []
+    real_sign, real_verify = identity.sign, identity.verify
+    real_broadcast = netsim.Network.broadcast
+
+    def sign(kp, message):
+        signed.append(bytes(message))
+        return real_sign(kp, message)
+
+    def verify(public_key, message, signature):
+        verified.append(bytes(message))
+        return real_verify(public_key, message, signature)
+
+    def broadcast(self, frame, at):
+        frames.append(frame)
+        return real_broadcast(self, frame, at)
+
+    monkeypatch.setattr(identity, "sign", sign)
+    monkeypatch.setattr(identity, "verify", verify)
+    monkeypatch.setattr(netsim.Network, "broadcast", broadcast)
+    handles = sim.run(scenario.load_scenario(ROOT / "scenarios" / "intersection_table2.json"))
+
+    once = [f for f in frames if f.kind in (KIND_BEACON, KIND_ENDORSE)]
+    assert {f.kind for f in once} == {KIND_BEACON, KIND_ENDORSE}
+    assert all(signed.count(f.signing_bytes) == 1 for f in once)
+
+    txs = [tx for block in handles.chain.blocks for tx in block.txs]
+    txs += [tx for veh in handles.vehicles.values() for tx in veh.submitted]
+    known = {f.signing_bytes for f in frames}
+    known |= {ledger.tx_signing_bytes(tx) for tx in txs}
+    known |= {
+        identity.binding_message(tx.ivtp_id, tx.vehicle_pk)
+        for tx in txs
+        if isinstance(tx, ledger.RegisterTx)
+    }
+
+    def accounted(message):
+        return message in known or message.startswith(b"ivtp/agree")
+
+    assert [m for m in signed if not accounted(m)] == []
+    assert [m for m in verified if not accounted(m)] == []
