@@ -25,7 +25,6 @@ from .consensus import (
 from .identity import DealerAuthority, Issuance, KeyPair, ivtp_id_from, keygen
 from .ledger import (
     ArbitrationTx,
-    BeaconTx,
     Block,
     Chain,
     CommTx,
@@ -40,6 +39,6 @@ from .ledger import (
 from .netsim import LinkModel, Network, Rng
 from .scenario import ScenarioConfig, load_scenario, scenario_from_dict
 from .sim import LedgerHost, build_report, run
-from .vehicle import Frame, Vehicle, VehicleConfig, decode_frame, encode_frame
+from .vehicle import Frame, Vehicle, VehicleConfig
 
 __version__ = "0.1.0"

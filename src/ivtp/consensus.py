@@ -32,21 +32,15 @@ class Endorsement:
 
 
 def active_vehicles(
-    chain: Chain,
-    now: TimeFlag,
-    window_ms: int,
-    pending_beacons: dict[IvTpId, TimeFlag] | None = None,
+    chain: Chain, now: TimeFlag, window_ms: int, beacons: dict[IvTpId, TimeFlag]
 ) -> set[IvTpId]:
-    """Vehicles whose freshest beacon, committed or still pending, has
-    tf in the closed interval [now - window_ms, now]."""
+    """Registered vehicles whose freshest beacon in the caller's table
+    (vehicle id -> beacon tf) lies in the closed interval
+    [now - window_ms, now]."""
     if window_ms <= 0:
         raise ValueError("window_ms must be positive")
-    latest: dict[IvTpId, TimeFlag] = dict(chain.state.last_beacon)
-    for veh, tf in (pending_beacons or {}).items():
-        if veh not in latest or tf > latest[veh]:
-            latest[veh] = tf
     lo = now - window_ms
-    return {veh for veh, tf in latest.items() if lo <= tf <= now and chain.is_registered(veh)}
+    return {veh for veh, tf in beacons.items() if lo <= tf <= now and chain.is_registered(veh)}
 
 
 def pod_check(active_set: set[IvTpId], tx: Transaction, chain: Chain) -> str | None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 from . import identity
 from .identity import IvTpId, sha256
@@ -32,9 +32,9 @@ CHAIN_VERSION = 0x01
 
 DEFAULT_ENDOWMENT = 100_000  # milli-trust granted at registration
 
-# Transaction variant tags (canonical encoding byte 0).
+# Transaction variant tags (canonical encoding byte 0). Tag 2 is
+# unassigned: liveness beacons are frames, never transactions.
 TAG_REGISTER = 1
-TAG_BEACON = 2
 TAG_COMM = 3
 TAG_REWARD = 4
 TAG_ARBITRATION = 5
@@ -93,8 +93,10 @@ class Transaction:
 
     TAG = 0  # overridden per variant
 
-    @property
+    @cached_property
     def tx_id(self) -> bytes:
+        """SHA-256 of the canonical encoding, computed once per object;
+        the cache lives in __dict__, so == and hash see only the fields."""
         return sha256(canonical_encode(self))
 
 
@@ -111,16 +113,6 @@ class RegisterTx(Transaction):
     dealer_sig: bytes = b""  # over ivtp_id || vehicle_pk
 
     TAG = TAG_REGISTER
-
-
-@dataclass(frozen=True)
-class BeaconTx(Transaction):
-    """Periodic liveness evidence: the author was on this network at tf."""
-
-    network_id: str = ""
-    position_zone: str = ""
-
-    TAG = TAG_BEACON
 
 
 @dataclass(frozen=True)
@@ -207,8 +199,6 @@ def tx_signing_bytes(tx: Transaction) -> bytes:
             _u64(tx.counter),
             _fixed(tx.dealer_sig, identity.SIGNATURE_LEN, "dealer_sig"),
         ]
-    elif isinstance(tx, BeaconTx):
-        parts += [_blob(tx.network_id.encode()), _blob(tx.position_zone.encode())]
     elif isinstance(tx, CommTx):
         parts += [
             _fixed(tx.sender, HASH_LEN, "sender"),
@@ -287,11 +277,6 @@ def _decode_tx(r: _Reader) -> Transaction:
         dealer_sig = r.take(identity.SIGNATURE_LEN)
         sig = r.take(identity.SIGNATURE_LEN)
         return RegisterTx(author, tf, sig, ivtp_id, vehicle_pk, dealer_id, counter, dealer_sig)
-    if tag == TAG_BEACON:
-        network_id = r.blob().decode()
-        zone = r.blob().decode()
-        sig = r.take(identity.SIGNATURE_LEN)
-        return BeaconTx(author, tf, sig, network_id, zone)
     if tag == TAG_COMM:
         sender = r.take(HASH_LEN)
         receivers = tuple(r.take(HASH_LEN) for _ in range(r.u32()))
@@ -440,7 +425,6 @@ class LedgerState:
     registered_pks: set[bytes] = field(default_factory=set)
     comm_index: dict[IvTpId, dict[IvTpId, None]] = field(default_factory=dict)
     history: dict[IvTpId, list[bytes]] = field(default_factory=dict)
-    last_beacon: dict[IvTpId, TimeFlag] = field(default_factory=dict)
     tx_by_id: dict[bytes, Transaction] = field(default_factory=dict)
     dealer_id: IvTpId | None = None
     dealer_pk: bytes | None = None
@@ -558,12 +542,6 @@ class LedgerState:
             else:
                 self._put(self.balances, tx.ivtp_id, self.endowment)
             self._append(self.history, tx.ivtp_id, tx_id)
-            return
-        if isinstance(tx, BeaconTx):
-            prev = self.last_beacon.get(tx.author)
-            if prev is None or tx.tf > prev:
-                self._put(self.last_beacon, tx.author, tx.tf)
-            self._touch_history([tx.author], tx_id)
             return
         if isinstance(tx, CommTx):
             for rcv in tx.receivers:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import consensus, identity, ledger, netsim
 from .identity import IvTpId, sha256, short_id
-from .ledger import ArbitrationTx, BeaconTx, RewardTx, TimeFlag, Transaction
+from .ledger import ArbitrationTx, RewardTx, TimeFlag, Transaction
 from .scenario import ScenarioConfig, seed_bytes
 from .vehicle import (
     KIND_BEACON,
@@ -47,13 +47,13 @@ class LedgerHost:
         self.pending_ttl_ms = pending_ttl_ms
         self.net = None
         self.pending: list[consensus.PendingTx] = []
-        self.pending_beacons: dict[IvTpId, TimeFlag] = {}
+        # Freshest beacon tf per sender, from verified beacon frames.
+        self.beacons: dict[IvTpId, TimeFlag] = {}
         # tx_id -> (arrival time, endorsement) for txs not heard yet;
         # sweep drops an entry pending_ttl_ms after it arrived.
         self.early_endorsements: dict[
             bytes, list[tuple[TimeFlag, consensus.Endorsement]]
         ] = {}
-        self.rejected: list[tuple[bytes, str, TimeFlag]] = []
 
     def _note(self, now: TimeFlag, kind: str, detail) -> None:
         if self.net is not None:
@@ -65,11 +65,7 @@ class LedgerHost:
         return any(p.tx.tx_id == tx_id for p in self.pending)
 
     def ingest_tx(self, tx: Transaction, now: TimeFlag, sweep: bool = True) -> None:
-        """Pool a transaction for quorum. Beacons are kept out of the
-        pool: vehicles never endorse them, and liveness comes only from
-        verified beacon frames (handle_frame)."""
-        if isinstance(tx, BeaconTx):
-            return
+        """Pool a transaction for quorum."""
         tx_id = tx.tx_id
         if self._known(tx_id):
             return
@@ -119,12 +115,11 @@ class LedgerHost:
         self.pending = fresh
 
         active = consensus.active_vehicles(
-            self.chain, now, self.beacon_window_ms, self.pending_beacons
+            self.chain, now, self.beacon_window_ms, self.beacons
         )
         result = consensus.try_commit(self.pending, active, self.chain, now)
         self.pending = result.still_pending
         for item, cause in result.rejected:
-            self.rejected.append((item.tx.tx_id, cause, now))
             self._note(
                 now,
                 "tx_rejected",
@@ -148,8 +143,8 @@ class LedgerHost:
         if pk is None or not verify_frame(f, pk):
             return []
         if f.kind == KIND_BEACON:
-            if f.tf > self.pending_beacons.get(f.sender, -1):
-                self.pending_beacons[f.sender] = f.tf
+            if f.tf > self.beacons.get(f.sender, -1):
+                self.beacons[f.sender] = f.tf
         elif f.kind in (KIND_COMM, KIND_REWARD_NOTICE):
             try:
                 body = json.loads(f.payload.decode())

@@ -1,8 +1,10 @@
-"""Vehicle agent: frame codec, verification pipeline, protocol handlers.
+"""Vehicle agent: frame signing bytes, verification pipeline, protocol
+handlers.
 
-Every message on the air is a Frame: signed, self-delimiting, carrying
-a kind tag, the sender's trust-point id, an audience, a time flag, and
-a kind-specific payload. A receiver verifies the signature against the
+Every message on the air is a broadcast Frame: a kind tag, the sender's
+trust-point id, a time flag and a kind-specific payload, signed by the
+sender. Frames travel between participants as objects; their only byte
+form is the signing bytes. A receiver verifies the signature against the
 sender's on-chain key before any handler sees the content; frames that
 fail are dropped and counted, never raised.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import arbitration, consensus, identity, ledger
 from .arbitration import IntersectionSession, Phase, Schedule
@@ -24,7 +26,6 @@ from .ledger import (
     RewardTx,
     TimeFlag,
     Transaction,
-    _Reader,
     agree_message,
     canonical_decode,
     canonical_encode,
@@ -51,14 +52,6 @@ KIND_LABELS = {
     KIND_REWARD_NOTICE: "reward_notice",
 }
 
-_AUDIENCE_BROADCAST = 0
-_AUDIENCE_DIRECTED = 1
-
-
-class FrameDecodeError(ValueError):
-    """Byte string is not a well-formed frame."""
-
-
 class NotRegisteredError(ValueError):
     """Action requires the vehicle to be registered on the chain."""
 
@@ -69,18 +62,13 @@ class SessionExistsError(ValueError):
 
 @dataclass(frozen=True)
 class Frame:
-    """One broadcast message. audience None means everyone."""
+    """One broadcast message, heard by every participant in range."""
 
     kind: int
     sender: IvTpId
-    audience: tuple[IvTpId, ...] | None
     tf: TimeFlag
     payload: bytes
     signature: bytes = b""
-
-    def __post_init__(self):
-        if self.audience is not None:
-            object.__setattr__(self, "audience", tuple(sorted(set(self.audience))))
 
     @property
     def kind_label(self) -> str:
@@ -88,77 +76,24 @@ class Frame:
 
     @functools.cached_property
     def signing_bytes(self) -> bytes:
-        """The wire encoding without the signature: what the sender signs.
-        Built once per frame however many receivers check it; the cache
-        lives in __dict__, so == and hash see only the fields. Raises
-        FieldOverflowError on a malformed frame (and caches nothing)."""
+        """What the sender signs: kind (u8), sender (32 bytes), tf (u64)
+        and the length-prefixed payload. Built once per frame however
+        many receivers check it; the cache lives in __dict__, so == and
+        hash see only the fields. Raises FieldOverflowError on a
+        malformed frame (and caches nothing)."""
         if not 0 < self.kind < 256:
             raise FieldOverflowError(f"frame kind out of range: {self.kind}")
         if len(self.sender) != 32:
             raise FieldOverflowError("sender id must be 32 bytes")
-        parts = [bytes([self.kind]), self.sender]
-        if self.audience is None:
-            parts.append(bytes([_AUDIENCE_BROADCAST]) + ledger._u32(0))
-        else:
-            parts.append(bytes([_AUDIENCE_DIRECTED]) + ledger._u32(len(self.audience)))
-            for veh in self.audience:
-                if len(veh) != 32:
-                    raise FieldOverflowError("audience id must be 32 bytes")
-                parts.append(veh)
-        parts.append(ledger._u64(self.tf))
-        parts.append(ledger._blob(self.payload))
-        return b"".join(parts)
-
-
-def encode_frame(f: Frame) -> bytes:
-    body = f.signing_bytes
-    if len(f.signature) != identity.SIGNATURE_LEN:
-        raise FieldOverflowError("signature must be 64 bytes")
-    return body + f.signature
-
-
-def frame_signing_bytes(f: Frame) -> bytes:
-    return f.signing_bytes
-
-
-def decode_frame(data: bytes) -> Frame:
-    try:
-        r = _Reader(data)
-        kind = r.take(1)[0]
-        sender = r.take(32)
-        audience_tag = r.take(1)[0]
-        count = r.u32()
-        if audience_tag == _AUDIENCE_BROADCAST:
-            if count != 0:
-                raise FrameDecodeError("broadcast audience with nonzero count")
-            audience = None
-        elif audience_tag == _AUDIENCE_DIRECTED:
-            audience = tuple(r.take(32) for _ in range(count))
-        else:
-            raise FrameDecodeError(f"unknown audience tag {audience_tag}")
-        tf = r.u64()
-        payload = r.blob()
-        signature = r.take(identity.SIGNATURE_LEN)
-        if not r.done():
-            raise FrameDecodeError("trailing bytes after frame")
-    except FrameDecodeError:
-        raise
-    except ValueError as exc:
-        raise FrameDecodeError(str(exc)) from exc
-    return Frame(
-        kind=kind, sender=sender, audience=audience, tf=tf, payload=payload, signature=signature
-    )
+        return (
+            bytes([self.kind]) + self.sender + ledger._u64(self.tf) + ledger._blob(self.payload)
+        )
 
 
 def make_frame(
-    kind: int,
-    keypair: KeyPair,
-    sender: IvTpId,
-    tf: TimeFlag,
-    payload: bytes,
-    audience: tuple[IvTpId, ...] | None = None,
+    kind: int, keypair: KeyPair, sender: IvTpId, tf: TimeFlag, payload: bytes
 ) -> Frame:
-    f = Frame(kind=kind, sender=sender, audience=audience, tf=tf, payload=payload)
+    f = Frame(kind=kind, sender=sender, tf=tf, payload=payload)
     body = f.signing_bytes
     signed = dataclasses.replace(f, signature=identity.sign(keypair, body))
     # The signature is not part of the signing bytes: keep the encoding.
@@ -168,7 +103,7 @@ def make_frame(
 
 def verify_frame(f: Frame, sender_pk: bytes) -> bool:
     try:
-        msg = frame_signing_bytes(f)
+        msg = f.signing_bytes
     except FieldOverflowError:
         return False
     return identity.verify(sender_pk, msg, f.signature)
@@ -224,8 +159,8 @@ class Vehicle:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _frame(self, kind: int, obj, now: TimeFlag, audience=None) -> Frame:
-        return make_frame(kind, self.keypair, self.ivtp_id, now, _compact(obj), audience)
+    def _frame(self, kind: int, obj, now: TimeFlag) -> Frame:
+        return make_frame(kind, self.keypair, self.ivtp_id, now, _compact(obj))
 
     def _drop(self, f: Frame, now: TimeFlag, reason: str) -> list[Frame]:
         self.drop_count += 1
@@ -282,7 +217,7 @@ class Vehicle:
 
     def send_comm(self, payload: bytes, now: TimeFlag) -> tuple[Frame, CommTx]:
         """Broadcast a message and the matching on-chain record. The
-        receiver set is the intended audience: peers active right now."""
+        record's receivers are the peers active right now."""
         if not self.chain.is_registered(self.ivtp_id):
             raise NotRegisteredError(self.alias)
         receivers = tuple(sorted(self.active_peers(now)))
@@ -475,14 +410,12 @@ class Vehicle:
 
     def on_receive(self, f: Frame, now: TimeFlag) -> list[Frame]:
         """Verification pipeline: on-chain key lookup, signature check,
-        audience filter, then kind dispatch. Bad frames drop silently."""
+        then kind dispatch. Bad frames drop silently."""
         pk = self.chain.public_key_of(f.sender)
         if pk is None:
             return self._drop(f, now, "unknown_sender")
         if not verify_frame(f, pk):
             return self._drop(f, now, "bad_signature")
-        if f.audience is not None and self.ivtp_id not in f.audience:
-            return []
         handler = {
             KIND_BEACON: self._on_beacon,
             KIND_COMM: self._on_comm,

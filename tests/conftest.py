@@ -54,6 +54,35 @@ def make_fleet(n: int, endowment: int = 100_000):
     return dealer, chain, ids, keys
 
 
+def signed_comm(kp: identity.KeyPair, author: bytes, tf: int = 1, receivers=(), message=b"m"):
+    """A CommTx from author, signed with kp: the stand-in transaction
+    wherever any well-formed kind will do."""
+    return ledger.sign_tx(
+        ledger.CommTx(
+            author=author,
+            tf=tf,
+            signature=b"",
+            sender=author,
+            receivers=tuple(receivers),
+            message_hash=identity.sha256(message),
+            tf_sent=tf,
+        ),
+        kp,
+    )
+
+
+def tag2_tx_bytes(kp: identity.KeyPair, author: bytes, tf: int = 1) -> bytes:
+    """A transaction encoding under tag 2, signed by kp over everything
+    but its signature: the layout of a liveness beacon record
+    (tag, author, u64 tf, network and zone blobs, signature). No
+    transaction kind owns tag 2."""
+    body = (
+        bytes([2]) + author + ledger._u64(tf)
+        + ledger._blob(b"net-0") + ledger._blob(b"zone-0")
+    )
+    return body + identity.sign(kp, body)
+
+
 @pytest.fixture
 def fleet4():
     return make_fleet(4)

@@ -13,7 +13,7 @@ import pathlib
 import random
 
 from ivtp import consensus, identity, ledger, scenario, sim
-from conftest import make_fleet
+from conftest import make_fleet, signed_comm
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = ["intersection_table2.json", "broadcast_round.json", "lossy_total.json"]
@@ -76,9 +76,7 @@ def test_criterion_3_quorum_rule(acceptance):
         ok &= 2 * (t - 1) <= n  # least such count
 
         active = {author} | set(others[:n])
-        tx = _signed(
-            ledger.BeaconTx(author=author, tf=now, signature=b""), keys[author]
-        )
+        tx = signed_comm(keys[author], author, tf=now)
         item = consensus.PendingTx(tx=tx)
         for veh in others[: max(t - 1, 0)]:
             item.add(consensus.Endorsement(tx.tx_id, veh, consensus.VERDICT_VALID))

@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 from ivtp import cli, identity, ledger, scenario, sim
+from conftest import tag2_tx_bytes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -116,6 +117,31 @@ class TestInspectValidate:
             ledger.chain_from_bytes(path.read_bytes())
         assert cli.main(["inspect", str(path), "validate"]) == 1
         assert "block 7" in capsys.readouterr().out
+
+    def test_tag_2_transaction_refused(self, run_dir, tmp_path, capsys):
+        """A block appended to a real chain, holding one tag-2 record
+        signed by a registered vehicle, with its Merkle root, link and
+        the file checksum all rebuilt: the file is still refused."""
+        out_dir, handles = run_dir
+        veh = handles.vehicles["IV-1"]
+        tip = handles.chain.tip
+        raw = tag2_tx_bytes(veh.keypair, veh.ivtp_id, tf=tip.timestamp)
+        header = ledger.Block(
+            height=tip.height + 1,
+            prev_hash=tip.block_hash,
+            merkle_root=ledger.merkle_root([identity.sha256(raw)]),
+            timestamp=tip.timestamp,
+            txs=(),
+        ).header_bytes()
+        body = (out_dir / "chain.bin").read_bytes()[: -ledger.HASH_LEN]
+        body += ledger._blob(header + ledger._u32(1) + ledger._blob(raw))
+        path = tmp_path / "tag2.bin"
+        path.write_bytes(body + identity.sha256(body))
+
+        with pytest.raises(ledger.CorruptChainFileError, match="unknown transaction tag 2"):
+            ledger.chain_from_bytes(path.read_bytes())
+        assert cli.main(["inspect", str(path), "validate"]) == 1
+        assert "unknown transaction tag 2" in capsys.readouterr().err
 
     def test_header_tamper_caught_by_checksum(self, run_dir, tmp_path, capsys):
         """The endowment header is not covered by any block hash; the

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ivtp import consensus, identity, ledger, sim, vehicle
 from ivtp.vehicle import KIND_ENDORSE, make_frame
-from conftest import make_fleet
+from conftest import make_fleet, signed_comm
 
 
 def _signed(tx, kp):
@@ -17,59 +17,44 @@ def _signed(tx, kp):
     )
 
 
-def _beacon(chain, ids, keys, who, tf):
-    tx = _signed(
-        ledger.BeaconTx(author=who, tf=tf, signature=b""), keys[who]
-    )
-    chain.append_block([tx], timestamp=tf)
-
-
 class TestActiveVehicles:
     def test_no_beacons_means_nobody_active(self):
         _, chain, _, _ = make_fleet(3)
-        assert consensus.active_vehicles(chain, now=1000, window_ms=500) == set()
+        assert consensus.active_vehicles(chain, now=1000, window_ms=500, beacons={}) == set()
 
     def test_window_boundaries_are_closed(self):
         """A beacon exactly window_ms old still counts; one ms older does not."""
-        _, chain, ids, keys = make_fleet(2)
-        _beacon(chain, ids, keys, ids[0], tf=500)
-        assert consensus.active_vehicles(chain, now=1000, window_ms=500) == {ids[0]}
-        assert consensus.active_vehicles(chain, now=1001, window_ms=500) == set()
+        _, chain, ids, _ = make_fleet(2)
+        beacons = {ids[0]: 500}
+        assert consensus.active_vehicles(chain, now=1000, window_ms=500, beacons=beacons) == {
+            ids[0]
+        }
+        assert consensus.active_vehicles(chain, now=1001, window_ms=500, beacons=beacons) == set()
 
     def test_future_beacon_not_active_yet(self):
-        _, chain, ids, keys = make_fleet(2)
-        _beacon(chain, ids, keys, ids[0], tf=900)
-        assert consensus.active_vehicles(chain, now=800, window_ms=500) == set()
+        _, chain, ids, _ = make_fleet(2)
+        beacons = {ids[0]: 900}
+        assert consensus.active_vehicles(chain, now=800, window_ms=500, beacons=beacons) == set()
 
     def test_pending_beacons_count(self):
         _, chain, ids, _ = make_fleet(2)
         active = consensus.active_vehicles(
-            chain, now=1000, window_ms=500, pending_beacons={ids[1]: 700}
+            chain, now=1000, window_ms=500, beacons={ids[1]: 700}
         )
         assert active == {ids[1]}
-
-    def test_freshest_beacon_wins(self):
-        """A stale committed beacon is rescued by a fresher pending one."""
-        _, chain, ids, keys = make_fleet(2)
-        _beacon(chain, ids, keys, ids[0], tf=100)
-        assert consensus.active_vehicles(chain, now=1000, window_ms=500) == set()
-        active = consensus.active_vehicles(
-            chain, now=1000, window_ms=500, pending_beacons={ids[0]: 900}
-        )
-        assert active == {ids[0]}
 
     def test_unregistered_never_active(self):
         _, chain, _, _ = make_fleet(1)
         ghost = identity.sha256(b"ghost")
         active = consensus.active_vehicles(
-            chain, now=1000, window_ms=500, pending_beacons={ghost: 1000}
+            chain, now=1000, window_ms=500, beacons={ghost: 1000}
         )
         assert active == set()
 
     def test_nonpositive_window_rejected(self):
-        _, chain, _, _ = make_fleet(1)
+        _, chain, ids, _ = make_fleet(1)
         with pytest.raises(ValueError):
-            consensus.active_vehicles(chain, now=0, window_ms=0)
+            consensus.active_vehicles(chain, now=0, window_ms=0, beacons={ids[0]: 0})
 
 
 class TestQuorum:
@@ -139,17 +124,19 @@ class TestEndorsements:
         ]
 
     def test_author_cannot_self_endorse(self):
-        author = b"\x07" * 32
-        tx = ledger.BeaconTx(author=author, tf=1, signature=b"\x00" * 64)
+        _, _, ids, keys = make_fleet(1)
+        author = ids[0]
+        tx = signed_comm(keys[author], author)
         item = consensus.PendingTx(tx=tx)
         e = consensus.Endorsement(tx.tx_id, author, consensus.VERDICT_VALID)
         assert not item.add(e)
         assert item.count(consensus.VERDICT_VALID) == 0
 
     def test_first_verdict_per_endorser_wins(self):
-        tx = ledger.BeaconTx(author=b"\x07" * 32, tf=1, signature=b"\x00" * 64)
+        _, _, ids, keys = make_fleet(2)
+        tx = signed_comm(keys[ids[0]], ids[0])
         item = consensus.PendingTx(tx=tx)
-        other = b"\x08" * 32
+        other = ids[1]
         assert item.add(consensus.Endorsement(tx.tx_id, other, consensus.VERDICT_VALID))
         assert not item.add(
             consensus.Endorsement(tx.tx_id, other, consensus.VERDICT_INVALID)
@@ -177,22 +164,20 @@ class TestPodCheck:
 
     def test_stale_beacon_means_not_driving(self):
         _, chain, ids, keys = make_fleet(3)
-        tx = _signed(ledger.BeaconTx(author=ids[0], tf=1, signature=b""), keys[ids[0]])
+        tx = signed_comm(keys[ids[0]], ids[0])
         verdict = consensus.pod_check(set(ids[1:]), tx, chain)
         assert verdict == "not_driving"
 
     def test_unregistered_author(self):
         _, chain, ids, keys = make_fleet(1)
         ghost = identity.sha256(b"ghost")
-        tx = _signed(
-            ledger.BeaconTx(author=ghost, tf=1, signature=b""), keys[ids[0]]
-        )
+        tx = signed_comm(keys[ids[0]], ghost)
         verdict = consensus.pod_check({ghost}, tx, chain)
         assert verdict == "not_registered"
 
     def test_forged_signature(self):
         _, chain, ids, keys = make_fleet(2)
-        tx = ledger.BeaconTx(author=ids[0], tf=1, signature=b"\x00" * 64)
+        tx = dataclasses.replace(signed_comm(keys[ids[0]], ids[0]), signature=b"\x00" * 64)
         verdict = consensus.pod_check(set(ids), tx, chain)
         assert verdict == "bad_signature"
 
@@ -256,9 +241,7 @@ class TestPodCheck:
 
 class TestTryCommit:
     def _pending(self, chain, ids, keys, author, endorsers, verdict=None):
-        tx = _signed(
-            ledger.BeaconTx(author=author, tf=10, signature=b""), keys[author]
-        )
+        tx = signed_comm(keys[author], author, tf=10)
         item = consensus.PendingTx(tx=tx)
         for veh in endorsers:
             item.add(
@@ -299,9 +282,7 @@ class TestTryCommit:
         active = set(ids)
         items = []
         for author, tf in [(ids[0], 30), (ids[1], 10), (ids[2], 10)]:
-            tx = _signed(
-                ledger.BeaconTx(author=author, tf=tf, signature=b""), keys[author]
-            )
+            tx = signed_comm(keys[author], author, tf=tf)
             item = consensus.PendingTx(tx=tx)
             for veh in ids:
                 if veh != author:
@@ -347,9 +328,7 @@ class TestTryCommit:
         """With nobody else active the threshold is zero."""
         _, chain, ids, keys = make_fleet(1)
         active = {ids[0]}
-        tx = _signed(
-            ledger.BeaconTx(author=ids[0], tf=10, signature=b""), keys[ids[0]]
-        )
+        tx = signed_comm(keys[ids[0]], ids[0], tf=10)
         result = consensus.try_commit(
             [consensus.PendingTx(tx=tx)], active, chain, now=20
         )

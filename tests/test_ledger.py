@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivtp import identity, ledger
-from conftest import make_fleet
+from conftest import make_fleet, signed_comm, tag2_tx_bytes
 
 
 def _kp(tag: bytes) -> identity.KeyPair:
@@ -41,14 +41,6 @@ def _tx_strategy():
         counter=st.integers(min_value=0, max_value=2**64 - 1),
         dealer_sig=_sigs,
     )
-    beacon = st.builds(
-        ledger.BeaconTx,
-        author=_ids,
-        tf=_tf,
-        signature=_sigs,
-        network_id=st.text(max_size=12),
-        position_zone=st.text(max_size=12),
-    )
     comm = st.builds(
         ledger.CommTx,
         author=_ids,
@@ -79,7 +71,7 @@ def _tx_strategy():
         proposer=_ids,
         agreements=st.lists(st.tuples(_ids, _sigs), max_size=4).map(tuple),
     )
-    return st.one_of(register, beacon, comm, reward, arb)
+    return st.one_of(register, comm, reward, arb)
 
 
 class TestCodec:
@@ -103,21 +95,39 @@ class TestCodec:
         assert enc[-64:] == tx.signature
 
     def test_trailing_bytes_rejected(self):
-        tx = ledger.BeaconTx(
-            author=b"\x01" * 32, tf=1, signature=b"\x02" * 64, network_id="n"
-        )
+        tx = signed_comm(_kp(b"a"), b"\x01" * 32)
         with pytest.raises(ValueError):
             ledger.canonical_decode(ledger.canonical_encode(tx) + b"\x00")
 
     def test_truncation_rejected(self):
-        tx = ledger.BeaconTx(author=b"\x01" * 32, tf=1, signature=b"\x02" * 64)
+        tx = signed_comm(_kp(b"a"), b"\x01" * 32)
         with pytest.raises(ValueError):
             ledger.canonical_decode(ledger.canonical_encode(tx)[:-1])
 
     def test_tf_changes_bytes(self):
-        a = ledger.BeaconTx(author=b"\x01" * 32, tf=1, signature=b"\x02" * 64)
-        b = ledger.BeaconTx(author=b"\x01" * 32, tf=2, signature=b"\x02" * 64)
+        a = signed_comm(_kp(b"a"), b"\x01" * 32, tf=1)
+        b = dataclasses.replace(a, tf=2)
         assert ledger.canonical_encode(a) != ledger.canonical_encode(b)
+
+    def test_tx_id_cached_outside_equality(self):
+        """tx_id is computed once per object and lives in __dict__: it
+        takes no part in ==, hash or repr, and a replaced tx hashes anew."""
+        tx = signed_comm(_kp(b"a"), b"\x01" * 32)
+        twin = dataclasses.replace(tx)
+        assert tx.tx_id is tx.tx_id
+        assert "tx_id" in vars(tx) and "tx_id" not in vars(twin)
+        assert tx == twin and hash(tx) == hash(twin)
+        assert "tx_id" not in repr(tx)
+        later = dataclasses.replace(tx, tf=2)
+        assert later.tx_id == hashlib.sha256(ledger.canonical_encode(later)).digest()
+        assert later.tx_id != tx.tx_id
+
+    def test_tag_2_is_unassigned(self):
+        """Liveness beacons are frames: a well-formed, well-signed tag-2
+        encoding is not a transaction."""
+        kp = _kp(b"a")
+        with pytest.raises(ledger.CorruptChainFileError, match="unknown transaction tag 2"):
+            ledger.canonical_decode(tag2_tx_bytes(kp, b"\x01" * 32))
 
     def test_field_overflow(self):
         tx = ledger.RewardTx(
@@ -313,7 +323,7 @@ class TestChain:
         newcomer = _kp(b"newcomer")
         applied = [
             ledger.register_tx_from_issuance(dealer.issue(newcomer.public_key), dealer, tf=1),
-            _signed(ledger.BeaconTx(author=ids[2], tf=1, signature=b""), keys[ids[2]]),
+            signed_comm(keys[ids[2]], ids[2], receivers=(ids[1],)),
             _signed(
                 ledger.CommTx(
                     author=ids[0], tf=1, signature=b"", sender=ids[0], receivers=(ids[1],),

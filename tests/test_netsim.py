@@ -34,7 +34,6 @@ def _frame(sender, tf=0):
     return Frame(
         kind=KIND_BEACON,
         sender=sender,
-        audience=None,
         tf=tf,
         payload=b"{}",
         signature=b"\x00" * 64,

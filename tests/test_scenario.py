@@ -156,14 +156,9 @@ class TestLedgerHost:
         beacon = Vehicle(ids[0], keys[ids[0]], chain).emit_beacon
         host.handle_frame(beacon(10), now=10)
         assert host.pending == []
-        assert host.pending_beacons == {ids[0]: 10}
+        assert host.beacons == {ids[0]: 10}
         host.handle_frame(beacon(5), now=11)  # older tf must not regress
-        assert host.pending_beacons == {ids[0]: 10}
-        # A signed BeaconTx carries no liveness and stays out of the pool.
-        tx = _signed(ledger.BeaconTx(author=ids[1], tf=20, signature=b""), keys[ids[1]])
-        host.ingest_tx(tx, now=20)
-        assert host.pending == []
-        assert host.pending_beacons == {ids[0]: 10}
+        assert host.beacons == {ids[0]: 10}
 
     def test_forged_beacon_ignored(self):
         host, chain, ids, keys = self._host()
@@ -176,9 +171,9 @@ class TestLedgerHost:
             make_frame(KIND_BEACON, ghost_kp, identity.sha256(b"ghost"), 10, b"{}"),
         ):
             host.handle_frame(forged, now=20)
-        assert host.pending_beacons == {}
+        assert host.beacons == {}
         host.handle_frame(genuine, now=20)
-        assert host.pending_beacons == {ids[0]: 10}
+        assert host.beacons == {ids[0]: 10}
 
     def test_duplicate_tx_pooled_once(self):
         host, _, ids, keys = self._host(beacons_at=1)

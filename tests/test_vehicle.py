@@ -1,7 +1,8 @@
-"""Frame codec, verification pipeline, and the intersection protocol."""
+"""Frame signing bytes, verification pipeline, and the intersection protocol."""
 
 import dataclasses
 import json
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +21,6 @@ from ivtp.vehicle import (
     Frame,
     Vehicle,
     VehicleConfig,
-    decode_frame,
-    encode_frame,
-    frame_signing_bytes,
     make_frame,
     verify_frame,
 )
@@ -32,10 +30,9 @@ _ids = st.binary(min_size=32, max_size=32)
 
 _frames = st.builds(
     Frame,
-    kind=st.integers(min_value=1, max_value=8),
+    kind=st.integers(min_value=1, max_value=255),
     sender=_ids,
-    audience=st.one_of(st.none(), st.lists(_ids, max_size=4).map(tuple)),
-    tf=st.integers(min_value=0, max_value=2**40),
+    tf=st.integers(min_value=0, max_value=2**64 - 1),
     payload=st.binary(max_size=200),
     signature=st.binary(min_size=64, max_size=64),
 )
@@ -44,47 +41,13 @@ _frames = st.builds(
 class TestFrameCodec:
     @given(_frames)
     @settings(max_examples=200, deadline=None)
-    def test_roundtrip(self, f):
-        assert decode_frame(encode_frame(f)) == f
-
-    @given(_frames)
-    @settings(max_examples=50, deadline=None)
     def test_signing_bytes_drop_signature(self, f):
-        assert frame_signing_bytes(f) == encode_frame(f)[:-64]
-
-    def test_audience_normalized_sorted_unique(self):
-        a, b = b"\x02" * 32, b"\x01" * 32
-        f = Frame(
-            kind=KIND_COMM, sender=b"\x00" * 32, audience=(a, b, a), tf=0,
-            payload=b"", signature=b"\x00" * 64,
-        )
-        assert f.audience == (b, a)
-
-    def test_broadcast_audience_is_tag_zero_count_zero(self):
-        f = Frame(
-            kind=KIND_BEACON, sender=b"\x05" * 32, audience=None, tf=0,
-            payload=b"", signature=b"\x00" * 64,
-        )
-        enc = encode_frame(f)
-        assert enc[33:38] == b"\x00\x00\x00\x00\x00"
-
-    def test_trailing_bytes_rejected(self):
-        f = Frame(
-            kind=KIND_BEACON, sender=b"\x05" * 32, audience=None, tf=0,
-            payload=b"", signature=b"\x00" * 64,
-        )
-        with pytest.raises(vehicle.FrameDecodeError):
-            decode_frame(encode_frame(f) + b"\x00")
-
-    def test_unknown_audience_tag_rejected(self):
-        f = Frame(
-            kind=KIND_BEACON, sender=b"\x05" * 32, audience=None, tf=0,
-            payload=b"", signature=b"\x00" * 64,
-        )
-        data = bytearray(encode_frame(f))
-        data[33] = 7  # audience tag byte
-        with pytest.raises(vehicle.FrameDecodeError):
-            decode_frame(bytes(data))
+        """Oracle built with struct: kind u8, sender, tf u64 and the
+        u32-length-prefixed payload, all big-endian. The signature is
+        not part of it."""
+        expected = struct.pack(">B32sQI", f.kind, f.sender, f.tf, len(f.payload)) + f.payload
+        assert f.signing_bytes == expected
+        assert dataclasses.replace(f, signature=bytes(64)).signing_bytes == expected
 
     def test_make_frame_verifies_and_tamper_fails(self):
         kp = identity.keygen(identity.sha256(b"v"))
@@ -128,15 +91,6 @@ class TestPipeline:
         a.on_receive(forged, 0)
         assert a.drop_log[0][1] == "bad_signature"
         assert b.ivtp_id not in a.peer_beacons
-
-    def test_directed_frame_ignored_by_outsiders(self):
-        """Not addressed to us: no handler, but no drop either."""
-        _, _, (a, b, c) = _wire(3)
-        f = make_frame(
-            KIND_COMM, b.keypair, b.ivtp_id, 0, b"{}", audience=(c.ivtp_id,)
-        )
-        assert a.on_receive(f, 0) == []
-        assert a.drop_count == 0
 
     def test_malformed_payload_dropped(self):
         _, _, (a, b) = _wire(2)

@@ -116,14 +116,14 @@ class TestCachedSigningBytes:
 
     def test_make_frame_hands_its_encoding_to_the_signed_frame(self):
         kp = identity.keygen(identity.sha256(b"v"))
-        f = make_frame(KIND_COMM, kp, b"\x05" * 32, 12, b"{}", audience=(b"\x06" * 32,))
+        f = make_frame(KIND_COMM, kp, b"\x05" * 32, 12, b"{}")
         assert "signing_bytes" in vars(f)
         assert f.signing_bytes == dataclasses.replace(f).signing_bytes
         assert verify_frame(f, kp.public_key)
         with pytest.raises(FieldOverflowError):
             make_frame(KIND_COMM, kp, b"\x05" * 31, 12, b"{}")
         with pytest.raises(FieldOverflowError):
-            make_frame(KIND_COMM, kp, b"\x05" * 32, 12, b"{}", audience=(b"\x06",))
+            make_frame(300, kp, b"\x05" * 32, 12, b"{}")
 
     def test_forged_frame_drops_after_the_original_is_cached(self):
         a, b = _pair()
@@ -141,11 +141,8 @@ class TestCachedSigningBytes:
         """A frame that cannot be encoded has no signing bytes to cache:
         each check fails again and drops as bad_signature, never raises."""
         a, b = _pair()
-        good = make_frame(KIND_COMM, b.keypair, b.ivtp_id, 0, b"{}", audience=(a.ivtp_id,))
-        bad = Frame(
-            kind=KIND_COMM, sender=b.ivtp_id, audience=(a.ivtp_id, b"\x01" * 31),
-            tf=0, payload=b"{}", signature=good.signature,
-        )
+        good = make_frame(KIND_COMM, b.keypair, b.ivtp_id, 0, b"{}")
+        bad = Frame(kind=300, sender=b.ivtp_id, tf=0, payload=b"{}", signature=good.signature)
         for _ in range(2):
             assert not verify_frame(bad, b.keypair.public_key)
             assert a.on_receive(bad, 0) == []
