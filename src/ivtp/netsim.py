@@ -4,16 +4,22 @@ One shared medium, one event queue. Events are dispatched in (due time,
 insertion sequence) order, which is total, so a run is a pure function
 of the scenario and the seed: no wall clock, no ambient randomness.
 Latency, jitter and loss come from a counter-based seeded generator.
+Every send, delivery and drop becomes one trace.jsonl row, encoded when
+it happens.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import json
 import struct
+from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Protocol
 
-from .identity import IvTpId, sha256, short_id
+from .identity import IvTpId, short_id
 from .ledger import TimeFlag
 
 
@@ -25,6 +31,9 @@ class PastDeadlineError(ValueError):
     """Timer requested for a time the clock has already passed."""
 
 
+_U64 = struct.Struct(">Q")
+
+
 class Rng:
     """Counter-based deterministic generator: draw i is a function of
     (seed, i) only, so streams are reproducible and platform-free."""
@@ -32,11 +41,15 @@ class Rng:
     def __init__(self, seed: int):
         self.seed = seed & 0xFFFFFFFFFFFFFFFF
         self.counter = 0
+        # Draw i is the first 8 bytes of SHA-256("ivtp/rng" || u64 seed ||
+        # u64 i); the common prefix is hashed once and copied per draw.
+        self._prefix = hashlib.sha256(b"ivtp/rng" + self.seed.to_bytes(8, "big"))
 
     def next_u64(self) -> int:
-        block = sha256(b"ivtp/rng" + struct.pack(">QQ", self.seed, self.counter))
+        h = self._prefix.copy()
+        h.update(self.counter.to_bytes(8, "big"))
         self.counter += 1
-        return struct.unpack(">Q", block[:8])[0]
+        return _U64.unpack_from(h.digest())[0]
 
     def uniform_int(self, lo: int, hi: int) -> int:
         """Integer in [lo, hi]. Modulo bias is irrelevant at jitter scale."""
@@ -63,6 +76,99 @@ class LinkModel:
     drop_probability: float = 0.0
 
 
+# One encoder for rows without a template; json.dumps with options builds
+# one per call.
+_encode_row = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# The rows the network writes most, as json.dumps(row, sort_keys=True,
+# separators=(",", ":")) + "\n" lays them out; %b slots take JSON strings.
+_SEND = b'{"detail":{"tf":%d},"dir":"send","kind":%b,"t_ms":%d,"vehicle":%b}\n'
+_RECV = b'{"detail":{"from":%b},"dir":"recv","kind":%b,"t_ms":%d,"vehicle":%b}\n'
+_DROP = (
+    b'{"detail":{"from":%b,"reason":%b},"dir":"drop","kind":%b,"t_ms":%d,"vehicle":%b}\n'
+)
+
+
+class _Quoted(dict):
+    """Name -> its JSON string literal as bytes, quoted on first use."""
+
+    def __missing__(self, name: str) -> bytes:
+        quoted = self[name] = _json_str(name).encode()
+        return quoted
+
+
+class Trace:
+    """A run's trace.jsonl, written as the run goes: each row is encoded
+    into one buffer once, when its event happens. Send, recv and drop rows
+    come from byte templates, with every name JSON-quoted once and cached;
+    note rows go through the generic compact encoder. The trace also
+    counts rows by `dir` and keeps the note rows, which is all a report
+    reads of it.
+
+    Read back, it is a sequence of row dicts decoded from the buffer on
+    demand: it supports len(), iteration and == against a list.
+    """
+
+    def __init__(self):
+        self._data = bytearray()
+        self.counts: Counter[str] = Counter()
+        self.notes: list[dict] = []
+        self._quoted = _Quoted()
+
+    @classmethod
+    def from_rows(cls, rows) -> Trace:
+        """The trace of already-parsed rows, such as a trace.jsonl read back."""
+        trace = cls()
+        for row in rows:
+            trace._add(row)
+        return trace
+
+    def _add(self, row: dict) -> None:
+        self._data += (_encode_row(row) + "\n").encode()
+        self.counts[row["dir"]] += 1
+        if row["dir"] == "note":
+            self.notes.append(row)
+
+    def send(self, t_ms: TimeFlag, vehicle: str, kind: str, tf: TimeFlag) -> None:
+        q = self._quoted
+        self._data += _SEND % (tf, q[kind], t_ms, q[vehicle])
+        self.counts["send"] += 1
+
+    def recv(self, t_ms: TimeFlag, vehicle: str, kind: str, sender: str) -> None:
+        q = self._quoted
+        self._data += _RECV % (q[sender], q[kind], t_ms, q[vehicle])
+        self.counts["recv"] += 1
+
+    def drop(self, t_ms: TimeFlag, vehicle: str, kind: str, sender: str, reason: str) -> None:
+        q = self._quoted
+        # Reasons can carry exception text, so they are quoted, not cached.
+        self._data += _DROP % (q[sender], _json_str(reason).encode(), q[kind], t_ms, q[vehicle])
+        self.counts["drop"] += 1
+
+    def note(self, t_ms: TimeFlag, vehicle: str, kind: str, detail) -> None:
+        self._add({"t_ms": t_ms, "vehicle": vehicle, "dir": "note", "kind": kind, "detail": detail})
+
+    @property
+    def data(self) -> bytes:
+        """The trace.jsonl bytes so far."""
+        return bytes(self._data)
+
+    def __len__(self) -> int:
+        return sum(self.counts.values())
+
+    def __iter__(self):
+        data, start = self._data, 0
+        while start < len(data):
+            end = data.index(b"\n", start)
+            yield json.loads(data[start:end])
+            start = end + 1
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Trace)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 class Participant(Protocol):
     ivtp_id: IvTpId
 
@@ -80,7 +186,6 @@ class Network:
         self,
         link: LinkModel | None = None,
         seed: int = 0,
-        trace: list | None = None,
         alias_of: Callable[[IvTpId], str] | None = None,
         drop_rule: Callable[[object, IvTpId], bool] | None = None,
     ):
@@ -88,7 +193,7 @@ class Network:
         self.rng = Rng(seed)
         self.clock: TimeFlag = 0
         self.participants: dict[IvTpId, Participant] = {}
-        self.trace: list = trace if trace is not None else []
+        self.trace = Trace()
         self.alias_of = alias_of or short_id
         self.drop_rule = drop_rule  # test seam for targeted loss injection
         # (due, seq, kind, target, payload) with kind "deliver" or "timer".
@@ -101,9 +206,7 @@ class Network:
         self.participants[participant.ivtp_id] = participant
 
     def note(self, t_ms: TimeFlag, vehicle: str, kind: str, detail) -> None:
-        self.trace.append(
-            {"t_ms": t_ms, "vehicle": vehicle, "dir": "note", "kind": kind, "detail": detail}
-        )
+        self.trace.note(t_ms, vehicle, kind, detail)
 
     def _push(self, due: TimeFlag, kind: str, target: IvTpId, payload) -> int:
         seq = self._seq
@@ -116,15 +219,7 @@ class Network:
         hears its own frame. Returns the scheduled (receiver, due) list."""
         if frame.sender not in self.participants:
             raise UnknownSenderError(short_id(frame.sender))
-        self.trace.append(
-            {
-                "t_ms": at,
-                "vehicle": self.alias_of(frame.sender),
-                "dir": "send",
-                "kind": frame.kind_label,
-                "detail": {"tf": frame.tf},
-            }
-        )
+        self.trace.send(at, self.alias_of(frame.sender), frame.kind_label, frame.tf)
         scheduled = []
         for veh in self.participants:
             if veh == frame.sender:
@@ -144,14 +239,8 @@ class Network:
         return scheduled
 
     def _trace_drop(self, t: TimeFlag, veh: IvTpId, frame, reason: str) -> None:
-        self.trace.append(
-            {
-                "t_ms": t,
-                "vehicle": self.alias_of(veh),
-                "dir": "drop",
-                "kind": frame.kind_label,
-                "detail": {"reason": reason, "from": self.alias_of(frame.sender)},
-            }
+        self.trace.drop(
+            t, self.alias_of(veh), frame.kind_label, self.alias_of(frame.sender), reason
         )
 
     def set_timer(self, owner: IvTpId, fire_at: TimeFlag, tag) -> int:
@@ -164,7 +253,7 @@ class Network:
     def cancel_timer(self, timer_id: int) -> None:
         self._cancelled.add(timer_id)
 
-    def run_until(self, t_end: TimeFlag) -> list:
+    def run_until(self, t_end: TimeFlag) -> Trace:
         """Dispatch every event due at or before t_end, in (due, seq)
         order, then advance the clock to t_end. Returns the trace."""
         if t_end < self.clock:
@@ -179,14 +268,9 @@ class Network:
             if target is None:
                 continue
             if kind == "deliver":
-                self.trace.append(
-                    {
-                        "t_ms": due,
-                        "vehicle": self.alias_of(target_id),
-                        "dir": "recv",
-                        "kind": payload.kind_label,
-                        "detail": {"from": self.alias_of(payload.sender)},
-                    }
+                self.trace.recv(
+                    due, self.alias_of(target_id), payload.kind_label,
+                    self.alias_of(payload.sender),
                 )
                 out = target.handle_frame(payload, due)
             else:

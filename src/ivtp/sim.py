@@ -294,13 +294,9 @@ def run(cfg: ScenarioConfig, out_dir=None) -> RunHandles:
     )
 
 
-# One encoder for every trace row; json.dumps with options builds one per call.
-_trace_row = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def encode_trace(trace: list[dict]) -> bytes:
-    # Row by row, so the whole trace's text is never held next to its bytes.
-    return b"".join((_trace_row(row) + "\n").encode() for row in trace)
+def encode_trace(trace: netsim.Trace) -> bytes:
+    """trace.jsonl: every row was encoded when its event happened."""
+    return trace.data
 
 
 def encode_report(report: dict) -> bytes:
@@ -310,12 +306,13 @@ def encode_report(report: dict) -> bytes:
 def build_report(
     cfg: ScenarioConfig,
     chain: ledger.Chain,
-    trace: list[dict],
+    trace: netsim.Trace,
     aliases: dict[IvTpId, str],
     trace_digest: bytes,
 ) -> dict:
     """Deterministic run summary; rebuilding from the persisted chain
-    and trace yields identical bytes."""
+    and trace (netsim.Trace.from_rows of its rows) yields identical
+    bytes. Of the trace it reads only the row counts and the notes."""
     name = _namer(aliases)
 
     blocks = [
@@ -360,9 +357,7 @@ def build_report(
                     "rounds": 1,
                     "reward": rewards_by_reason.get(tx.intersection_id),
                 }
-    for row in trace:
-        if row["dir"] != "note":
-            continue
+    for row in trace.notes:
         if row["kind"] == "session_committed":
             iid = row["detail"]["intersection"]
             if iid in sessions:
@@ -381,9 +376,6 @@ def build_report(
                 },
             )
 
-    frames_sent = sum(1 for row in trace if row["dir"] == "send")
-    frames_dropped = sum(1 for row in trace if row["dir"] == "drop")
-
     return {
         "scenario": cfg.name,
         "seed": cfg.network.seed,
@@ -397,6 +389,9 @@ def build_report(
         "comm_table": comm_table,
         "rewards": reward_list,
         "sessions": {k: sessions[k] for k in sorted(sessions)},
-        "counts": {"frames_sent": frames_sent, "frames_dropped": frames_dropped},
+        "counts": {
+            "frames_sent": trace.counts["send"],
+            "frames_dropped": trace.counts["drop"],
+        },
         "trace_digest": trace_digest.hex(),
     }

@@ -72,7 +72,8 @@ class Frame:
 
     @property
     def kind_label(self) -> str:
-        return KIND_LABELS.get(self.kind, f"kind-{self.kind}")
+        label = KIND_LABELS.get(self.kind)
+        return f"kind-{self.kind}" if label is None else label
 
     @functools.cached_property
     def signing_bytes(self) -> bytes:
@@ -166,14 +167,8 @@ class Vehicle:
         self.drop_count += 1
         self.drop_log.append((now, reason))
         if self.net is not None:
-            self.net.trace.append(
-                {
-                    "t_ms": now,
-                    "vehicle": self.alias,
-                    "dir": "drop",
-                    "kind": f.kind_label,
-                    "detail": {"reason": reason, "from": self.net.alias_of(f.sender)},
-                }
+            self.net.trace.drop(
+                now, self.alias, f.kind_label, self.net.alias_of(f.sender), reason
             )
         return []
 
@@ -408,6 +403,18 @@ class Vehicle:
 
     # -- receiving ----------------------------------------------------------
 
+    # Kind -> name of its handler method, looked up on the instance.
+    _HANDLERS = {
+        KIND_BEACON: "_on_beacon",
+        KIND_COMM: "_on_comm",
+        KIND_INTENT: "_on_intent",
+        KIND_SCHEDULE: "_on_schedule",
+        KIND_AGREE: "_on_agree",
+        KIND_DISAGREE: "_on_disagree",
+        KIND_ENDORSE: "_on_endorse",
+        KIND_REWARD_NOTICE: "_on_reward_notice",
+    }
+
     def on_receive(self, f: Frame, now: TimeFlag) -> list[Frame]:
         """Verification pipeline: on-chain key lookup, signature check,
         then kind dispatch. Bad frames drop silently."""
@@ -416,20 +423,11 @@ class Vehicle:
             return self._drop(f, now, "unknown_sender")
         if not verify_frame(f, pk):
             return self._drop(f, now, "bad_signature")
-        handler = {
-            KIND_BEACON: self._on_beacon,
-            KIND_COMM: self._on_comm,
-            KIND_INTENT: self._on_intent,
-            KIND_SCHEDULE: self._on_schedule,
-            KIND_AGREE: self._on_agree,
-            KIND_DISAGREE: self._on_disagree,
-            KIND_ENDORSE: self._on_endorse,
-            KIND_REWARD_NOTICE: self._on_reward_notice,
-        }.get(f.kind)
+        handler = self._HANDLERS.get(f.kind)
         if handler is None:
             return self._drop(f, now, "unknown_kind")
         try:
-            return handler(f, now)
+            return getattr(self, handler)(f, now)
         except (ValueError, KeyError) as exc:
             return self._drop(f, now, f"bad_payload:{exc}")
 

@@ -81,8 +81,3 @@ def tag2_tx_bytes(kp: identity.KeyPair, author: bytes, tf: int = 1) -> bytes:
         + ledger._blob(b"net-0") + ledger._blob(b"zone-0")
     )
     return body + identity.sign(kp, body)
-
-
-@pytest.fixture
-def fleet4():
-    return make_fleet(4)

@@ -8,7 +8,6 @@ constant the bundled scenarios must reproduce.
 import dataclasses
 import hashlib
 import itertools
-import json
 import pathlib
 import random
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ivtp import scenario, sim
+from synthetic import render, synthetic_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "vectors" / "runs.json").read_text())
@@ -21,13 +22,23 @@ def _scenario_path(name: str) -> Path:
     return bundled if bundled.exists() else ROOT / "vectors" / f"{name}.json"
 
 
+SYNTHETIC_N = (4, 8, 16, 32)
+
+
+@pytest.mark.parametrize("n", SYNTHETIC_N)
+def test_synthetic_vectors_come_from_the_generator(n):
+    """tests/synthetic.py writes every synthetic scenario file byte for byte."""
+    path = ROOT / "vectors" / f"synthetic_n{n}.json"
+    assert render(synthetic_scenario(n)) == path.read_text()
+
+
 def test_synthetic_scenarios_are_locked():
-    assert {"synthetic_n8", "synthetic_n32"} <= set(GOLDEN)
-    for n in (8, 32):
+    assert {f"synthetic_n{n}" for n in SYNTHETIC_N} <= set(GOLDEN)
+    for n in SYNTHETIC_N:
         cfg = scenario.load_scenario(_scenario_path(f"synthetic_n{n}"))
         assert len(cfg.vehicles) == n
         assert len(cfg.comms) == n
-        assert [len(x.participants) for x in cfg.intersections] == [8]
+        assert [len(x.participants) for x in cfg.intersections] == [min(n, 8)]
         assert (cfg.network.latency_ms, cfg.network.jitter_ms) == (1, 2)
         assert cfg.network.drop_probability == 0.1
         assert cfg.run.t_end_ms == 2000

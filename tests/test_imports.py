@@ -1,14 +1,16 @@
-"""Every import in the library is used: a static check with the stdlib
-ast module. Package re-exports (__init__.py) and __future__ imports are
-exempt."""
+"""Every import in the library and its tests is used: a static check
+with the stdlib ast module. Package re-exports (__init__.py) and
+__future__ imports are exempt."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ivtp"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ivtp"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,4 +40,9 @@ def test_checker_flags_an_unused_name():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []

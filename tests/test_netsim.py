@@ -53,6 +53,24 @@ class TestRng:
         )[0]
         assert netsim.Rng(42).next_u64() == expected
 
+    # SHA-256 of the first 10,000 draws, each packed as a big-endian u64.
+    # The stream feeds jitter and loss, so it is part of every locked run.
+    PINNED_STREAMS = {
+        0: "11c107172b0158ecc941e4a21ce4ff5cce1e5eeb28f6a3d5c3c37e7e3ac1ca16",
+        1: "9f20bf435e0984a5b20d98fdbd9534d7bb557e0ec65c1b518572f709f1e2f92f",
+        2**64 - 1: "79bfeef68f8a404c5115455933e55ca1d6303e882105dacfc7590d52021b4c81",
+        2842235739: "edaca28f3971e6a34155496e21e3dcb07e7e4b589758ce0beadb059360ffd36c",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_STREAMS))
+    def test_first_10k_draws_pinned(self, seed):
+        rng = netsim.Rng(seed)
+        h = hashlib.sha256()
+        for _ in range(10_000):
+            h.update(struct.pack(">Q", rng.next_u64()))
+        assert h.hexdigest() == self.PINNED_STREAMS[seed]
+        assert rng.counter == 10_000
+
     def test_same_seed_same_stream(self):
         a, b = netsim.Rng(7), netsim.Rng(7)
         assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]

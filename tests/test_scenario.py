@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from ivtp import consensus, identity, ledger, scenario, sim, vehicle
+from ivtp import consensus, identity, ledger, netsim, scenario, sim, vehicle
 from ivtp.vehicle import KIND_BEACON, KIND_ENDORSE, Vehicle, make_frame
 from conftest import make_fleet
 
@@ -265,9 +265,6 @@ class TestLedgerHost:
 
     def test_quorum_commit_through_frames(self):
         """Host assembles a block purely from what it hears on the air."""
-        from ivtp.vehicle import Vehicle, VehicleConfig
-        from ivtp import netsim
-
         _, chain, ids, keys = make_fleet(3)
         host = sim.LedgerHost(chain, beacon_window_ms=500, pending_ttl_ms=2000)
         net = netsim.Network()
@@ -331,7 +328,8 @@ class TestRun:
         handles = sim.run(cfg, out_dir=tmp_path)
         chain = ledger.load_chain(tmp_path / "chain.bin")
         trace_bytes = (tmp_path / "trace.jsonl").read_bytes()
-        trace = [json.loads(line) for line in trace_bytes.splitlines()]
+        trace = netsim.Trace.from_rows(json.loads(line) for line in trace_bytes.splitlines())
+        assert trace.data == trace_bytes
         rebuilt = sim.build_report(
             cfg, chain, trace, handles.aliases, identity.sha256(trace_bytes)
         )

@@ -8,16 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivtp import arbitration, consensus, identity, ledger, netsim, sim, vehicle
+from ivtp import consensus, identity, ledger, netsim, sim, vehicle
 from ivtp.arbitration import Phase
 from ivtp.vehicle import (
-    KIND_AGREE,
     KIND_BEACON,
     KIND_COMM,
     KIND_ENDORSE,
     KIND_INTENT,
-    KIND_REWARD_NOTICE,
-    KIND_SCHEDULE,
     Frame,
     Vehicle,
     VehicleConfig,
