@@ -1,0 +1,178 @@
+"""Record a BENCH_<n>.json file: the benchmark run in alternating pairs of
+a parent checkout and this checkout, and the synthetic N-vehicle matrix.
+
+    git archive PARENT_REV | tar -x -C PARENT_DIR
+    python3 bench/record.py --parent PARENT_DIR --seed 2001 --pairs 10 --out BENCH_7.json
+
+Run from the repository root. For every workload in BENCHMARK.json, pair i
+runs ``perfbench/run.py --workload W --seed SEED+i --seconds S`` (S is the
+benchmark's ``run_seconds``) once in each checkout, the parent first in
+even pairs and this checkout first in odd ones, and keeps each side's
+host line and result line. Pick seeds that were not used while the change
+was written. Each workload's summary gives, per end-to-end metric, both
+sides' median and quartiles and the number of pairs the change won.
+
+The synthetic matrix runs ``sim.run`` of the scenario ``tests/synthetic.py``
+generates for N = 4, 8, 16, 32 and 64 vehicles, five times per side in
+alternating order, each in a fresh interpreter, and records the wall time
+of the call (not scaled for host speed), the trace rows and the peak RSS
+(ru_maxrss) of the process.
+
+The recorder pins itself and every process it starts to one CPU, as
+perfbench does. It deletes the ``__pycache__`` directories under each
+checkout's ``src`` and ``perfbench`` and starts every process with
+PYTHONDONTWRITEBYTECODE=1, so that both sides compile the project from
+source, as in a fresh checkout: bytecode left by earlier runs would
+shorten one side's set-up and memory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import shutil
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+SYNTHETIC_N = (4, 8, 16, 32, 64)
+MATRIX_REPS = 5
+
+# Run in a fresh interpreter with the checkout's src on sys.path:
+# argv is (tests dir of this checkout, N).
+_SYNTHETIC_RUN = """
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from synthetic import synthetic_scenario
+from ivtp import scenario, sim
+n = int(sys.argv[2])
+cfg = scenario.scenario_from_dict(synthetic_scenario(n), name=f"synthetic_n{n}")
+t0 = time.perf_counter()
+handles = sim.run(cfg)
+run_s = time.perf_counter() - t0
+print(json.dumps({
+    "run_s": run_s,
+    "trace_rows": len(handles.net.trace),
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "trace_digest": handles.report["trace_digest"],
+}))
+"""
+
+
+def perfbench(checkout: Path, workload: str, seed: int) -> dict:
+    """One perfbench/run.py command in checkout: its host and result lines."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
+    ]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} failed in {checkout}:\n{done.stderr}")
+    lines = done.stdout.splitlines()
+    host = next(line for line in lines if line.startswith("host:"))
+    return {"host": host, "result": json.loads(lines[-1])}
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarise(pairs: list[dict]) -> dict:
+    """Per end-to-end metric: both sides' quartiles and the pairs won."""
+    out = {}
+    for metric in BENCHMARK["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
+        change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
+        won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        out[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "parent": quartiles(parent),
+            "change": quartiles(change),
+            "change_won": won,
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def synthetic(checkout: Path, n: int) -> dict:
+    """One synthetic run in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONHASHSEED": "0"}
+    cmd = [sys.executable, "-c", _SYNTHETIC_RUN, str(ROOT / "tests"), str(n)]
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def matrix_entry(runs: list[dict]) -> dict:
+    return {
+        "run_s": [r["run_s"] for r in runs],
+        "run_s_median": statistics.median(r["run_s"] for r in runs),
+        "trace_rows": runs[0]["trace_rows"],
+        "peak_rss_mb_median": statistics.median(r["peak_rss_mb"] for r in runs),
+        "trace_digest": runs[0]["trace_digest"],
+    }
+
+
+def alternating(i: int) -> list[str]:
+    return ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="record a BENCH file")
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    for checkout in sides.values():
+        for cache in [*checkout.glob("src/**/__pycache__"), *checkout.glob("perfbench/__pycache__")]:
+            shutil.rmtree(cache)
+    record = {
+        "command": " ".join([Path(sys.argv[0]).name, *(argv or sys.argv[1:])]),
+        "recorder_host": f"cpus={os.cpu_count()} python={platform.python_version()} "
+        f"machine={platform.machine()} pinned_cpu={cpu}",
+        "run_seconds": BENCHMARK["run_seconds"],
+        "perfbench": {},
+        "synthetic": {},
+    }
+    for workload in (w["name"] for w in BENCHMARK["workloads"]):
+        pairs = []
+        for i in range(args.pairs):
+            seed = args.seed + i
+            pair = {"seed": seed, "first": alternating(i)[0]}
+            for side in alternating(i):
+                pair[side] = perfbench(sides[side], workload, seed)
+            pairs.append(pair)
+            print(f"{workload} seed {seed}: " + " ".join(
+                f"{side} {pair[side]['result']['metrics']['ref_wall_s']['value']:.4f}"
+                for side in ("parent", "change")
+            ), flush=True)
+        record["perfbench"][workload] = {"summary": summarise(pairs), "pairs": pairs}
+    for n in SYNTHETIC_N:
+        runs = {side: [] for side in sides}
+        for i in range(MATRIX_REPS):
+            for side in alternating(i):
+                runs[side].append(synthetic(sides[side], n))
+        entry = record["synthetic"][f"n{n}"] = {side: matrix_entry(r) for side, r in runs.items()}
+        print(f"synthetic n{n}: " + " ".join(
+            f"{side} {r['run_s_median']:.3f} s {r['peak_rss_mb_median']:.1f} MB"
+            for side, r in entry.items()
+        ), flush=True)
+    args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

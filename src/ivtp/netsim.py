@@ -149,9 +149,10 @@ class Trace:
         self._add({"t_ms": t_ms, "vehicle": vehicle, "dir": "note", "kind": kind, "detail": detail})
 
     @property
-    def data(self) -> bytes:
-        """The trace.jsonl bytes so far."""
-        return bytes(self._data)
+    def data(self) -> memoryview:
+        """The trace.jsonl bytes so far: a read-only view of the buffer,
+        not a copy. Release it before the trace grows again."""
+        return memoryview(self._data).toreadonly()
 
     def __len__(self) -> int:
         return sum(self.counts.values())
@@ -167,6 +168,19 @@ class Trace:
         if not isinstance(other, (list, Trace)):
             return NotImplemented
         return list(self) == list(other)
+
+
+class _Names(dict):
+    """Participant id -> its trace name, resolved by alias_of on first use;
+    a run's names never change."""
+
+    def __init__(self, alias_of: Callable[[IvTpId], str]):
+        super().__init__()
+        self.alias_of = alias_of
+
+    def __missing__(self, veh: IvTpId) -> str:
+        name = self[veh] = self.alias_of(veh)
+        return name
 
 
 class Participant(Protocol):
@@ -194,7 +208,7 @@ class Network:
         self.clock: TimeFlag = 0
         self.participants: dict[IvTpId, Participant] = {}
         self.trace = Trace()
-        self.alias_of = alias_of or short_id
+        self.names = _Names(alias_of or short_id)
         self.drop_rule = drop_rule  # test seam for targeted loss injection
         # (due, seq, kind, target, payload) with kind "deliver" or "timer".
         # seq is unique, so heap order never compares past it.
@@ -217,31 +231,36 @@ class Network:
     def broadcast(self, frame, at: TimeFlag) -> list[tuple[IvTpId, TimeFlag]]:
         """Schedule one delivery per other participant; the sender never
         hears its own frame. Returns the scheduled (receiver, due) list."""
-        if frame.sender not in self.participants:
-            raise UnknownSenderError(short_id(frame.sender))
-        self.trace.send(at, self.alias_of(frame.sender), frame.kind_label, frame.tf)
+        sender = frame.sender
+        if sender not in self.participants:
+            raise UnknownSenderError(short_id(sender))
+        self.trace.send(at, self.names[sender], frame.kind_label, frame.tf)
+        rng, drop_rule, queue = self.rng, self.drop_rule, self._queue
+        p_drop = self.link.drop_probability
+        # chance() draws nothing at p <= 0, so skipping it keeps the stream.
+        lossy = p_drop > 0.0
+        latency, jitter = self.link.base_latency_ms, self.link.jitter_ms
         scheduled = []
         for veh in self.participants:
-            if veh == frame.sender:
+            if veh == sender:
                 continue
-            if self.drop_rule is not None and self.drop_rule(frame, veh):
+            if drop_rule is not None and drop_rule(frame, veh):
                 self._trace_drop(at, veh, frame, "injected")
                 continue
-            if self.rng.chance(self.link.drop_probability):
+            if lossy and rng.chance(p_drop):
                 self._trace_drop(at, veh, frame, "channel")
                 continue
-            delay = self.link.base_latency_ms
-            if self.link.jitter_ms > 0:
-                delay += self.rng.uniform_int(0, self.link.jitter_ms)
-            due = at + delay
-            self._push(due, "deliver", veh, frame)
+            due = at + latency
+            if jitter > 0:
+                due += rng.uniform_int(0, jitter)
+            heapq.heappush(queue, (due, self._seq, "deliver", veh, frame))
+            self._seq += 1
             scheduled.append((veh, due))
         return scheduled
 
     def _trace_drop(self, t: TimeFlag, veh: IvTpId, frame, reason: str) -> None:
-        self.trace.drop(
-            t, self.alias_of(veh), frame.kind_label, self.alias_of(frame.sender), reason
-        )
+        names = self.names
+        self.trace.drop(t, names[veh], frame.kind_label, names[frame.sender], reason)
 
     def set_timer(self, owner: IvTpId, fire_at: TimeFlag, tag) -> int:
         """Deliver a TimerFire to owner at fire_at; returns a timer id
@@ -258,20 +277,19 @@ class Network:
         order, then advance the clock to t_end. Returns the trace."""
         if t_end < self.clock:
             raise ValueError("cannot run backwards")
-        while self._queue and self._queue[0][0] <= t_end:
-            due, seq, kind, target_id, payload = heapq.heappop(self._queue)
-            if kind == "timer" and seq in self._cancelled:
-                self._cancelled.discard(seq)
+        queue, cancelled, participants = self._queue, self._cancelled, self.participants
+        trace, names = self.trace, self.names
+        while queue and queue[0][0] <= t_end:
+            due, seq, kind, target_id, payload = heapq.heappop(queue)
+            if kind == "timer" and seq in cancelled:
+                cancelled.discard(seq)
                 continue
             self.clock = due
-            target = self.participants.get(target_id)
+            target = participants.get(target_id)
             if target is None:
                 continue
             if kind == "deliver":
-                self.trace.recv(
-                    due, self.alias_of(target_id), payload.kind_label,
-                    self.alias_of(payload.sender),
-                )
+                trace.recv(due, names[target_id], payload.kind_label, names[payload.sender])
                 out = target.handle_frame(payload, due)
             else:
                 out = target.handle_timer(payload, due)

@@ -147,15 +147,14 @@ class LedgerHost:
                 self.beacons[f.sender] = f.tf
         elif f.kind in (KIND_COMM, KIND_REWARD_NOTICE):
             try:
-                body = json.loads(f.payload.decode())
-                tx = ledger.canonical_decode(bytes.fromhex(body["tx"]))
+                tx = f.tx
             except (ValueError, KeyError):
                 return []
             if tx.author == f.sender:
                 self.ingest_tx(tx, now)
         elif f.kind == KIND_ENDORSE:
             try:
-                body = json.loads(f.payload.decode())
+                body = f.body
                 e = consensus.Endorsement(
                     tx_id=bytes.fromhex(body["tx_id"]),
                     endorser=f.sender,
@@ -294,8 +293,9 @@ def run(cfg: ScenarioConfig, out_dir=None) -> RunHandles:
     )
 
 
-def encode_trace(trace: netsim.Trace) -> bytes:
-    """trace.jsonl: every row was encoded when its event happened."""
+def encode_trace(trace: netsim.Trace) -> memoryview:
+    """trace.jsonl: every row was encoded when its event happened. A
+    read-only view of the trace's buffer, not a copy."""
     return trace.data
 
 

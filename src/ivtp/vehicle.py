@@ -11,7 +11,6 @@ fail are dropped and counted, never raised.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 from dataclasses import dataclass
@@ -70,33 +69,50 @@ class Frame:
     payload: bytes
     signature: bytes = b""
 
-    @property
+    # Each cached property below is computed once per frame object, however
+    # many receivers read it. The caches live in __dict__, so ==, hash and
+    # repr see only the fields. A property that raises caches nothing: every
+    # receiver re-raises, and drops the frame for the same reason.
+
+    @functools.cached_property
     def kind_label(self) -> str:
         label = KIND_LABELS.get(self.kind)
         return f"kind-{self.kind}" if label is None else label
 
     @functools.cached_property
     def signing_bytes(self) -> bytes:
-        """What the sender signs: kind (u8), sender (32 bytes), tf (u64)
-        and the length-prefixed payload. Built once per frame however
-        many receivers check it; the cache lives in __dict__, so == and
-        hash see only the fields. Raises FieldOverflowError on a
-        malformed frame (and caches nothing)."""
-        if not 0 < self.kind < 256:
-            raise FieldOverflowError(f"frame kind out of range: {self.kind}")
-        if len(self.sender) != 32:
-            raise FieldOverflowError("sender id must be 32 bytes")
-        return (
-            bytes([self.kind]) + self.sender + ledger._u64(self.tf) + ledger._blob(self.payload)
-        )
+        """What the sender signs. Raises FieldOverflowError on a malformed
+        frame."""
+        return _signing_bytes(self.kind, self.sender, self.tf, self.payload)
+
+    @functools.cached_property
+    def body(self):
+        """The parsed JSON payload. Read it only after the signature
+        check, and never change it: every receiver shares it."""
+        return json.loads(self.payload.decode())
+
+    @functools.cached_property
+    def tx(self) -> Transaction:
+        """The transaction carried hex-encoded under the payload's "tx"
+        key (comm and reward_notice frames), decoded once and shared."""
+        return canonical_decode(bytes.fromhex(self.body["tx"]))
+
+
+def _signing_bytes(kind: int, sender: IvTpId, tf: TimeFlag, payload: bytes) -> bytes:
+    """kind (u8), sender (32 bytes), tf (u64) and the length-prefixed
+    payload."""
+    if not 0 < kind < 256:
+        raise FieldOverflowError(f"frame kind out of range: {kind}")
+    if len(sender) != 32:
+        raise FieldOverflowError("sender id must be 32 bytes")
+    return bytes([kind]) + sender + ledger._u64(tf) + ledger._blob(payload)
 
 
 def make_frame(
     kind: int, keypair: KeyPair, sender: IvTpId, tf: TimeFlag, payload: bytes
 ) -> Frame:
-    f = Frame(kind=kind, sender=sender, tf=tf, payload=payload)
-    body = f.signing_bytes
-    signed = dataclasses.replace(f, signature=identity.sign(keypair, body))
+    body = _signing_bytes(kind, sender, tf, payload)
+    signed = Frame(kind, sender, tf, payload, identity.sign(keypair, body))
     # The signature is not part of the signing bytes: keep the encoding.
     vars(signed)["signing_bytes"] = body
     return signed
@@ -110,8 +126,12 @@ def verify_frame(f: Frame, sender_pk: bytes) -> bool:
     return identity.verify(sender_pk, msg, f.signature)
 
 
+# One encoder for every payload; json.dumps with options builds one per call.
+_encode_payload = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _compact(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    return _encode_payload(obj).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +172,7 @@ class Vehicle:
         self.net = None  # netsim.Network, set when joining
         self.peer_beacons: dict[IvTpId, TimeFlag] = {}
         self.endorsed: set[bytes] = set()
+        self.paid_for: set[str] = set()  # intersection ids this vehicle paid a fee for
         self.drop_count = 0
         self.drop_log: list[tuple[TimeFlag, str]] = []
         self.sessions: dict[str, IntersectionSession] = {}
@@ -167,9 +188,7 @@ class Vehicle:
         self.drop_count += 1
         self.drop_log.append((now, reason))
         if self.net is not None:
-            self.net.trace.drop(
-                now, self.alias, f.kind_label, self.net.alias_of(f.sender), reason
-            )
+            self.net.trace.drop(now, self.alias, f.kind_label, self.net.names[f.sender], reason)
         return []
 
     def _note(self, now: TimeFlag, kind: str, detail) -> None:
@@ -343,8 +362,9 @@ class Vehicle:
         payer, payee = arbitration.reward_parties(
             arb.ordering, arb.proposer, self.config.reward_direction
         )
-        if payer != self.ivtp_id or payer == payee:
+        if payer != self.ivtp_id or payer == payee or arb.intersection_id in self.paid_for:
             return []
+        self.paid_for.add(arb.intersection_id)
         reward = sign_tx(
             RewardTx(
                 author=self.ivtp_id,
@@ -398,7 +418,7 @@ class Vehicle:
 
     def _alias_of(self, veh: IvTpId) -> str:
         if self.net is not None:
-            return self.net.alias_of(veh)
+            return self.net.names[veh]
         return short_id(veh)
 
     # -- receiving ----------------------------------------------------------
@@ -490,17 +510,16 @@ class Vehicle:
         return [self._frame(KIND_ENDORSE, {"tx_id": tx_id.hex(), "verdict": verdict}, now)]
 
     def _on_comm(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        body = json.loads(f.payload.decode())
-        tx = canonical_decode(bytes.fromhex(body["tx"]))
+        tx = f.tx
         if not isinstance(tx, CommTx) or tx.author != f.sender:
             return self._drop(f, now, "tx_sender_mismatch")
         verdict = None
-        if sha256(bytes.fromhex(body["body"])) != tx.message_hash:
+        if sha256(bytes.fromhex(f.body["body"])) != tx.message_hash:
             verdict = consensus.VERDICT_INVALID  # content does not match record
         return self._endorse_tx(tx, verdict, now)
 
     def _on_intent(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        body = json.loads(f.payload.decode())
+        body = f.body
         session = self.sessions.get(body["intersection"])
         if session is None or f.sender not in session.participants:
             return []
@@ -511,7 +530,7 @@ class Vehicle:
         return []
 
     def _on_schedule(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        body = json.loads(f.payload.decode())
+        body = f.body
         iid = body["intersection"]
         session = self.sessions.get(iid)
         if session is None or self.ivtp_id not in session.participants:
@@ -545,7 +564,7 @@ class Vehicle:
         return [disagree] + self._enter_recovery(session, now)
 
     def _on_agree(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        body = json.loads(f.payload.decode())
+        body = f.body
         session = self.sessions.get(body["intersection"])
         if (
             session is None
@@ -566,7 +585,7 @@ class Vehicle:
         return []
 
     def _on_disagree(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        body = json.loads(f.payload.decode())
+        body = f.body
         session = self.sessions.get(body["intersection"])
         if (
             session is None
@@ -582,21 +601,23 @@ class Vehicle:
         return []  # consensus metadata; the ledger host consumes these
 
     def _on_reward_notice(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        body = json.loads(f.payload.decode())
-        tx = canonical_decode(bytes.fromhex(body["tx"]))
+        tx = f.tx
         out: list[Frame] = []
         if isinstance(tx, ArbitrationTx):
             session = self.sessions.get(tx.intersection_id)
-            if (
-                session is not None
-                and self.ivtp_id in session.participants
-                and session.phase not in (Phase.COMMITTED, Phase.ABORTED)
-            ):
+            member = session is not None and self.ivtp_id in session.participants
+            if member and session.phase not in (Phase.COMMITTED, Phase.ABORTED):
                 session.phase = Phase.COMMITTED
                 session.proposer = tx.proposer
                 self._cancel_session_timers(tx.intersection_id)
             out.extend(self._endorse_tx(tx, None, now))
-            out.extend(self._maybe_pay_reward(tx, now))
+            # Pay only for an outcome announced by its proposer, for an
+            # intersection this vehicle takes part in, that would apply:
+            # check_tx wants every member's agreement, the payer's included.
+            if member and tx.author == f.sender == tx.proposer and (
+                self.chain.state.check_tx(tx, self.chain.height + 1) is None
+            ):
+                out.extend(self._maybe_pay_reward(tx, now))
         elif isinstance(tx, RewardTx):
             out.extend(self._endorse_tx(tx, None, now))
         return out

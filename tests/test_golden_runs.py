@@ -22,7 +22,7 @@ def _scenario_path(name: str) -> Path:
     return bundled if bundled.exists() else ROOT / "vectors" / f"{name}.json"
 
 
-SYNTHETIC_N = (4, 8, 16, 32)
+SYNTHETIC_N = (4, 8, 16, 32, 64)
 
 
 @pytest.mark.parametrize("n", SYNTHETIC_N)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -334,6 +335,21 @@ class TestRun:
             cfg, chain, trace, handles.aliases, identity.sha256(trace_bytes)
         )
         assert sim.encode_report(rebuilt) == (tmp_path / "report.json").read_bytes()
+
+    def test_run_writes_the_trace_without_copying_it(self, tmp_path):
+        """Hashing and writing trace.jsonl reads the trace's own buffer: no
+        moment of the run holds a second copy of the trace."""
+        cfg = scenario.load_scenario(SCENARIOS.parent / "vectors" / "synthetic_n16.json")
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            handles = sim.run(cfg, out_dir=tmp_path)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = len(handles.net.trace.data)
+        assert size == (tmp_path / "trace.jsonl").stat().st_size > 500_000
+        assert peak - live < size
 
     def test_trace_rows_are_well_formed(self):
         cfg = scenario.load_scenario(SCENARIOS / "broadcast_round.json")

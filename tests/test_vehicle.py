@@ -2,26 +2,30 @@
 
 import dataclasses
 import json
+import pathlib
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivtp import consensus, identity, ledger, netsim, sim, vehicle
+from ivtp import arbitration, consensus, identity, ledger, netsim, scenario, sim, vehicle
 from ivtp.arbitration import Phase
 from ivtp.vehicle import (
     KIND_BEACON,
     KIND_COMM,
     KIND_ENDORSE,
     KIND_INTENT,
+    KIND_REWARD_NOTICE,
     Frame,
     Vehicle,
     VehicleConfig,
     make_frame,
     verify_frame,
 )
-from conftest import make_fleet
+from conftest import make_fleet, signed_comm
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 _ids = st.binary(min_size=32, max_size=32)
 
@@ -300,3 +304,142 @@ class TestIntersection:
         net.run_until(250)
         sends = [r for r in net.trace if r["dir"] == "send" and r["kind"] == "beacon"]
         assert [r["t_ms"] for r in sends] == [0, 100, 200]
+
+
+class TestFramePayloadCache:
+    def test_body_and_tx_stay_out_of_eq_hash_and_repr(self):
+        _, _, (a, _b) = _wire(2)
+        f, tx = a.send_comm(b"hello", now=20)
+        twin = Frame(f.kind, f.sender, f.tf, f.payload, f.signature)
+        before = repr(f)
+        assert f.body["body"] == b"hello".hex()
+        assert f.tx == tx
+        assert {"body", "tx"} <= set(vars(f)) and not {"body", "tx"} & set(vars(twin))
+        assert f == twin and hash(f) == hash(twin)
+        assert repr(f) == repr(twin) == before
+
+    def test_one_decode_per_frame_however_many_receivers(self, monkeypatch):
+        """Every receiver of a comm or reward notice, the ledger host
+        included, reads the one transaction decoded on the frame."""
+        calls = []
+
+        def counting(data, _decode=ledger.canonical_decode):
+            calls.append(data)
+            return _decode(data)
+
+        monkeypatch.setattr(ledger, "canonical_decode", counting)
+        monkeypatch.setattr(vehicle, "canonical_decode", counting)
+        cfg = scenario.load_scenario(SCENARIOS / "intersection_table2.json")
+        rows = list(sim.run(cfg).net.trace)
+        tx_kinds = {"comm", "reward_notice"}
+        sent = sum(r["dir"] == "send" and r["kind"] in tx_kinds for r in rows)
+        heard = sum(r["dir"] == "recv" and r["kind"] in tx_kinds for r in rows)
+        # Four comms, the outcome and the fee, each heard by three vehicles
+        # and the host.
+        assert sent == 6 and heard == 4 * sent
+        assert len(calls) == sent
+
+    @pytest.mark.parametrize("kind", [KIND_COMM, KIND_REWARD_NOTICE])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"not json",
+            b'{"body": ""}',
+            b'{"body": "", "tx": "zz"}',
+            b"TRAILING",
+        ],
+        ids=["bad_json", "missing_tx", "bad_hex", "trailing_bytes"],
+    )
+    def test_malformed_payload_drops_alike_at_every_receiver(self, kind, payload):
+        """A failed decode is not cached: each receiver raises afresh and
+        drops with the same reason and the same trace row."""
+        _, net, (a, *receivers) = _wire(4)
+        if payload == b"TRAILING":
+            tx = signed_comm(a.keypair, a.ivtp_id)
+            payload = json.dumps({"body": "", "tx": (ledger.canonical_encode(tx) + b"\0").hex()})
+            payload = payload.encode()
+        f = make_frame(kind, a.keypair, a.ivtp_id, 5, payload)
+        net.broadcast(f, 5)
+        net.run_until(10)
+        reasons = {v.drop_log[0][1] for v in receivers}
+        assert [v.drop_count for v in receivers] == [1, 1, 1]
+        assert len(reasons) == 1 and reasons.pop().startswith("bad_payload:")
+        drops = [r for r in net.trace if r["dir"] == "drop"]
+        assert sorted(r["vehicle"] for r in drops) == ["IV-2", "IV-3", "IV-4"]
+        assert len({json.dumps(r["detail"]) for r in drops}) == 1
+        assert "tx" not in vars(f)
+
+
+def _arbitration(proposer, ordering, iid, voters=()):
+    """An ArbitrationTx authored and signed by proposer, carrying the
+    agreement of each vehicle in voters."""
+    ids = tuple(v.ivtp_id for v in ordering)
+    agreements = tuple(
+        sorted((v.ivtp_id, arbitration.agreement_signature(v.keypair, iid, ids)) for v in voters)
+    )
+    return ledger.sign_tx(
+        ledger.ArbitrationTx(
+            author=proposer.ivtp_id, tf=1, signature=b"", intersection_id=iid,
+            ordering=ids, proposer=proposer.ivtp_id, agreements=agreements,
+        ),
+        proposer.keypair,
+    )
+
+
+def _announce(net, sender, tx, at):
+    """sender broadcasts a reward notice carrying tx at time at."""
+    payload = {"intersection": tx.intersection_id, "tx": ledger.canonical_encode(tx).hex()}
+    net.broadcast(sender._frame(KIND_REWARD_NOTICE, payload, at), at)
+    net.run_until(at + 10)
+
+
+def _fees(v):
+    return [(t.to_id, t.reason) for t in v.submitted if isinstance(t, ledger.RewardTx)]
+
+
+class TestRewardGuard:
+    """A vehicle pays the arbitration fee only for an outcome it agreed
+    to, announced by its proposer, and only once per session."""
+
+    def test_forged_outcome_after_a_run_is_not_paid(self):
+        cfg = scenario.load_scenario(SCENARIOS / "intersection_table2.json")
+        handles = sim.run(cfg)
+        iv1, iv2 = handles.vehicles["IV-1"], handles.vehicles["IV-2"]
+        paid = _fees(iv1)
+        forged = _arbitration(iv2, [iv1, iv2], "nowhere")
+        assert handles.chain.state.check_tx(forged, handles.chain.height + 1) == (
+            "agreements_incomplete"
+        )
+        _announce(handles.net, iv2, forged, cfg.run.t_end_ms)
+        assert _fees(iv1) == paid == [(handles.vehicles["IV-3"].ivtp_id, "crossing-1")]
+
+    def _open(self, n=3, iid="x-1"):
+        _, net, vehicles = _wire(n)
+        ids = frozenset(v.ivtp_id for v in vehicles)
+        for v in vehicles:
+            v.open_session(iid, ids, {veh: 1 for veh in ids}, 10_000)
+        return net, vehicles
+
+    def test_outcome_without_agreements_is_not_paid(self):
+        net, (iv1, iv2, iv3) = self._open()
+        _announce(net, iv2, _arbitration(iv2, [iv1, iv2, iv3], "x-1", [iv3]), 5)
+        assert _fees(iv1) == []
+
+    def test_outcome_relayed_by_another_vehicle_is_not_paid(self):
+        net, (iv1, iv2, iv3) = self._open()
+        _announce(net, iv3, _arbitration(iv2, [iv1, iv2, iv3], "x-1", [iv1, iv3]), 5)
+        assert _fees(iv1) == []
+
+    def test_agreed_outcome_is_paid_once(self):
+        net, (iv1, iv2, iv3) = self._open()
+        tx = _arbitration(iv2, [iv1, iv2, iv3], "x-1", [iv1, iv3])
+        _announce(net, iv2, tx, 5)
+        assert _fees(iv1) == [(iv2.ivtp_id, "x-1")]
+        _announce(net, iv2, tx, 20)  # a replay of the same announcement
+        assert _fees(iv1) == [(iv2.ivtp_id, "x-1")]
+
+    def test_outsider_does_not_pay(self):
+        net, (iv1, iv2, iv3, iv4) = self._open(4)
+        iv1.sessions.clear()
+        _announce(net, iv2, _arbitration(iv2, [iv1, iv2, iv3, iv4], "x-1", [iv1, iv3, iv4]), 5)
+        assert _fees(iv1) == []
