@@ -2,7 +2,7 @@
 a parent checkout and this checkout, and the synthetic N-vehicle matrix.
 
     git archive PARENT_REV | tar -x -C PARENT_DIR
-    python3 bench/record.py --parent PARENT_DIR --seed 2001 --pairs 10 --out BENCH_7.json
+    python3 bench/record.py --parent PARENT_DIR --seed 2001 --pairs 10 --out BENCH_<n>.json
 
 Run from the repository root. For every workload in BENCHMARK.json, pair i
 runs ``perfbench/run.py --workload W --seed SEED+i --seconds S`` (S is the
@@ -24,6 +24,9 @@ checkout's ``src`` and ``perfbench`` and starts every process with
 PYTHONDONTWRITEBYTECODE=1, so that both sides compile the project from
 source, as in a fresh checkout: bytecode left by earlier runs would
 shorten one side's set-up and memory.
+
+It also records each side's line count of ``src/ivtp/*.py``, as
+``wc -l`` counts them, next to the numbers.
 """
 
 from __future__ import annotations
@@ -120,6 +123,11 @@ def matrix_entry(runs: list[dict]) -> dict:
     }
 
 
+def src_lines(checkout: Path) -> int:
+    """Newlines in src/ivtp/*.py: the total ``wc -l src/ivtp/*.py`` prints."""
+    return sum(path.read_bytes().count(b"\n") for path in checkout.glob("src/ivtp/*.py"))
+
+
 def alternating(i: int) -> list[str]:
     return ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
 
@@ -144,6 +152,7 @@ def main(argv=None) -> int:
         "recorder_host": f"cpus={os.cpu_count()} python={platform.python_version()} "
         f"machine={platform.machine()} pinned_cpu={cpu}",
         "run_seconds": BENCHMARK["run_seconds"],
+        "src_lines": {side: src_lines(checkout) for side, checkout in sides.items()},
         "perfbench": {},
         "synthetic": {},
     }

@@ -33,10 +33,6 @@ class EmptyIntentsError(ValueError):
     """Ordering requested with no arrival announcements at all."""
 
 
-class SessionStateError(RuntimeError):
-    """Operation invoked in a phase that does not allow it."""
-
-
 class Phase(enum.Enum):
     COLLECTING = "collecting"
     PROPOSING = "proposing"
@@ -101,7 +97,6 @@ class IntersectionSession:
     proposer: IvTpId | None = None
     schedule: Schedule | None = None
     agreements: dict[IvTpId, bytes] = field(default_factory=dict)
-    completion_tf: TimeFlag | None = None
 
     def add_intent(self, vehicle: IvTpId, tf: TimeFlag) -> bool:
         """Record an arrival announcement; re-broadcasts never overwrite
@@ -128,8 +123,9 @@ class IntersectionSession:
         return Schedule(ordering=ordering, proposer=proposer, basis=basis)
 
     def matches(self, schedule: Schedule) -> bool:
-        """True when this vehicle's own intent set reproduces the
-        proposed ordering exactly."""
+        """True when this vehicle's own intent set is complete and
+        reproduces the proposed ordering exactly: a vehicle cannot vouch
+        for an order it cannot recompute."""
         if not self.is_complete() or not schedule.consistent():
             return False
         return list(schedule.ordering) == compute_order(self.intents)
@@ -146,18 +142,6 @@ class IntersectionSession:
         return sorted(self.participants)
 
 
-def on_schedule(session: IntersectionSession, schedule: Schedule) -> bool:
-    """A participant's verdict on a received proposal: True = agree.
-
-    Disagreement covers both a mismatching order and an intent set this
-    vehicle never managed to complete (it cannot vouch for an order it
-    cannot recompute).
-    """
-    if session.phase not in (Phase.COLLECTING, Phase.PROPOSING, Phase.AGREEING):
-        raise SessionStateError(f"schedule received in phase {session.phase.value}")
-    return session.matches(schedule)
-
-
 def agreement_signature(keypair: KeyPair, intersection_id: str, ordering) -> bytes:
     return identity.sign(keypair, agree_message(intersection_id, ordering))
 
@@ -172,7 +156,6 @@ def recover(session: IntersectionSession) -> Phase:
     session.agreements.clear()
     session.schedule = None
     session.proposer = None
-    session.completion_tf = None
     if session.round >= 2:
         session.phase = Phase.ABORTED
     else:

@@ -170,17 +170,12 @@ class Trace:
         return list(self) == list(other)
 
 
-class _Names(dict):
-    """Participant id -> its trace name, resolved by alias_of on first use;
-    a run's names never change."""
-
-    def __init__(self, alias_of: Callable[[IvTpId], str]):
-        super().__init__()
-        self.alias_of = alias_of
+class Names(dict):
+    """Participant id -> its name in traces and reports; an id with no
+    alias is named by its short hex form."""
 
     def __missing__(self, veh: IvTpId) -> str:
-        name = self[veh] = self.alias_of(veh)
-        return name
+        return short_id(veh)
 
 
 class Participant(Protocol):
@@ -200,7 +195,6 @@ class Network:
         self,
         link: LinkModel | None = None,
         seed: int = 0,
-        alias_of: Callable[[IvTpId], str] | None = None,
         drop_rule: Callable[[object, IvTpId], bool] | None = None,
     ):
         self.link = link or LinkModel()
@@ -208,29 +202,19 @@ class Network:
         self.clock: TimeFlag = 0
         self.participants: dict[IvTpId, Participant] = {}
         self.trace = Trace()
-        self.names = _Names(alias_of or short_id)
+        self.names = Names()
         self.drop_rule = drop_rule  # test seam for targeted loss injection
         # (due, seq, kind, target, payload) with kind "deliver" or "timer".
         # seq is unique, so heap order never compares past it.
         self._queue: list[tuple[TimeFlag, int, str, IvTpId, object]] = []
         self._seq = 0
-        self._cancelled: set[int] = set()
 
     def join(self, participant: Participant) -> None:
         self.participants[participant.ivtp_id] = participant
 
-    def note(self, t_ms: TimeFlag, vehicle: str, kind: str, detail) -> None:
-        self.trace.note(t_ms, vehicle, kind, detail)
-
-    def _push(self, due: TimeFlag, kind: str, target: IvTpId, payload) -> int:
-        seq = self._seq
-        self._seq += 1
-        heapq.heappush(self._queue, (due, seq, kind, target, payload))
-        return seq
-
-    def broadcast(self, frame, at: TimeFlag) -> list[tuple[IvTpId, TimeFlag]]:
+    def broadcast(self, frame, at: TimeFlag) -> None:
         """Schedule one delivery per other participant; the sender never
-        hears its own frame. Returns the scheduled (receiver, due) list."""
+        hears its own frame."""
         sender = frame.sender
         if sender not in self.participants:
             raise UnknownSenderError(short_id(sender))
@@ -240,7 +224,6 @@ class Network:
         # chance() draws nothing at p <= 0, so skipping it keeps the stream.
         lossy = p_drop > 0.0
         latency, jitter = self.link.base_latency_ms, self.link.jitter_ms
-        scheduled = []
         for veh in self.participants:
             if veh == sender:
                 continue
@@ -255,35 +238,28 @@ class Network:
                 due += rng.uniform_int(0, jitter)
             heapq.heappush(queue, (due, self._seq, "deliver", veh, frame))
             self._seq += 1
-            scheduled.append((veh, due))
-        return scheduled
 
     def _trace_drop(self, t: TimeFlag, veh: IvTpId, frame, reason: str) -> None:
         names = self.names
         self.trace.drop(t, names[veh], frame.kind_label, names[frame.sender], reason)
 
-    def set_timer(self, owner: IvTpId, fire_at: TimeFlag, tag) -> int:
-        """Deliver a TimerFire to owner at fire_at; returns a timer id
-        usable with cancel_timer."""
+    def set_timer(self, owner: IvTpId, fire_at: TimeFlag, tag) -> None:
+        """Hand tag to owner's handle_timer at fire_at. Timers are never
+        cancelled: a handler ignores a tag its state has moved past."""
         if fire_at < self.clock:
             raise PastDeadlineError(f"fire_at {fire_at} < clock {self.clock}")
-        return self._push(fire_at, "timer", owner, tag)
+        heapq.heappush(self._queue, (fire_at, self._seq, "timer", owner, tag))
+        self._seq += 1
 
-    def cancel_timer(self, timer_id: int) -> None:
-        self._cancelled.add(timer_id)
-
-    def run_until(self, t_end: TimeFlag) -> Trace:
+    def run_until(self, t_end: TimeFlag) -> None:
         """Dispatch every event due at or before t_end, in (due, seq)
-        order, then advance the clock to t_end. Returns the trace."""
+        order, then advance the clock to t_end."""
         if t_end < self.clock:
             raise ValueError("cannot run backwards")
-        queue, cancelled, participants = self._queue, self._cancelled, self.participants
+        queue, participants = self._queue, self.participants
         trace, names = self.trace, self.names
         while queue and queue[0][0] <= t_end:
-            due, seq, kind, target_id, payload = heapq.heappop(queue)
-            if kind == "timer" and seq in cancelled:
-                cancelled.discard(seq)
-                continue
+            due, _seq, kind, target_id, payload = heapq.heappop(queue)
             self.clock = due
             target = participants.get(target_id)
             if target is None:
@@ -296,4 +272,3 @@ class Network:
             for frame in out or []:
                 self.broadcast(frame, due)
         self.clock = t_end
-        return self.trace

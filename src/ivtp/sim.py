@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import consensus, identity, ledger, netsim
-from .identity import IvTpId, sha256, short_id
+from .identity import IvTpId, sha256
 from .ledger import ArbitrationTx, RewardTx, TimeFlag, Transaction
 from .scenario import ScenarioConfig, seed_bytes
 from .vehicle import (
@@ -57,7 +57,7 @@ class LedgerHost:
 
     def _note(self, now: TimeFlag, kind: str, detail) -> None:
         if self.net is not None:
-            self.net.note(now, "host", kind, detail)
+            self.net.trace.note(now, "host", kind, detail)
 
     def _known(self, tx_id: bytes) -> bool:
         if tx_id in self.chain.tx_by_id:
@@ -148,7 +148,7 @@ class LedgerHost:
         elif f.kind in (KIND_COMM, KIND_REWARD_NOTICE):
             try:
                 tx = f.tx
-            except (ValueError, KeyError):
+            except (ValueError, KeyError, TypeError):
                 return []
             if tx.author == f.sender:
                 self.ingest_tx(tx, now)
@@ -160,7 +160,7 @@ class LedgerHost:
                     endorser=f.sender,
                     verdict=body["verdict"],
                 )
-            except (ValueError, KeyError):
+            except (ValueError, KeyError, TypeError):
                 return []
             self.ingest_endorsement(e, now)
         return []
@@ -178,18 +178,8 @@ class RunHandles:
     host: LedgerHost
     vehicles: dict[str, Vehicle]
     net: netsim.Network
-    aliases: dict[IvTpId, str]
+    aliases: netsim.Names
     report: dict
-
-
-def _namer(aliases: dict[IvTpId, str]):
-    """Alias of an id, else its short hex form (built only on a miss)."""
-
-    def name(veh: IvTpId) -> str:
-        alias = aliases.get(veh)
-        return short_id(veh) if alias is None else alias
-
-    return name
 
 
 def _build_world(cfg: ScenarioConfig):
@@ -197,7 +187,17 @@ def _build_world(cfg: ScenarioConfig):
     chain = ledger.Chain.create(
         dealer, endowment=cfg.ledger.endowment_millitrust, genesis_tf=0
     )
-    aliases: dict[IvTpId, str] = {dealer.dealer_id: "dealer", HOST_ID: "host"}
+    net = netsim.Network(
+        link=netsim.LinkModel(
+            base_latency_ms=cfg.network.latency_ms,
+            jitter_ms=cfg.network.jitter_ms,
+            drop_probability=cfg.network.drop_probability,
+        ),
+        seed=cfg.network.seed,
+    )
+    aliases = net.names
+    aliases[dealer.dealer_id] = "dealer"
+    aliases[HOST_ID] = "host"
 
     vcfg = VehicleConfig(
         beacon_period_ms=cfg.consensus.beacon_period_ms,
@@ -220,15 +220,6 @@ def _build_world(cfg: ScenarioConfig):
         chain,
         beacon_window_ms=cfg.consensus.beacon_window_ms,
         pending_ttl_ms=cfg.consensus.pending_ttl_ms,
-    )
-    net = netsim.Network(
-        link=netsim.LinkModel(
-            base_latency_ms=cfg.network.latency_ms,
-            jitter_ms=cfg.network.jitter_ms,
-            drop_probability=cfg.network.drop_probability,
-        ),
-        seed=cfg.network.seed,
-        alias_of=_namer(aliases),
     )
     host.net = net
     net.join(host)
@@ -307,13 +298,13 @@ def build_report(
     cfg: ScenarioConfig,
     chain: ledger.Chain,
     trace: netsim.Trace,
-    aliases: dict[IvTpId, str],
+    aliases: netsim.Names,
     trace_digest: bytes,
 ) -> dict:
     """Deterministic run summary; rebuilding from the persisted chain
     and trace (netsim.Trace.from_rows of its rows) yields identical
     bytes. Of the trace it reads only the row counts and the notes."""
-    name = _namer(aliases)
+    name = aliases.__getitem__
 
     blocks = [
         {

@@ -134,6 +134,10 @@ def _compact(obj) -> bytes:
     return _encode_payload(obj).encode()
 
 
+# Every beacon carries the same payload: one network, one zone.
+_BEACON_PAYLOAD = _compact({"network_id": "net-0", "position_zone": "zone-0"})
+
+
 # ---------------------------------------------------------------------------
 # The agent
 # ---------------------------------------------------------------------------
@@ -143,8 +147,6 @@ class VehicleConfig:
     beacon_period_ms: int = 100
     beacon_window_ms: int = 500
     agree_timeout_ms: int = 150
-    network_id: str = "net-0"
-    position_zone: str = "zone-0"
     reward_direction: str = arbitration.REWARD_FIRST_TO_PROPOSER
 
 
@@ -176,7 +178,6 @@ class Vehicle:
         self.drop_count = 0
         self.drop_log: list[tuple[TimeFlag, str]] = []
         self.sessions: dict[str, IntersectionSession] = {}
-        self._session_timers: dict[str, list[int]] = {}
         self.submitted: list[Transaction] = []
 
     # -- plumbing -----------------------------------------------------------
@@ -193,20 +194,11 @@ class Vehicle:
 
     def _note(self, now: TimeFlag, kind: str, detail) -> None:
         if self.net is not None:
-            self.net.note(now, self.alias, kind, detail)
+            self.net.trace.note(now, self.alias, kind, detail)
 
-    def _set_timer(self, session_id: str | None, fire_at: TimeFlag, tag) -> None:
-        if self.net is None:
-            return
-        timer_id = self.net.set_timer(self.ivtp_id, fire_at, tag)
-        if session_id is not None:
-            self._session_timers.setdefault(session_id, []).append(timer_id)
-
-    def _cancel_session_timers(self, session_id: str) -> None:
-        if self.net is None:
-            return
-        for timer_id in self._session_timers.pop(session_id, []):
-            self.net.cancel_timer(timer_id)
+    def _set_timer(self, fire_at: TimeFlag, tag) -> None:
+        if self.net is not None:
+            self.net.set_timer(self.ivtp_id, fire_at, tag)
 
     def active_peers(self, now: TimeFlag) -> set[IvTpId]:
         """Registered vehicles heard beaconing within the window,
@@ -223,11 +215,7 @@ class Vehicle:
         alone; also refreshes our own entry in the local freshness table
         so we count ourselves active."""
         self.peer_beacons[self.ivtp_id] = now
-        payload = {
-            "network_id": self.config.network_id,
-            "position_zone": self.config.position_zone,
-        }
-        return self._frame(KIND_BEACON, payload, now)
+        return make_frame(KIND_BEACON, self.keypair, self.ivtp_id, now, _BEACON_PAYLOAD)
 
     def send_comm(self, payload: bytes, now: TimeFlag) -> tuple[Frame, CommTx]:
         """Broadcast a message and the matching on-chain record. The
@@ -272,9 +260,7 @@ class Vehicle:
         )
         self.sessions[intersection_id] = session
         if self.ivtp_id in participants:
-            self._set_timer(
-                intersection_id, collection_deadline, ("collect_deadline", intersection_id, 0)
-            )
+            self._set_timer(collection_deadline, ("collect_deadline", intersection_id, 0))
         return session
 
     def announce_arrival(self, intersection_id: str, now: TimeFlag) -> list[Frame]:
@@ -294,15 +280,12 @@ class Vehicle:
         """All intents are in: everyone knows who will propose, and when
         to give up waiting for the outcome."""
         session.phase = Phase.PROPOSING
-        session.completion_tf = now
         scheduler, t_prop = session.elect(now)
         session.proposer = scheduler
         iid = session.intersection_id
         if scheduler == self.ivtp_id:
-            self._set_timer(iid, t_prop, ("propose", iid, session.round))
-        self._set_timer(
-            iid, now + self.config.agree_timeout_ms, ("agree_deadline", iid, session.round)
-        )
+            self._set_timer(t_prop, ("propose", iid, session.round))
+        self._set_timer(now + self.config.agree_timeout_ms, ("agree_deadline", iid, session.round))
         return []
 
     def _propose(self, session: IntersectionSession, now: TimeFlag) -> list[Frame]:
@@ -323,7 +306,6 @@ class Vehicle:
     def _commit(self, session: IntersectionSession, now: TimeFlag) -> list[Frame]:
         """Proposer side: unanimity reached, publish the outcome."""
         session.phase = Phase.COMMITTED
-        self._cancel_session_timers(session.intersection_id)
         arb = sign_tx(
             ArbitrationTx(
                 author=self.ivtp_id,
@@ -342,7 +324,7 @@ class Vehicle:
             "session_committed",
             {
                 "intersection": session.intersection_id,
-                "ordering": [self._alias_of(v) for v in session.schedule.ordering],
+                "ordering": [self._name_of(v) for v in session.schedule.ordering],
                 "proposer": self.alias,
                 "round": session.round,
             },
@@ -387,7 +369,6 @@ class Vehicle:
         ]
 
     def _enter_recovery(self, session: IntersectionSession, now: TimeFlag) -> list[Frame]:
-        self._cancel_session_timers(session.intersection_id)
         phase = arbitration.recover(session)
         iid = session.intersection_id
         if phase is Phase.ABORTED:
@@ -396,7 +377,7 @@ class Vehicle:
                 "session_aborted",
                 {
                     "intersection": iid,
-                    "fallback": [self._alias_of(v) for v in session.fallback_ordering()],
+                    "fallback": [self._name_of(v) for v in session.fallback_ordering()],
                 },
             )
             return []
@@ -406,9 +387,7 @@ class Vehicle:
         if own_tf is not None:
             out.append(self._frame(KIND_INTENT, {"intersection": iid, "tf": own_tf}, now))
         self._set_timer(
-            iid,
-            now + self.config.agree_timeout_ms,
-            ("collect_deadline", iid, session.round),
+            now + self.config.agree_timeout_ms, ("collect_deadline", iid, session.round)
         )
         # A vehicle that already holds every intent re-elects right away;
         # the ones that were missing intents wait for the re-broadcasts.
@@ -416,7 +395,7 @@ class Vehicle:
             out.extend(self._enter_election(session, now))
         return out
 
-    def _alias_of(self, veh: IvTpId) -> str:
+    def _name_of(self, veh: IvTpId) -> str:
         if self.net is not None:
             return self.net.names[veh]
         return short_id(veh)
@@ -448,7 +427,7 @@ class Vehicle:
             return self._drop(f, now, "unknown_kind")
         try:
             return getattr(self, handler)(f, now)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             return self._drop(f, now, f"bad_payload:{exc}")
 
     # netsim.Participant protocol
@@ -457,7 +436,7 @@ class Vehicle:
     def handle_timer(self, tag, now: TimeFlag) -> list[Frame]:
         kind = tag[0]
         if kind == "beacon":
-            self._set_timer(None, now + self.config.beacon_period_ms, ("beacon",))
+            self._set_timer(now + self.config.beacon_period_ms, ("beacon",))
             return [self.emit_beacon(now)]
         if kind == "comm":
             frame, _tx = self.send_comm(bytes.fromhex(tag[1]), now)
@@ -546,7 +525,7 @@ class Vehicle:
             proposer=f.sender,
             basis=tuple((bytes.fromhex(v), int(tf)) for v, tf in body["basis"]),
         )
-        if arbitration.on_schedule(session, schedule):
+        if session.matches(schedule):
             session.phase = Phase.AGREEING
             session.proposer = f.sender
             session.schedule = schedule
@@ -605,18 +584,20 @@ class Vehicle:
         out: list[Frame] = []
         if isinstance(tx, ArbitrationTx):
             session = self.sessions.get(tx.intersection_id)
-            member = session is not None and self.ivtp_id in session.participants
-            if member and session.phase not in (Phase.COMMITTED, Phase.ABORTED):
+            # Act only on an outcome announced by its proposer, for an
+            # intersection this vehicle takes part in, that would apply:
+            # check_tx wants every member's agreement, this vehicle's included.
+            applies = (
+                session is not None
+                and self.ivtp_id in session.participants
+                and tx.author == f.sender == tx.proposer
+                and self.chain.state.check_tx(tx, self.chain.height + 1) is None
+            )
+            if applies and session.phase not in (Phase.COMMITTED, Phase.ABORTED):
                 session.phase = Phase.COMMITTED
                 session.proposer = tx.proposer
-                self._cancel_session_timers(tx.intersection_id)
             out.extend(self._endorse_tx(tx, None, now))
-            # Pay only for an outcome announced by its proposer, for an
-            # intersection this vehicle takes part in, that would apply:
-            # check_tx wants every member's agreement, the payer's included.
-            if member and tx.author == f.sender == tx.proposer and (
-                self.chain.state.check_tx(tx, self.chain.height + 1) is None
-            ):
+            if applies:
                 out.extend(self._maybe_pay_reward(tx, now))
         elif isinstance(tx, RewardTx):
             out.extend(self._endorse_tx(tx, None, now))

@@ -165,14 +165,6 @@ class TestSession:
         starved = _session([a, b], [1, 2], intents={a: 10})
         proposal = full.make_schedule(a)
         assert not starved.matches(proposal)
-        assert not arbitration.on_schedule(starved, proposal)
-
-    def test_on_schedule_refused_after_terminal_phase(self):
-        a, b = _vids(2)
-        s = _session([a, b], [1, 2], intents={a: 10, b: 12})
-        s.phase = Phase.COMMITTED
-        with pytest.raises(arbitration.SessionStateError):
-            arbitration.on_schedule(s, s.make_schedule(a))
 
     def test_agreement_bookkeeping(self):
         a, b, c = _vids(3)

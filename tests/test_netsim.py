@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivtp import netsim
+from ivtp import identity, netsim
 from ivtp.vehicle import KIND_BEACON, Frame
 
 
@@ -104,10 +104,12 @@ class TestDelivery:
     def test_sender_excluded(self):
         ids = _ids(3)
         net = netsim.Network()
-        for i in ids:
-            net.join(Recorder(i))
-        scheduled = net.broadcast(_frame(ids[0]), at=10)
-        assert sorted(veh for veh, _ in scheduled) == sorted(ids[1:])
+        recs = [Recorder(i) for i in ids]
+        for r in recs:
+            net.join(r)
+        net.broadcast(_frame(ids[0]), at=10)
+        net.run_until(10)
+        assert [len(r.frames) for r in recs] == [0, 1, 1]
 
     def test_unknown_sender_rejected(self):
         net = netsim.Network()
@@ -131,12 +133,14 @@ class TestDelivery:
         link = netsim.LinkModel(base_latency_ms=5, jitter_ms=3)
         net = netsim.Network(link=link, seed=1)
         net.join(Recorder(ids[0]))
-        net.join(Recorder(ids[1]))
-        dues = []
+        b = Recorder(ids[1])
+        net.join(b)
         for t in range(0, 200, 10):
-            dues += [due for _, due in net.broadcast(_frame(ids[0]), at=t)]
-        assert all(t + 5 <= due <= t + 8 for t, due in zip(range(0, 200, 10), dues))
-        assert len(set(due - t for t, due in zip(range(0, 200, 10), dues))) > 1
+            net.broadcast(_frame(ids[0], tf=t), at=t)
+        net.run_until(300)
+        delays = [now - f.tf for f, now in b.frames]
+        assert len(delays) == 20 and all(5 <= d <= 8 for d in delays)
+        assert len(set(delays)) > 1
 
     def test_total_loss_delivers_nothing(self):
         ids = _ids(3)
@@ -144,7 +148,7 @@ class TestDelivery:
         recs = [Recorder(i) for i in ids]
         for r in recs:
             net.join(r)
-        assert net.broadcast(_frame(ids[0]), at=0) == []
+        net.broadcast(_frame(ids[0]), at=0)
         net.run_until(100)
         assert all(r.frames == [] for r in recs)
         drops = [row for row in net.trace if row["dir"] == "drop"]
@@ -175,12 +179,13 @@ class TestDelivery:
                                       drop_probability=0.3),
                 seed=seed,
             )
-            for i in ids:
-                net.join(Recorder(i))
-            out = []
+            recs = [Recorder(i) for i in ids]
+            for r in recs:
+                net.join(r)
             for t in range(0, 100, 7):
-                out.append(net.broadcast(_frame(ids[t % 4], tf=t), at=t))
-            return out
+                net.broadcast(_frame(ids[t % 4], tf=t), at=t)
+            net.run_until(200)
+            return [[(f.tf, now) for f, now in r.frames] for r in recs]
 
         assert run(5) == run(5)
         assert run(5) != run(6)
@@ -255,16 +260,6 @@ class TestTimers:
         net.run_until(100)
         assert r.timers == [(("beacon", 3), 30)]
 
-    def test_cancel_before_fire(self):
-        ids = _ids(1)
-        net = netsim.Network()
-        r = Recorder(ids[0])
-        net.join(r)
-        tid = net.set_timer(ids[0], fire_at=30, tag="x")
-        net.cancel_timer(tid)
-        net.run_until(100)
-        assert r.timers == []
-
     def test_past_deadline_rejected(self):
         ids = _ids(1)
         net = netsim.Network()
@@ -290,19 +285,21 @@ class TestTimers:
 class TestTrace:
     def test_send_recv_rows(self):
         ids = _ids(2)
-        net = netsim.Network(alias_of=lambda i: f"IV-{i[0]}")
+        net = netsim.Network()
+        net.names[ids[0]] = "IV-1"
         net.join(Recorder(ids[0]))
         net.join(Recorder(ids[1]))
         net.broadcast(_frame(ids[0]), at=3)
         net.run_until(3)
         kinds = [(row["dir"], row["vehicle"]) for row in net.trace]
-        assert kinds == [("send", "IV-1"), ("recv", "IV-2")]
+        # An id without an alias is named by its short hex form.
+        assert kinds == [("send", "IV-1"), ("recv", identity.short_id(ids[1]))]
         assert all(row["kind"] == "beacon" for row in net.trace)
 
     def test_note_row_shape(self):
-        net = netsim.Network()
-        net.note(9, "IV-1", "session_committed", {"rounds": 1})
-        assert net.trace == [
+        trace = netsim.Trace()
+        trace.note(9, "IV-1", "session_committed", {"rounds": 1})
+        assert trace == [
             {
                 "t_ms": 9,
                 "vehicle": "IV-1",

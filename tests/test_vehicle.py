@@ -17,6 +17,7 @@ from ivtp.vehicle import (
     KIND_ENDORSE,
     KIND_INTENT,
     KIND_REWARD_NOTICE,
+    KIND_SCHEDULE,
     Frame,
     Vehicle,
     VehicleConfig,
@@ -61,15 +62,12 @@ class TestFrameCodec:
 def _wire(n, link=None, drop_rule=None, cfg=None):
     """Fleet of n registered vehicles joined to one network."""
     dealer, chain, ids, keys = make_fleet(n)
-    aliases = {veh: f"IV-{i + 1}" for i, veh in enumerate(ids)}
-    net = netsim.Network(
-        link=link, alias_of=lambda v: aliases.get(v, identity.short_id(v)),
-        drop_rule=drop_rule,
-    )
+    net = netsim.Network(link=link, drop_rule=drop_rule)
+    net.names.update({veh: f"IV-{i + 1}" for i, veh in enumerate(ids)})
     vehicles = []
     for veh in ids:
         v = Vehicle(veh, keys[veh], chain, config=cfg or VehicleConfig(),
-                    alias=aliases[veh])
+                    alias=net.names[veh])
         v.net = net
         net.join(v)
         vehicles.append(v)
@@ -99,6 +97,30 @@ class TestPipeline:
         a.on_receive(f, 0)
         assert a.drop_count == 1
         assert a.drop_log[0][1].startswith("bad_payload")
+
+    @pytest.mark.parametrize(
+        "kind", [KIND_INTENT, KIND_SCHEDULE, KIND_COMM, KIND_ENDORSE, KIND_REWARD_NOTICE]
+    )
+    @pytest.mark.parametrize(
+        "payload",
+        [b"[1]", b'{"intersection":[1],"tx":[1],"tx_id":[1]}'],
+        ids=["not_an_object", "fields_not_strings"],
+    )
+    def test_wrong_shape_payload_dropped_not_raised(self, kind, payload):
+        """Valid JSON of the wrong shape from a registered vehicle: each
+        vehicle that reads the payload drops the frame, and the ledger
+        host ignores it; the run goes on."""
+        chain, net, (a, *receivers) = _wire(3)
+        host = sim.LedgerHost(chain, beacon_window_ms=500, pending_ttl_ms=2000)
+        host.net = net
+        net.join(host)
+        net.broadcast(make_frame(kind, a.keypair, a.ivtp_id, 5, payload), 5)
+        net.run_until(10)
+        # Endorsements are read only by the host.
+        expected = 0 if kind == KIND_ENDORSE else 1
+        assert [v.drop_count for v in receivers] == [expected] * 2
+        assert all(reason.startswith("bad_payload:") for v in receivers for _, reason in v.drop_log)
+        assert host.pending == [] and host.early_endorsements == {}
 
     def test_beacon_updates_freshness_and_ignores_stale(self):
         _, _, (a, b) = _wire(2)
@@ -306,6 +328,56 @@ class TestIntersection:
         assert [r["t_ms"] for r in sends] == [0, 100, 200]
 
 
+class TestStaleTimers:
+    """Timers are never cancelled: the propose, collect_deadline and
+    agree_deadline tags of a round or phase a session has left still
+    reach handle_timer, and change nothing."""
+
+    @staticmethod
+    def _assert_ignored(net, vehicles, rounds, iid="x-1"):
+        for v in vehicles:
+            s = v.sessions[iid]
+            before = (s.phase, s.round, s.proposer, dict(s.agreements))
+            for r in rounds:
+                for kind in ("propose", "collect_deadline", "agree_deadline"):
+                    assert v.handle_timer((kind, iid, r), net.clock) == []
+                    assert (s.phase, s.round, s.proposer, s.agreements) == before
+
+    def test_committed_session(self):
+        _, net, vehicles = _wire(4)
+        _intersection(net, vehicles, [100, 110, 130, 170], [9, 8, 5, 7])
+        net.run_until(600)
+        assert {v.sessions["x-1"].phase for v in vehicles} == {Phase.COMMITTED}
+        self._assert_ignored(net, vehicles, [0])
+
+    def test_aborted_session(self):
+        _, net, vehicles = _wire(4, link=netsim.LinkModel(drop_probability=1.0))
+        _intersection(net, vehicles, [100, 110, 130, 170], [9, 8, 5, 7])
+        net.run_until(2000)
+        assert {v.sessions["x-1"].phase for v in vehicles} == {Phase.ABORTED}
+        self._assert_ignored(net, vehicles, [0, 1])
+
+    def test_retried_session(self):
+        """One lost intent sends everyone into round 1; at 175 ms every
+        vehicle is electing again, with round 0's deadlines still queued."""
+        lost = []
+
+        def drop_rule(frame, recipient):
+            if lost or frame.kind != KIND_INTENT:
+                return False
+            lost.append(frame)
+            return True
+
+        _, net, vehicles = _wire(4, drop_rule=drop_rule)
+        _intersection(net, vehicles, [100, 110, 130, 170], [9, 8, 5, 7])
+        net.run_until(175)
+        states = {(v.sessions["x-1"].phase, v.sessions["x-1"].round) for v in vehicles}
+        assert states == {(Phase.PROPOSING, 1)}
+        self._assert_ignored(net, vehicles, [0])
+        net.run_until(900)
+        assert {v.sessions["x-1"].phase for v in vehicles} == {Phase.COMMITTED}
+
+
 class TestFramePayloadCache:
     def test_body_and_tx_stay_out_of_eq_hash_and_repr(self):
         _, _, (a, _b) = _wire(2)
@@ -420,21 +492,29 @@ class TestRewardGuard:
             v.open_session(iid, ids, {veh: 1 for veh in ids}, 10_000)
         return net, vehicles
 
+    @staticmethod
+    def _phases(vehicles, iid="x-1"):
+        return [(v.sessions[iid].phase, v.sessions[iid].proposer) for v in vehicles]
+
     def test_outcome_without_agreements_is_not_paid(self):
         net, (iv1, iv2, iv3) = self._open()
         _announce(net, iv2, _arbitration(iv2, [iv1, iv2, iv3], "x-1", [iv3]), 5)
         assert _fees(iv1) == []
+        # Nor does it end the session at the other participants.
+        assert self._phases([iv1, iv3]) == [(Phase.COLLECTING, None)] * 2
 
     def test_outcome_relayed_by_another_vehicle_is_not_paid(self):
         net, (iv1, iv2, iv3) = self._open()
         _announce(net, iv3, _arbitration(iv2, [iv1, iv2, iv3], "x-1", [iv1, iv3]), 5)
         assert _fees(iv1) == []
+        assert self._phases([iv1, iv2]) == [(Phase.COLLECTING, None)] * 2
 
     def test_agreed_outcome_is_paid_once(self):
         net, (iv1, iv2, iv3) = self._open()
         tx = _arbitration(iv2, [iv1, iv2, iv3], "x-1", [iv1, iv3])
         _announce(net, iv2, tx, 5)
         assert _fees(iv1) == [(iv2.ivtp_id, "x-1")]
+        assert self._phases([iv1, iv3]) == [(Phase.COMMITTED, iv2.ivtp_id)] * 2
         _announce(net, iv2, tx, 20)  # a replay of the same announcement
         assert _fees(iv1) == [(iv2.ivtp_id, "x-1")]
 
