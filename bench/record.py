@@ -14,9 +14,10 @@ sides' median and quartiles and the number of pairs the change won.
 
 The synthetic matrix runs ``sim.run`` of the scenario ``tests/synthetic.py``
 generates for N = 4, 8, 16, 32 and 64 vehicles, five times per side in
-alternating order, each in a fresh interpreter, and records the wall time
-of the call (not scaled for host speed), the trace rows and the peak RSS
-(ru_maxrss) of the process.
+alternating order, each in a fresh interpreter and with a temporary out
+dir that is removed afterwards, as ``ivtp run --out`` runs it. It records
+the wall time of the call (not scaled for host speed), the trace rows and
+the peak RSS (ru_maxrss) of the process.
 
 The recorder pins itself and every process it starts to one CPU, as
 perfbench does. It deletes the ``__pycache__`` directories under each
@@ -49,15 +50,16 @@ MATRIX_REPS = 5
 # Run in a fresh interpreter with the checkout's src on sys.path:
 # argv is (tests dir of this checkout, N).
 _SYNTHETIC_RUN = """
-import json, resource, sys, time
+import json, resource, sys, tempfile, time
 sys.path.insert(0, sys.argv[1])
 from synthetic import synthetic_scenario
 from ivtp import scenario, sim
 n = int(sys.argv[2])
 cfg = scenario.scenario_from_dict(synthetic_scenario(n), name=f"synthetic_n{n}")
-t0 = time.perf_counter()
-handles = sim.run(cfg)
-run_s = time.perf_counter() - t0
+with tempfile.TemporaryDirectory() as out:
+    t0 = time.perf_counter()
+    handles = sim.run(cfg, out)
+    run_s = time.perf_counter() - t0
 print(json.dumps({
     "run_s": run_s,
     "trace_rows": len(handles.net.trace),

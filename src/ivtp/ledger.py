@@ -232,12 +232,15 @@ def canonical_encode(tx: Transaction) -> bytes:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    """Reads data[:end] (all of data by default) front to back."""
+
+    def __init__(self, data: bytes, end: int | None = None):
         self.data = data
+        self.end = len(data) if end is None else end
         self.pos = 0
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+        if self.pos + n > self.end:
             raise CorruptChainFileError("truncated encoding")
         out = self.data[self.pos : self.pos + n]
         self.pos += n
@@ -253,7 +256,7 @@ class _Reader:
         return self.take(self.u32())
 
     def done(self) -> bool:
-        return self.pos == len(self.data)
+        return self.pos == self.end
 
 
 def canonical_decode(data: bytes) -> Transaction:
@@ -767,9 +770,9 @@ def parse_chain_bytes(data: bytes) -> tuple[list[Block], int, bool]:
     digest matches. Replay validation is validate_blocks' job."""
     if len(data) < HASH_LEN + 13:
         raise CorruptChainFileError("truncated file")
-    body, digest = data[:-HASH_LEN], data[-HASH_LEN:]
-    checksum_ok = sha256(body) == digest
-    r = _Reader(body)
+    end = len(data) - HASH_LEN
+    checksum_ok = sha256(memoryview(data)[:end]) == data[end:]
+    r = _Reader(data, end)
     if r.take(4) != CHAIN_MAGIC:
         raise CorruptChainFileError("bad magic")
     if r.take(1)[0] != CHAIN_VERSION:

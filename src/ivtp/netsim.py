@@ -97,6 +97,10 @@ class _Quoted(dict):
         return quoted
 
 
+# A bound trace writes its buffer out once it passes this many bytes.
+SPILL_BYTES = 1 << 16
+
+
 class Trace:
     """A run's trace.jsonl, written as the run goes: each row is encoded
     into one buffer once, when its event happens. Send, recv and drop rows
@@ -105,12 +109,24 @@ class Trace:
     counts rows by `dir` and keeps the note rows, which is all a report
     reads of it.
 
-    Read back, it is a sequence of row dicts decoded from the buffer on
-    demand: it supports len(), iteration and == against a list.
+    Bound to a file, the trace spills: once a send row takes the buffer
+    past SPILL_BYTES, the buffer is fed to a running SHA-256, written to
+    the file and cleared, so a run holds at most one chunk plus the rows
+    of the frames in flight. Unbound, everything stays in the buffer.
+    Either way close() hashes what is left and returns the digest of the
+    whole trace.
+
+    Read back, it is a sequence of row dicts decoded on demand, from the
+    file when bound and then from the buffer: it supports len(),
+    iteration and == against a list.
     """
 
     def __init__(self):
         self._data = bytearray()
+        self._hash = hashlib.sha256()
+        self._path = None
+        self._file = None
+        self._spill_at = float("inf")
         self.counts: Counter[str] = Counter()
         self.notes: list[dict] = []
         self._quoted = _Quoted()
@@ -123,6 +139,32 @@ class Trace:
             trace._add(row)
         return trace
 
+    def bind(self, path) -> None:
+        """Write the trace to path (created or truncated) from now on,
+        starting with the rows already buffered."""
+        self._path = path
+        self._file = open(path, "wb")
+        self._spill_at = SPILL_BYTES
+        self._spill()
+
+    def _spill(self) -> None:
+        self._hash.update(self._data)
+        self._file.write(self._data)
+        self._data.clear()
+
+    def close(self) -> bytes:
+        """Finish the trace: hash the rows not hashed yet, write them out
+        and close the file when bound, and return the SHA-256 of the
+        whole trace. Call it once, after the last row."""
+        if self._file is None:
+            self._hash.update(self._data)
+        else:
+            self._spill()
+            self._file.close()
+            self._file = None
+            self._spill_at = float("inf")
+        return self._hash.digest()
+
     def _add(self, row: dict) -> None:
         self._data += (_encode_row(row) + "\n").encode()
         self.counts[row["dir"]] += 1
@@ -133,6 +175,8 @@ class Trace:
         q = self._quoted
         self._data += _SEND % (tf, q[kind], t_ms, q[vehicle])
         self.counts["send"] += 1
+        if len(self._data) > self._spill_at:
+            self._spill()
 
     def recv(self, t_ms: TimeFlag, vehicle: str, kind: str, sender: str) -> None:
         q = self._quoted
@@ -149,15 +193,29 @@ class Trace:
         self._add({"t_ms": t_ms, "vehicle": vehicle, "dir": "note", "kind": kind, "detail": detail})
 
     @property
-    def data(self) -> memoryview:
-        """The trace.jsonl bytes so far: a read-only view of the buffer,
-        not a copy. Release it before the trace grows again."""
-        return memoryview(self._data).toreadonly()
+    def data(self) -> bytes | memoryview:
+        """The trace.jsonl bytes so far. Unbound, a read-only view of the
+        buffer, not a copy: release it before the trace grows again.
+        Bound, the file read back, then the buffer."""
+        if self._path is None:
+            return memoryview(self._data).toreadonly()
+        self._flush()
+        with open(self._path, "rb") as f:
+            return f.read() + self._data
+
+    def _flush(self) -> None:
+        if self._file is not None:
+            self._file.flush()
 
     def __len__(self) -> int:
         return sum(self.counts.values())
 
     def __iter__(self):
+        if self._path is not None:
+            self._flush()
+            with open(self._path, "rb") as f:
+                for line in f:
+                    yield json.loads(line)
         data, start = self._data, 0
         while start < len(data):
             end = data.index(b"\n", start)

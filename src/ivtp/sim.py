@@ -65,9 +65,11 @@ class LedgerHost:
         return any(p.tx.tx_id == tx_id for p in self.pending)
 
     def ingest_tx(self, tx: Transaction, now: TimeFlag, sweep: bool = True) -> None:
-        """Pool a transaction for quorum."""
+        """Pool a transaction for quorum, unless its tf is ahead of the
+        clock: no honest author sends a tx before its tf, and vehicles do
+        not endorse one, so it could only sit in the pool."""
         tx_id = tx.tx_id
-        if self._known(tx_id):
+        if self._known(tx_id) or tx.tf > now:
             return
         item = consensus.PendingTx(tx=tx)
         for _arrived, e in self.early_endorsements.pop(tx_id, []):
@@ -203,6 +205,7 @@ def _build_world(cfg: ScenarioConfig):
         beacon_period_ms=cfg.consensus.beacon_period_ms,
         beacon_window_ms=cfg.consensus.beacon_window_ms,
         agree_timeout_ms=cfg.consensus.agree_timeout_ms,
+        pending_ttl_ms=cfg.consensus.pending_ttl_ms,
         reward_direction=cfg.reward_direction,
     )
 
@@ -258,19 +261,23 @@ def _schedule(cfg: ScenarioConfig, net: netsim.Network, vehicles: dict[str, Vehi
 
 
 def run(cfg: ScenarioConfig, out_dir=None) -> RunHandles:
-    """Execute one scenario; optionally persist chain, trace and report."""
+    """Execute one scenario; optionally persist chain, trace and report.
+    With out_dir, trace.jsonl is written while the run goes. A run that
+    raises leaves that partial trace.jsonl and no report.json."""
     _dealer, chain, host, net, vehicles, aliases = _build_world(cfg)
     _schedule(cfg, net, vehicles)
-    net.run_until(cfg.run.t_end_ms)
-
-    trace_bytes = encode_trace(net.trace)
-    report = build_report(cfg, chain, net.trace, aliases, sha256(trace_bytes))
-
-    if out_dir is not None:
-        out = Path(out_dir)
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+        net.trace.bind(out / "trace.jsonl")
+    try:
+        net.run_until(cfg.run.t_end_ms)
+    finally:
+        trace_digest = encode_trace(net.trace)
+    report = build_report(cfg, chain, net.trace, aliases, trace_digest)
+
+    if out is not None:
         ledger.save_chain(chain, out / "chain.bin")
-        (out / "trace.jsonl").write_bytes(trace_bytes)
         (out / "report.json").write_bytes(encode_report(report))
 
     return RunHandles(
@@ -284,10 +291,11 @@ def run(cfg: ScenarioConfig, out_dir=None) -> RunHandles:
     )
 
 
-def encode_trace(trace: netsim.Trace) -> memoryview:
-    """trace.jsonl: every row was encoded when its event happened. A
-    read-only view of the trace's buffer, not a copy."""
-    return trace.data
+def encode_trace(trace: netsim.Trace) -> bytes:
+    """Finish trace.jsonl, whose rows were encoded when their events
+    happened: write what is left and return the SHA-256 of the whole
+    trace, fed chunk by chunk as it was written."""
+    return trace.close()
 
 
 def encode_report(report: dict) -> bytes:

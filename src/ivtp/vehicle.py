@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from . import arbitration, consensus, identity, ledger
@@ -147,6 +148,7 @@ class VehicleConfig:
     beacon_period_ms: int = 100
     beacon_window_ms: int = 500
     agree_timeout_ms: int = 150
+    pending_ttl_ms: int = 2000
     reward_direction: str = arbitration.REWARD_FIRST_TO_PROPOSER
 
 
@@ -173,12 +175,17 @@ class Vehicle:
         self.alias = alias or short_id(ivtp_id)
         self.net = None  # netsim.Network, set when joining
         self.peer_beacons: dict[IvTpId, TimeFlag] = {}
-        self.endorsed: set[bytes] = set()
+        # tx_id -> tf of each transaction endorsed, oldest first (see _endorse_tx).
+        self.endorsed: dict[bytes, TimeFlag] = {}
         self.paid_for: set[str] = set()  # intersection ids this vehicle paid a fee for
-        self.drop_count = 0
-        self.drop_log: list[tuple[TimeFlag, str]] = []
+        self.drops: Counter[str] = Counter()  # reason -> frames dropped
         self.sessions: dict[str, IntersectionSession] = {}
         self.submitted: list[Transaction] = []
+
+    @property
+    def drop_count(self) -> int:
+        """Frames dropped, whatever the reason."""
+        return self.drops.total()
 
     # -- plumbing -----------------------------------------------------------
 
@@ -186,8 +193,7 @@ class Vehicle:
         return make_frame(kind, self.keypair, self.ivtp_id, now, _compact(obj))
 
     def _drop(self, f: Frame, now: TimeFlag, reason: str) -> list[Frame]:
-        self.drop_count += 1
-        self.drop_log.append((now, reason))
+        self.drops[reason] += 1
         if self.net is not None:
             self.net.trace.drop(now, self.alias, f.kind_label, self.net.names[f.sender], reason)
         return []
@@ -472,12 +478,21 @@ class Vehicle:
         return []
 
     def _endorse_tx(self, tx: Transaction, verdict_override: str | None, now: TimeFlag):
-        """One endorsement per transaction id, ever. The frame signature
-        is its only signature: it binds the endorser to tx_id and verdict."""
+        """One endorsement per transaction id, ever. Only a tx whose tf
+        lies in [now - pending_ttl_ms, now] is endorsed: the ledger host
+        expires it after that, so `endorsed` forgets it then and a replay
+        finds it stale. The frame signature is the endorsement's only
+        signature: it binds the endorser to tx_id and verdict."""
+        endorsed, ttl = self.endorsed, self.config.pending_ttl_ms
+        while endorsed:
+            oldest = next(iter(endorsed))
+            if now - endorsed[oldest] <= ttl:
+                break
+            del endorsed[oldest]
         tx_id = tx.tx_id
-        if tx_id in self.endorsed or tx.author == self.ivtp_id:
+        if tx_id in endorsed or tx.author == self.ivtp_id or not now - ttl <= tx.tf <= now:
             return []
-        self.endorsed.add(tx_id)
+        endorsed[tx_id] = tx.tf
         if verdict_override is not None:
             verdict = verdict_override
         else:

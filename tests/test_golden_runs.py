@@ -46,9 +46,17 @@ def test_synthetic_scenarios_are_locked():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifacts_match_golden_digests(name, tmp_path):
-    sim.run(scenario.load_scenario(_scenario_path(name)), out_dir=tmp_path)
+    """A run with an out dir writes the locked artifacts. Its trace.jsonl,
+    streamed to the file during the run, is byte for byte what a run
+    without an out dir holds in memory, and both report the same."""
+    cfg = scenario.load_scenario(_scenario_path(name))
+    streamed = sim.run(cfg, out_dir=tmp_path)
     got = {
         artifact: hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
         for artifact in GOLDEN[name]
     }
     assert got == GOLDEN[name]
+    in_memory = sim.run(cfg)
+    assert (tmp_path / "trace.jsonl").read_bytes() == in_memory.net.trace.data
+    assert streamed.report == in_memory.report
+    assert in_memory.report["trace_digest"] == GOLDEN[name]["trace.jsonl"]

@@ -1,5 +1,5 @@
-"""Every import in the library and its tests is used: a static check
-with the stdlib ast module. Package re-exports (__init__.py) and
+"""Every import in the library, its tests and the bench scripts is used:
+a static check with the stdlib ast module. Package re-exports (__init__.py) and
 __future__ imports are exempt."""
 
 import ast
@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ivtp"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-TESTS = sorted((ROOT / "tests").glob("*.py"))
+# The tests and the bench scripts.
+TESTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:

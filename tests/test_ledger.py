@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -471,6 +472,23 @@ class TestChainFile:
         data[7] ^= 0x01  # inside the endowment u64
         with pytest.raises(ledger.CorruptChainFileError):
             ledger.chain_from_bytes(bytes(data))
+
+    def test_parse_holds_the_file_once(self):
+        """Parsing reads blocks straight out of the file's bytes: no copy
+        of the whole body is made to hash or to read it."""
+        _, chain, ids, keys = make_fleet(2)
+        for t in range(1, 41):
+            author = ids[t % 2]
+            chain.append_block([signed_comm(keys[author], author, tf=t)], timestamp=t)
+        data = ledger.chain_to_bytes(chain)
+        tracemalloc.start()
+        try:
+            blocks, _endowment, checksum_ok = ledger.parse_chain_bytes(data)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert checksum_ok and [b.block_hash for b in blocks] == [b.block_hash for b in chain.blocks]
+        assert peak - live < len(data) // 2
 
     def test_parse_reports_checksum_separately(self):
         _, chain, _, _ = make_fleet(1)

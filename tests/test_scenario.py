@@ -9,7 +9,7 @@ import pytest
 
 from ivtp import consensus, identity, ledger, netsim, scenario, sim, vehicle
 from ivtp.vehicle import KIND_BEACON, KIND_ENDORSE, Vehicle, make_frame
-from conftest import make_fleet
+from conftest import make_fleet, signed_comm
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -263,6 +263,17 @@ class TestLedgerHost:
         assert len(host.pending) == 1
         host.sweep(now=102)
         assert host.pending == []
+
+    def test_tx_from_the_future_is_not_pooled(self):
+        """A tx whose tf is ahead of the host's clock is not pooled: no
+        vehicle endorses it, so it would sit there until tf + ttl."""
+        host, _, ids, keys = self._host(ttl=100, beacons_at=1)
+        ahead = signed_comm(keys[ids[0]], ids[0], tf=10**9)
+        host.ingest_tx(ahead, now=5)
+        assert host.pending == []
+        on_time = signed_comm(keys[ids[0]], ids[0], tf=5)
+        host.ingest_tx(on_time, now=5)
+        assert [p.tx for p in host.pending] == [on_time]
 
     def test_quorum_commit_through_frames(self):
         """Host assembles a block purely from what it hears on the air."""

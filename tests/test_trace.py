@@ -1,10 +1,13 @@
 """The trace sink: each row's bytes equal the compact sorted-key JSON of
 the row dict, whether written from a template or by the generic
 encoder, and a whole run writes what encoding every row dict after the
-run wrote."""
+run wrote. Bound to a file, the trace spills to it during the run and
+holds only a bounded buffer, yet reads back and hashes the same."""
 
+import hashlib
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +15,8 @@ from hypothesis import strategies as st
 
 from ivtp import netsim, scenario, sim
 
-SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 BUNDLED = ["broadcast_round", "intersection_table2", "lossy_total"]
 
 AWKWARD = ['IV-"1"', "back\\slash", "nul\x00tab\t\nnl\x1f\x7f", "véhicule", "車両-😀", "  ", ""]
@@ -163,3 +167,69 @@ def test_bundled_run_writes_what_dict_rows_encoded(name, monkeypatch):
     assert streamed.notes == [row for row in dict_rows.rows if row["dir"] == "note"]
     for d in ("send", "recv", "drop"):
         assert streamed.counts[d] == sum(row["dir"] == d for row in dict_rows.rows)
+
+
+class TestStream:
+    def _feed(self, traces, frames: int):
+        """The same rows into every trace: each send followed by the
+        recv and drop rows of its frame, and now and then a note. Yields
+        after each frame's rows."""
+        for i in range(frames):
+            for trace in traces:
+                trace.send(i, f"IV-{i % 7}", "comm", i)
+                for j in range(5):
+                    trace.recv(i + 1, f"IV-{j}", "comm", f"IV-{i % 7}")
+                trace.drop(i + 1, "IV-6", "comm", f"IV-{i % 7}", "channel")
+                if i % 100 == 0:
+                    trace.note(i, "host", "block_committed", {"height": i})
+            yield
+
+    def test_bound_trace_spills_and_reads_back_the_same(self, tmp_path):
+        unbound, bound = netsim.Trace(), netsim.Trace()
+        path = tmp_path / "trace.jsonl"
+        bound.send(0, "IV-0", "beacon", 0)
+        unbound.send(0, "IV-0", "beacon", 0)
+        bound.bind(path)
+        # The rows of one send, its recvs, its drop and maybe a note.
+        one_frame = 1000
+        for _ in self._feed([unbound, bound], 1500):
+            assert len(bound._data) <= netsim.SPILL_BYTES + one_frame
+        assert path.stat().st_size > 10 * netsim.SPILL_BYTES
+        assert len(unbound._data) > 11 * netsim.SPILL_BYTES
+        assert len(bound) == len(unbound)
+        assert bound.counts == unbound.counts and bound.notes == unbound.notes
+        assert bound.data == unbound.data
+        assert bound == unbound and list(bound) == list(unbound)
+        whole = bytes(unbound.data)
+        assert bound.close() == unbound.close() == hashlib.sha256(whole).digest()
+        assert path.read_bytes() == whole and bound.data == whole
+        assert len(bound._data) == 0 and bound == unbound
+
+    def test_run_with_out_dir_holds_less_than_half_its_trace(self, tmp_path):
+        """The trace goes to its file during the run, so what the run
+        leaves live is well under the size of trace.jsonl."""
+        cfg = scenario.load_scenario(ROOT / "vectors" / "synthetic_n32.json")
+        tracemalloc.start()
+        try:
+            handles = sim.run(cfg, out_dir=tmp_path)
+            live, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "trace.jsonl").stat().st_size
+        assert size > 4_000_000 and len(handles.net.trace) > 50_000
+        assert live < size / 2
+
+    def test_a_run_that_raises_leaves_a_partial_trace_and_no_report(self, tmp_path, monkeypatch):
+        cfg = scenario.load_scenario(SCENARIOS / "intersection_table2.json")
+        whole = sim.run(cfg).net.trace.data
+
+        def fail(self, frame, now):
+            raise RuntimeError("handler failed")
+
+        monkeypatch.setattr(sim.LedgerHost, "handle_frame", fail)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            sim.run(cfg, out_dir=tmp_path)
+        partial = (tmp_path / "trace.jsonl").read_bytes()
+        assert partial and whole.tobytes().startswith(partial)
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "chain.bin").exists()

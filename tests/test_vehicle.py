@@ -81,14 +81,14 @@ class TestPipeline:
         f = make_frame(KIND_BEACON, ghost_kp, identity.sha256(b"ghost"), 0, b"{}")
         assert a.on_receive(f, 0) == []
         assert a.drop_count == 1
-        assert a.drop_log[0][1] == "unknown_sender"
+        assert a.drops == {"unknown_sender": 1}
 
     def test_bad_signature_dropped(self):
         _, _, (a, b) = _wire(2)
         f = make_frame(KIND_BEACON, b.keypair, b.ivtp_id, 0, b"{}")
         forged = dataclasses.replace(f, tf=999)
         a.on_receive(forged, 0)
-        assert a.drop_log[0][1] == "bad_signature"
+        assert a.drops == {"bad_signature": 1}
         assert b.ivtp_id not in a.peer_beacons
 
     def test_malformed_payload_dropped(self):
@@ -96,7 +96,8 @@ class TestPipeline:
         f = make_frame(KIND_COMM, b.keypair, b.ivtp_id, 0, b"not json")
         a.on_receive(f, 0)
         assert a.drop_count == 1
-        assert a.drop_log[0][1].startswith("bad_payload")
+        (reason,) = a.drops
+        assert reason.startswith("bad_payload")
 
     @pytest.mark.parametrize(
         "kind", [KIND_INTENT, KIND_SCHEDULE, KIND_COMM, KIND_ENDORSE, KIND_REWARD_NOTICE]
@@ -119,7 +120,7 @@ class TestPipeline:
         # Endorsements are read only by the host.
         expected = 0 if kind == KIND_ENDORSE else 1
         assert [v.drop_count for v in receivers] == [expected] * 2
-        assert all(reason.startswith("bad_payload:") for v in receivers for _, reason in v.drop_log)
+        assert all(reason.startswith("bad_payload:") for v in receivers for reason in v.drops)
         assert host.pending == [] and host.early_endorsements == {}
 
     def test_beacon_updates_freshness_and_ignores_stale(self):
@@ -200,7 +201,7 @@ class TestComm:
             ),
         )
         assert a.on_receive(stolen, 5) == []
-        assert a.drop_log[-1][1] == "tx_sender_mismatch"
+        assert a.drops == {"tx_sender_mismatch": 1}
 
     def test_endorsement_dedup_by_tx_id(self):
         _, _, (a, b) = _wire(2)
@@ -209,6 +210,24 @@ class TestComm:
         frame, _ = b.send_comm(b"ping", now=20)
         assert len(a.on_receive(frame, 20)) == 1
         assert a.on_receive(frame, 21) == []  # replays earn nothing
+
+    def test_endorsed_keeps_only_the_last_ttl(self):
+        """A replay within pending_ttl_ms is not endorsed again; past it
+        the tx is stale (the ledger host would expire it) and is not
+        endorsed either, so `endorsed` can forget it and stays bounded."""
+        ttl, step = 200, 20
+        _, _, (a, b) = _wire(2, cfg=VehicleConfig(pending_ttl_ms=ttl))
+        frames = {}
+        for t in range(0, 10 * ttl, step):
+            frames[t], _ = b.send_comm(b"ping %d" % t, now=t)
+            assert len(a.on_receive(frames[t], t)) == 1
+            for replayed in (t - ttl, t - ttl - step):
+                if replayed in frames:
+                    assert a.on_receive(frames[replayed], t) == []
+            assert len(a.endorsed) <= ttl // step + 1
+        assert list(a.endorsed.values()) == list(range(t - ttl, t + 1, step))
+        ahead, _ = b.send_comm(b"from the future", now=t + 1)
+        assert a.on_receive(ahead, t) == []
 
     def test_never_endorses_own_tx(self):
         _, _, (a, b) = _wire(2)
@@ -433,7 +452,7 @@ class TestFramePayloadCache:
         f = make_frame(kind, a.keypair, a.ivtp_id, 5, payload)
         net.broadcast(f, 5)
         net.run_until(10)
-        reasons = {v.drop_log[0][1] for v in receivers}
+        reasons = {reason for v in receivers for reason in v.drops}
         assert [v.drop_count for v in receivers] == [1, 1, 1]
         assert len(reasons) == 1 and reasons.pop().startswith("bad_payload:")
         drops = [r for r in net.trace if r["dir"] == "drop"]
