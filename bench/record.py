@@ -1,5 +1,6 @@
 """Record a BENCH_<n>.json file: the benchmark run in alternating pairs of
-a parent checkout and this checkout, and the synthetic N-vehicle matrix.
+a parent checkout and this checkout, the synthetic N-vehicle matrix and
+the per-layer codec microbenches.
 
     git archive PARENT_REV | tar -x -C PARENT_DIR
     python3 bench/record.py --parent PARENT_DIR --seed 2001 --pairs 10 --out BENCH_<n>.json
@@ -26,6 +27,16 @@ PYTHONDONTWRITEBYTECODE=1, so that both sides compile the project from
 source, as in a fresh checkout: bytecode left by earlier runs would
 shorten one side's set-up and memory.
 
+The per-layer codec microbenches time, on the chain ``perfbench/gen.py``
+builds for SEED, ``canonical_encode``, ``canonical_decode`` and
+``tx_signing_bytes`` over every transaction, and the chain-file round
+trip ``parse_chain_bytes`` + ``validate_blocks`` with the Ed25519 verify
+memo cleared before each repetition. Each side runs them in ten fresh
+interpreters, paired and in alternating order as above; each interpreter
+keeps the best of its repetitions. The record gives every interpreter's
+value, each side's median and quartiles, the pairs the change won, and
+the SHA-256 of the chain file each side wrote.
+
 It also records each side's line count of ``src/ivtp/*.py``, as
 ``wc -l`` counts them, next to the numbers.
 """
@@ -46,6 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SYNTHETIC_N = (4, 8, 16, 32, 64)
 MATRIX_REPS = 5
+CODEC_RUNS = 10
 
 # Run in a fresh interpreter with the checkout's src on sys.path:
 # argv is (tests dir of this checkout, N).
@@ -65,6 +77,42 @@ print(json.dumps({
     "trace_rows": len(handles.net.trace),
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "trace_digest": handles.report["trace_digest"],
+}))
+"""
+
+
+# Run in a fresh interpreter with the checkout's src on sys.path:
+# argv is (perfbench dir of this checkout, seed).
+_CODEC_RUN = """
+import hashlib, json, sys, time
+sys.path.insert(0, sys.argv[1])
+import gen
+from ivtp import identity, ledger
+chain = gen.build_chain(int(sys.argv[2])).chain
+data = ledger.chain_to_bytes(chain)
+txs = [tx for block in chain.blocks for tx in block.txs]
+encoded = [ledger.canonical_encode(tx) for tx in txs]
+
+def round_trip():
+    identity._ed25519_verify.cache_clear()
+    blocks, endowment, checksum_ok = ledger.parse_chain_bytes(data)
+    assert checksum_ok and ledger.validate_blocks(blocks, endowment).ok
+
+def best(fn, reps):
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+print(json.dumps({
+    "n_txs": len(txs),
+    "chain_sha256": hashlib.sha256(data).hexdigest(),
+    "canonical_encode_s": best(lambda: [ledger.canonical_encode(tx) for tx in txs], 15),
+    "canonical_decode_s": best(lambda: [ledger.canonical_decode(b) for b in encoded], 15),
+    "tx_signing_bytes_s": best(lambda: [ledger.tx_signing_bytes(tx) for tx in txs], 15),
+    "chain_round_trip_s": best(round_trip, 3),
 }))
 """
 
@@ -113,6 +161,37 @@ def synthetic(checkout: Path, n: int) -> dict:
     cmd = [sys.executable, "-c", _SYNTHETIC_RUN, str(ROOT / "tests"), str(n)]
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
+
+
+def codec(checkout: Path, seed: int) -> dict:
+    """One codec microbench run in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONHASHSEED": "0"}
+    cmd = [sys.executable, "-c", _CODEC_RUN, str(ROOT / "perfbench"), str(seed)]
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+CODEC_METRICS = (
+    "canonical_encode_s", "canonical_decode_s", "tx_signing_bytes_s", "chain_round_trip_s",
+)
+
+
+def codec_summary(runs: dict) -> dict:
+    """Per codec metric: both sides' runs and quartiles and the pairs won."""
+    out = {
+        "n_txs": {side: r[0]["n_txs"] for side, r in runs.items()},
+        "chain_sha256": {side: r[0]["chain_sha256"] for side, r in runs.items()},
+    }
+    for name in CODEC_METRICS:
+        parent = [r[name] for r in runs["parent"]]
+        change = [r[name] for r in runs["change"]]
+        out[name] = {
+            "parent": {**quartiles(parent), "runs": parent},
+            "change": {**quartiles(change), "runs": change},
+            "change_won": sum(c < p for p, c in zip(parent, change)),
+            "pairs": len(parent),
+        }
+    return out
 
 
 def matrix_entry(runs: list[dict]) -> dict:
@@ -181,6 +260,15 @@ def main(argv=None) -> int:
             f"{side} {r['run_s_median']:.3f} s {r['peak_rss_mb_median']:.1f} MB"
             for side, r in entry.items()
         ), flush=True)
+    runs = {side: [] for side in sides}
+    for i in range(CODEC_RUNS):
+        for side in alternating(i):
+            runs[side].append(codec(sides[side], args.seed))
+    record["codec"] = codec_summary(runs)
+    print("codec medians: " + " ".join(
+        f"{name} {m['parent']['median'] * 1e3:.1f} -> {m['change']['median'] * 1e3:.1f} ms"
+        for name, m in record["codec"].items() if name in CODEC_METRICS
+    ), flush=True)
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -19,6 +19,8 @@ import dataclasses
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import identity
 from .identity import IvTpId, sha256
@@ -31,16 +33,6 @@ CHAIN_MAGIC = b"IVTP"
 CHAIN_VERSION = 0x01
 
 DEFAULT_ENDOWMENT = 100_000  # milli-trust granted at registration
-
-# Transaction variant tags (canonical encoding byte 0). Tag 2 is
-# unassigned: liveness beacons are frames, never transactions.
-TAG_REGISTER = 1
-TAG_COMM = 3
-TAG_REWARD = 4
-TAG_ARBITRATION = 5
-
-_U32_MAX = 2**32 - 1
-_U64_MAX = 2**64 - 1
 
 
 class FieldOverflowError(ValueError):
@@ -75,160 +67,23 @@ class CorruptChainFileError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Transactions
+# Canonical encoding: field codecs and the layouts they make up
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Transaction:
-    """Common envelope: author identity, time flag, author signature.
-
-    The signature covers the canonical encoding minus the trailing
-    signature bytes. For registrations the signer is the dealer, for
-    everything else the author itself.
-    """
-
-    author: IvTpId
-    tf: TimeFlag
-    signature: bytes
-
-    TAG = 0  # overridden per variant
-
-    @cached_property
-    def tx_id(self) -> bytes:
-        """SHA-256 of the canonical encoding, computed once per object;
-        the cache lives in __dict__, so == and hash see only the fields."""
-        return sha256(canonical_encode(self))
-
-
-@dataclass(frozen=True)
-class RegisterTx(Transaction):
-    """Binds a trust-point ID to a vehicle public key, signed by the
-    issuing dealer. Carries dealer_id and counter so the ID derivation
-    can be re-checked during replay."""
-
-    ivtp_id: IvTpId = b""
-    vehicle_pk: bytes = b""
-    dealer_id: bytes = b""
-    counter: int = 0
-    dealer_sig: bytes = b""  # over ivtp_id || vehicle_pk
-
-    TAG = TAG_REGISTER
-
-
-@dataclass(frozen=True)
-class CommTx(Transaction):
-    """A broadcast message record: sender, intended receivers, and the
-    hash of the payload (content stays off-chain)."""
-
-    sender: IvTpId = b""
-    receivers: tuple[IvTpId, ...] = ()
-    message_hash: bytes = b""
-    tf_sent: TimeFlag = 0
-
-    TAG = TAG_COMM
-
-
-@dataclass(frozen=True)
-class RewardTx(Transaction):
-    """Transfer of trust points. Author must equal the paying side."""
-
-    from_id: IvTpId = b""
-    to_id: IvTpId = b""
-    amount: int = 0  # milli-trust, > 0
-    reason: str = ""
-
-    TAG = TAG_REWARD
-
-
-@dataclass(frozen=True)
-class ArbitrationTx(Transaction):
-    """A committed intersection crossing order plus every participant's
-    signed agreement (proposer excluded, it authored the tx)."""
-
-    intersection_id: str = ""
-    ordering: tuple[IvTpId, ...] = ()
-    proposer: IvTpId = b""
-    agreements: tuple[tuple[IvTpId, bytes], ...] = ()
-
-    TAG = TAG_ARBITRATION
-
-
-# ---------------------------------------------------------------------------
-# Canonical encoding
-# ---------------------------------------------------------------------------
-
-def _u32(n: int) -> bytes:
-    if not 0 <= n <= _U32_MAX:
-        raise FieldOverflowError(f"u32 out of range: {n}")
+def _u32(n: int, name: str = "u32") -> bytes:
+    if not 0 <= n < 2**32:
+        raise FieldOverflowError(f"{name} out of u32 range: {n}")
     return struct.pack(">I", n)
 
 
-def _u64(n: int) -> bytes:
-    if not 0 <= n <= _U64_MAX:
-        raise FieldOverflowError(f"u64 out of range: {n}")
+def _u64(n: int, name: str = "u64") -> bytes:
+    if not 0 <= n < 2**64:
+        raise FieldOverflowError(f"{name} out of u64 range: {n}")
     return struct.pack(">Q", n)
 
 
-def _blob(b: bytes) -> bytes:
-    if len(b) > _U32_MAX:
-        raise FieldOverflowError("byte field exceeds u32 length prefix")
-    return _u32(len(b)) + b
-
-
-def _fixed(b: bytes, n: int, name: str) -> bytes:
-    if len(b) != n:
-        raise FieldOverflowError(f"{name} must be {n} bytes, got {len(b)}")
-    return b
-
-
-def _id_list(ids) -> bytes:
-    out = [_u32(len(ids))]
-    for i in ids:
-        out.append(_fixed(i, HASH_LEN, "ivtp id"))
-    return b"".join(out)
-
-
-def tx_signing_bytes(tx: Transaction) -> bytes:
-    """Canonical encoding minus the trailing signature field."""
-    parts = [bytes([tx.TAG]), _fixed(tx.author, HASH_LEN, "author"), _u64(tx.tf)]
-    if isinstance(tx, RegisterTx):
-        parts += [
-            _fixed(tx.ivtp_id, HASH_LEN, "ivtp_id"),
-            _fixed(tx.vehicle_pk, identity.PUBLIC_KEY_LEN, "vehicle_pk"),
-            _fixed(tx.dealer_id, HASH_LEN, "dealer_id"),
-            _u64(tx.counter),
-            _fixed(tx.dealer_sig, identity.SIGNATURE_LEN, "dealer_sig"),
-        ]
-    elif isinstance(tx, CommTx):
-        parts += [
-            _fixed(tx.sender, HASH_LEN, "sender"),
-            _id_list(tx.receivers),
-            _fixed(tx.message_hash, HASH_LEN, "message_hash"),
-            _u64(tx.tf_sent),
-        ]
-    elif isinstance(tx, RewardTx):
-        parts += [
-            _fixed(tx.from_id, HASH_LEN, "from_id"),
-            _fixed(tx.to_id, HASH_LEN, "to_id"),
-            _u64(tx.amount),
-            _blob(tx.reason.encode()),
-        ]
-    elif isinstance(tx, ArbitrationTx):
-        parts.append(_blob(tx.intersection_id.encode()))
-        parts.append(_id_list(tx.ordering))
-        parts.append(_fixed(tx.proposer, HASH_LEN, "proposer"))
-        parts.append(_u32(len(tx.agreements)))
-        for voter, sig in tx.agreements:
-            parts.append(_fixed(voter, HASH_LEN, "agreement voter"))
-            parts.append(_fixed(sig, identity.SIGNATURE_LEN, "agreement sig"))
-    else:
-        raise TypeError(f"unknown transaction type {type(tx).__name__}")
-    return b"".join(parts)
-
-
-def canonical_encode(tx: Transaction) -> bytes:
-    """Full injective encoding, signature included. tx_id hashes this."""
-    return tx_signing_bytes(tx) + _fixed(tx.signature, identity.SIGNATURE_LEN, "signature")
+def _blob(b: bytes, name: str = "blob") -> bytes:
+    return _u32(len(b), name) + b
 
 
 class _Reader:
@@ -259,56 +114,187 @@ class _Reader:
         return self.pos == self.end
 
 
+class Codec(NamedTuple):
+    """One field's wire form. encode(value, name) raises
+    FieldOverflowError, naming the field, if value does not fit."""
+
+    encode: Callable[[object, str], bytes]
+    decode: Callable[[_Reader], object]
+
+
+def _fixed_width(n: int) -> Codec:
+    def encode(b: bytes, name: str) -> bytes:
+        if len(b) != n:
+            raise FieldOverflowError(f"{name} must be {n} bytes, got {len(b)}")
+        return b
+
+    return Codec(encode, lambda r: r.take(n))
+
+
+def _list_of(item: Codec) -> Codec:
+    """u32 count, then each item."""
+    return Codec(
+        lambda seq, name: _u32(len(seq), name) + b"".join([item.encode(v, name) for v in seq]),
+        lambda r: tuple([item.decode(r) for _ in range(r.u32())]),
+    )
+
+
+ID = _fixed_width(HASH_LEN)
+PUBLIC_KEY = _fixed_width(identity.PUBLIC_KEY_LEN)
+SIGNATURE = _fixed_width(identity.SIGNATURE_LEN)
+U64 = Codec(_u64, _Reader.u64)
+BLOB = Codec(_blob, _Reader.blob)
+TEXT = Codec(lambda s, name: _blob(s.encode(), name), lambda r: r.blob().decode())
+IDS = _list_of(ID)
+AGREEMENTS = _list_of(Codec(  # (voter id, signature) pairs
+    lambda pair, name: ID.encode(pair[0], name) + SIGNATURE.encode(pair[1], name),
+    lambda r: (ID.decode(r), SIGNATURE.decode(r)),
+))
+
+
+def _wire(codec: Codec, default=dataclasses.MISSING):
+    """A dataclass field on the wire: fields declared with _wire are
+    encoded in declaration order, each by its codec."""
+    return field(default=default, metadata={"codec": codec})
+
+
+class _Layout:
+    """The _wire fields of a dataclass, in declaration order."""
+
+    def __init__(self, cls):
+        wired = [f for f in dataclasses.fields(cls) if "codec" in f.metadata]
+        self.encoders = [(f.name, f.metadata["codec"].encode) for f in wired]
+        self.decoders = [f.metadata["codec"].decode for f in wired]
+
+    def encode(self, obj) -> bytes:
+        return b"".join([encode(getattr(obj, name), name) for name, encode in self.encoders])
+
+    def decode(self, r: _Reader) -> list:
+        """The field values, in order: the dataclass's positional args."""
+        return [decode(r) for decode in self.decoders]
+
+
+def envelope(tag: int, author: IvTpId, tf: TimeFlag) -> bytes:
+    """The head of every signed record, transaction or frame: tag (u8),
+    author id (32 bytes), time flag (u64)."""
+    return bytes([tag]) + ID.encode(author, "author") + _u64(tf, "tf")
+
+
+# ---------------------------------------------------------------------------
+# Transactions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Transaction:
+    """Common envelope: author identity, time flag, author signature.
+
+    Encoded as the envelope (TAG, author, tf), the variant's _wire fields
+    in declaration order, then the signature, which covers the rest. For
+    registrations the signer is the dealer, for everything else the
+    author itself. Tag 2 is unassigned: liveness beacons are frames.
+    """
+
+    author: IvTpId
+    tf: TimeFlag
+    signature: bytes
+
+    TAG = 0  # overridden per variant
+
+    @cached_property
+    def tx_id(self) -> bytes:
+        """SHA-256 of the canonical encoding, computed once per object;
+        the cache lives in __dict__, so == and hash see only the fields."""
+        return sha256(canonical_encode(self))
+
+
+@dataclass(frozen=True)
+class RegisterTx(Transaction):
+    """Binds a trust-point ID to a vehicle public key, signed by the
+    issuing dealer. Carries dealer_id and counter so the ID derivation
+    can be re-checked during replay."""
+
+    ivtp_id: IvTpId = _wire(ID, b"")
+    vehicle_pk: bytes = _wire(PUBLIC_KEY, b"")
+    dealer_id: bytes = _wire(ID, b"")
+    counter: int = _wire(U64, 0)
+    dealer_sig: bytes = _wire(SIGNATURE, b"")  # over ivtp_id || vehicle_pk
+
+    TAG = 1
+
+
+@dataclass(frozen=True)
+class CommTx(Transaction):
+    """A broadcast message record: sender, intended receivers, and the
+    hash of the payload (content stays off-chain)."""
+
+    sender: IvTpId = _wire(ID, b"")
+    receivers: tuple[IvTpId, ...] = _wire(IDS, ())
+    message_hash: bytes = _wire(ID, b"")
+    tf_sent: TimeFlag = _wire(U64, 0)
+
+    TAG = 3
+
+
+@dataclass(frozen=True)
+class RewardTx(Transaction):
+    """Transfer of trust points. Author must equal the paying side."""
+
+    from_id: IvTpId = _wire(ID, b"")
+    to_id: IvTpId = _wire(ID, b"")
+    amount: int = _wire(U64, 0)  # milli-trust, > 0
+    reason: str = _wire(TEXT, "")
+
+    TAG = 4
+
+
+@dataclass(frozen=True)
+class ArbitrationTx(Transaction):
+    """A committed intersection crossing order plus every participant's
+    signed agreement (proposer excluded, it authored the tx)."""
+
+    intersection_id: str = _wire(TEXT, "")
+    ordering: tuple[IvTpId, ...] = _wire(IDS, ())
+    proposer: IvTpId = _wire(ID, b"")
+    agreements: tuple[tuple[IvTpId, bytes], ...] = _wire(AGREEMENTS, ())
+
+    TAG = 5
+
+
+_TX_LAYOUTS = {cls: _Layout(cls) for cls in Transaction.__subclasses__()}
+_TX_BY_TAG = {cls.TAG: cls for cls in _TX_LAYOUTS}
+
+
+def tx_signing_bytes(tx: Transaction) -> bytes:
+    """Canonical encoding minus the trailing signature field."""
+    layout = _TX_LAYOUTS.get(type(tx))
+    if layout is None:
+        raise TypeError(f"unknown transaction type {type(tx).__name__}")
+    return envelope(tx.TAG, tx.author, tx.tf) + layout.encode(tx)
+
+
+def canonical_encode(tx: Transaction) -> bytes:
+    """Full injective encoding, signature included. tx_id hashes this."""
+    return tx_signing_bytes(tx) + SIGNATURE.encode(tx.signature, "signature")
+
+
 def canonical_decode(data: bytes) -> Transaction:
     """Inverse of canonical_encode. Rejects trailing garbage."""
     r = _Reader(data)
-    tx = _decode_tx(r)
+    tag, author, tf = r.take(1)[0], ID.decode(r), r.u64()
+    cls = _TX_BY_TAG.get(tag)
+    if cls is None:
+        raise CorruptChainFileError(f"unknown transaction tag {tag}")
+    values = _TX_LAYOUTS[cls].decode(r)
+    tx = cls(author, tf, SIGNATURE.decode(r), *values)
     if not r.done():
         raise CorruptChainFileError("trailing bytes after transaction")
     return tx
 
 
-def _decode_tx(r: _Reader) -> Transaction:
-    tag = r.take(1)[0]
-    author = r.take(HASH_LEN)
-    tf = r.u64()
-    if tag == TAG_REGISTER:
-        ivtp_id = r.take(HASH_LEN)
-        vehicle_pk = r.take(identity.PUBLIC_KEY_LEN)
-        dealer_id = r.take(HASH_LEN)
-        counter = r.u64()
-        dealer_sig = r.take(identity.SIGNATURE_LEN)
-        sig = r.take(identity.SIGNATURE_LEN)
-        return RegisterTx(author, tf, sig, ivtp_id, vehicle_pk, dealer_id, counter, dealer_sig)
-    if tag == TAG_COMM:
-        sender = r.take(HASH_LEN)
-        receivers = tuple(r.take(HASH_LEN) for _ in range(r.u32()))
-        message_hash = r.take(HASH_LEN)
-        tf_sent = r.u64()
-        sig = r.take(identity.SIGNATURE_LEN)
-        return CommTx(author, tf, sig, sender, receivers, message_hash, tf_sent)
-    if tag == TAG_REWARD:
-        from_id = r.take(HASH_LEN)
-        to_id = r.take(HASH_LEN)
-        amount = r.u64()
-        reason = r.blob().decode()
-        sig = r.take(identity.SIGNATURE_LEN)
-        return RewardTx(author, tf, sig, from_id, to_id, amount, reason)
-    if tag == TAG_ARBITRATION:
-        intersection_id = r.blob().decode()
-        ordering = tuple(r.take(HASH_LEN) for _ in range(r.u32()))
-        proposer = r.take(HASH_LEN)
-        agreements = tuple(
-            (r.take(HASH_LEN), r.take(identity.SIGNATURE_LEN)) for _ in range(r.u32())
-        )
-        sig = r.take(identity.SIGNATURE_LEN)
-        return ArbitrationTx(author, tf, sig, intersection_id, ordering, proposer, agreements)
-    raise CorruptChainFileError(f"unknown transaction tag {tag}")
-
-
 def agree_message(intersection_id: str, ordering) -> bytes:
     """Preimage each participant signs to endorse a crossing order."""
-    return b"ivtp/agree" + _blob(intersection_id.encode()) + _id_list(ordering)
+    body = TEXT.encode(intersection_id, "intersection_id") + IDS.encode(ordering, "ordering")
+    return b"ivtp/agree" + body
 
 
 def sign_tx(tx: Transaction, keypair: identity.KeyPair) -> Transaction:
@@ -322,14 +308,9 @@ def register_tx_from_issuance(
 ) -> RegisterTx:
     """Build the dealer-signed registration for a fresh issuance."""
     tx = RegisterTx(
-        author=issuance.ivtp_id,
-        tf=tf,
-        signature=b"",
-        ivtp_id=issuance.ivtp_id,
-        vehicle_pk=issuance.vehicle_pk,
-        dealer_id=issuance.dealer_id,
-        counter=issuance.counter,
-        dealer_sig=issuance.binding_sig,
+        author=issuance.ivtp_id, tf=tf, signature=b"", ivtp_id=issuance.ivtp_id,
+        vehicle_pk=issuance.vehicle_pk, dealer_id=issuance.dealer_id,
+        counter=issuance.counter, dealer_sig=issuance.binding_sig,
     )
     return sign_tx(tx, dealer.keypair)
 
@@ -358,39 +339,31 @@ def merkle_root(tx_ids: list[bytes]) -> bytes:
 
 @dataclass(frozen=True)
 class Block:
-    height: int
-    prev_hash: bytes
-    merkle_root: bytes
-    timestamp: TimeFlag
+    height: int = _wire(U64)
+    prev_hash: bytes = _wire(ID)
+    merkle_root: bytes = _wire(ID)
+    timestamp: TimeFlag = _wire(U64)
     txs: tuple[Transaction, ...]
 
     def header_bytes(self) -> bytes:
-        return (
-            _u64(self.height)
-            + _fixed(self.prev_hash, HASH_LEN, "prev_hash")
-            + _fixed(self.merkle_root, HASH_LEN, "merkle_root")
-            + _u64(self.timestamp)
-        )
+        return _BLOCK_HEADER.encode(self)
 
     @property
     def block_hash(self) -> bytes:
         return sha256(self.header_bytes())
 
 
+_BLOCK_HEADER = _Layout(Block)
+
+
 def encode_block(block: Block) -> bytes:
-    parts = [block.header_bytes(), _u32(len(block.txs))]
-    for tx in block.txs:
-        parts.append(_blob(canonical_encode(tx)))
-    return b"".join(parts)
+    txs = [_blob(canonical_encode(tx)) for tx in block.txs]
+    return b"".join([block.header_bytes(), _u32(len(txs)), *txs])
 
 
 def decode_block(r: _Reader) -> Block:
-    height = r.u64()
-    prev_hash = r.take(HASH_LEN)
-    root = r.take(HASH_LEN)
-    timestamp = r.u64()
-    txs = tuple(canonical_decode(r.blob()) for _ in range(r.u32()))
-    return Block(height, prev_hash, root, timestamp, txs)
+    header = _BLOCK_HEADER.decode(r)
+    return Block(*header, tuple([canonical_decode(r.blob()) for _ in range(r.u32())]))
 
 
 @dataclass
@@ -520,9 +493,7 @@ class LedgerState:
                 if member not in self.registrations:
                     return "member_not_registered"
             voters = [v for v, _ in tx.agreements]
-            if set(voters) != set(tx.ordering) - {tx.proposer} or len(voters) != len(
-                set(voters)
-            ):
+            if set(voters) != set(tx.ordering) - {tx.proposer} or len(voters) != len(set(voters)):
                 return "agreements_incomplete"
             statement = agree_message(tx.intersection_id, tx.ordering)
             for voter, sig in tx.agreements:
@@ -531,6 +502,7 @@ class LedgerState:
         return None
 
     def apply_tx(self, tx: Transaction, height: int) -> None:
+        """Apply tx, which check_tx has passed, recording its undo."""
         tx_id = tx.tx_id
         self._put(self.tx_by_id, tx_id, tx)
         if isinstance(tx, RegisterTx):
@@ -545,28 +517,24 @@ class LedgerState:
             else:
                 self._put(self.balances, tx.ivtp_id, self.endowment)
             self._append(self.history, tx.ivtp_id, tx_id)
-            return
-        if isinstance(tx, CommTx):
+        elif isinstance(tx, CommTx):
             for rcv in tx.receivers:
                 self._link(tx.sender, rcv)
                 self._link(rcv, tx.sender)
             self._touch_history([tx.author, tx.sender, *tx.receivers], tx_id)
-            return
-        if isinstance(tx, RewardTx):
+        elif isinstance(tx, RewardTx):
             self._put(self.balances, tx.from_id, self.balances[tx.from_id] - tx.amount)
             self._put(self.balances, tx.to_id, self.balances.get(tx.to_id, 0) + tx.amount)
             self._touch_history([tx.author, tx.from_id, tx.to_id], tx_id)
-            return
-        if isinstance(tx, ArbitrationTx):
+        elif isinstance(tx, ArbitrationTx):
             voters = [v for v, _ in tx.agreements]
             self._touch_history([tx.author, tx.proposer, *tx.ordering, *voters], tx_id)
-            return
-        raise TypeError(f"unknown transaction type {type(tx).__name__}")
 
     def apply_block(self, block: Block, prev: Block | None) -> ValidationReport | None:
         """The replay step. Check block's header against prev (None for
         genesis), then check_tx and apply_tx each transaction in order,
-        refusing a tx_id already applied in this block or before it.
+        refusing a tx_id already applied in this block or before it and
+        a tx whose time flag is later than the block's timestamp.
 
         All or nothing: on failure the state is left exactly as it was
         and the returned report names the cause."""
@@ -576,7 +544,12 @@ class LedgerState:
             return ValidationReport(False, h, None, cause)
         self._undo.clear()
         for tx in block.txs:
-            cause = "duplicate_tx" if tx.tx_id in self.tx_by_id else self.check_tx(tx, h)
+            if tx.tf > block.timestamp:
+                cause = "tx_after_block"
+            elif tx.tx_id in self.tx_by_id:
+                cause = "duplicate_tx"
+            else:
+                cause = self.check_tx(tx, h)
             if cause is not None:
                 while self._undo:
                     self._undo.pop()()
@@ -625,23 +598,13 @@ class Chain:
         genesis_tf: TimeFlag = 0,
     ) -> "Chain":
         """New chain whose genesis block self-registers the dealer."""
-        pk = dealer.keypair.public_key
-        issuance = identity.Issuance(
-            ivtp_id=dealer.dealer_id,
-            vehicle_pk=pk,
-            dealer_id=dealer.dealer_id,
-            counter=0,
-            binding_sig=identity.sign(
-                dealer.keypair, identity.binding_message(dealer.dealer_id, pk)
-            ),
-        )
+        dealer_id, pk = dealer.dealer_id, dealer.keypair.public_key
+        binding = identity.sign(dealer.keypair, identity.binding_message(dealer_id, pk))
+        issuance = identity.Issuance(dealer_id, pk, dealer_id, 0, binding)
         tx = register_tx_from_issuance(issuance, dealer, genesis_tf)
         genesis = Block(
-            height=0,
-            prev_hash=GENESIS_PREV_HASH,
-            merkle_root=merkle_root([tx.tx_id]),
-            timestamp=genesis_tf,
-            txs=(tx,),
+            height=0, prev_hash=GENESIS_PREV_HASH, merkle_root=merkle_root([tx.tx_id]),
+            timestamp=genesis_tf, txs=(tx,),
         )
         return cls.from_blocks([genesis], endowment)
 
@@ -749,10 +712,8 @@ def total_supply(chain: Chain) -> int:
 # ---------------------------------------------------------------------------
 
 def chain_to_bytes(chain: Chain) -> bytes:
-    parts = [CHAIN_MAGIC, bytes([CHAIN_VERSION]), _u64(chain.state.endowment)]
-    for block in chain.blocks:
-        parts.append(_blob(encode_block(block)))
-    body = b"".join(parts)
+    blocks = [_blob(encode_block(block)) for block in chain.blocks]
+    body = b"".join([CHAIN_MAGIC, bytes([CHAIN_VERSION]), _u64(chain.state.endowment), *blocks])
     # Trailing whole-file digest: catches flips in the header fields
     # (magic aside, those are not covered by any block hash).
     return body + sha256(body)
@@ -785,18 +746,14 @@ def parse_chain_bytes(data: bytes) -> tuple[list[Block], int, bool]:
 
 
 def save_chain(chain: Chain, path) -> None:
-    with open(path, "wb") as f:
-        f.write(chain_to_bytes(chain))
+    Path(path).write_bytes(chain_to_bytes(chain))
 
 
 def load_chain(path) -> Chain:
-    with open(path, "rb") as f:
-        return chain_from_bytes(f.read())
+    return chain_from_bytes(Path(path).read_bytes())
 
 
 def load_blocks(path) -> tuple[list[Block], int, bool]:
     """Parse a chain file without validating; for the inspector, which
     must report tampering rather than refuse to read."""
-    with open(path, "rb") as f:
-        data = f.read()
-    return parse_chain_bytes(data)
+    return parse_chain_bytes(Path(path).read_bytes())

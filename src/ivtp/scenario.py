@@ -106,10 +106,11 @@ class ScenarioConfig:
     reward_direction: str = "first_to_proposer"
 
 
-def _section(raw: dict, key: str) -> dict:
-    value = raw.get(key, {})
-    if not isinstance(value, dict):
-        raise ValidationError(key, "must be an object")
+def _section(raw: dict, key: str, kind: type = dict):
+    """raw[key], an object (or a list, by kind); absent means empty."""
+    value = raw.get(key, kind())
+    if not isinstance(value, kind):
+        raise ValidationError(key, "must be an object" if kind is dict else "must be a list")
     return value
 
 
@@ -124,14 +125,15 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         raise ValidationError("$", "scenario must be a JSON object")
 
     net_raw = _section(raw, "network")
+    drop = net_raw.get("drop_probability", 0.0)
+    if isinstance(drop, bool) or not isinstance(drop, (int, float)) or not 0 <= drop <= 1:
+        raise ValidationError("network.drop_probability", "must be a number within [0, 1]")
     network = NetworkConfig(
         latency_ms=_nonneg("network", "latency_ms", net_raw.get("latency_ms", 0)),
         jitter_ms=_nonneg("network", "jitter_ms", net_raw.get("jitter_ms", 0)),
-        drop_probability=float(net_raw.get("drop_probability", 0.0)),
+        drop_probability=float(drop),
         seed=_nonneg("network", "seed", net_raw.get("seed", 0)),
     )
-    if not 0.0 <= network.drop_probability <= 1.0:
-        raise ValidationError("network.drop_probability", "must be within [0, 1]")
 
     cons_raw = _section(raw, "consensus")
     consensus = ConsensusConfig(
@@ -175,7 +177,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         vehicles.append(VehicleSpec(alias=alias, seed=str(entry.get("seed", alias))))
 
     intersections = []
-    for i, entry in enumerate(raw.get("intersections", [])):
+    for i, entry in enumerate(_section(raw, "intersections", list)):
         where = f"intersections[{i}]"
         if not isinstance(entry, dict) or "id" not in entry:
             raise ValidationError(where, "must be an object with an id")
@@ -183,7 +185,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         if not isinstance(participants, list) or len(participants) < 1:
             raise ValidationError(f"{where}.participants", "must be a non-empty list")
         for alias in participants:
-            if alias not in seen_aliases:
+            if not isinstance(alias, str) or alias not in seen_aliases:
                 raise ValidationError(
                     f"{where}.participants", f"unknown vehicle alias {alias!r}"
                 )
@@ -219,12 +221,12 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         raise ValidationError("intersections", "intersection ids must be unique")
 
     comms = []
-    for i, entry in enumerate(raw.get("comms", [])):
+    for i, entry in enumerate(_section(raw, "comms", list)):
         where = f"comms[{i}]"
         if not isinstance(entry, dict):
             raise ValidationError(where, "must be an object")
         sender = entry.get("sender")
-        if sender not in seen_aliases:
+        if not isinstance(sender, str) or sender not in seen_aliases:
             raise ValidationError(f"{where}.sender", f"unknown vehicle alias {sender!r}")
         comms.append(
             CommSpec(

@@ -100,13 +100,11 @@ class Frame:
 
 
 def _signing_bytes(kind: int, sender: IvTpId, tf: TimeFlag, payload: bytes) -> bytes:
-    """kind (u8), sender (32 bytes), tf (u64) and the length-prefixed
-    payload."""
+    """The ledger's envelope (kind as the tag, sender, tf), then the
+    length-prefixed payload."""
     if not 0 < kind < 256:
         raise FieldOverflowError(f"frame kind out of range: {kind}")
-    if len(sender) != 32:
-        raise FieldOverflowError("sender id must be 32 bytes")
-    return bytes([kind]) + sender + ledger._u64(tf) + ledger._blob(payload)
+    return ledger.envelope(kind, sender, tf) + ledger.BLOB.encode(payload, "payload")
 
 
 def make_frame(

@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from ivtp import cli, identity, ledger, scenario, sim
-from conftest import tag2_tx_bytes
+from conftest import signed_comm, tag2_tx_bytes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -66,6 +66,21 @@ class TestRunCommand:
         p.write_text('{"vehicles": []}')
         assert cli.main(["run", "--scenario", str(p)]) == 1
         assert "vehicles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, fieldname",
+        [
+            ({"network": {"drop_probability": "x"}}, "network.drop_probability"),
+            ({"network": {"drop_probability": None}}, "network.drop_probability"),
+            ({"intersections": 5}, "intersections"),
+            ({"comms": 7}, "comms"),
+        ],
+    )
+    def test_wrongly_typed_field_is_a_schema_error(self, tmp_path, capsys, extra, fieldname):
+        p = tmp_path / "typed.json"
+        p.write_text(json.dumps({"vehicles": [{"alias": "A"}], **extra}))
+        assert cli.main(["run", "--scenario", str(p)]) == 1
+        assert capsys.readouterr().err.startswith(f"bad scenario: {fieldname}: ")
 
 
 class TestInspectValidate:
@@ -142,6 +157,32 @@ class TestInspectValidate:
             ledger.chain_from_bytes(path.read_bytes())
         assert cli.main(["inspect", str(path), "validate"]) == 1
         assert "unknown transaction tag 2" in capsys.readouterr().err
+
+    def test_tx_after_its_block_refused(self, run_dir, tmp_path, capsys):
+        """A block appended to a real chain, holding a well-signed comm
+        whose tf is later than the block's timestamp, with its Merkle
+        root, link and the file checksum all rebuilt: still invalid."""
+        out_dir, handles = run_dir
+        veh = handles.vehicles["IV-1"]
+        tip = handles.chain.tip
+        tx = signed_comm(veh.keypair, veh.ivtp_id, tf=tip.timestamp + 1)
+        block = ledger.Block(
+            height=tip.height + 1,
+            prev_hash=tip.block_hash,
+            merkle_root=ledger.merkle_root([tx.tx_id]),
+            timestamp=tip.timestamp,
+            txs=(tx,),
+        )
+        body = (out_dir / "chain.bin").read_bytes()[: -ledger.HASH_LEN]
+        body += ledger._blob(ledger.encode_block(block))
+        path = tmp_path / "late.bin"
+        path.write_bytes(body + identity.sha256(body))
+
+        assert ledger.parse_chain_bytes(path.read_bytes())[2]
+        with pytest.raises(ledger.CorruptChainFileError, match="tx_after_block"):
+            ledger.chain_from_bytes(path.read_bytes())
+        assert cli.main(["inspect", str(path), "validate"]) == 1
+        assert "tx_after_block" in capsys.readouterr().out
 
     def test_header_tamper_caught_by_checksum(self, run_dir, tmp_path, capsys):
         """The endowment header is not covered by any block hash; the

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import struct
 import tracemalloc
 
 import pytest
@@ -95,6 +96,21 @@ class TestCodec:
         assert ledger.tx_signing_bytes(tx) == enc[:-64]
         assert enc[-64:] == tx.signature
 
+    @given(_tx_strategy(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_whatever_decodes_is_canonical(self, tx, data):
+        """A byte changed anywhere either fails to decode or decodes to a
+        tx that encodes back to exactly those bytes: the tx_id of what a
+        chain file holds is the hash of the bytes it holds."""
+        raw = bytearray(ledger.canonical_encode(tx))
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        try:
+            decoded = ledger.canonical_decode(bytes(raw))
+        except ValueError:
+            return
+        assert ledger.canonical_encode(decoded) == raw
+        assert decoded.tx_id == hashlib.sha256(raw).digest()
+
     def test_trailing_bytes_rejected(self):
         tx = signed_comm(_kp(b"a"), b"\x01" * 32)
         with pytest.raises(ValueError):
@@ -142,6 +158,87 @@ class TestCodec:
         )
         with pytest.raises(ledger.FieldOverflowError):
             ledger.canonical_encode(tx)
+
+
+def _b(n: int, size: int = 32) -> bytes:
+    return bytes([n]) * size
+
+
+_REASON = "péage ✓"
+_CROSSING = "carrefour-é/東"
+
+
+def _pinned_txs():
+    """One fixed instance of every transaction kind and the signing bytes
+    each must have, built with struct.pack straight from the layout."""
+    register = ledger.RegisterTx(
+        author=_b(1), tf=7, signature=_b(2, 64), ivtp_id=_b(1),
+        vehicle_pk=_b(3), dealer_id=_b(4), counter=2**40 + 5, dealer_sig=_b(5, 64),
+    )
+    comm = ledger.CommTx(
+        author=_b(6), tf=2**33, signature=_b(7, 64), sender=_b(6),
+        receivers=(_b(8), _b(9), _b(10)), message_hash=_b(11), tf_sent=99,
+    )
+    reward = ledger.RewardTx(
+        author=_b(12), tf=1_000, signature=_b(13, 64), from_id=_b(12),
+        to_id=_b(14), amount=500, reason=_REASON,
+    )
+    arbitration = ledger.ArbitrationTx(
+        author=_b(15), tf=3, signature=_b(16, 64), intersection_id=_CROSSING,
+        ordering=(_b(17), _b(15), _b(18)), proposer=_b(15),
+        agreements=((_b(17), _b(19, 64)), (_b(18), _b(20, 64))),
+    )
+    reason, crossing = _REASON.encode(), _CROSSING.encode()
+    return [
+        (register, struct.pack(
+            ">B32sQ32s32s32sQ64s", 1, _b(1), 7, _b(1), _b(3), _b(4), 2**40 + 5, _b(5, 64)
+        )),
+        (comm, struct.pack(">B32sQ32sI", 3, _b(6), 2**33, _b(6), 3)
+            + _b(8) + _b(9) + _b(10) + struct.pack(">32sQ", _b(11), 99)),
+        (reward, struct.pack(">B32sQ32s32sQI", 4, _b(12), 1_000, _b(12), _b(14), 500, len(reason))
+            + reason),
+        (arbitration, struct.pack(">B32sQI", 5, _b(15), 3, len(crossing)) + crossing
+            + struct.pack(">I", 3) + _b(17) + _b(15) + _b(18) + _b(15)
+            + struct.pack(">I", 2) + _b(17) + _b(19, 64) + _b(18) + _b(20, 64)),
+    ]
+
+
+class TestPinnedBytes:
+    """The wire layouts, pinned byte for byte against struct.pack."""
+
+    @pytest.mark.parametrize(
+        "tx, signing", _pinned_txs(), ids=["register", "comm", "reward", "arbitration"]
+    )
+    def test_transaction_bytes(self, tx, signing):
+        assert ledger.tx_signing_bytes(tx) == signing
+        encoded = ledger.canonical_encode(tx)
+        assert encoded == signing + tx.signature
+        decoded = ledger.canonical_decode(encoded)
+        assert decoded == tx and decoded.tx_id == hashlib.sha256(encoded).digest()
+        for cut in range(len(encoded)):
+            with pytest.raises(ledger.CorruptChainFileError, match="^truncated encoding$"):
+                ledger.canonical_decode(encoded[:cut])
+        with pytest.raises(ledger.CorruptChainFileError, match="^trailing bytes after transaction$"):
+            ledger.canonical_decode(encoded + b"\x00")
+
+    def test_block_header_bytes(self):
+        block = ledger.Block(
+            height=2**35 + 1, prev_hash=_b(21), merkle_root=_b(22), timestamp=4_321,
+            txs=(_pinned_txs()[1][0],),
+        )
+        header = struct.pack(">Q32s32sQ", 2**35 + 1, _b(21), _b(22), 4_321)
+        assert block.header_bytes() == header
+        tx = ledger.canonical_encode(block.txs[0])
+        encoded = ledger.encode_block(block)
+        assert encoded == header + struct.pack(">II", 1, len(tx)) + tx
+        assert ledger.decode_block(ledger._Reader(encoded)) == block
+
+    def test_agree_message_bytes(self):
+        crossing = _CROSSING.encode()
+        assert ledger.agree_message(_CROSSING, (_b(1), _b(2))) == (
+            b"ivtp/agree" + struct.pack(">I", len(crossing)) + crossing
+            + struct.pack(">I", 2) + _b(1) + _b(2)
+        )
 
 
 def _merkle_oracle(leaves):
@@ -359,6 +456,16 @@ class TestChain:
         assert not any(tx.tx_id in chain.tx_by_id for tx in applied)
         assert ledger.validate_chain(chain).state == chain.state
         assert exc.value.cause == cause
+
+    def test_tx_after_its_block_rejected(self):
+        """A tx's time flag may not be later than the block holding it."""
+        _, chain, ids, keys = make_fleet(2)
+        with pytest.raises(ledger.InvalidTxError) as exc:
+            chain.append_block([signed_comm(keys[ids[0]], ids[0], tf=10**12)], timestamp=5)
+        assert exc.value.cause == "tx_after_block"
+        assert chain.height == 1
+        chain.append_block([signed_comm(keys[ids[0]], ids[0], tf=5)], timestamp=5)
+        assert ledger.validate_chain(chain).ok
 
     def test_repeated_tx_rejected(self):
         """A tx_id already on the chain cannot be committed again."""

@@ -116,6 +116,22 @@ class TestLoad:
                 {"vehicles": [{"alias": "A"}], "reward_direction": "up"},
                 "reward_direction",
             ),
+            (
+                {"vehicles": [{"alias": "A"}], "network": {"drop_probability": "x"}},
+                "network.drop_probability",
+            ),
+            (
+                {"vehicles": [{"alias": "A"}], "network": {"drop_probability": None}},
+                "network.drop_probability",
+            ),
+            ({"vehicles": [{"alias": "A"}], "intersections": 5}, "intersections"),
+            ({"vehicles": [{"alias": "A"}], "comms": 7}, "comms"),
+            ({"vehicles": [{"alias": "A"}], "comms": [{"sender": ["A"]}]}, "comms[0].sender"),
+            (
+                {"vehicles": [{"alias": "A"}],
+                 "intersections": [{"id": "x", "participants": [["A"]]}]},
+                "intersections[0].participants",
+            ),
         ],
     )
     def test_validation_errors_name_the_field(self, raw, fieldname):

@@ -4,6 +4,7 @@ frames whose signing bytes are cached still fail closed, and beacons
 and endorsements carry no signature but their frame's."""
 
 import dataclasses
+import struct
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,14 @@ class TestCachedSigningBytes:
             make_frame(KIND_COMM, kp, b"\x05" * 31, 12, b"{}")
         with pytest.raises(FieldOverflowError):
             make_frame(300, kp, b"\x05" * 32, 12, b"{}")
+
+    def test_signing_bytes_are_pinned(self):
+        """kind (u8), sender (32 bytes), tf (u64), u32-prefixed payload."""
+        payload = '{"é":1}'.encode()
+        f = Frame(KIND_COMM, b"\x05" * 32, 2**33 + 7, payload)
+        assert f.signing_bytes == struct.pack(
+            ">B32sQI", KIND_COMM, b"\x05" * 32, 2**33 + 7, len(payload)
+        ) + payload
 
     def test_forged_frame_drops_after_the_original_is_cached(self):
         a, b = _pair()
