@@ -1,6 +1,6 @@
 """Record a BENCH_<n>.json file: the benchmark run in alternating pairs of
-a parent checkout and this checkout, the synthetic N-vehicle matrix and
-the per-layer codec microbenches.
+a parent checkout and this checkout, the synthetic N-vehicle matrix, and
+the per-layer codec, dispatch and frame-verify microbenches.
 
     git archive PARENT_REV | tar -x -C PARENT_DIR
     python3 bench/record.py --parent PARENT_DIR --seed 2001 --pairs 10 --out BENCH_<n>.json
@@ -30,12 +30,20 @@ shorten one side's set-up and memory.
 The per-layer codec microbenches time, on the chain ``perfbench/gen.py``
 builds for SEED, ``canonical_encode``, ``canonical_decode`` and
 ``tx_signing_bytes`` over every transaction, and the chain-file round
-trip ``parse_chain_bytes`` + ``validate_blocks`` with the Ed25519 verify
-memo cleared before each repetition. Each side runs them in ten fresh
-interpreters, paired and in alternating order as above; each interpreter
-keeps the best of its repetitions. The record gives every interpreter's
-value, each side's median and quartiles, the pairs the change won, and
-the SHA-256 of the chain file each side wrote.
+trip ``parse_chain_bytes`` + ``validate_blocks`` from the file's bytes,
+so every transaction is checked cold (a checkout that has the old
+process-wide verify memo gets it cleared before each repetition). The
+layer microbenches time netsim dispatch (one ``broadcast`` from one of 64
+no-op participants, 1 ms latency and 2 ms jitter, drained by
+``run_until``) and ``verify_frame``, cold (a frame's first check) and
+warm (the same frame again, as every further receiver checks it). Each
+timed loop runs inside ``perfbench/calib.py``'s ``Sampler``, so each
+value has its raw seconds per call (``_s``) and the same scaled to the
+reference host speed (``_ref_s``). Each side runs each set in ten fresh
+interpreters, paired and in alternating order as above; each
+interpreter keeps the best of its repetitions. The record gives every
+interpreter's value, each side's median and quartiles, the pairs the
+change won, and the SHA-256 of the chain file each side wrote.
 
 It also records each side's line count of ``src/ivtp/*.py``, as
 ``wc -l`` counts them, next to the numbers.
@@ -94,7 +102,8 @@ txs = [tx for block in chain.blocks for tx in block.txs]
 encoded = [ledger.canonical_encode(tx) for tx in txs]
 
 def round_trip():
-    identity._ed25519_verify.cache_clear()
+    if hasattr(identity, "_ed25519_verify"):  # a checkout with a verify memo
+        identity._ed25519_verify.cache_clear()
     blocks, endowment, checksum_ok = ledger.parse_chain_bytes(data)
     assert checksum_ok and ledger.validate_blocks(blocks, endowment).ok
 
@@ -117,8 +126,72 @@ print(json.dumps({
 """
 
 
+# Run in a fresh interpreter with the checkout's src on sys.path:
+# argv is (perfbench dir of this checkout,). Each timed loop runs inside
+# calib.Sampler, so every value has a raw time and a ref time (scaled to
+# the reference host speed, as perfbench/worker.py scales its calls).
+_LAYER_RUN = """
+import json, os, sys, time
+sys.path.insert(0, sys.argv[1])
+import calib
+from ivtp import identity, netsim, vehicle
+
+def timed(fn, reps):
+    with calib.Sampler() as ticks:
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            fn()
+        raw = time.perf_counter() - t0 - ticks.busy_s
+    return raw / reps, raw * ticks.scale() / reps
+
+class Idle:
+    def __init__(self, ivtp_id):
+        self.ivtp_id = ivtp_id
+    def handle_frame(self, frame, now):
+        return []
+    def handle_timer(self, tag, now):
+        return []
+
+ids = [bytes([i]) * 32 for i in range(1, 65)]
+net = netsim.Network(link=netsim.LinkModel(base_latency_ms=1, jitter_ms=2), seed=1)
+for veh in ids:
+    net.join(Idle(veh))
+net.trace.bind(os.devnull)
+beacon = vehicle.Frame(vehicle.KIND_BEACON, ids[0], 0, b"{}", bytes(64))
+
+def dispatch():
+    at = net.clock
+    net.broadcast(beacon, at)
+    net.run_until(at + 3)
+
+kp = identity.keygen(identity.sha256(b"bench"))
+def signed(i):
+    return vehicle.make_frame(vehicle.KIND_COMM, kp, ids[0], i, b'{"n":%d}' % i)
+cold = iter([signed(i) for i in range(1200)])
+warm = signed(0)
+vehicle.verify_frame(warm, kp.public_key)
+
+out = {}
+for name, fn, reps in [
+    ("dispatch_63", dispatch, 1000),
+    ("verify_frame_cold", lambda: vehicle.verify_frame(next(cold), kp.public_key), 400),
+    ("verify_frame_warm", lambda: vehicle.verify_frame(warm, kp.public_key), 100000),
+]:
+    best = min(timed(fn, reps) for _ in range(3))
+    out[name + "_s"], out[name + "_ref_s"] = best
+print(json.dumps(out))
+"""
+
+
+# Unscaled medians that perfbench/run.py prints before its result line,
+# kept next to it: a change in the reference-scaled metrics can then be
+# read as a change in the call's own time or in the calibration ticks'.
+UNSCALED = ("run_s", "audit_s", "raw_setup_s", "tick_ms")
+
+
 def perfbench(checkout: Path, workload: str, seed: int) -> dict:
-    """One perfbench/run.py command in checkout: its host and result lines."""
+    """One perfbench/run.py command in checkout: its host and result lines
+    and the UNSCALED medians it printed."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
@@ -128,7 +201,9 @@ def perfbench(checkout: Path, workload: str, seed: int) -> dict:
         raise SystemExit(f"{' '.join(cmd)} failed in {checkout}:\n{done.stderr}")
     lines = done.stdout.splitlines()
     host = next(line for line in lines if line.startswith("host:"))
-    return {"host": host, "result": json.loads(lines[-1])}
+    printed = dict(line.split()[:2] for line in lines if line.startswith("  ") and " [n " in line)
+    unscaled = {name: float(printed[name]) for name in UNSCALED if name in printed}
+    return {"host": host, "result": json.loads(lines[-1]), "unscaled": unscaled}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -137,22 +212,34 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarise(pairs: list[dict]) -> dict:
-    """Per end-to-end metric: both sides' quartiles and the pairs won."""
+    """Per end-to-end metric, and per unscaled one (all lower-better):
+    both sides' quartiles and the pairs won."""
+    metrics = [(m["name"], m["unit"], m["better"]) for m in BENCHMARK["end_to_end"]]
+    metrics += [
+        (f"unscaled_{name}", "ms" if name == "tick_ms" else "s", "lower")
+        for name in UNSCALED if name in pairs[0]["parent"]["unscaled"]
+    ]
     out = {}
-    for metric in BENCHMARK["end_to_end"]:
-        name, lower = metric["name"], metric["better"] == "lower"
-        parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
-        change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
-        won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    for name, unit, better in metrics:
+        parent = [value(p["parent"], name) for p in pairs]
+        change = [value(p["change"], name) for p in pairs]
+        won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
         out[name] = {
-            "unit": metric["unit"],
-            "better": metric["better"],
+            "unit": unit,
+            "better": better,
             "parent": quartiles(parent),
             "change": quartiles(change),
             "change_won": won,
             "pairs": len(pairs),
         }
     return out
+
+
+def value(side: dict, name: str) -> float:
+    """A metric of one perfbench command: unscaled_X or a result metric."""
+    if name.startswith("unscaled_"):
+        return side["unscaled"][name[len("unscaled_"):]]
+    return side["result"]["metrics"][name]["value"]
 
 
 def synthetic(checkout: Path, n: int) -> dict:
@@ -163,10 +250,10 @@ def synthetic(checkout: Path, n: int) -> dict:
     return json.loads(done.stdout)
 
 
-def codec(checkout: Path, seed: int) -> dict:
-    """One codec microbench run in a fresh interpreter."""
+def microbench(checkout: Path, script: str, *args: str) -> dict:
+    """One microbench script run in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONHASHSEED": "0"}
-    cmd = [sys.executable, "-c", _CODEC_RUN, str(ROOT / "perfbench"), str(seed)]
+    cmd = [sys.executable, "-c", script, str(ROOT / "perfbench"), *args]
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -174,15 +261,26 @@ def codec(checkout: Path, seed: int) -> dict:
 CODEC_METRICS = (
     "canonical_encode_s", "canonical_decode_s", "tx_signing_bytes_s", "chain_round_trip_s",
 )
+LAYER_METRICS = tuple(
+    f"{name}{unit}"
+    for name in ("dispatch_63", "verify_frame_cold", "verify_frame_warm")
+    for unit in ("_s", "_ref_s")
+)
 
 
 def codec_summary(runs: dict) -> dict:
     """Per codec metric: both sides' runs and quartiles and the pairs won."""
-    out = {
+    return {
         "n_txs": {side: r[0]["n_txs"] for side, r in runs.items()},
         "chain_sha256": {side: r[0]["chain_sha256"] for side, r in runs.items()},
+        **micro_summary(runs, CODEC_METRICS),
     }
-    for name in CODEC_METRICS:
+
+
+def micro_summary(runs: dict, metrics) -> dict:
+    """Per metric: both sides' runs and quartiles and the pairs won."""
+    out = {}
+    for name in metrics:
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
         out[name] = {
@@ -263,12 +361,18 @@ def main(argv=None) -> int:
     runs = {side: [] for side in sides}
     for i in range(CODEC_RUNS):
         for side in alternating(i):
-            runs[side].append(codec(sides[side], args.seed))
+            runs[side].append(microbench(sides[side], _CODEC_RUN, str(args.seed)))
     record["codec"] = codec_summary(runs)
-    print("codec medians: " + " ".join(
-        f"{name} {m['parent']['median'] * 1e3:.1f} -> {m['change']['median'] * 1e3:.1f} ms"
-        for name, m in record["codec"].items() if name in CODEC_METRICS
-    ), flush=True)
+    runs = {side: [] for side in sides}
+    for i in range(CODEC_RUNS):
+        for side in alternating(i):
+            runs[side].append(microbench(sides[side], _LAYER_RUN))
+    record["layers"] = micro_summary(runs, LAYER_METRICS)
+    for part, metrics in (("codec", CODEC_METRICS), ("layers", LAYER_METRICS)):
+        print(f"{part} medians: " + " ".join(
+            f"{name} {m['parent']['median'] * 1e6:.1f} -> {m['change']['median'] * 1e6:.1f} us"
+            for name, m in record[part].items() if name in metrics
+        ), flush=True)
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -23,11 +24,6 @@ IvTpId = bytes
 SEED_LEN = 32
 PUBLIC_KEY_LEN = 32
 SIGNATURE_LEN = 64
-
-# Distinct (public key, message, signature) triples whose verdicts are
-# kept. Every receiver of a broadcast checks the same triple, so a small
-# window holds all repeats; 256 entries cost about 130 KB.
-VERIFY_MEMO_SIZE = 256
 
 
 class SeedLengthError(ValueError):
@@ -69,20 +65,27 @@ def sign(kp: KeyPair, message: bytes) -> bytes:
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """True iff signature was produced over exactly these bytes by the
-    secret key matching public_key. Never raises on malformed input.
-    Memoised on the exact bytes of all three (bounded LRU)."""
+    secret key matching public_key. Never raises on malformed input."""
     if len(public_key) != PUBLIC_KEY_LEN or len(signature) != SIGNATURE_LEN:
         return False
-    return _ed25519_verify(bytes(public_key), bytes(message), bytes(signature))
-
-
-@functools.lru_cache(maxsize=VERIFY_MEMO_SIZE)
-def _ed25519_verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     try:
-        ed25519.Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
-        return True
+        ed25519.Ed25519PublicKey.from_public_bytes(bytes(public_key)).verify(
+            bytes(signature), bytes(message)
+        )
     except (InvalidSignature, ValueError):
         return False
+    return True
+
+
+def verify_once(owner, slot: str, key, check: Callable[[], bool]) -> bool:
+    """check() of whether owner's signatures hold under key, made once per
+    owner and key. Its verdict stays in owner's __dict__ slot, out of ==,
+    hash and repr: key itself if it held (allocating nothing), else (key,)."""
+    slots = vars(owner)
+    held = slots.get(slot)
+    if held != key and held != (key,):
+        held = slots[slot] = key if check() else (key,)
+    return held == key
 
 
 def ivtp_id_from(dealer_id: bytes, vehicle_pk: bytes, counter: int) -> IvTpId:

@@ -200,6 +200,11 @@ class Transaction:
 
     TAG = 0  # overridden per variant
 
+    def __post_init__(self):
+        # The signature's verdict slot (identity.verify_once), made here: a
+        # second key added after __init__ (tx_id is one) un-shares the dict.
+        object.__setattr__(self, "_sig_verdict", None)
+
     @cached_property
     def tx_id(self) -> bytes:
         """SHA-256 of the canonical encoding, computed once per object;
@@ -259,6 +264,10 @@ class ArbitrationTx(Transaction):
 
     TAG = 5
 
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "_agreements_verdict", None)  # keyed by the voters' keys
+
 
 _TX_LAYOUTS = {cls: _Layout(cls) for cls in Transaction.__subclasses__()}
 _TX_BY_TAG = {cls.TAG: cls for cls in _TX_LAYOUTS}
@@ -289,6 +298,13 @@ def canonical_decode(data: bytes) -> Transaction:
     if not r.done():
         raise CorruptChainFileError("trailing bytes after transaction")
     return tx
+
+
+def _signature_holds(tx: Transaction, public_key: bytes) -> bool:
+    return identity.verify_once(
+        tx, "_sig_verdict", public_key,
+        lambda: identity.verify(public_key, tx_signing_bytes(tx), tx.signature),
+    )
 
 
 def agree_message(intersection_id: str, ordering) -> bytes:
@@ -434,7 +450,8 @@ class LedgerState:
 
     def check_tx(self, tx: Transaction, height: int) -> str | None:
         """Return a failure code, or None if tx can apply to this state.
-        Signature checks live here too so replay is self-contained."""
+        Signature checks live here too so replay is self-contained; the
+        verdicts of the tx's own and agreement signatures stay on the tx."""
         if isinstance(tx, RegisterTx):
             if height > 0:
                 if self.dealer_id is None:
@@ -457,14 +474,14 @@ class LedgerState:
                 signer_pk, identity.binding_message(tx.ivtp_id, tx.vehicle_pk), tx.dealer_sig
             ):
                 return "bad_binding_signature"
-            if not identity.verify(signer_pk, tx_signing_bytes(tx), tx.signature):
+            if not _signature_holds(tx, signer_pk):
                 return "bad_signature"
             return None
 
         pk = self.registrations.get(tx.author)
         if pk is None:
             return "not_registered"
-        if not identity.verify(pk, tx_signing_bytes(tx), tx.signature):
+        if not _signature_holds(tx, pk):
             return "bad_signature"
 
         if isinstance(tx, CommTx):
@@ -495,10 +512,12 @@ class LedgerState:
             voters = [v for v, _ in tx.agreements]
             if set(voters) != set(tx.ordering) - {tx.proposer} or len(voters) != len(set(voters)):
                 return "agreements_incomplete"
+            keys = tuple([self.registrations[v] for v in voters])
             statement = agree_message(tx.intersection_id, tx.ordering)
-            for voter, sig in tx.agreements:
-                if not identity.verify(self.registrations[voter], statement, sig):
-                    return "bad_agreement_signature"
+            if not identity.verify_once(tx, "_agreements_verdict", keys, lambda: all(
+                identity.verify(pk, statement, sig) for pk, (_, sig) in zip(keys, tx.agreements)
+            )):
+                return "bad_agreement_signature"
         return None
 
     def apply_tx(self, tx: Transaction, height: int) -> None:

@@ -6,6 +6,10 @@ of the scenario and the seed: no wall clock, no ambient randomness.
 Latency, jitter and loss come from a counter-based seeded generator.
 Every send, delivery and drop becomes one trace.jsonl row, encoded when
 it happens.
+
+The queue keeps a bucket of events per due time and a heap of the due
+times, after Brown's calendar queue (CACM 1988): time flags are integer
+ms and a broadcast spans a few, so most events skip the heap.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import hashlib
 import heapq
 import json
 import struct
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Protocol
@@ -50,20 +54,6 @@ class Rng:
         h.update(self.counter.to_bytes(8, "big"))
         self.counter += 1
         return _U64.unpack_from(h.digest())[0]
-
-    def uniform_int(self, lo: int, hi: int) -> int:
-        """Integer in [lo, hi]. Modulo bias is irrelevant at jitter scale."""
-        if hi < lo:
-            raise ValueError("empty range")
-        return lo + self.next_u64() % (hi - lo + 1)
-
-    def chance(self, p: float) -> bool:
-        """True with probability p; exact at the endpoints 0 and 1."""
-        if p <= 0.0:
-            return False
-        if p >= 1.0:
-            return True
-        return self.next_u64() < int(p * 2.0**64)
 
 
 @dataclass(frozen=True)
@@ -262,40 +252,45 @@ class Network:
         self.trace = Trace()
         self.names = Names()
         self.drop_rule = drop_rule  # test seam for targeted loss injection
-        # (due, seq, kind, target, payload) with kind "deliver" or "timer".
-        # seq is unique, so heap order never compares past it.
-        self._queue: list[tuple[TimeFlag, int, str, IvTpId, object]] = []
-        self._seq = 0
+        # due -> its (target id, payload, is_timer) events; a heap of the dues.
+        self._buckets: dict[TimeFlag, deque[tuple[IvTpId, object, bool]]] = {}
+        self._times: list[TimeFlag] = []
 
     def join(self, participant: Participant) -> None:
         self.participants[participant.ivtp_id] = participant
 
+    def _bucket(self, due: TimeFlag) -> deque:
+        bucket = self._buckets.get(due)
+        if bucket is None:
+            bucket = self._buckets[due] = deque()
+            heapq.heappush(self._times, due)
+        return bucket
+
     def broadcast(self, frame, at: TimeFlag) -> None:
         """Schedule one delivery per other participant; the sender never
-        hears its own frame."""
+        hears its own frame. Per receiver, loss takes one draw if the drop
+        probability p is strictly between 0 and 1 (p >= 1 drops without
+        one), then jitter takes one, uniform over 0..jitter_ms."""
         sender = frame.sender
         if sender not in self.participants:
             raise UnknownSenderError(short_id(sender))
         self.trace.send(at, self.names[sender], frame.kind_label, frame.tf)
-        rng, drop_rule, queue = self.rng, self.drop_rule, self._queue
+        draw, drop_rule, buckets = self.rng.next_u64, self.drop_rule, self._buckets
         p_drop = self.link.drop_probability
-        # chance() draws nothing at p <= 0, so skipping it keeps the stream.
-        lossy = p_drop > 0.0
-        latency, jitter = self.link.base_latency_ms, self.link.jitter_ms
+        lossy, cut = p_drop > 0.0, (int(p_drop * 2.0**64) if p_drop < 1.0 else None)
+        latency, span = self.link.base_latency_ms, self.link.jitter_ms + 1
         for veh in self.participants:
             if veh == sender:
                 continue
             if drop_rule is not None and drop_rule(frame, veh):
                 self._trace_drop(at, veh, frame, "injected")
                 continue
-            if lossy and rng.chance(p_drop):
+            if lossy and (cut is None or draw() < cut):
                 self._trace_drop(at, veh, frame, "channel")
                 continue
-            due = at + latency
-            if jitter > 0:
-                due += rng.uniform_int(0, jitter)
-            heapq.heappush(queue, (due, self._seq, "deliver", veh, frame))
-            self._seq += 1
+            # Modulo bias is irrelevant at jitter scale.
+            due = at + latency + (draw() % span if span > 1 else 0)
+            (buckets.get(due) or self._bucket(due)).append((veh, frame, False))
 
     def _trace_drop(self, t: TimeFlag, veh: IvTpId, frame, reason: str) -> None:
         names = self.names
@@ -306,27 +301,31 @@ class Network:
         cancelled: a handler ignores a tag its state has moved past."""
         if fire_at < self.clock:
             raise PastDeadlineError(f"fire_at {fire_at} < clock {self.clock}")
-        heapq.heappush(self._queue, (fire_at, self._seq, "timer", owner, tag))
-        self._seq += 1
+        self._bucket(fire_at).append((owner, tag, True))
 
     def run_until(self, t_end: TimeFlag) -> None:
-        """Dispatch every event due at or before t_end, in (due, seq)
-        order, then advance the clock to t_end."""
+        """Dispatch every event due at or before t_end, in (due, insertion)
+        order (one scheduled for the current instant goes last), then
+        advance the clock to t_end. An event leaves before its handler runs."""
         if t_end < self.clock:
             raise ValueError("cannot run backwards")
-        queue, participants = self._queue, self.participants
+        buckets, times, participants = self._buckets, self._times, self.participants
         trace, names = self.trace, self.names
-        while queue and queue[0][0] <= t_end:
-            due, _seq, kind, target_id, payload = heapq.heappop(queue)
-            self.clock = due
-            target = participants.get(target_id)
-            if target is None:
-                continue
-            if kind == "deliver":
-                trace.recv(due, names[target_id], payload.kind_label, names[payload.sender])
-                out = target.handle_frame(payload, due)
-            else:
-                out = target.handle_timer(payload, due)
-            for frame in out or []:
-                self.broadcast(frame, due)
+        while times and times[0] <= t_end:
+            due = self.clock = times[0]
+            bucket = buckets[due]
+            while bucket:
+                target_id, payload, is_timer = bucket.popleft()
+                target = participants.get(target_id)
+                if target is None:
+                    continue
+                if is_timer:
+                    out = target.handle_timer(payload, due)
+                else:
+                    trace.recv(due, names[target_id], payload.kind_label, names[payload.sender])
+                    out = target.handle_frame(payload, due)
+                for frame in out or []:
+                    self.broadcast(frame, due)
+            del buckets[due]
+            heapq.heappop(times)
         self.clock = t_end

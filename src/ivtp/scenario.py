@@ -7,6 +7,7 @@ two loads of the same file always produce the same run.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -120,6 +121,23 @@ def _nonneg(section: str, key: str, value) -> int:
     return value
 
 
+def _counts(cls, section: str, raw: dict, **given):
+    """A cls whose fields, but those given, are the non-negative integers
+    in raw under their names, or the field defaults where absent."""
+    counts = {
+        f.name: _nonneg(section, f.name, raw.get(f.name, f.default))
+        for f in dataclasses.fields(cls) if f.name not in given
+    }
+    return cls(**counts, **given)
+
+
+def _text(where: str, entry: dict, key: str, default: str | None = None) -> str:
+    value = entry.get(key, default)
+    if not isinstance(value, str):
+        raise ValidationError(f"{where}.{key}", "must be a string")
+    return value
+
+
 def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ValidationError("$", "scenario must be a JSON object")
@@ -128,37 +146,11 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     drop = net_raw.get("drop_probability", 0.0)
     if isinstance(drop, bool) or not isinstance(drop, (int, float)) or not 0 <= drop <= 1:
         raise ValidationError("network.drop_probability", "must be a number within [0, 1]")
-    network = NetworkConfig(
-        latency_ms=_nonneg("network", "latency_ms", net_raw.get("latency_ms", 0)),
-        jitter_ms=_nonneg("network", "jitter_ms", net_raw.get("jitter_ms", 0)),
-        drop_probability=float(drop),
-        seed=_nonneg("network", "seed", net_raw.get("seed", 0)),
-    )
-
-    cons_raw = _section(raw, "consensus")
-    consensus = ConsensusConfig(
-        beacon_period_ms=_nonneg(
-            "consensus", "beacon_period_ms", cons_raw.get("beacon_period_ms", 100)
-        ),
-        beacon_window_ms=_nonneg(
-            "consensus", "beacon_window_ms", cons_raw.get("beacon_window_ms", 500)
-        ),
-        pending_ttl_ms=_nonneg(
-            "consensus", "pending_ttl_ms", cons_raw.get("pending_ttl_ms", 2000)
-        ),
-        agree_timeout_ms=_nonneg(
-            "consensus", "agree_timeout_ms", cons_raw.get("agree_timeout_ms", 150)
-        ),
-    )
+    network = _counts(NetworkConfig, "network", net_raw, drop_probability=float(drop))
+    consensus = _counts(ConsensusConfig, "consensus", _section(raw, "consensus"))
     if consensus.beacon_period_ms == 0 or consensus.beacon_window_ms == 0:
         raise ValidationError("consensus", "beacon period and window must be positive")
-
-    led_raw = _section(raw, "ledger")
-    led = LedgerConfig(
-        endowment_millitrust=_nonneg(
-            "ledger", "endowment_millitrust", led_raw.get("endowment_millitrust", 100_000)
-        )
-    )
+    led = _counts(LedgerConfig, "ledger", _section(raw, "ledger"))
 
     vehicles_raw = raw.get("vehicles", [])
     if not isinstance(vehicles_raw, list) or not vehicles_raw:
@@ -174,7 +166,8 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         if alias in seen_aliases:
             raise ValidationError(f"vehicles[{i}].alias", f"duplicate alias {alias!r}")
         seen_aliases.add(alias)
-        vehicles.append(VehicleSpec(alias=alias, seed=str(entry.get("seed", alias))))
+        seed = _text(f"vehicles[{i}]", entry, "seed", alias)
+        vehicles.append(VehicleSpec(alias=alias, seed=seed))
 
     intersections = []
     for i, entry in enumerate(_section(raw, "intersections", list)):
@@ -207,7 +200,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
                 )
         intersections.append(
             IntersectionSpec(
-                id=str(entry["id"]),
+                id=_text(where, entry, "id"),
                 participants=tuple(participants),
                 arrival_ms={a: int(v) for a, v in arrivals.items()},
                 compute_delay_ms={a: int(v) for a, v in delays.items()},
@@ -232,12 +225,11 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
             CommSpec(
                 sender=sender,
                 at_ms=_nonneg(where, "at_ms", entry.get("at_ms", 0)),
-                payload=str(entry.get("payload", "")),
+                payload=_text(where, entry, "payload", ""),
             )
         )
 
-    run_raw = _section(raw, "run")
-    run = RunConfig(t_end_ms=_nonneg("run", "t_end_ms", run_raw.get("t_end_ms", 2000)))
+    run = _counts(RunConfig, "run", _section(raw, "run"))
 
     direction = raw.get("reward_direction", "first_to_proposer")
     if direction not in ("first_to_proposer", "proposer_to_first"):

@@ -70,10 +70,10 @@ class Frame:
     payload: bytes
     signature: bytes = b""
 
-    # Each cached property below is computed once per frame object, however
-    # many receivers read it. The caches live in __dict__, so ==, hash and
-    # repr see only the fields. A property that raises caches nothing: every
-    # receiver re-raises, and drops the frame for the same reason.
+    # Each cached property below, and the signature check (verify_frame), is
+    # made once per frame object, however many receivers read it. The caches
+    # live in __dict__, so ==, hash and repr see only the fields. A property
+    # that raises caches nothing: every receiver re-raises, and drops alike.
 
     @functools.cached_property
     def kind_label(self) -> str:
@@ -118,11 +118,14 @@ def make_frame(
 
 
 def verify_frame(f: Frame, sender_pk: bytes) -> bool:
+    return identity.verify_once(f, "_sig_verdict", sender_pk, lambda: _signed_by(f, sender_pk))
+
+
+def _signed_by(f: Frame, public_key: bytes) -> bool:
     try:
-        msg = f.signing_bytes
+        return identity.verify(public_key, f.signing_bytes, f.signature)
     except FieldOverflowError:
         return False
-    return identity.verify(sender_pk, msg, f.signature)
 
 
 # One encoder for every payload; json.dumps with options builds one per call.
@@ -407,16 +410,7 @@ class Vehicle:
     # -- receiving ----------------------------------------------------------
 
     # Kind -> name of its handler method, looked up on the instance.
-    _HANDLERS = {
-        KIND_BEACON: "_on_beacon",
-        KIND_COMM: "_on_comm",
-        KIND_INTENT: "_on_intent",
-        KIND_SCHEDULE: "_on_schedule",
-        KIND_AGREE: "_on_agree",
-        KIND_DISAGREE: "_on_disagree",
-        KIND_ENDORSE: "_on_endorse",
-        KIND_REWARD_NOTICE: "_on_reward_notice",
-    }
+    _HANDLERS = {kind: f"_on_{label}" for kind, label in KIND_LABELS.items()}
 
     def on_receive(self, f: Frame, now: TimeFlag) -> list[Frame]:
         """Verification pipeline: on-chain key lookup, signature check,
@@ -447,25 +441,17 @@ class Vehicle:
             return [frame]
         if kind == "arrive":
             return self.announce_arrival(tag[1], now)
+        # A session timer of a round or phase the session has left does nothing.
         session = self.sessions.get(tag[1])
-        if session is None:
+        if session is None or session.round != tag[2]:
             return []
-        if kind == "propose":
-            if session.phase is Phase.PROPOSING and session.round == tag[2] and (
-                session.proposer == self.ivtp_id
-            ):
-                return self._propose(session, now)
-            return []
-        if kind == "collect_deadline":
-            if session.phase is Phase.COLLECTING and session.round == tag[2] and (
-                not session.is_complete()
-            ):
-                return self._enter_recovery(session, now)
-            return []
-        if kind == "agree_deadline":
-            if session.phase in (Phase.PROPOSING, Phase.AGREEING) and session.round == tag[2]:
-                return self._enter_recovery(session, now)
-            return []
+        phase = session.phase
+        if kind == "propose" and phase is Phase.PROPOSING and session.proposer == self.ivtp_id:
+            return self._propose(session, now)
+        if kind == "collect_deadline" and phase is Phase.COLLECTING and not session.is_complete():
+            return self._enter_recovery(session, now)
+        if kind == "agree_deadline" and phase in (Phase.PROPOSING, Phase.AGREEING):
+            return self._enter_recovery(session, now)
         return []
 
     # -- kind handlers ------------------------------------------------------

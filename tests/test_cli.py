@@ -74,6 +74,15 @@ class TestRunCommand:
             ({"network": {"drop_probability": None}}, "network.drop_probability"),
             ({"intersections": 5}, "intersections"),
             ({"comms": 7}, "comms"),
+            ({"vehicles": [{"alias": "A", "seed": [1, 2]}]}, "vehicles[0].seed"),
+            (
+                {"intersections": [{
+                    "id": 3, "participants": ["A"], "arrival_ms": {"A": 0},
+                    "compute_delay_ms": {"A": 1},
+                }]},
+                "intersections[0].id",
+            ),
+            ({"comms": [{"sender": "A", "payload": {"a": 1}}]}, "comms[0].payload"),
         ],
     )
     def test_wrongly_typed_field_is_a_schema_error(self, tmp_path, capsys, extra, fieldname):

@@ -78,27 +78,6 @@ class TestRng:
     def test_different_seed_different_stream(self):
         assert netsim.Rng(7).next_u64() != netsim.Rng(8).next_u64()
 
-    @given(st.integers(0, 2**32), st.integers(0, 100), st.integers(0, 100))
-    @settings(max_examples=100, deadline=None)
-    def test_uniform_int_in_range(self, seed, lo, width):
-        v = netsim.Rng(seed).uniform_int(lo, lo + width)
-        assert lo <= v <= lo + width
-
-    def test_uniform_int_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            netsim.Rng(0).uniform_int(5, 4)
-
-    def test_chance_exact_at_endpoints(self):
-        rng = netsim.Rng(0)
-        assert all(not rng.chance(0.0) for _ in range(50))
-        assert all(rng.chance(1.0) for _ in range(50))
-
-    def test_chance_endpoints_burn_no_draws(self):
-        rng = netsim.Rng(0)
-        rng.chance(0.0)
-        rng.chance(1.0)
-        assert rng.counter == 0
-
 
 class TestDelivery:
     def test_sender_excluded(self):
@@ -141,6 +120,63 @@ class TestDelivery:
         delays = [now - f.tf for f, now in b.frames]
         assert len(delays) == 20 and all(5 <= d <= 8 for d in delays)
         assert len(set(delays)) > 1
+
+    @given(st.integers(0, 2**32), st.integers(0, 100), st.integers(0, 100))
+    @settings(max_examples=100, deadline=None)
+    def test_jitter_draw_in_range(self, seed, latency, jitter):
+        """Each delivery lands at latency + one draw modulo jitter + 1,
+        and takes no draw without jitter."""
+        ids = _ids(2)
+        link = netsim.LinkModel(base_latency_ms=latency, jitter_ms=jitter)
+        net = netsim.Network(link=link, seed=seed)
+        net.join(Recorder(ids[0]))
+        b = Recorder(ids[1])
+        net.join(b)
+        net.broadcast(_frame(ids[0]), at=0)
+        net.run_until(latency + jitter)
+        (_, now), = b.frames
+        assert latency <= now <= latency + jitter
+        if jitter == 0:
+            assert net.rng.counter == 0
+        else:
+            assert now == latency + netsim.Rng(seed).next_u64() % (jitter + 1)
+            assert net.rng.counter == 1
+
+    def test_loss_exact_at_endpoints(self):
+        ids = _ids(4)
+        nan, inf = float("nan"), float("inf")
+        for p_drop, heard in [(0.0, 50), (-1.0, 50), (nan, 50), (1.0, 0), (1.5, 0), (inf, 0)]:
+            net = netsim.Network(link=netsim.LinkModel(drop_probability=p_drop), seed=5)
+            recs = [Recorder(i) for i in ids]
+            for r in recs:
+                net.join(r)
+            for t in range(50):
+                net.broadcast(_frame(ids[0], tf=t), at=t)
+            net.run_until(50)
+            assert [len(r.frames) for r in recs] == [0, heard, heard, heard]
+
+    def test_loss_endpoints_burn_no_draws(self):
+        ids = _ids(3)
+        for p_drop in (0.0, 1.0):
+            net = netsim.Network(link=netsim.LinkModel(drop_probability=p_drop), seed=5)
+            for i in ids:
+                net.join(Recorder(i))
+            net.broadcast(_frame(ids[0]), at=0)
+            assert net.rng.counter == 0
+
+    def test_loss_between_endpoints_takes_one_draw_per_receiver(self):
+        """A receiver loses the frame when its draw is below p * 2**64."""
+        ids = _ids(6)
+        net = netsim.Network(link=netsim.LinkModel(drop_probability=0.5), seed=9)
+        recs = [Recorder(i) for i in ids]
+        for r in recs:
+            net.join(r)
+        net.broadcast(_frame(ids[0]), at=0)
+        net.run_until(0)
+        oracle = netsim.Rng(9)
+        kept = [oracle.next_u64() >= 2**63 for _ in recs[1:]]
+        assert [len(r.frames) == 1 for r in recs[1:]] == kept
+        assert net.rng.counter == 5 and 0 < sum(kept) < 5
 
     def test_total_loss_delivers_nothing(self):
         ids = _ids(3)
@@ -248,6 +284,105 @@ class TestEventOrder:
         assert b.frames == []
         net.run_until(50)
         assert len(b.frames) == 1
+
+
+class Logger:
+    """A participant that appends each event it handles to a shared log,
+    replies to its first frames with its `replies` and, on a timer tag
+    ("again", n), sets the timer ("again", n - 1) for the same instant."""
+
+    def __init__(self, ivtp_id, log, net, replies=(), fail_on=None):
+        self.ivtp_id, self.log, self.net = ivtp_id, log, net
+        self.replies = list(replies)
+        self.fail_on = fail_on
+
+    def handle_frame(self, frame, now):
+        self.log.append((now, self.ivtp_id[0], "frame", frame.tf))
+        if frame.tf == self.fail_on:
+            self.fail_on = None
+            raise RuntimeError("handler failed")
+        out, self.replies = self.replies[:1], self.replies[1:]
+        return out
+
+    def handle_timer(self, tag, now):
+        self.log.append((now, self.ivtp_id[0], "timer", tag))
+        if tag[0] == "again" and tag[1] > 0:
+            self.net.set_timer(self.ivtp_id, now, ("again", tag[1] - 1))
+        return []
+
+
+def _logged(n, link=None, seed=0, replies=None):
+    ids = _ids(n)
+    net = netsim.Network(link=link, seed=seed)
+    log = []
+    nodes = [Logger(i, log, net, (replies or {}).get(k, ())) for k, i in enumerate(ids)]
+    for node in nodes:
+        net.join(node)
+    return net, ids, nodes, log
+
+
+class TestBuckets:
+    def test_event_for_the_current_instant_runs_after_those_due_then(self):
+        """A zero-latency reply and a timer set for `now` join the end of
+        the instant's events, ahead of any later instant."""
+        net, ids, _nodes, log = _logged(3, replies={1: [_frame(_ids(3)[1], tf=50)]})
+        net.set_timer(ids[2], 5, ("again", 2))
+        net.set_timer(ids[2], 6, ("later",))
+        net.broadcast(_frame(ids[0], tf=40), at=5)
+        net.set_timer(ids[0], 5, ("last",))
+        net.run_until(10)
+        assert log == [
+            (5, 3, "timer", ("again", 2)),
+            (5, 2, "frame", 40),
+            (5, 3, "frame", 40),
+            (5, 1, "timer", ("last",)),
+            (5, 3, "timer", ("again", 1)),  # set while the instant ran
+            (5, 1, "frame", 50),  # the reply broadcast at the instant
+            (5, 3, "frame", 50),
+            (5, 3, "timer", ("again", 0)),
+            (6, 3, "timer", ("later",)),
+        ]
+
+    def test_run_until_in_steps_matches_one_call(self):
+        def run(stops):
+            link = netsim.LinkModel(base_latency_ms=1, jitter_ms=3, drop_probability=0.2)
+            ids = _ids(4)
+            replies = {k: [_frame(ids[k], tf=100 + k + j) for j in range(5)] for k in range(4)}
+            net, ids, _nodes, log = _logged(4, link=link, seed=3, replies=replies)
+            for t in range(0, 30, 4):
+                net.broadcast(_frame(ids[t % 4], tf=t), at=t)
+                net.set_timer(ids[(t + 1) % 4], t + 2, ("again", 2))
+            for stop in stops:
+                net.run_until(stop)
+            return log, bytes(net.trace.data), net.rng.counter
+
+        one = run([60])
+        assert len(one[0]) > 50
+        assert run([0, 3, 4, 17, 17, 30, 60]) == one
+        assert run(range(61)) == one
+
+    def test_handler_that_raises_leaves_the_rest_queued(self):
+        """As with one heap entry per event: the events dispatched before
+        the failure, the failing one included, are gone, and the rest run
+        on the next call, in order."""
+        net, ids, nodes, log = _logged(3)
+        nodes[1].fail_on = 1
+        net.broadcast(_frame(ids[0], tf=1), at=5)
+        net.broadcast(_frame(ids[0], tf=2), at=5)
+        net.set_timer(ids[2], 7, ("t",))
+        with pytest.raises(RuntimeError, match="handler failed"):
+            net.run_until(10)
+        assert log == [(5, 2, "frame", 1)] and net.clock == 5
+        net.run_until(10)
+        assert log == [
+            (5, 2, "frame", 1),
+            (5, 3, "frame", 1),
+            (5, 2, "frame", 2),
+            (5, 3, "frame", 2),
+            (7, 3, "timer", ("t",)),
+        ]
+        net.run_until(20)
+        assert len(log) == 5
 
 
 class TestTimers:

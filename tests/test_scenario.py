@@ -132,6 +132,23 @@ class TestLoad:
                  "intersections": [{"id": "x", "participants": [["A"]]}]},
                 "intersections[0].participants",
             ),
+            # Strings are never made from other JSON values.
+            ({"vehicles": [{"alias": "A", "seed": [1, 2]}]}, "vehicles[0].seed"),
+            ({"vehicles": [{"alias": "A", "seed": 7}]}, "vehicles[0].seed"),
+            (
+                {"vehicles": [{"alias": "A"}],
+                 "intersections": [{
+                     "id": ["x"], "participants": ["A"],
+                     "arrival_ms": {"A": 0}, "compute_delay_ms": {"A": 1},
+                 }]},
+                "intersections[0].id",
+            ),
+            (
+                {"vehicles": [{"alias": "A"}], "comms": [{"sender": "A", "payload": {"a": 1}}]},
+                "comms[0].payload",
+            ),
+            ({"vehicles": [{"alias": "A"}], "comms": [{"sender": "A", "payload": None}]},
+             "comms[0].payload"),
         ],
     )
     def test_validation_errors_name_the_field(self, raw, fieldname):

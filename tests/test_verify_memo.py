@@ -1,13 +1,17 @@
-"""The verification memo under identity.verify: exact-bytes keys, any
-bytes-like input, one Ed25519 check per distinct triple in a run,
-frames whose signing bytes are cached still fail closed, and beacons
-and endorsements carry no signature but their frame's."""
+"""Verdict slots: each signed object (a frame, a transaction, the
+agreements of an arbitration) keeps the verdict of its signature check,
+so every receiver and every replay shares one Ed25519 check per object
+and key. identity.verify itself is the plain check over any bytes-like
+input. Also: frames whose signing bytes are cached still fail closed,
+and beacons and endorsements carry no signature but their frame's."""
 
 import dataclasses
+import json
 import struct
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from ivtp import identity, ledger, netsim, scenario, sim
 from ivtp.ledger import FieldOverflowError
@@ -21,9 +25,10 @@ from ivtp.vehicle import (
     verify_frame,
 )
 
-from conftest import make_fleet
+from conftest import make_fleet, signed_comm
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((ROOT / "vectors" / "runs.json").read_text())
 
 
 def _pair():
@@ -37,6 +42,40 @@ def signed():
     kp = identity.keygen(identity.sha256(b"memo"))
     message = b"status report from IV-1"
     return kp, message, identity.sign(kp, message)
+
+
+class _Meter:
+    """Ed25519 verifies made since the last reset(); call it to read."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __call__(self) -> int:
+        return self.count
+
+    def reset(self) -> None:
+        self.count = 0
+
+
+@pytest.fixture
+def ed25519_verifies(monkeypatch):
+    """A _Meter of the Ed25519 verifies made, counted where
+    identity.verify calls into cryptography."""
+    meter = _Meter()
+    load = ed25519.Ed25519PublicKey.from_public_bytes
+
+    class Counting:
+        def __init__(self, key):
+            self.key = key
+
+        def verify(self, signature, message):
+            meter.count += 1
+            return self.key.verify(signature, message)
+
+    monkeypatch.setattr(
+        ed25519.Ed25519PublicKey, "from_public_bytes", staticmethod(lambda b: Counting(load(b)))
+    )
+    return meter
 
 
 class TestExactKeys:
@@ -55,10 +94,6 @@ class TestExactKeys:
         other = identity.keygen(identity.sha256(b"other"))
         assert identity.verify(kp.public_key, message, sig)
         assert not identity.verify(other.public_key, message, sig)
-
-    def test_memo_is_bounded(self):
-        assert identity._ed25519_verify.cache_info().maxsize == identity.VERIFY_MEMO_SIZE
-        assert identity.VERIFY_MEMO_SIZE == 256
 
 
 class TestBytesLike:
@@ -79,7 +114,7 @@ class TestBytesLike:
             assert identity.verify(*wrapped) is identity.verify(*args)
 
     def test_mutated_buffer_is_checked_afresh(self, signed):
-        """A cached verdict belongs to the bytes, not to the buffer."""
+        """identity.verify keeps nothing: a buffer is checked as it is."""
         kp, message, sig = signed
         buf = bytearray(message)
         assert identity.verify(kp.public_key, buf, sig)
@@ -87,22 +122,196 @@ class TestBytesLike:
         assert not identity.verify(kp.public_key, buf, sig)
 
 
-def test_run_checks_each_distinct_triple_once(monkeypatch):
-    real_verify = identity.verify
-    calls = []
+# Real Ed25519 verifies in each locked run. The ledger checks an
+# arbitration's agreements again after its proposer checked each one on
+# arrival (Vehicle._on_agree); every other signature is checked once.
+LOCKED_RUN_VERIFIES = {
+    "broadcast_round": 78,
+    "intersection_table2": 122,
+    "lossy_total": 10,
+    "synthetic_n4": 126,
+    "synthetic_n8": 269,
+    "synthetic_n16": 622,
+    "synthetic_n32": 1759,
+    "synthetic_n64": 5197,
+}
 
-    def counting_verify(public_key, message, signature):
-        calls.append((bytes(public_key), bytes(message), bytes(signature)))
-        return real_verify(public_key, message, signature)
 
-    monkeypatch.setattr(identity, "verify", counting_verify)
-    identity._ed25519_verify.cache_clear()
-    cfg = scenario.load_scenario(ROOT / "scenarios" / "intersection_table2.json")
-    sim.run(cfg)
-    info = identity._ed25519_verify.cache_info()
-    assert info.misses == len(set(calls))
-    assert len(calls) > info.misses
-    assert info.hits == len(calls) - info.misses
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_ed25519_verifies_per_locked_run(name, ed25519_verifies):
+    bundled = ROOT / "scenarios" / f"{name}.json"
+    path = bundled if bundled.exists() else ROOT / "vectors" / f"{name}.json"
+    handles = sim.run(scenario.load_scenario(path))
+    assert handles.report["trace_digest"] == GOLDEN[name]["trace.jsonl"]
+    assert ed25519_verifies() == LOCKED_RUN_VERIFIES[name]
+    # Replaying the chain reuses the verdicts its transactions carry:
+    # only the dealer bindings of the registrations are checked again.
+    registrations = sum(
+        isinstance(tx, ledger.RegisterTx) for b in handles.chain.blocks for tx in b.txs
+    )
+    assert ledger.validate_chain(handles.chain).ok
+    assert ed25519_verifies() == LOCKED_RUN_VERIFIES[name] + registrations
+
+
+class TestFrameVerdict:
+    def test_each_key_is_checked_afresh(self, ed25519_verifies):
+        """A verdict is reused only for the key it was reached under."""
+        a, b = _pair()
+        f = make_frame(KIND_BEACON, b.keypair, b.ivtp_id, 0, b"{}")
+        ed25519_verifies.reset()
+        assert verify_frame(f, b.keypair.public_key) and ed25519_verifies() == 1
+        assert verify_frame(f, b.keypair.public_key) and ed25519_verifies() == 1
+        assert not verify_frame(f, a.keypair.public_key) and ed25519_verifies() == 2
+        assert not verify_frame(f, a.keypair.public_key) and ed25519_verifies() == 2
+        assert verify_frame(f, b.keypair.public_key) and ed25519_verifies() == 3
+
+    def test_replaced_frame_carries_no_verdict(self, ed25519_verifies):
+        _a, b = _pair()
+        f = make_frame(KIND_BEACON, b.keypair, b.ivtp_id, 0, b"{}")
+        ed25519_verifies.reset()
+        assert verify_frame(f, b.keypair.public_key)
+        for g in (dataclasses.replace(f), dataclasses.replace(f, tf=1)):
+            assert "_sig_verdict" not in vars(g)
+        assert not verify_frame(dataclasses.replace(f, tf=1), b.keypair.public_key)
+        assert ed25519_verifies() == 2
+
+    def test_verdict_stays_out_of_eq_hash_and_repr(self):
+        _a, b = _pair()
+        f = make_frame(KIND_BEACON, b.keypair, b.ivtp_id, 0, b"{}")
+        twin = dataclasses.replace(f)
+        before = repr(f)
+        assert verify_frame(f, b.keypair.public_key) and "_sig_verdict" in vars(f)
+        assert f == twin and hash(f) == hash(twin)
+        assert repr(f) == repr(twin) == before
+
+    def test_forged_endorse_frames_drop_at_every_receiver(self, ed25519_verifies):
+        """A vehicle discards an endorse frame after its check, and the
+        check is shared: still, each receiver writes the drop row of a
+        forged one, and the ledger host pools nothing from it. A refused
+        signature costs one Ed25519 verify, however many receive it."""
+        dealer, chain, ids, keys = make_fleet(3)
+        net = netsim.Network()
+        vehicles = []
+        for i, veh in enumerate(ids):
+            v = Vehicle(veh, keys[veh], chain, alias=f"IV-{i + 1}")
+            v.net = net
+            net.join(v)
+            vehicles.append(v)
+        host = sim.LedgerHost(chain, beacon_window_ms=500, pending_ttl_ms=2000)
+        host.net = net
+        net.join(host)
+        ghost_kp = identity.keygen(identity.sha256(b"ghost"))
+        ghost = _Silent(identity.sha256(b"ghost"))
+        net.join(ghost)
+        iv1 = vehicles[0]
+        endorse = {"tx_id": (b"\x07" * 32).hex(), "verdict": "valid"}
+        genuine = iv1._frame(KIND_ENDORSE, endorse, 5)
+        forged = dataclasses.replace(genuine, payload=genuine.payload + b" ")
+        unknown = make_frame(KIND_ENDORSE, ghost_kp, ghost.ivtp_id, 5, genuine.payload)
+        ed25519_verifies.reset()
+        for f in (forged, unknown):
+            net.broadcast(f, 5)
+        net.run_until(5)
+        drops = sorted(
+            (r["vehicle"], r["detail"]["reason"]) for r in net.trace if r["dir"] == "drop"
+        )
+        assert drops == sorted(
+            [("IV-2", "bad_signature"), ("IV-3", "bad_signature")]
+            + [(f"IV-{i}", "unknown_sender") for i in (1, 2, 3)]
+        )
+        assert [v.drops.total() for v in vehicles] == [1, 2, 2]
+        assert host.early_endorsements == {}
+        assert ed25519_verifies() == 1
+        # The genuine frame reaches the host's pool.
+        net.broadcast(genuine, 6)
+        net.run_until(6)
+        assert list(host.early_endorsements) == [b"\x07" * 32]
+
+
+class _Silent:
+    """A participant that is on the network but not on the chain."""
+
+    def __init__(self, ivtp_id):
+        self.ivtp_id = ivtp_id
+
+    def handle_frame(self, frame, now):
+        return []
+
+    def handle_timer(self, tag, now):
+        return []
+
+
+def _state(*registrations):
+    """A bare ledger state with these (id, public key) registrations."""
+    return ledger.LedgerState(endowment=0, registrations=dict(registrations))
+
+
+class TestTxVerdict:
+    def test_each_key_is_checked_afresh(self, ed25519_verifies):
+        a, b = _pair()
+        tx = signed_comm(a.keypair, a.ivtp_id)
+        under_a = _state((a.ivtp_id, a.keypair.public_key))
+        under_b = _state((a.ivtp_id, b.keypair.public_key))
+        ed25519_verifies.reset()
+        assert under_a.check_tx(tx, 1) is None and ed25519_verifies() == 1
+        assert under_a.check_tx(tx, 1) is None and ed25519_verifies() == 1
+        assert under_b.check_tx(tx, 1) == "bad_signature" and ed25519_verifies() == 2
+        assert under_a.check_tx(tx, 1) is None and ed25519_verifies() == 3
+
+    def test_agreements_keep_their_own_verdict(self, ed25519_verifies):
+        """The agreements are checked again when a voter's key differs,
+        and the tx signature is not."""
+        a, b = _pair()
+        ordering = (a.ivtp_id, b.ivtp_id)
+        vote = identity.sign(b.keypair, ledger.agree_message("x-1", ordering))
+        tx = ledger.sign_tx(
+            ledger.ArbitrationTx(
+                author=a.ivtp_id, tf=1, signature=b"", intersection_id="x-1",
+                ordering=ordering, proposer=a.ivtp_id, agreements=((b.ivtp_id, vote),),
+            ),
+            a.keypair,
+        )
+        a_pk, b_pk = a.keypair.public_key, b.keypair.public_key
+        honest = _state((a.ivtp_id, a_pk), (b.ivtp_id, b_pk))
+        rekeyed = _state((a.ivtp_id, a_pk), (b.ivtp_id, a_pk))
+        ed25519_verifies.reset()
+        assert honest.check_tx(tx, 1) is None and ed25519_verifies() == 2
+        assert rekeyed.check_tx(tx, 1) == "bad_agreement_signature" and ed25519_verifies() == 3
+        assert rekeyed.check_tx(tx, 1) == "bad_agreement_signature" and ed25519_verifies() == 3
+        assert honest.check_tx(tx, 1) is None and ed25519_verifies() == 4
+
+    def test_replaced_tx_carries_no_verdict(self, ed25519_verifies):
+        a, _b = _pair()
+        tx = signed_comm(a.keypair, a.ivtp_id)
+        ed25519_verifies.reset()
+        assert tx._sig_verdict is None
+        assert a.chain.state.check_tx(tx, 2) is None
+        assert tx._sig_verdict == a.keypair.public_key
+        for twin in (dataclasses.replace(tx), ledger.canonical_decode(ledger.canonical_encode(tx))):
+            assert twin._sig_verdict is None
+            assert a.chain.state.check_tx(twin, 2) is None
+        assert ed25519_verifies() == 3
+
+    def test_verdict_stays_out_of_eq_hash_and_repr(self):
+        a, _b = _pair()
+        tx = signed_comm(a.keypair, a.ivtp_id)
+        twin = dataclasses.replace(tx)
+        before = repr(tx)
+        assert a.chain.state.check_tx(tx, 2) is None and tx._sig_verdict is not None
+        assert tx == twin and hash(tx) == hash(twin)
+        assert repr(tx) == repr(twin) == before
+        assert "_sig_verdict" not in {f.name for f in dataclasses.fields(tx)}
+
+    def test_failed_verdict_is_reused_and_refused_every_time(self, ed25519_verifies):
+        a, b = _pair()
+        forged = dataclasses.replace(signed_comm(b.keypair, a.ivtp_id))  # wrong signer
+        state = a.chain.state
+        ed25519_verifies.reset()
+        assert [state.check_tx(forged, 2) for _ in range(3)] == ["bad_signature"] * 3
+        assert ed25519_verifies() == 1
+        with pytest.raises(ledger.InvalidTxError, match="bad_signature"):
+            a.chain.append_block([forged], timestamp=5)
+        assert ed25519_verifies() == 1
 
 
 class TestCachedSigningBytes:
