@@ -153,7 +153,10 @@ class Idle:
         return []
 
 ids = [bytes([i]) * 32 for i in range(1, 65)]
-net = netsim.Network(link=netsim.LinkModel(base_latency_ms=1, jitter_ms=2), seed=1)
+if hasattr(netsim, "NetworkConfig"):
+    net = netsim.Network(netsim.NetworkConfig(latency_ms=1, jitter_ms=2, seed=1))
+else:  # a checkout whose Network takes a LinkModel and a seed
+    net = netsim.Network(link=netsim.LinkModel(base_latency_ms=1, jitter_ms=2), seed=1)
 for veh in ids:
     net.join(Idle(veh))
 net.trace.bind(os.devnull)

@@ -16,6 +16,7 @@ from .arbitration import (
     elect_scheduler,
 )
 from .consensus import (
+    ConsensusConfig,
     Endorsement,
     active_vehicles,
     pod_check,
@@ -36,9 +37,9 @@ from .ledger import (
     save_chain,
     validate_chain,
 )
-from .netsim import LinkModel, Network, Rng
+from .netsim import Network, NetworkConfig, Rng
 from .scenario import ScenarioConfig, load_scenario, scenario_from_dict
 from .sim import LedgerHost, build_report, run
-from .vehicle import Frame, Vehicle, VehicleConfig
+from .vehicle import Frame, Vehicle
 
 __version__ = "0.1.0"

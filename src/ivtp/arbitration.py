@@ -27,6 +27,7 @@ REWARD_MILLI_TRUST = 500
 # the fee as a bounty the proposer owes the right-of-way holder.
 REWARD_FIRST_TO_PROPOSER = "first_to_proposer"
 REWARD_PROPOSER_TO_FIRST = "proposer_to_first"
+REWARD_DIRECTIONS = (REWARD_FIRST_TO_PROPOSER, REWARD_PROPOSER_TO_FIRST)
 
 
 class EmptyIntentsError(ValueError):

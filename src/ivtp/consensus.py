@@ -10,14 +10,26 @@ never count toward their own quorum.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
-from . import ledger
+from . import arbitration, ledger
 from .identity import IvTpId
 from .ledger import ArbitrationTx, Chain, RegisterTx, TimeFlag, Transaction
 
 VERDICT_VALID = "valid"
 VERDICT_INVALID = "invalid"
+
+
+@dataclass(frozen=True)
+class ConsensusConfig:
+    """The protocol timings and reward rule every participant follows."""
+
+    beacon_period_ms: int = 100
+    beacon_window_ms: int = 500
+    pending_ttl_ms: int = 2000
+    agree_timeout_ms: int = 150
+    reward_direction: str = arbitration.REWARD_FIRST_TO_PROPOSER
 
 
 @dataclass(frozen=True)
@@ -92,7 +104,7 @@ class CommitResult:
 
 
 def try_commit(
-    pending: list[PendingTx], active_set: set[IvTpId], chain: Chain, now: TimeFlag
+    pending: Collection[PendingTx], active_set: set[IvTpId], chain: Chain, now: TimeFlag
 ) -> CommitResult:
     """Select every pending tx that reached quorum, commit them as one
     block (ordered by tf then tx_id), and report quorum-rejected txs.

@@ -57,13 +57,14 @@ class Rng:
 
 
 @dataclass(frozen=True)
-class LinkModel:
-    """Per-network delivery model. With zero jitter and loss, delivery
-    lands at exactly send time + base latency."""
+class NetworkConfig:
+    """One network's delivery model and seed. With zero jitter and loss,
+    delivery lands at exactly send time + latency."""
 
-    base_latency_ms: int = 0
+    latency_ms: int = 0
     jitter_ms: int = 0
     drop_probability: float = 0.0
+    seed: int = 0
 
 
 # One encoder for rows without a template; json.dumps with options builds
@@ -241,12 +242,11 @@ class Network:
 
     def __init__(
         self,
-        link: LinkModel | None = None,
-        seed: int = 0,
+        config: NetworkConfig = NetworkConfig(),
         drop_rule: Callable[[object, IvTpId], bool] | None = None,
     ):
-        self.link = link or LinkModel()
-        self.rng = Rng(seed)
+        self.config = config
+        self.rng = Rng(config.seed)
         self.clock: TimeFlag = 0
         self.participants: dict[IvTpId, Participant] = {}
         self.trace = Trace()
@@ -276,9 +276,9 @@ class Network:
             raise UnknownSenderError(short_id(sender))
         self.trace.send(at, self.names[sender], frame.kind_label, frame.tf)
         draw, drop_rule, buckets = self.rng.next_u64, self.drop_rule, self._buckets
-        p_drop = self.link.drop_probability
+        p_drop = self.config.drop_probability
         lossy, cut = p_drop > 0.0, (int(p_drop * 2.0**64) if p_drop < 1.0 else None)
-        latency, span = self.link.base_latency_ms, self.link.jitter_ms + 1
+        latency, span = self.config.latency_ms, self.config.jitter_ms + 1
         for veh in self.participants:
             if veh == sender:
                 continue

@@ -12,7 +12,11 @@ import json
 import os
 from dataclasses import dataclass
 
+from .arbitration import REWARD_DIRECTIONS
+from .consensus import ConsensusConfig
 from .identity import sha256
+from .ledger import DEFAULT_ENDOWMENT
+from .netsim import NetworkConfig
 
 
 class ParseError(ValueError):
@@ -45,24 +49,8 @@ def seed_bytes(seed: str) -> bytes:
 
 
 @dataclass(frozen=True)
-class NetworkConfig:
-    latency_ms: int = 0
-    jitter_ms: int = 0
-    drop_probability: float = 0.0
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class ConsensusConfig:
-    beacon_period_ms: int = 100
-    beacon_window_ms: int = 500
-    pending_ttl_ms: int = 2000
-    agree_timeout_ms: int = 150
-
-
-@dataclass(frozen=True)
 class LedgerConfig:
-    endowment_millitrust: int = 100_000
+    endowment_millitrust: int = DEFAULT_ENDOWMENT
 
 
 @dataclass(frozen=True)
@@ -104,7 +92,6 @@ class ScenarioConfig:
     intersections: tuple[IntersectionSpec, ...]
     comms: tuple[CommSpec, ...]
     run: RunConfig
-    reward_direction: str = "first_to_proposer"
 
 
 def _section(raw: dict, key: str, kind: type = dict):
@@ -147,7 +134,13 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if isinstance(drop, bool) or not isinstance(drop, (int, float)) or not 0 <= drop <= 1:
         raise ValidationError("network.drop_probability", "must be a number within [0, 1]")
     network = _counts(NetworkConfig, "network", net_raw, drop_probability=float(drop))
-    consensus = _counts(ConsensusConfig, "consensus", _section(raw, "consensus"))
+    # The reward rule is a top-level key of the file, and part of the consensus.
+    direction = raw.get("reward_direction", ConsensusConfig.reward_direction)
+    if direction not in REWARD_DIRECTIONS:
+        raise ValidationError("reward_direction", f"unknown value {direction!r}")
+    consensus = _counts(
+        ConsensusConfig, "consensus", _section(raw, "consensus"), reward_direction=direction
+    )
     if consensus.beacon_period_ms == 0 or consensus.beacon_window_ms == 0:
         raise ValidationError("consensus", "beacon period and window must be positive")
     led = _counts(LedgerConfig, "ledger", _section(raw, "ledger"))
@@ -198,15 +191,14 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
                 raise ValidationError(
                     f"{where}.compute_delay_ms.{alias}", "must be positive"
                 )
+        window = entry.get("collection_window_ms", IntersectionSpec.collection_window_ms)
         intersections.append(
             IntersectionSpec(
                 id=_text(where, entry, "id"),
                 participants=tuple(participants),
                 arrival_ms={a: int(v) for a, v in arrivals.items()},
                 compute_delay_ms={a: int(v) for a, v in delays.items()},
-                collection_window_ms=_nonneg(
-                    where, "collection_window_ms", entry.get("collection_window_ms", 300)
-                ),
+                collection_window_ms=_nonneg(where, "collection_window_ms", window),
             )
         )
     ids = [x.id for x in intersections]
@@ -231,10 +223,6 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
 
     run = _counts(RunConfig, "run", _section(raw, "run"))
 
-    direction = raw.get("reward_direction", "first_to_proposer")
-    if direction not in ("first_to_proposer", "proposer_to_first"):
-        raise ValidationError("reward_direction", f"unknown value {direction!r}")
-
     return ScenarioConfig(
         name=str(raw.get("name", name)),
         network=network,
@@ -244,7 +232,6 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         intersections=tuple(intersections),
         comms=tuple(comms),
         run=run,
-        reward_direction=direction,
     )
 
 

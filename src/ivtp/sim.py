@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import consensus, identity, ledger, netsim
+from .consensus import ConsensusConfig
 from .identity import IvTpId, sha256
 from .ledger import ArbitrationTx, RewardTx, TimeFlag, Transaction
 from .scenario import ScenarioConfig, seed_bytes
@@ -22,31 +23,27 @@ from .vehicle import (
     KIND_BEACON,
     KIND_COMM,
     KIND_ENDORSE,
+    KIND_LABELS,
     KIND_REWARD_NOTICE,
+    Endpoint,
     Frame,
     Vehicle,
-    VehicleConfig,
     verify_frame,
 )
 
 HOST_ID = sha256(b"ivtp/ledger-host")
 
 
-class LedgerHost:
-    """Network participant that turns broadcasts into chain state."""
+class LedgerHost(Endpoint):
+    """Network participant that turns broadcasts into chain state. It
+    refuses a frame, with a drop row, for the reasons a vehicle would."""
 
-    def __init__(
-        self,
-        chain: ledger.Chain,
-        beacon_window_ms: int,
-        pending_ttl_ms: int,
-    ):
-        self.ivtp_id = HOST_ID
+    def __init__(self, chain: ledger.Chain, config: ConsensusConfig = ConsensusConfig()):
+        super().__init__(HOST_ID, "host")
         self.chain = chain
-        self.beacon_window_ms = beacon_window_ms
-        self.pending_ttl_ms = pending_ttl_ms
-        self.net = None
-        self.pending: list[consensus.PendingTx] = []
+        self.config = config
+        # tx_id -> its pooled tx, in arrival order.
+        self.pending: dict[bytes, consensus.PendingTx] = {}
         # Freshest beacon tf per sender, from verified beacon frames.
         self.beacons: dict[IvTpId, TimeFlag] = {}
         # tx_id -> (arrival time, endorsement) for txs not heard yet;
@@ -55,28 +52,17 @@ class LedgerHost:
             bytes, list[tuple[TimeFlag, consensus.Endorsement]]
         ] = {}
 
-    def _note(self, now: TimeFlag, kind: str, detail) -> None:
-        if self.net is not None:
-            self.net.trace.note(now, "host", kind, detail)
-
-    def _known(self, tx_id: bytes) -> bool:
-        if tx_id in self.chain.tx_by_id:
-            return True
-        return any(p.tx.tx_id == tx_id for p in self.pending)
-
-    def ingest_tx(self, tx: Transaction, now: TimeFlag, sweep: bool = True) -> None:
+    def ingest_tx(self, tx: Transaction, now: TimeFlag) -> None:
         """Pool a transaction for quorum, unless its tf is ahead of the
         clock: no honest author sends a tx before its tf, and vehicles do
         not endorse one, so it could only sit in the pool."""
         tx_id = tx.tx_id
-        if self._known(tx_id) or tx.tf > now:
+        if tx_id in self.pending or tx_id in self.chain.tx_by_id or tx.tf > now:
             return
-        item = consensus.PendingTx(tx=tx)
+        item = self.pending[tx_id] = consensus.PendingTx(tx=tx)
         for _arrived, e in self.early_endorsements.pop(tx_id, []):
             item.add(e)
-        self.pending.append(item)
-        if sweep:
-            self.sweep(now)
+        self.sweep(now)
 
     def ingest_endorsement(self, e: consensus.Endorsement, now: TimeFlag) -> None:
         """Pool an endorsement taken from a verified endorse frame; only
@@ -85,10 +71,9 @@ class LedgerHost:
             return
         if e.tx_id in self.chain.tx_by_id:
             return
-        for item in self.pending:
-            if item.tx.tx_id == e.tx_id:
-                item.add(e)
-                break
+        item = self.pending.get(e.tx_id)
+        if item is not None:
+            item.add(e)
         else:
             self.early_endorsements.setdefault(e.tx_id, []).append((now, e))
         self.sweep(now)
@@ -98,29 +83,24 @@ class LedgerHost:
         whatever has quorum. An honest endorser hears a tx no earlier than
         its tf, so a tx arriving pending_ttl_ms after its endorsements
         would be expired anyway."""
-        ttl = self.pending_ttl_ms
+        ttl = self.config.pending_ttl_ms
         self.early_endorsements = {
             tx_id: kept
             for tx_id, entries in self.early_endorsements.items()
             if (kept := [(t, e) for t, e in entries if now - t <= ttl])
         }
-        fresh: list[consensus.PendingTx] = []
-        for item in self.pending:
+        for tx_id, item in list(self.pending.items()):
             if now - item.tx.tf > ttl:
+                del self.pending[tx_id]
                 self._note(
-                    now,
-                    "tx_expired",
-                    {"tx_id": item.tx.tx_id.hex()[:16], "kind": type(item.tx).__name__},
+                    now, "tx_expired", {"tx_id": tx_id.hex()[:16], "kind": type(item.tx).__name__}
                 )
-            else:
-                fresh.append(item)
-        self.pending = fresh
 
         active = consensus.active_vehicles(
-            self.chain, now, self.beacon_window_ms, self.beacons
+            self.chain, now, self.config.beacon_window_ms, self.beacons
         )
-        result = consensus.try_commit(self.pending, active, self.chain, now)
-        self.pending = result.still_pending
+        result = consensus.try_commit(self.pending.values(), active, self.chain, now)
+        self.pending = {item.tx.tx_id: item for item in result.still_pending}
         for item, cause in result.rejected:
             self._note(
                 now,
@@ -141,19 +121,27 @@ class LedgerHost:
     # -- netsim.Participant ---------------------------------------------------
 
     def handle_frame(self, f: Frame, now: TimeFlag) -> list:
+        """Read beacons, transactions and endorsements off the air; the
+        session kinds are the vehicles' business. Only reading a payload
+        can drop it as bad: a fault past that raises."""
         pk = self.chain.public_key_of(f.sender)
-        if pk is None or not verify_frame(f, pk):
-            return []
+        if pk is None:
+            return self._drop(f, now, "unknown_sender")
+        if not verify_frame(f, pk):
+            return self._drop(f, now, "bad_signature")
+        if f.kind not in KIND_LABELS:
+            return self._drop(f, now, "unknown_kind")
         if f.kind == KIND_BEACON:
             if f.tf > self.beacons.get(f.sender, -1):
                 self.beacons[f.sender] = f.tf
         elif f.kind in (KIND_COMM, KIND_REWARD_NOTICE):
             try:
                 tx = f.tx
-            except (ValueError, KeyError, TypeError):
-                return []
-            if tx.author == f.sender:
-                self.ingest_tx(tx, now)
+            except (ValueError, KeyError, TypeError) as exc:
+                return self._drop(f, now, f"bad_payload:{exc}")
+            if tx.author != f.sender:
+                return self._drop(f, now, "tx_sender_mismatch")
+            self.ingest_tx(tx, now)
         elif f.kind == KIND_ENDORSE:
             try:
                 body = f.body
@@ -162,8 +150,8 @@ class LedgerHost:
                     endorser=f.sender,
                     verdict=body["verdict"],
                 )
-            except (ValueError, KeyError, TypeError):
-                return []
+            except (ValueError, KeyError, TypeError) as exc:
+                return self._drop(f, now, f"bad_payload:{exc}")
             self.ingest_endorsement(e, now)
         return []
 
@@ -180,7 +168,6 @@ class RunHandles:
     host: LedgerHost
     vehicles: dict[str, Vehicle]
     net: netsim.Network
-    aliases: netsim.Names
     report: dict
 
 
@@ -189,55 +176,29 @@ def _build_world(cfg: ScenarioConfig):
     chain = ledger.Chain.create(
         dealer, endowment=cfg.ledger.endowment_millitrust, genesis_tf=0
     )
-    net = netsim.Network(
-        link=netsim.LinkModel(
-            base_latency_ms=cfg.network.latency_ms,
-            jitter_ms=cfg.network.jitter_ms,
-            drop_probability=cfg.network.drop_probability,
-        ),
-        seed=cfg.network.seed,
-    )
-    aliases = net.names
-    aliases[dealer.dealer_id] = "dealer"
-    aliases[HOST_ID] = "host"
-
-    vcfg = VehicleConfig(
-        beacon_period_ms=cfg.consensus.beacon_period_ms,
-        beacon_window_ms=cfg.consensus.beacon_window_ms,
-        agree_timeout_ms=cfg.consensus.agree_timeout_ms,
-        pending_ttl_ms=cfg.consensus.pending_ttl_ms,
-        reward_direction=cfg.reward_direction,
-    )
+    net = netsim.Network(cfg.network)
+    net.names[dealer.dealer_id] = "dealer"
+    host = LedgerHost(chain, cfg.consensus)
 
     vehicles: dict[str, Vehicle] = {}
-    register_txs = []
     for entry in cfg.vehicles:
         kp = identity.keygen(seed_bytes(entry.seed))
         issuance = dealer.issue(kp.public_key)
-        register_txs.append(ledger.register_tx_from_issuance(issuance, dealer, tf=0))
-        veh = Vehicle(issuance.ivtp_id, kp, chain, config=vcfg, alias=entry.alias)
-        vehicles[entry.alias] = veh
-        aliases[issuance.ivtp_id] = entry.alias
-
-    host = LedgerHost(
-        chain,
-        beacon_window_ms=cfg.consensus.beacon_window_ms,
-        pending_ttl_ms=cfg.consensus.pending_ttl_ms,
-    )
-    host.net = net
-    net.join(host)
-    for veh in vehicles.values():
-        veh.net = net
-        net.join(veh)
+        tx = ledger.register_tx_from_issuance(issuance, dealer, tf=0)
+        host.pending[tx.tx_id] = consensus.PendingTx(tx=tx)
+        vehicles[entry.alias] = Vehicle(
+            issuance.ivtp_id, kp, chain, config=cfg.consensus, alias=entry.alias
+        )
+    for member in (host, *vehicles.values()):
+        net.names[member.ivtp_id] = member.alias
+        member.net = net
+        net.join(member)
 
     # Bootstrap: registrations reach the chain before any frame flows.
     # With nobody active yet the quorum threshold is zero, so the batch
     # commits as one block at t=0.
-    for tx in register_txs:
-        host.ingest_tx(tx, now=0, sweep=False)
     host.sweep(0)
-
-    return dealer, chain, host, net, vehicles, aliases
+    return chain, host, net, vehicles
 
 
 def _schedule(cfg: ScenarioConfig, net: netsim.Network, vehicles: dict[str, Vehicle]):
@@ -264,7 +225,7 @@ def run(cfg: ScenarioConfig, out_dir=None) -> RunHandles:
     """Execute one scenario; optionally persist chain, trace and report.
     With out_dir, trace.jsonl is written while the run goes. A run that
     raises leaves that partial trace.jsonl and no report.json."""
-    _dealer, chain, host, net, vehicles, aliases = _build_world(cfg)
+    chain, host, net, vehicles = _build_world(cfg)
     _schedule(cfg, net, vehicles)
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
@@ -274,7 +235,7 @@ def run(cfg: ScenarioConfig, out_dir=None) -> RunHandles:
         net.run_until(cfg.run.t_end_ms)
     finally:
         trace_digest = encode_trace(net.trace)
-    report = build_report(cfg, chain, net.trace, aliases, trace_digest)
+    report = build_report(cfg, chain, net.trace, net.names, trace_digest)
 
     if out is not None:
         ledger.save_chain(chain, out / "chain.bin")
@@ -286,7 +247,6 @@ def run(cfg: ScenarioConfig, out_dir=None) -> RunHandles:
         host=host,
         vehicles=vehicles,
         net=net,
-        aliases=aliases,
         report=report,
     )
 

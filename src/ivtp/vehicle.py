@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from . import arbitration, consensus, identity, ledger
 from .arbitration import IntersectionSession, Phase, Schedule
+from .consensus import ConsensusConfig
 from .identity import IvTpId, KeyPair, sha256, short_id
 from .ledger import (
     ArbitrationTx,
@@ -144,16 +145,34 @@ _BEACON_PAYLOAD = _compact({"network_id": "net-0", "position_zone": "zone-0"})
 # The agent
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VehicleConfig:
-    beacon_period_ms: int = 100
-    beacon_window_ms: int = 500
-    agree_timeout_ms: int = 150
-    pending_ttl_ms: int = 2000
-    reward_direction: str = arbitration.REWARD_FIRST_TO_PROPOSER
+class Endpoint:
+    """A network participant that names itself in the trace by its
+    alias: it writes a drop row for each frame it refuses, counted by
+    reason, and note rows for what it does."""
+
+    def __init__(self, ivtp_id: IvTpId, alias: str):
+        self.ivtp_id = ivtp_id
+        self.alias = alias
+        self.net = None  # netsim.Network, set when joining
+        self.drops: Counter[str] = Counter()  # reason -> frames dropped
+
+    @property
+    def drop_count(self) -> int:
+        """Frames dropped, whatever the reason."""
+        return self.drops.total()
+
+    def _drop(self, f: Frame, now: TimeFlag, reason: str) -> list[Frame]:
+        self.drops[reason] += 1
+        if self.net is not None:
+            self.net.trace.drop(now, self.alias, f.kind_label, self.net.names[f.sender], reason)
+        return []
+
+    def _note(self, now: TimeFlag, kind: str, detail) -> None:
+        if self.net is not None:
+            self.net.trace.note(now, self.alias, kind, detail)
 
 
-class Vehicle:
+class Vehicle(Endpoint):
     """Protocol endpoint driven by the event loop.
 
     Handlers take a verified frame (or a timer tag) plus the current
@@ -166,42 +185,24 @@ class Vehicle:
         ivtp_id: IvTpId,
         keypair: KeyPair,
         chain: ledger.Chain,
-        config: VehicleConfig | None = None,
+        config: ConsensusConfig = ConsensusConfig(),
         alias: str | None = None,
     ):
-        self.ivtp_id = ivtp_id
+        super().__init__(ivtp_id, alias or short_id(ivtp_id))
         self.keypair = keypair
         self.chain = chain
-        self.config = config or VehicleConfig()
-        self.alias = alias or short_id(ivtp_id)
-        self.net = None  # netsim.Network, set when joining
+        self.config = config
         self.peer_beacons: dict[IvTpId, TimeFlag] = {}
         # tx_id -> tf of each transaction endorsed, oldest first (see _endorse_tx).
         self.endorsed: dict[bytes, TimeFlag] = {}
         self.paid_for: set[str] = set()  # intersection ids this vehicle paid a fee for
-        self.drops: Counter[str] = Counter()  # reason -> frames dropped
         self.sessions: dict[str, IntersectionSession] = {}
         self.submitted: list[Transaction] = []
-
-    @property
-    def drop_count(self) -> int:
-        """Frames dropped, whatever the reason."""
-        return self.drops.total()
 
     # -- plumbing -----------------------------------------------------------
 
     def _frame(self, kind: int, obj, now: TimeFlag) -> Frame:
         return make_frame(kind, self.keypair, self.ivtp_id, now, _compact(obj))
-
-    def _drop(self, f: Frame, now: TimeFlag, reason: str) -> list[Frame]:
-        self.drops[reason] += 1
-        if self.net is not None:
-            self.net.trace.drop(now, self.alias, f.kind_label, self.net.names[f.sender], reason)
-        return []
-
-    def _note(self, now: TimeFlag, kind: str, detail) -> None:
-        if self.net is not None:
-            self.net.trace.note(now, self.alias, kind, detail)
 
     def _set_timer(self, fire_at: TimeFlag, tag) -> None:
         if self.net is not None:
@@ -414,7 +415,7 @@ class Vehicle:
 
     def on_receive(self, f: Frame, now: TimeFlag) -> list[Frame]:
         """Verification pipeline: on-chain key lookup, signature check,
-        then kind dispatch. Bad frames drop silently."""
+        then kind dispatch. A bad frame is dropped with a trace row."""
         pk = self.chain.public_key_of(f.sender)
         if pk is None:
             return self._drop(f, now, "unknown_sender")

@@ -223,7 +223,7 @@ class TestInspectQueries:
         rc = cli.main(["inspect", str(out_dir / "chain.bin"), "comm-table"])
         assert rc == 0
         table = json.loads(capsys.readouterr().out)
-        by_alias = {v: k for k, v in handles.aliases.items()}
+        by_alias = {v: k for k, v in handles.net.names.items()}
         for alias in ("IV-1", "IV-2", "IV-3", "IV-4"):
             veh = by_alias[alias].hex()
             others = {
@@ -255,7 +255,7 @@ class TestInspectQueries:
 
     def test_balance_accepts_hex_prefix(self, run_dir, capsys):
         out_dir, handles = run_dir
-        by_alias = {v: k for k, v in handles.aliases.items()}
+        by_alias = {v: k for k, v in handles.net.names.items()}
         prefix = by_alias["IV-3"].hex()[:10]
         rc = cli.main(["inspect", str(out_dir / "chain.bin"), "balance", prefix])
         assert rc == 0
@@ -264,7 +264,7 @@ class TestInspectQueries:
 
     def test_history_lists_lifecycle(self, run_dir, capsys):
         out_dir, handles = run_dir
-        by_alias = {v: k for k, v in handles.aliases.items()}
+        by_alias = {v: k for k, v in handles.net.names.items()}
         rc = cli.main(
             ["inspect", str(out_dir / "chain.bin"), "history", by_alias["IV-1"].hex()]
         )

@@ -86,17 +86,13 @@ def _endorse_frame(kp, sender, tx_id, verdict, tf=1):
     return make_frame(KIND_ENDORSE, kp, sender, tf, vehicle._compact(body))
 
 
-def _host(chain):
-    return sim.LedgerHost(chain, beacon_window_ms=500, pending_ttl_ms=2000)
-
-
 class TestEndorsements:
     """An endorsement's only signature is its frame's; the ledger host
     checks it against the sender's on-chain key."""
 
     def test_roundtrip_verifies(self):
         _, chain, ids, keys = make_fleet(2)
-        host = _host(chain)
+        host = sim.LedgerHost(chain)
         tx_id = identity.sha256(b"tx")
         f = _endorse_frame(keys[ids[1]], ids[1], tx_id, consensus.VERDICT_VALID)
         host.handle_frame(f, now=1)
@@ -107,7 +103,7 @@ class TestEndorsements:
     def test_verdict_is_signed(self):
         """Flipping the verdict after signing must break the signature."""
         _, chain, ids, keys = make_fleet(2)
-        host = _host(chain)
+        host = sim.LedgerHost(chain)
         tx_id = identity.sha256(b"tx")
         f = _endorse_frame(keys[ids[1]], ids[1], tx_id, consensus.VERDICT_VALID)
         flipped = dataclasses.replace(

@@ -109,8 +109,7 @@ class TestDelivery:
 
     def test_latency_and_jitter_bounds(self):
         ids = _ids(2)
-        link = netsim.LinkModel(base_latency_ms=5, jitter_ms=3)
-        net = netsim.Network(link=link, seed=1)
+        net = netsim.Network(netsim.NetworkConfig(latency_ms=5, jitter_ms=3, seed=1))
         net.join(Recorder(ids[0]))
         b = Recorder(ids[1])
         net.join(b)
@@ -127,8 +126,8 @@ class TestDelivery:
         """Each delivery lands at latency + one draw modulo jitter + 1,
         and takes no draw without jitter."""
         ids = _ids(2)
-        link = netsim.LinkModel(base_latency_ms=latency, jitter_ms=jitter)
-        net = netsim.Network(link=link, seed=seed)
+        config = netsim.NetworkConfig(latency_ms=latency, jitter_ms=jitter, seed=seed)
+        net = netsim.Network(config)
         net.join(Recorder(ids[0]))
         b = Recorder(ids[1])
         net.join(b)
@@ -146,7 +145,7 @@ class TestDelivery:
         ids = _ids(4)
         nan, inf = float("nan"), float("inf")
         for p_drop, heard in [(0.0, 50), (-1.0, 50), (nan, 50), (1.0, 0), (1.5, 0), (inf, 0)]:
-            net = netsim.Network(link=netsim.LinkModel(drop_probability=p_drop), seed=5)
+            net = netsim.Network(netsim.NetworkConfig(drop_probability=p_drop, seed=5))
             recs = [Recorder(i) for i in ids]
             for r in recs:
                 net.join(r)
@@ -158,7 +157,7 @@ class TestDelivery:
     def test_loss_endpoints_burn_no_draws(self):
         ids = _ids(3)
         for p_drop in (0.0, 1.0):
-            net = netsim.Network(link=netsim.LinkModel(drop_probability=p_drop), seed=5)
+            net = netsim.Network(netsim.NetworkConfig(drop_probability=p_drop, seed=5))
             for i in ids:
                 net.join(Recorder(i))
             net.broadcast(_frame(ids[0]), at=0)
@@ -167,7 +166,7 @@ class TestDelivery:
     def test_loss_between_endpoints_takes_one_draw_per_receiver(self):
         """A receiver loses the frame when its draw is below p * 2**64."""
         ids = _ids(6)
-        net = netsim.Network(link=netsim.LinkModel(drop_probability=0.5), seed=9)
+        net = netsim.Network(netsim.NetworkConfig(drop_probability=0.5, seed=9))
         recs = [Recorder(i) for i in ids]
         for r in recs:
             net.join(r)
@@ -180,7 +179,7 @@ class TestDelivery:
 
     def test_total_loss_delivers_nothing(self):
         ids = _ids(3)
-        net = netsim.Network(link=netsim.LinkModel(drop_probability=1.0), seed=2)
+        net = netsim.Network(netsim.NetworkConfig(drop_probability=1.0, seed=2))
         recs = [Recorder(i) for i in ids]
         for r in recs:
             net.join(r)
@@ -211,9 +210,7 @@ class TestDelivery:
 
         def run(seed):
             net = netsim.Network(
-                link=netsim.LinkModel(base_latency_ms=1, jitter_ms=4,
-                                      drop_probability=0.3),
-                seed=seed,
+                netsim.NetworkConfig(latency_ms=1, jitter_ms=4, drop_probability=0.3, seed=seed)
             )
             recs = [Recorder(i) for i in ids]
             for r in recs:
@@ -244,7 +241,7 @@ class TestEventOrder:
 
     def test_due_order_beats_insertion_order(self):
         ids = _ids(2)
-        net = netsim.Network(link=netsim.LinkModel(base_latency_ms=0))
+        net = netsim.Network(netsim.NetworkConfig(latency_ms=0))
         net.join(Recorder(ids[0]))
         b = Recorder(ids[1])
         net.join(b)
@@ -257,7 +254,7 @@ class TestEventOrder:
         """A frame returned from handle_frame goes out at the same tick,
         so with a 2 ms link the reply lands 2 ms later."""
         ids = _ids(2)
-        net = netsim.Network(link=netsim.LinkModel(base_latency_ms=2))
+        net = netsim.Network(netsim.NetworkConfig(latency_ms=2))
         a = Recorder(ids[0])
         b = Recorder(ids[1], replies=[_frame(ids[1], tf=77)])
         net.join(a)
@@ -275,7 +272,7 @@ class TestEventOrder:
 
     def test_events_beyond_horizon_stay_queued(self):
         ids = _ids(2)
-        net = netsim.Network(link=netsim.LinkModel(base_latency_ms=50))
+        net = netsim.Network(netsim.NetworkConfig(latency_ms=50))
         net.join(Recorder(ids[0]))
         b = Recorder(ids[1])
         net.join(b)
@@ -311,9 +308,9 @@ class Logger:
         return []
 
 
-def _logged(n, link=None, seed=0, replies=None):
+def _logged(n, config=netsim.NetworkConfig(), replies=None):
     ids = _ids(n)
-    net = netsim.Network(link=link, seed=seed)
+    net = netsim.Network(config)
     log = []
     nodes = [Logger(i, log, net, (replies or {}).get(k, ())) for k, i in enumerate(ids)]
     for node in nodes:
@@ -345,10 +342,10 @@ class TestBuckets:
 
     def test_run_until_in_steps_matches_one_call(self):
         def run(stops):
-            link = netsim.LinkModel(base_latency_ms=1, jitter_ms=3, drop_probability=0.2)
+            config = netsim.NetworkConfig(latency_ms=1, jitter_ms=3, drop_probability=0.2, seed=3)
             ids = _ids(4)
             replies = {k: [_frame(ids[k], tf=100 + k + j) for j in range(5)] for k in range(4)}
-            net, ids, _nodes, log = _logged(4, link=link, seed=3, replies=replies)
+            net, ids, _nodes, log = _logged(4, config, replies=replies)
             for t in range(0, 30, 4):
                 net.broadcast(_frame(ids[t % 4], tf=t), at=t)
                 net.set_timer(ids[(t + 1) % 4], t + 2, ("again", 2))

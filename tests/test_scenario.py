@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from ivtp import consensus, identity, ledger, netsim, scenario, sim, vehicle
-from ivtp.vehicle import KIND_BEACON, KIND_ENDORSE, Vehicle, make_frame
+from ivtp.vehicle import KIND_BEACON, KIND_COMM, KIND_ENDORSE, Vehicle, make_frame
 from conftest import make_fleet, signed_comm
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -51,7 +51,7 @@ class TestLoad:
         assert cfg.consensus.agree_timeout_ms == 150
         assert cfg.ledger.endowment_millitrust == 100_000
         assert cfg.run.t_end_ms == 2000
-        assert cfg.reward_direction == "first_to_proposer"
+        assert cfg.consensus.reward_direction == "first_to_proposer"
         assert cfg.vehicles[0].seed == "A"  # alias doubles as key seed
 
     def test_parse_error_carries_line(self, tmp_path):
@@ -176,7 +176,7 @@ def _signed(tx, kp):
 class TestLedgerHost:
     def _host(self, n=3, ttl=2000, beacons_at=None):
         _, chain, ids, keys = make_fleet(n)
-        host = sim.LedgerHost(chain, beacon_window_ms=500, pending_ttl_ms=ttl)
+        host = sim.LedgerHost(chain, consensus.ConsensusConfig(pending_ttl_ms=ttl))
         if beacons_at is not None:
             # Liveness first: with nobody active the quorum threshold is
             # zero and everything would commit on ingestion.
@@ -189,7 +189,7 @@ class TestLedgerHost:
         host, chain, ids, keys = self._host()
         beacon = Vehicle(ids[0], keys[ids[0]], chain).emit_beacon
         host.handle_frame(beacon(10), now=10)
-        assert host.pending == []
+        assert host.pending == {}
         assert host.beacons == {ids[0]: 10}
         host.handle_frame(beacon(5), now=11)  # older tf must not regress
         assert host.beacons == {ids[0]: 10}
@@ -236,7 +236,7 @@ class TestLedgerHost:
         host.ingest_endorsement(e, now=1)
         assert host.early_endorsements
         host.ingest_tx(tx, now=2)
-        assert host.pending[0].count(consensus.VERDICT_VALID) == 1
+        assert host.pending[tx.tx_id].count(consensus.VERDICT_VALID) == 1
         assert host.early_endorsements == {}
 
     def test_unverifiable_endorsement_ignored(self):
@@ -295,7 +295,7 @@ class TestLedgerHost:
         host.ingest_tx(tx, now=1)
         assert len(host.pending) == 1
         host.sweep(now=102)
-        assert host.pending == []
+        assert host.pending == {}
 
     def test_tx_from_the_future_is_not_pooled(self):
         """A tx whose tf is ahead of the host's clock is not pooled: no
@@ -303,15 +303,43 @@ class TestLedgerHost:
         host, _, ids, keys = self._host(ttl=100, beacons_at=1)
         ahead = signed_comm(keys[ids[0]], ids[0], tf=10**9)
         host.ingest_tx(ahead, now=5)
-        assert host.pending == []
+        assert host.pending == {}
         on_time = signed_comm(keys[ids[0]], ids[0], tf=5)
         host.ingest_tx(on_time, now=5)
-        assert [p.tx for p in host.pending] == [on_time]
+        assert [p.tx for p in host.pending.values()] == [on_time]
+
+    def test_refused_frames_get_drop_rows(self):
+        """The host refuses a frame for the reasons a vehicle would, and
+        writes the same drop row under its own name."""
+        host, chain, ids, keys = self._host()
+        host.net = net = netsim.Network()
+        ghost_kp = identity.keygen(identity.sha256(b"ghost"))
+        genuine = Vehicle(ids[0], keys[ids[0]], chain).emit_beacon(10)
+        stolen_tx = ledger.canonical_encode(signed_comm(keys[ids[1]], ids[1]))
+        stolen = {"body": "", "tx": stolen_tx.hex()}
+        for f in (
+            make_frame(KIND_BEACON, ghost_kp, identity.sha256(b"ghost"), 10, b"{}"),
+            dataclasses.replace(genuine, tf=20),
+            make_frame(KIND_COMM, keys[ids[0]], ids[0], 10, b"not json"),
+            make_frame(KIND_ENDORSE, keys[ids[0]], ids[0], 10, b"[1]"),
+            make_frame(KIND_COMM, keys[ids[0]], ids[0], 10, vehicle._compact(stolen)),
+            make_frame(99, keys[ids[0]], ids[0], 10, b"{}"),
+        ):
+            assert host.handle_frame(f, now=20) == []
+        assert host.beacons == {} and host.pending == {} and host.early_endorsements == {}
+        reasons = [r["detail"]["reason"].split(":")[0] for r in net.trace]
+        assert reasons == [
+            "unknown_sender", "bad_signature", "bad_payload", "bad_payload",
+            "tx_sender_mismatch", "unknown_kind",
+        ]
+        assert {r["vehicle"] for r in net.trace} == {"host"}
+        assert host.drop_count == 6
+        assert host.drops["bad_signature"] == host.drops["unknown_kind"] == 1
 
     def test_quorum_commit_through_frames(self):
         """Host assembles a block purely from what it hears on the air."""
         _, chain, ids, keys = make_fleet(3)
-        host = sim.LedgerHost(chain, beacon_window_ms=500, pending_ttl_ms=2000)
+        host = sim.LedgerHost(chain)
         net = netsim.Network()
         host.net = net
         net.join(host)
@@ -355,6 +383,23 @@ class TestRun:
         assert report["balances"]["IV-1"] == 99_500
         assert ledger.validate_chain(handles.chain).ok
 
+    def test_proposer_to_first_reward(self):
+        """The scenario's reward rule reaches every vehicle: the proposer
+        IV-3 pays the fee to IV-1, first in the order."""
+        raw = json.loads((SCENARIOS / "intersection_table2.json").read_text())
+        raw["reward_direction"] = "proposer_to_first"
+        cfg = scenario.scenario_from_dict(raw)
+        assert cfg.consensus.reward_direction == "proposer_to_first"
+        report = sim.run(cfg).report
+        assert report["sessions"]["crossing-1"]["reward"] == {
+            "from": "IV-3", "to": "IV-1", "amount": 500, "reason": "crossing-1",
+        }
+        assert report["balances"]["IV-1"] == 100_500
+        assert report["balances"]["IV-3"] == 99_500
+        assert report["trace_digest"] == (
+            "752fb11f34b4e0e0e799aa322ab0c60d35bd76f4a3a9bf8a978a7641a39f7be9"
+        )
+
     def test_artifacts_written_and_reloadable(self, tmp_path):
         cfg = scenario.load_scenario(SCENARIOS / "intersection_table2.json")
         handles = sim.run(cfg, out_dir=tmp_path)
@@ -376,7 +421,7 @@ class TestRun:
         trace = netsim.Trace.from_rows(json.loads(line) for line in trace_bytes.splitlines())
         assert trace.data == trace_bytes
         rebuilt = sim.build_report(
-            cfg, chain, trace, handles.aliases, identity.sha256(trace_bytes)
+            cfg, chain, trace, handles.net.names, identity.sha256(trace_bytes)
         )
         assert sim.encode_report(rebuilt) == (tmp_path / "report.json").read_bytes()
 

@@ -20,7 +20,6 @@ from ivtp.vehicle import (
     KIND_SCHEDULE,
     Frame,
     Vehicle,
-    VehicleConfig,
     make_frame,
     verify_frame,
 )
@@ -59,15 +58,14 @@ class TestFrameCodec:
         assert not verify_frame(bad, kp.public_key)
 
 
-def _wire(n, link=None, drop_rule=None, cfg=None):
+def _wire(n, network=netsim.NetworkConfig(), drop_rule=None, cfg=consensus.ConsensusConfig()):
     """Fleet of n registered vehicles joined to one network."""
     dealer, chain, ids, keys = make_fleet(n)
-    net = netsim.Network(link=link, drop_rule=drop_rule)
+    net = netsim.Network(network, drop_rule=drop_rule)
     net.names.update({veh: f"IV-{i + 1}" for i, veh in enumerate(ids)})
     vehicles = []
     for veh in ids:
-        v = Vehicle(veh, keys[veh], chain, config=cfg or VehicleConfig(),
-                    alias=net.names[veh])
+        v = Vehicle(veh, keys[veh], chain, config=cfg, alias=net.names[veh])
         v.net = net
         net.join(v)
         vehicles.append(v)
@@ -109,10 +107,10 @@ class TestPipeline:
     )
     def test_wrong_shape_payload_dropped_not_raised(self, kind, payload):
         """Valid JSON of the wrong shape from a registered vehicle: each
-        vehicle that reads the payload drops the frame, and the ledger
-        host ignores it; the run goes on."""
+        vehicle that reads the payload drops the frame, and so does the
+        ledger host if it reads that kind; the run goes on."""
         chain, net, (a, *receivers) = _wire(3)
-        host = sim.LedgerHost(chain, beacon_window_ms=500, pending_ttl_ms=2000)
+        host = sim.LedgerHost(chain)
         host.net = net
         net.join(host)
         net.broadcast(make_frame(kind, a.keypair, a.ivtp_id, 5, payload), 5)
@@ -121,7 +119,9 @@ class TestPipeline:
         expected = 0 if kind == KIND_ENDORSE else 1
         assert [v.drop_count for v in receivers] == [expected] * 2
         assert all(reason.startswith("bad_payload:") for v in receivers for reason in v.drops)
-        assert host.pending == [] and host.early_endorsements == {}
+        assert host.pending == {} and host.early_endorsements == {}
+        host_reads = kind in (KIND_COMM, KIND_ENDORSE, KIND_REWARD_NOTICE)
+        assert [r.split(":")[0] for r in host.drops] == (["bad_payload"] if host_reads else [])
 
     def test_beacon_updates_freshness_and_ignores_stale(self):
         _, _, (a, b) = _wire(2)
@@ -161,7 +161,7 @@ class TestComm:
         assert [f.kind for f in out] == [KIND_ENDORSE]
         body = json.loads(out[0].payload)
         assert body == {"tx_id": tx.tx_id.hex(), "verdict": consensus.VERDICT_VALID}
-        host = sim.LedgerHost(chain, beacon_window_ms=500, pending_ttl_ms=2000)
+        host = sim.LedgerHost(chain)
         flipped = dataclasses.replace(
             out[0],
             payload=vehicle._compact({**body, "verdict": consensus.VERDICT_INVALID}),
@@ -216,7 +216,7 @@ class TestComm:
         the tx is stale (the ledger host would expire it) and is not
         endorsed either, so `endorsed` can forget it and stays bounded."""
         ttl, step = 200, 20
-        _, _, (a, b) = _wire(2, cfg=VehicleConfig(pending_ttl_ms=ttl))
+        _, _, (a, b) = _wire(2, cfg=consensus.ConsensusConfig(pending_ttl_ms=ttl))
         frames = {}
         for t in range(0, 10 * ttl, step):
             frames[t], _ = b.send_comm(b"ping %d" % t, now=t)
@@ -315,9 +315,7 @@ class TestIntersection:
         assert [r["detail"]["round"] for r in commits] == [1]
 
     def test_total_loss_aborts_with_fallback(self):
-        _, net, vehicles = _wire(
-            4, link=netsim.LinkModel(drop_probability=1.0)
-        )
+        _, net, vehicles = _wire(4, netsim.NetworkConfig(drop_probability=1.0))
         _intersection(net, vehicles, [100, 110, 130, 170], [9, 8, 5, 7])
         net.run_until(2000)
         fallback = sorted(v.ivtp_id for v in vehicles)
@@ -370,7 +368,7 @@ class TestStaleTimers:
         self._assert_ignored(net, vehicles, [0])
 
     def test_aborted_session(self):
-        _, net, vehicles = _wire(4, link=netsim.LinkModel(drop_probability=1.0))
+        _, net, vehicles = _wire(4, netsim.NetworkConfig(drop_probability=1.0))
         _intersection(net, vehicles, [100, 110, 130, 170], [9, 8, 5, 7])
         net.run_until(2000)
         assert {v.sessions["x-1"].phase for v in vehicles} == {Phase.ABORTED}

@@ -186,8 +186,8 @@ class TestFrameVerdict:
 
     def test_forged_endorse_frames_drop_at_every_receiver(self, ed25519_verifies):
         """A vehicle discards an endorse frame after its check, and the
-        check is shared: still, each receiver writes the drop row of a
-        forged one, and the ledger host pools nothing from it. A refused
+        check is shared: still, each receiver, the ledger host included,
+        writes the drop row of a forged one, and the host pools nothing. A refused
         signature costs one Ed25519 verify, however many receive it."""
         dealer, chain, ids, keys = make_fleet(3)
         net = netsim.Network()
@@ -197,7 +197,7 @@ class TestFrameVerdict:
             v.net = net
             net.join(v)
             vehicles.append(v)
-        host = sim.LedgerHost(chain, beacon_window_ms=500, pending_ttl_ms=2000)
+        host = sim.LedgerHost(chain)
         host.net = net
         net.join(host)
         ghost_kp = identity.keygen(identity.sha256(b"ghost"))
@@ -216,8 +216,9 @@ class TestFrameVerdict:
             (r["vehicle"], r["detail"]["reason"]) for r in net.trace if r["dir"] == "drop"
         )
         assert drops == sorted(
-            [("IV-2", "bad_signature"), ("IV-3", "bad_signature")]
+            [("IV-2", "bad_signature"), ("IV-3", "bad_signature"), ("host", "bad_signature")]
             + [(f"IV-{i}", "unknown_sender") for i in (1, 2, 3)]
+            + [("host", "unknown_sender")]
         )
         assert [v.drops.total() for v in vehicles] == [1, 2, 2]
         assert host.early_endorsements == {}
