@@ -1,6 +1,6 @@
 """Record a BENCH_<n>.json file: the benchmark run in alternating pairs of
 a parent checkout and this checkout, the synthetic N-vehicle matrix, and
-the per-layer codec, dispatch and frame-verify microbenches.
+the per-layer codec, dispatch, frame-verify and frame-payload microbenches.
 
     git archive PARENT_REV | tar -x -C PARENT_DIR
     python3 bench/record.py --parent PARENT_DIR --seed 2001 --pairs 10 --out BENCH_<n>.json
@@ -35,8 +35,12 @@ so every transaction is checked cold (a checkout that has the old
 process-wide verify memo gets it cleared before each repetition). The
 layer microbenches time netsim dispatch (one ``broadcast`` from one of 64
 no-op participants, 1 ms latency and 2 ms jitter, drained by
-``run_until``) and ``verify_frame``, cold (a frame's first check) and
-warm (the same frame again, as every further receiver checks it). Each
+``run_until``), ``verify_frame``, cold (a frame's first check) and
+warm (the same frame again, as every further receiver checks it), and a
+frame payload's encode plus decode (``payload_endorse`` for an endorse
+frame, ``payload_schedule_12`` for a schedule of 12 vehicles: a sender's
+encoding, then a fresh frame's ``body`` with the ids and integers read
+out of it; a checkout with JSON payloads runs its JSON and hex path). Each
 timed loop runs inside ``perfbench/calib.py``'s ``Sampler``, so each
 value has its raw seconds per call (``_s``) and the same scaled to the
 reference host speed (``_ref_s``). Each side runs each set in ten fresh
@@ -174,11 +178,43 @@ cold = iter([signed(i) for i in range(1200)])
 warm = signed(0)
 vehicle.verify_frame(warm, kp.public_key)
 
+# Payload encode plus decode, as a sender writes and a receiver reads it:
+# an endorse frame's, and a schedule frame's for 12 vehicles.
+crew = ids[:12]
+basis = tuple((veh, 100 + i) for i, veh in enumerate(crew))
+E, S = vehicle.KIND_ENDORSE, vehicle.KIND_SCHEDULE
+if hasattr(vehicle, "encode_payload"):
+    def endorse_payload():
+        return vehicle.Frame(E, ids[0], 0, vehicle.encode_payload(E, ids[1], "valid")).body
+
+    def schedule_payload():
+        payload = vehicle.encode_payload(S, "x-1", 0, crew, basis)
+        return vehicle.Frame(S, ids[0], 0, payload).body
+else:  # a checkout whose payloads are JSON with hex ids
+    def endorse_payload():
+        payload = vehicle._compact({"tx_id": ids[1].hex(), "verdict": "valid"})
+        body = vehicle.Frame(E, ids[0], 0, payload).body
+        return bytes.fromhex(body["tx_id"]), body["verdict"]
+
+    def schedule_payload():
+        payload = vehicle._compact({
+            "intersection": "x-1", "round": 0, "ordering": [veh.hex() for veh in crew],
+            "basis": [[veh.hex(), tf] for veh, tf in basis],
+        })
+        body = vehicle.Frame(S, ids[0], 0, payload).body
+        return (
+            body["intersection"], int(body["round"]),
+            tuple(bytes.fromhex(veh) for veh in body["ordering"]),
+            tuple((bytes.fromhex(veh), int(tf)) for veh, tf in body["basis"]),
+        )
+
 out = {}
 for name, fn, reps in [
     ("dispatch_63", dispatch, 1000),
     ("verify_frame_cold", lambda: vehicle.verify_frame(next(cold), kp.public_key), 400),
     ("verify_frame_warm", lambda: vehicle.verify_frame(warm, kp.public_key), 100000),
+    ("payload_endorse", endorse_payload, 20000),
+    ("payload_schedule_12", schedule_payload, 5000),
 ]:
     best = min(timed(fn, reps) for _ in range(3))
     out[name + "_s"], out[name + "_ref_s"] = best
@@ -266,7 +302,10 @@ CODEC_METRICS = (
 )
 LAYER_METRICS = tuple(
     f"{name}{unit}"
-    for name in ("dispatch_63", "verify_frame_cold", "verify_frame_warm")
+    for name in (
+        "dispatch_63", "verify_frame_cold", "verify_frame_warm", "payload_endorse",
+        "payload_schedule_12",
+    )
     for unit in ("_s", "_ref_s")
 )
 

@@ -139,6 +139,15 @@ def _list_of(item: Codec) -> Codec:
     )
 
 
+def _pair(first: Codec, second: Codec) -> Codec:
+    """first, then second: a 2-tuple."""
+    (encode_a, decode_a), (encode_b, decode_b) = first, second
+    return Codec(
+        lambda pair, name: encode_a(pair[0], name) + encode_b(pair[1], name),
+        lambda r: (decode_a(r), decode_b(r)),
+    )
+
+
 ID = _fixed_width(HASH_LEN)
 PUBLIC_KEY = _fixed_width(identity.PUBLIC_KEY_LEN)
 SIGNATURE = _fixed_width(identity.SIGNATURE_LEN)
@@ -146,10 +155,8 @@ U64 = Codec(_u64, _Reader.u64)
 BLOB = Codec(_blob, _Reader.blob)
 TEXT = Codec(lambda s, name: _blob(s.encode(), name), lambda r: r.blob().decode())
 IDS = _list_of(ID)
-AGREEMENTS = _list_of(Codec(  # (voter id, signature) pairs
-    lambda pair, name: ID.encode(pair[0], name) + SIGNATURE.encode(pair[1], name),
-    lambda r: (ID.decode(r), SIGNATURE.decode(r)),
-))
+AGREEMENTS = _list_of(_pair(ID, SIGNATURE))  # (voter id, signature) pairs
+STAMPED_IDS = _list_of(_pair(ID, U64))  # (id, time flag) pairs
 
 
 def _wire(codec: Codec, default=dataclasses.MISSING):
@@ -172,6 +179,16 @@ class _Layout:
     def decode(self, r: _Reader) -> list:
         """The field values, in order: the dataclass's positional args."""
         return [decode(r) for decode in self.decoders]
+
+
+def decode_exact(data: bytes, codecs, what: str) -> tuple:
+    """The values each codec reads from data in turn; data must end where
+    the last one does."""
+    r = _Reader(data)
+    values = tuple([codec.decode(r) for codec in codecs])
+    if not r.done():
+        raise CorruptChainFileError(f"trailing bytes after {what}")
+    return values
 
 
 def envelope(tag: int, author: IvTpId, tf: TimeFlag) -> bytes:

@@ -16,20 +16,10 @@ from pathlib import Path
 
 from . import consensus, identity, ledger, netsim
 from .consensus import ConsensusConfig
-from .identity import IvTpId, sha256
+from .identity import sha256
 from .ledger import ArbitrationTx, RewardTx, TimeFlag, Transaction
 from .scenario import ScenarioConfig, seed_bytes
-from .vehicle import (
-    KIND_BEACON,
-    KIND_COMM,
-    KIND_ENDORSE,
-    KIND_LABELS,
-    KIND_REWARD_NOTICE,
-    Endpoint,
-    Frame,
-    Vehicle,
-    verify_frame,
-)
+from .vehicle import Endpoint, Frame, Vehicle, verify_frame
 
 HOST_ID = sha256(b"ivtp/ledger-host")
 
@@ -39,13 +29,9 @@ class LedgerHost(Endpoint):
     refuses a frame, with a drop row, for the reasons a vehicle would."""
 
     def __init__(self, chain: ledger.Chain, config: ConsensusConfig = ConsensusConfig()):
-        super().__init__(HOST_ID, "host")
-        self.chain = chain
-        self.config = config
+        super().__init__(HOST_ID, "host", chain, config)
         # tx_id -> its pooled tx, in arrival order.
         self.pending: dict[bytes, consensus.PendingTx] = {}
-        # Freshest beacon tf per sender, from verified beacon frames.
-        self.beacons: dict[IvTpId, TimeFlag] = {}
         # tx_id -> (arrival time, endorsement) for txs not heard yet;
         # sweep drops an entry pending_ttl_ms after it arrived.
         self.early_endorsements: dict[
@@ -96,10 +82,7 @@ class LedgerHost(Endpoint):
                     now, "tx_expired", {"tx_id": tx_id.hex()[:16], "kind": type(item.tx).__name__}
                 )
 
-        active = consensus.active_vehicles(
-            self.chain, now, self.config.beacon_window_ms, self.beacons
-        )
-        result = consensus.try_commit(self.pending.values(), active, self.chain, now)
+        result = consensus.try_commit(self.pending.values(), self.active(now), self.chain, now)
         self.pending = {item.tx.tx_id: item for item in result.still_pending}
         for item, cause in result.rejected:
             self._note(
@@ -122,37 +105,25 @@ class LedgerHost(Endpoint):
 
     def handle_frame(self, f: Frame, now: TimeFlag) -> list:
         """Read beacons, transactions and endorsements off the air; the
-        session kinds are the vehicles' business. Only reading a payload
-        can drop it as bad: a fault past that raises."""
+        session kinds are the vehicles' business. Past the key lookup
+        and signature check, Endpoint._receive judges the frame as a
+        vehicle would."""
         pk = self.chain.public_key_of(f.sender)
         if pk is None:
             return self._drop(f, now, "unknown_sender")
         if not verify_frame(f, pk):
             return self._drop(f, now, "bad_signature")
-        if f.kind not in KIND_LABELS:
-            return self._drop(f, now, "unknown_kind")
-        if f.kind == KIND_BEACON:
-            if f.tf > self.beacons.get(f.sender, -1):
-                self.beacons[f.sender] = f.tf
-        elif f.kind in (KIND_COMM, KIND_REWARD_NOTICE):
-            try:
-                tx = f.tx
-            except (ValueError, KeyError, TypeError) as exc:
-                return self._drop(f, now, f"bad_payload:{exc}")
-            if tx.author != f.sender:
-                return self._drop(f, now, "tx_sender_mismatch")
-            self.ingest_tx(tx, now)
-        elif f.kind == KIND_ENDORSE:
-            try:
-                body = f.body
-                e = consensus.Endorsement(
-                    tx_id=bytes.fromhex(body["tx_id"]),
-                    endorser=f.sender,
-                    verdict=body["verdict"],
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                return self._drop(f, now, f"bad_payload:{exc}")
-            self.ingest_endorsement(e, now)
+        return self._receive(f, now)
+
+    def _on_comm(self, f: Frame, now: TimeFlag) -> list:
+        self.ingest_tx(f.body[-1], now)
+        return []
+
+    _on_reward_notice = _on_comm
+
+    def _on_endorse(self, f: Frame, now: TimeFlag) -> list:
+        tx_id, verdict = f.body
+        self.ingest_endorsement(consensus.Endorsement(tx_id, f.sender, verdict), now)
         return []
 
     def handle_timer(self, tag, now: TimeFlag) -> list:
@@ -216,9 +187,7 @@ def _schedule(cfg: ScenarioConfig, net: netsim.Network, vehicles: dict[str, Vehi
             net.set_timer(veh.ivtp_id, entry.arrival_ms[a], ("arrive", entry.id))
     for comm in cfg.comms:
         veh = vehicles[comm.sender]
-        net.set_timer(
-            veh.ivtp_id, comm.at_ms, ("comm", comm.payload.encode().hex())
-        )
+        net.set_timer(veh.ivtp_id, comm.at_ms, ("comm", comm.payload.encode()))
 
 
 def run(cfg: ScenarioConfig, out_dir=None) -> RunHandles:

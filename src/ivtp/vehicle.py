@@ -4,15 +4,16 @@ handlers.
 Every message on the air is a broadcast Frame: a kind tag, the sender's
 trust-point id, a time flag and a kind-specific payload, signed by the
 sender. Frames travel between participants as objects; their only byte
-form is the signing bytes. A receiver verifies the signature against the
-sender's on-chain key before any handler sees the content; frames that
-fail are dropped and counted, never raised.
+form is the signing bytes. Each payload is its kind's fields in wire
+order (PAYLOAD_FIELDS), written and read by the ledger's codecs. A
+receiver verifies the signature against the sender's on-chain key, then
+reads the payload, before any handler sees the content; frames that fail
+are dropped and counted, never raised.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from collections import Counter
 from dataclasses import dataclass
 
@@ -21,8 +22,17 @@ from .arbitration import IntersectionSession, Phase, Schedule
 from .consensus import ConsensusConfig
 from .identity import IvTpId, KeyPair, sha256, short_id
 from .ledger import (
+    BLOB,
+    ID,
+    IDS,
+    SIGNATURE,
+    STAMPED_IDS,
+    TEXT,
+    U64,
     ArbitrationTx,
+    Codec,
     CommTx,
+    CorruptChainFileError,
     FieldOverflowError,
     RewardTx,
     TimeFlag,
@@ -52,6 +62,35 @@ KIND_LABELS = {
     KIND_ENDORSE: "endorse",
     KIND_REWARD_NOTICE: "reward_notice",
 }
+
+# A carried transaction: its canonical encoding as a blob, decoded on read.
+TX = Codec(
+    lambda tx, name: BLOB.encode(canonical_encode(tx), name),
+    lambda r: canonical_decode(BLOB.decode(r)),
+)
+
+# Each kind's payload fields, in wire order, with the codec of each.
+PAYLOAD_FIELDS = {
+    KIND_BEACON: (("network_id", TEXT), ("position_zone", TEXT)),
+    KIND_COMM: (("message", BLOB), ("tx", TX)),
+    KIND_INTENT: (("intersection", TEXT), ("tf", U64)),
+    KIND_SCHEDULE: (
+        ("intersection", TEXT), ("round", U64), ("ordering", IDS), ("basis", STAMPED_IDS),
+    ),
+    KIND_AGREE: (("intersection", TEXT), ("round", U64), ("sig", SIGNATURE)),
+    KIND_DISAGREE: (("intersection", TEXT), ("round", U64), ("ordering", IDS)),
+    KIND_ENDORSE: (("tx_id", ID), ("verdict", TEXT)),
+    KIND_REWARD_NOTICE: (("tx", TX),),
+}
+_PAYLOAD_CODECS = {kind: [codec for _, codec in fields] for kind, fields in PAYLOAD_FIELDS.items()}
+
+# What decoding a payload raises; a frame whose payload raises it is dropped.
+DECODE_ERRORS = (CorruptChainFileError, UnicodeDecodeError)
+
+# The transaction kinds a comm and a reward notice may carry, as their
+# payload's last field. The frame's sender must be its author.
+CARRIES = {KIND_COMM: CommTx, KIND_REWARD_NOTICE: (ArbitrationTx, RewardTx)}
+
 
 class NotRegisteredError(ValueError):
     """Action requires the vehicle to be registered on the chain."""
@@ -88,16 +127,12 @@ class Frame:
         return _signing_bytes(self.kind, self.sender, self.tf, self.payload)
 
     @functools.cached_property
-    def body(self):
-        """The parsed JSON payload. Read it only after the signature
-        check, and never change it: every receiver shares it."""
-        return json.loads(self.payload.decode())
-
-    @functools.cached_property
-    def tx(self) -> Transaction:
-        """The transaction carried hex-encoded under the payload's "tx"
-        key (comm and reward_notice frames), decoded once and shared."""
-        return canonical_decode(bytes.fromhex(self.body["tx"]))
+    def body(self) -> tuple:
+        """The payload's field values in PAYLOAD_FIELDS order, a carried
+        transaction decoded. Raises one of DECODE_ERRORS unless the
+        payload is exactly those fields. Read it only after the signature
+        check: every receiver shares it."""
+        return ledger.decode_exact(self.payload, _PAYLOAD_CODECS[self.kind], "payload")
 
 
 def _signing_bytes(kind: int, sender: IvTpId, tf: TimeFlag, payload: bytes) -> bytes:
@@ -129,16 +164,15 @@ def _signed_by(f: Frame, public_key: bytes) -> bool:
         return False
 
 
-# One encoder for every payload; json.dumps with options builds one per call.
-_encode_payload = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def encode_payload(kind: int, *values) -> bytes:
+    """kind's payload: values in PAYLOAD_FIELDS order, each by its codec.
+    Raises FieldOverflowError, naming the field, if a value does not fit."""
+    fields = PAYLOAD_FIELDS[kind]
+    return b"".join([codec.encode(v, name) for (name, codec), v in zip(fields, values, strict=True)])
 
 
-def _compact(obj) -> bytes:
-    return _encode_payload(obj).encode()
-
-
-# Every beacon carries the same payload: one network, one zone.
-_BEACON_PAYLOAD = _compact({"network_id": "net-0", "position_zone": "zone-0"})
+# Every beacon carries the same payload, which no receiver reads.
+_BEACON_PAYLOAD = encode_payload(KIND_BEACON, "net-0", "zone-0")
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +182,23 @@ _BEACON_PAYLOAD = _compact({"network_id": "net-0", "position_zone": "zone-0"})
 class Endpoint:
     """A network participant that names itself in the trace by its
     alias: it writes a drop row for each frame it refuses, counted by
-    reason, and note rows for what it does."""
+    reason, and note rows for what it does. It keeps the freshest beacon
+    it heard from each sender, and judges every frame past its signature
+    check by the same rules (_receive)."""
 
-    def __init__(self, ivtp_id: IvTpId, alias: str):
+    # Kind -> name of its handler method; a subclass without one ignores the kind.
+    _HANDLERS = {kind: f"_on_{label}" for kind, label in KIND_LABELS.items()}
+
+    def __init__(
+        self, ivtp_id: IvTpId, alias: str, chain: ledger.Chain, config: ConsensusConfig
+    ):
         self.ivtp_id = ivtp_id
         self.alias = alias
+        self.chain = chain
+        self.config = config
         self.net = None  # netsim.Network, set when joining
         self.drops: Counter[str] = Counter()  # reason -> frames dropped
+        self.beacons: dict[IvTpId, TimeFlag] = {}  # sender -> freshest beacon tf
 
     @property
     def drop_count(self) -> int:
@@ -170,6 +214,42 @@ class Endpoint:
     def _note(self, now: TimeFlag, kind: str, detail) -> None:
         if self.net is not None:
             self.net.trace.note(now, self.alias, kind, detail)
+
+    def active(self, now: TimeFlag) -> set[IvTpId]:
+        """Registered vehicles whose freshest beacon heard here is at most
+        beacon_window_ms old."""
+        return consensus.active_vehicles(
+            self.chain, now, self.config.beacon_window_ms, self.beacons
+        )
+
+    def _receive(self, f: Frame, now: TimeFlag) -> list[Frame]:
+        """The pipeline past the key lookup and signature check: drop an
+        unknown kind, ignore one this endpoint has no handler for, read
+        the payload (a beacon's is never read) and check its carried
+        transaction, then run the handler. Only the read can drop a frame
+        as bad_payload: a fault in a handler raises."""
+        name = self._HANDLERS.get(f.kind)
+        if name is None:
+            return self._drop(f, now, "unknown_kind")
+        handler = getattr(self, name, None)
+        if handler is None:
+            return []
+        if f.kind != KIND_BEACON:
+            try:
+                body = f.body
+            except DECODE_ERRORS as exc:
+                return self._drop(f, now, f"bad_payload:{exc}")
+            carries = CARRIES.get(f.kind)
+            if carries is not None and not (
+                isinstance(body[-1], carries) and body[-1].author == f.sender
+            ):
+                return self._drop(f, now, "tx_sender_mismatch")
+        return handler(f, now)
+
+    def _on_beacon(self, f: Frame, now: TimeFlag) -> list[Frame]:
+        if f.tf > self.beacons.get(f.sender, -1):
+            self.beacons[f.sender] = f.tf
+        return []
 
 
 class Vehicle(Endpoint):
@@ -188,11 +268,8 @@ class Vehicle(Endpoint):
         config: ConsensusConfig = ConsensusConfig(),
         alias: str | None = None,
     ):
-        super().__init__(ivtp_id, alias or short_id(ivtp_id))
+        super().__init__(ivtp_id, alias or short_id(ivtp_id), chain, config)
         self.keypair = keypair
-        self.chain = chain
-        self.config = config
-        self.peer_beacons: dict[IvTpId, TimeFlag] = {}
         # tx_id -> tf of each transaction endorsed, oldest first (see _endorse_tx).
         self.endorsed: dict[bytes, TimeFlag] = {}
         self.paid_for: set[str] = set()  # intersection ids this vehicle paid a fee for
@@ -201,20 +278,12 @@ class Vehicle(Endpoint):
 
     # -- plumbing -----------------------------------------------------------
 
-    def _frame(self, kind: int, obj, now: TimeFlag) -> Frame:
-        return make_frame(kind, self.keypair, self.ivtp_id, now, _compact(obj))
+    def _frame(self, kind: int, now: TimeFlag, *values) -> Frame:
+        return make_frame(kind, self.keypair, self.ivtp_id, now, encode_payload(kind, *values))
 
     def _set_timer(self, fire_at: TimeFlag, tag) -> None:
         if self.net is not None:
             self.net.set_timer(self.ivtp_id, fire_at, tag)
-
-    def active_peers(self, now: TimeFlag) -> set[IvTpId]:
-        """Registered vehicles heard beaconing within the window,
-        excluding this one."""
-        active = consensus.active_vehicles(
-            self.chain, now, self.config.beacon_window_ms, self.peer_beacons
-        )
-        return active - {self.ivtp_id}
 
     # -- sending ------------------------------------------------------------
 
@@ -222,7 +291,7 @@ class Vehicle(Endpoint):
         """Liveness announcement, authenticated by the frame signature
         alone; also refreshes our own entry in the local freshness table
         so we count ourselves active."""
-        self.peer_beacons[self.ivtp_id] = now
+        self.beacons[self.ivtp_id] = now
         return make_frame(KIND_BEACON, self.keypair, self.ivtp_id, now, _BEACON_PAYLOAD)
 
     def send_comm(self, payload: bytes, now: TimeFlag) -> tuple[Frame, CommTx]:
@@ -230,7 +299,7 @@ class Vehicle(Endpoint):
         record's receivers are the peers active right now."""
         if not self.chain.is_registered(self.ivtp_id):
             raise NotRegisteredError(self.alias)
-        receivers = tuple(sorted(self.active_peers(now)))
+        receivers = tuple(sorted(self.active(now) - {self.ivtp_id}))
         tx = sign_tx(
             CommTx(
                 author=self.ivtp_id,
@@ -244,10 +313,7 @@ class Vehicle(Endpoint):
             self.keypair,
         )
         self.submitted.append(tx)
-        frame = self._frame(
-            KIND_COMM, {"body": payload.hex(), "tx": canonical_encode(tx).hex()}, now
-        )
-        return frame, tx
+        return self._frame(KIND_COMM, now, payload, tx), tx
 
     # -- sessions -----------------------------------------------------------
 
@@ -275,11 +341,7 @@ class Vehicle(Endpoint):
         """Called at this vehicle's arrival time: broadcast the intent
         and record it locally."""
         session = self.sessions[intersection_id]
-        out = [
-            self._frame(
-                KIND_INTENT, {"intersection": intersection_id, "tf": now}, now
-            )
-        ]
+        out = [self._frame(KIND_INTENT, now, intersection_id, now)]
         if session.add_intent(self.ivtp_id, now) and session.phase is Phase.COLLECTING:
             out.extend(self._enter_election(session, now))
         return out
@@ -300,13 +362,12 @@ class Vehicle(Endpoint):
         session.phase = Phase.AGREEING
         schedule = session.make_schedule(self.ivtp_id)
         session.schedule = schedule
-        payload = {
-            "intersection": session.intersection_id,
-            "ordering": [veh.hex() for veh in schedule.ordering],
-            "basis": [[veh.hex(), tf] for veh, tf in schedule.basis],
-            "round": session.round,
-        }
-        out = [self._frame(KIND_SCHEDULE, payload, now)]
+        out = [
+            self._frame(
+                KIND_SCHEDULE, now, session.intersection_id, session.round,
+                schedule.ordering, schedule.basis,
+            )
+        ]
         if session.unanimous():  # single-participant session
             out.extend(self._commit(session, now))
         return out
@@ -337,13 +398,7 @@ class Vehicle(Endpoint):
                 "round": session.round,
             },
         )
-        out = [
-            self._frame(
-                KIND_REWARD_NOTICE,
-                {"intersection": session.intersection_id, "tx": canonical_encode(arb).hex()},
-                now,
-            )
-        ]
+        out = [self._frame(KIND_REWARD_NOTICE, now, arb)]
         out.extend(self._maybe_pay_reward(arb, now))
         return out
 
@@ -368,13 +423,7 @@ class Vehicle(Endpoint):
             self.keypair,
         )
         self.submitted.append(reward)
-        return [
-            self._frame(
-                KIND_REWARD_NOTICE,
-                {"intersection": arb.intersection_id, "tx": canonical_encode(reward).hex()},
-                now,
-            )
-        ]
+        return [self._frame(KIND_REWARD_NOTICE, now, reward)]
 
     def _enter_recovery(self, session: IntersectionSession, now: TimeFlag) -> list[Frame]:
         phase = arbitration.recover(session)
@@ -393,7 +442,7 @@ class Vehicle(Endpoint):
         out = []
         own_tf = session.intents.get(self.ivtp_id)
         if own_tf is not None:
-            out.append(self._frame(KIND_INTENT, {"intersection": iid, "tf": own_tf}, now))
+            out.append(self._frame(KIND_INTENT, now, iid, own_tf))
         self._set_timer(
             now + self.config.agree_timeout_ms, ("collect_deadline", iid, session.round)
         )
@@ -410,27 +459,17 @@ class Vehicle(Endpoint):
 
     # -- receiving ----------------------------------------------------------
 
-    # Kind -> name of its handler method, looked up on the instance.
-    _HANDLERS = {kind: f"_on_{label}" for kind, label in KIND_LABELS.items()}
+    # netsim.Participant protocol
 
-    def on_receive(self, f: Frame, now: TimeFlag) -> list[Frame]:
+    def handle_frame(self, f: Frame, now: TimeFlag) -> list[Frame]:
         """Verification pipeline: on-chain key lookup, signature check,
-        then kind dispatch. A bad frame is dropped with a trace row."""
+        then Endpoint._receive. A bad frame is dropped with a trace row."""
         pk = self.chain.public_key_of(f.sender)
         if pk is None:
             return self._drop(f, now, "unknown_sender")
         if not verify_frame(f, pk):
             return self._drop(f, now, "bad_signature")
-        handler = self._HANDLERS.get(f.kind)
-        if handler is None:
-            return self._drop(f, now, "unknown_kind")
-        try:
-            return getattr(self, handler)(f, now)
-        except (ValueError, KeyError, TypeError) as exc:
-            return self._drop(f, now, f"bad_payload:{exc}")
-
-    # netsim.Participant protocol
-    handle_frame = on_receive
+        return self._receive(f, now)
 
     def handle_timer(self, tag, now: TimeFlag) -> list[Frame]:
         kind = tag[0]
@@ -438,7 +477,7 @@ class Vehicle(Endpoint):
             self._set_timer(now + self.config.beacon_period_ms, ("beacon",))
             return [self.emit_beacon(now)]
         if kind == "comm":
-            frame, _tx = self.send_comm(bytes.fromhex(tag[1]), now)
+            frame, _tx = self.send_comm(tag[1], now)
             return [frame]
         if kind == "arrive":
             return self.announce_arrival(tag[1], now)
@@ -456,11 +495,6 @@ class Vehicle(Endpoint):
         return []
 
     # -- kind handlers ------------------------------------------------------
-
-    def _on_beacon(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        if f.tf > self.peer_beacons.get(f.sender, -1):
-            self.peer_beacons[f.sender] = f.tf
-        return []
 
     def _endorse_tx(self, tx: Transaction, verdict_override: str | None, now: TimeFlag):
         """One endorsement per transaction id, ever. Only a tx whose tf
@@ -481,79 +515,61 @@ class Vehicle(Endpoint):
         if verdict_override is not None:
             verdict = verdict_override
         else:
-            active = consensus.active_vehicles(
-                self.chain, now, self.config.beacon_window_ms, self.peer_beacons
-            )
-            cause = consensus.pod_check(active, tx, self.chain)
+            cause = consensus.pod_check(self.active(now), tx, self.chain)
             verdict = consensus.VERDICT_VALID if cause is None else consensus.VERDICT_INVALID
-        return [self._frame(KIND_ENDORSE, {"tx_id": tx_id.hex(), "verdict": verdict}, now)]
+        return [self._frame(KIND_ENDORSE, now, tx_id, verdict)]
 
     def _on_comm(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        tx = f.tx
-        if not isinstance(tx, CommTx) or tx.author != f.sender:
-            return self._drop(f, now, "tx_sender_mismatch")
+        message, tx = f.body
         verdict = None
-        if sha256(bytes.fromhex(f.body["body"])) != tx.message_hash:
+        if sha256(message) != tx.message_hash:
             verdict = consensus.VERDICT_INVALID  # content does not match record
         return self._endorse_tx(tx, verdict, now)
 
     def _on_intent(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        body = f.body
-        session = self.sessions.get(body["intersection"])
+        iid, tf = f.body
+        session = self.sessions.get(iid)
         if session is None or f.sender not in session.participants:
             return []
         if session.phase is not Phase.COLLECTING:
             return []
-        if session.add_intent(f.sender, int(body["tf"])):
+        if session.add_intent(f.sender, tf):
             return self._enter_election(session, now)
         return []
 
     def _on_schedule(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        body = f.body
-        iid = body["intersection"]
+        iid, round_, ordering, basis = f.body
         session = self.sessions.get(iid)
         if session is None or self.ivtp_id not in session.participants:
             return []
         if session.phase in (Phase.COMMITTED, Phase.ABORTED) or f.sender == self.ivtp_id:
             return []
-        if int(body["round"]) != session.round:
+        if round_ != session.round:
             return []  # leftover from an already-failed round
         if session.proposer is not None and f.sender != session.proposer:
             return []
-        schedule = Schedule(
-            ordering=tuple(bytes.fromhex(v) for v in body["ordering"]),
-            proposer=f.sender,
-            basis=tuple((bytes.fromhex(v), int(tf)) for v, tf in body["basis"]),
-        )
+        schedule = Schedule(ordering=ordering, proposer=f.sender, basis=basis)
         if session.matches(schedule):
             session.phase = Phase.AGREEING
             session.proposer = f.sender
             session.schedule = schedule
             sig = arbitration.agreement_signature(self.keypair, iid, schedule.ordering)
-            payload = {"intersection": iid, "sig": sig.hex(), "round": session.round}
-            return [self._frame(KIND_AGREE, payload, now)]
-        mine = []
-        if session.intents:
-            mine = [v.hex() for v in arbitration.compute_order(session.intents)]
-        disagree = self._frame(
-            KIND_DISAGREE,
-            {"intersection": iid, "ordering": mine, "round": session.round},
-            now,
-        )
+            return [self._frame(KIND_AGREE, now, iid, session.round, sig)]
+        mine = arbitration.compute_order(session.intents) if session.intents else ()
+        disagree = self._frame(KIND_DISAGREE, now, iid, session.round, mine)
         return [disagree] + self._enter_recovery(session, now)
 
     def _on_agree(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        body = f.body
-        session = self.sessions.get(body["intersection"])
+        iid, round_, sig = f.body
+        session = self.sessions.get(iid)
         if (
             session is None
             or session.proposer != self.ivtp_id
             or session.phase is not Phase.AGREEING
             or f.sender not in session.participants
-            or int(body["round"]) != session.round
+            or round_ != session.round
         ):
             return []
-        sig = bytes.fromhex(body["sig"])
         pk = self.chain.public_key_of(f.sender)
         msg = agree_message(session.intersection_id, session.schedule.ordering)
         if pk is None or not identity.verify(pk, msg, sig):
@@ -564,41 +580,34 @@ class Vehicle(Endpoint):
         return []
 
     def _on_disagree(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        body = f.body
-        session = self.sessions.get(body["intersection"])
+        iid, round_, _ordering = f.body
+        session = self.sessions.get(iid)
         if (
             session is None
             or self.ivtp_id not in session.participants
             or f.sender not in session.participants
             or session.phase in (Phase.COMMITTED, Phase.ABORTED)
-            or int(body["round"]) < session.round
+            or round_ < session.round
         ):
             return []
         return self._enter_recovery(session, now)
 
-    def _on_endorse(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        return []  # consensus metadata; the ledger host consumes these
-
     def _on_reward_notice(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        tx = f.tx
-        out: list[Frame] = []
-        if isinstance(tx, ArbitrationTx):
-            session = self.sessions.get(tx.intersection_id)
-            # Act only on an outcome announced by its proposer, for an
-            # intersection this vehicle takes part in, that would apply:
-            # check_tx wants every member's agreement, this vehicle's included.
-            applies = (
-                session is not None
-                and self.ivtp_id in session.participants
-                and tx.author == f.sender == tx.proposer
-                and self.chain.state.check_tx(tx, self.chain.height + 1) is None
-            )
-            if applies and session.phase not in (Phase.COMMITTED, Phase.ABORTED):
-                session.phase = Phase.COMMITTED
-                session.proposer = tx.proposer
-            out.extend(self._endorse_tx(tx, None, now))
-            if applies:
-                out.extend(self._maybe_pay_reward(tx, now))
-        elif isinstance(tx, RewardTx):
-            out.extend(self._endorse_tx(tx, None, now))
-        return out
+        (tx,) = f.body
+        out = self._endorse_tx(tx, None, now)
+        if not isinstance(tx, ArbitrationTx):
+            return out
+        session = self.sessions.get(tx.intersection_id)
+        # Act only on an outcome for an intersection this vehicle takes
+        # part in that would apply: check_tx wants the proposer as author
+        # and every member's agreement, this vehicle's included.
+        if (
+            session is None
+            or self.ivtp_id not in session.participants
+            or self.chain.state.check_tx(tx, self.chain.height + 1) is not None
+        ):
+            return out
+        if session.phase not in (Phase.COMMITTED, Phase.ABORTED):
+            session.phase = Phase.COMMITTED
+            session.proposer = tx.proposer
+        return out + self._maybe_pay_reward(tx, now)

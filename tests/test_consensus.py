@@ -82,8 +82,8 @@ class TestQuorum:
 
 
 def _endorse_frame(kp, sender, tx_id, verdict, tf=1):
-    body = {"tx_id": tx_id.hex(), "verdict": verdict}
-    return make_frame(KIND_ENDORSE, kp, sender, tf, vehicle._compact(body))
+    payload = vehicle.encode_payload(KIND_ENDORSE, tx_id, verdict)
+    return make_frame(KIND_ENDORSE, kp, sender, tf, payload)
 
 
 class TestEndorsements:
@@ -108,9 +108,7 @@ class TestEndorsements:
         f = _endorse_frame(keys[ids[1]], ids[1], tx_id, consensus.VERDICT_VALID)
         flipped = dataclasses.replace(
             f,
-            payload=vehicle._compact(
-                {"tx_id": tx_id.hex(), "verdict": consensus.VERDICT_INVALID}
-            ),
+            payload=vehicle.encode_payload(KIND_ENDORSE, tx_id, consensus.VERDICT_INVALID),
         )
         host.handle_frame(flipped, now=1)
         assert host.early_endorsements == {}

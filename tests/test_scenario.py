@@ -242,13 +242,13 @@ class TestLedgerHost:
     def test_unverifiable_endorsement_ignored(self):
         host, _, ids, keys = self._host()
         tx_id = identity.sha256(b"t")
-        body = {"tx_id": tx_id.hex(), "verdict": consensus.VERDICT_VALID}
-        genuine = make_frame(KIND_ENDORSE, keys[ids[1]], ids[1], 1, vehicle._compact(body))
+        body = vehicle.encode_payload(KIND_ENDORSE, tx_id, consensus.VERDICT_VALID)
+        genuine = make_frame(KIND_ENDORSE, keys[ids[1]], ids[1], 1, body)
         ghost_kp = identity.keygen(identity.sha256(b"ghost"))
         for forged in (
             dataclasses.replace(
                 genuine,
-                payload=vehicle._compact({**body, "verdict": consensus.VERDICT_INVALID}),
+                payload=vehicle.encode_payload(KIND_ENDORSE, tx_id, consensus.VERDICT_INVALID),
             ),
             dataclasses.replace(genuine, signature=bytes(64)),
             make_frame(KIND_ENDORSE, keys[ids[2]], ids[1], 1, genuine.payload),
@@ -315,14 +315,13 @@ class TestLedgerHost:
         host.net = net = netsim.Network()
         ghost_kp = identity.keygen(identity.sha256(b"ghost"))
         genuine = Vehicle(ids[0], keys[ids[0]], chain).emit_beacon(10)
-        stolen_tx = ledger.canonical_encode(signed_comm(keys[ids[1]], ids[1]))
-        stolen = {"body": "", "tx": stolen_tx.hex()}
+        stolen = vehicle.encode_payload(KIND_COMM, b"", signed_comm(keys[ids[1]], ids[1]))
         for f in (
             make_frame(KIND_BEACON, ghost_kp, identity.sha256(b"ghost"), 10, b"{}"),
             dataclasses.replace(genuine, tf=20),
             make_frame(KIND_COMM, keys[ids[0]], ids[0], 10, b"not json"),
             make_frame(KIND_ENDORSE, keys[ids[0]], ids[0], 10, b"[1]"),
-            make_frame(KIND_COMM, keys[ids[0]], ids[0], 10, vehicle._compact(stolen)),
+            make_frame(KIND_COMM, keys[ids[0]], ids[0], 10, stolen),
             make_frame(99, keys[ids[0]], ids[0], 10, b"{}"),
         ):
             assert host.handle_frame(f, now=20) == []
@@ -351,7 +350,7 @@ class TestLedgerHost:
             vehicles.append(v)
         for v in vehicles:
             net.set_timer(v.ivtp_id, 0, ("beacon",))
-        net.set_timer(vehicles[0].ivtp_id, 50, ("comm", b"hello".hex()))
+        net.set_timer(vehicles[0].ivtp_id, 50, ("comm", b"hello"))
         before = chain.height
         net.run_until(200)
         comms = [

@@ -16,6 +16,7 @@ from ivtp.vehicle import (
     KIND_COMM,
     KIND_ENDORSE,
     KIND_INTENT,
+    KIND_LABELS,
     KIND_REWARD_NOTICE,
     KIND_SCHEDULE,
     Frame,
@@ -29,14 +30,53 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 _ids = st.binary(min_size=32, max_size=32)
 
+_u64s = st.integers(min_value=0, max_value=2**64 - 1)
+_sigs = st.binary(min_size=64, max_size=64)
+
 _frames = st.builds(
     Frame,
     kind=st.integers(min_value=1, max_value=255),
     sender=_ids,
-    tf=st.integers(min_value=0, max_value=2**64 - 1),
+    tf=_u64s,
     payload=st.binary(max_size=200),
-    signature=st.binary(min_size=64, max_size=64),
+    signature=_sigs,
 )
+
+_id_lists = st.lists(_ids, max_size=4).map(tuple)
+_texts = st.sampled_from(["x-1"]) | st.text(max_size=12)
+
+# Values of each payload field codec; transactions need not be validly signed.
+_FIELD_VALUES = {
+    ledger.TEXT: _texts,
+    ledger.U64: _u64s,
+    ledger.ID: _ids,
+    ledger.IDS: _id_lists,
+    ledger.SIGNATURE: _sigs,
+    ledger.BLOB: st.binary(max_size=40),
+    ledger.STAMPED_IDS: st.lists(st.tuples(_ids, _u64s), max_size=4).map(tuple),
+    vehicle.TX: st.one_of(
+        st.builds(
+            ledger.CommTx, author=_ids, tf=_u64s, signature=_sigs, sender=_ids,
+            receivers=_id_lists, message_hash=_ids, tf_sent=_u64s,
+        ),
+        st.builds(
+            ledger.RewardTx, author=_ids, tf=_u64s, signature=_sigs, from_id=_ids,
+            to_id=_ids, amount=_u64s, reason=_texts,
+        ),
+        st.builds(
+            ledger.ArbitrationTx, author=_ids, tf=_u64s, signature=_sigs,
+            intersection_id=_texts, ordering=_id_lists, proposer=_ids,
+            agreements=st.lists(st.tuples(_ids, _sigs), max_size=3).map(tuple),
+        ),
+    ),
+}
+
+
+@st.composite
+def _payload_values(draw):
+    """A kind and a value for each of its payload fields."""
+    kind = draw(st.sampled_from(sorted(vehicle.PAYLOAD_FIELDS)))
+    return kind, tuple(draw(_FIELD_VALUES[codec]) for _, codec in vehicle.PAYLOAD_FIELDS[kind])
 
 
 class TestFrameCodec:
@@ -57,6 +97,17 @@ class TestFrameCodec:
         bad = dataclasses.replace(f, tf=13)
         assert not verify_frame(bad, kp.public_key)
 
+    @given(_payload_values())
+    @settings(max_examples=300, deadline=None)
+    def test_body_round_trips_every_kind(self, kind_values):
+        """Frame.body reads back each field encode_payload wrote, and the
+        values encode back to the same bytes."""
+        kind, values = kind_values
+        payload = vehicle.encode_payload(kind, *values)
+        f = Frame(kind, bytes(32), 0, payload)
+        assert f.body == values
+        assert vehicle.encode_payload(kind, *f.body) == payload
+
 
 def _wire(n, network=netsim.NetworkConfig(), drop_rule=None, cfg=consensus.ConsensusConfig()):
     """Fleet of n registered vehicles joined to one network."""
@@ -72,12 +123,53 @@ def _wire(n, network=netsim.NetworkConfig(), drop_rule=None, cfg=consensus.Conse
     return chain, net, vehicles
 
 
+def _with_host(n):
+    """n vehicles and the ledger host on one network."""
+    chain, net, vehicles = _wire(n)
+    host = sim.LedgerHost(chain)
+    host.net = net
+    net.join(host)
+    return net, vehicles, host
+
+
+def _reward(payer, payee, tf=5):
+    """payer's own signed transfer of one milli-trust to payee."""
+    return ledger.sign_tx(
+        ledger.RewardTx(
+            author=payer.ivtp_id, tf=tf, signature=b"", from_id=payer.ivtp_id,
+            to_id=payee.ivtp_id, amount=1, reason="r",
+        ),
+        payer.keypair,
+    )
+
+
+def _sample_payload(kind, v):
+    """A well-formed payload of kind, as vehicle v would send it."""
+    ids = (v.ivtp_id,)
+    tx = signed_comm(v.keypair, v.ivtp_id)
+    values = {
+        KIND_COMM: (b"m", tx),
+        KIND_INTENT: ("x-1", 5),
+        KIND_SCHEDULE: ("x-1", 0, ids, ((v.ivtp_id, 5),)),
+        KIND_ENDORSE: (tx.tx_id, consensus.VERDICT_VALID),
+        KIND_REWARD_NOTICE: (_reward(v, v),),
+    }[kind]
+    return vehicle.encode_payload(kind, *values)
+
+
+def _length_past_end(kind, payload):
+    """payload with its first length prefix (after an endorsement's
+    tx_id) set past the end."""
+    at = 32 if kind == KIND_ENDORSE else 0
+    return payload[:at] + struct.pack(">I", len(payload)) + payload[at + 4 :]
+
+
 class TestPipeline:
     def test_unknown_sender_dropped_and_counted(self):
         _, _, (a, b) = _wire(2)
         ghost_kp = identity.keygen(identity.sha256(b"ghost"))
         f = make_frame(KIND_BEACON, ghost_kp, identity.sha256(b"ghost"), 0, b"{}")
-        assert a.on_receive(f, 0) == []
+        assert a.handle_frame(f, 0) == []
         assert a.drop_count == 1
         assert a.drops == {"unknown_sender": 1}
 
@@ -85,14 +177,14 @@ class TestPipeline:
         _, _, (a, b) = _wire(2)
         f = make_frame(KIND_BEACON, b.keypair, b.ivtp_id, 0, b"{}")
         forged = dataclasses.replace(f, tf=999)
-        a.on_receive(forged, 0)
+        a.handle_frame(forged, 0)
         assert a.drops == {"bad_signature": 1}
-        assert b.ivtp_id not in a.peer_beacons
+        assert b.ivtp_id not in a.beacons
 
     def test_malformed_payload_dropped(self):
         _, _, (a, b) = _wire(2)
         f = make_frame(KIND_COMM, b.keypair, b.ivtp_id, 0, b"not json")
-        a.on_receive(f, 0)
+        a.handle_frame(f, 0)
         assert a.drop_count == 1
         (reason,) = a.drops
         assert reason.startswith("bad_payload")
@@ -101,18 +193,28 @@ class TestPipeline:
         "kind", [KIND_INTENT, KIND_SCHEDULE, KIND_COMM, KIND_ENDORSE, KIND_REWARD_NOTICE]
     )
     @pytest.mark.parametrize(
-        "payload",
-        [b"[1]", b'{"intersection":[1],"tx":[1],"tx_id":[1]}'],
-        ids=["not_an_object", "fields_not_strings"],
+        "mangle",
+        [
+            lambda kind, p: b"[1]",
+            lambda kind, p: b'{"intersection":[1],"tx":[1],"tx_id":[1]}',
+            lambda kind, p: p[:-1],
+            _length_past_end,
+            lambda kind, p: p + b"\0",
+        ],
+        ids=[
+            "not_an_object", "fields_not_strings", "truncated_field", "length_past_end",
+            "trailing_bytes",
+        ],
     )
-    def test_wrong_shape_payload_dropped_not_raised(self, kind, payload):
-        """Valid JSON of the wrong shape from a registered vehicle: each
-        vehicle that reads the payload drops the frame, and so does the
-        ledger host if it reads that kind; the run goes on."""
-        chain, net, (a, *receivers) = _wire(3)
-        host = sim.LedgerHost(chain)
-        host.net = net
-        net.join(host)
+    def test_wrong_shape_payload_dropped_not_raised(self, kind, mangle):
+        """A payload that is not its kind's fields, from a registered
+        vehicle: JSON (the two first cases), or a well-formed payload with
+        its last byte cut, its first length prefix past the end, or a
+        byte after its last field. Each vehicle that reads the payload
+        drops the frame, and so does the ledger host if it reads that
+        kind; the run goes on."""
+        net, (a, *receivers), host = _with_host(3)
+        payload = mangle(kind, _sample_payload(kind, a))
         net.broadcast(make_frame(kind, a.keypair, a.ivtp_id, 5, payload), 5)
         net.run_until(10)
         # Endorsements are read only by the host.
@@ -126,18 +228,18 @@ class TestPipeline:
     def test_beacon_updates_freshness_and_ignores_stale(self):
         _, _, (a, b) = _wire(2)
         beacon = b.emit_beacon(100)
-        a.on_receive(beacon, 100)
-        assert a.peer_beacons[b.ivtp_id] == 100
-        a.on_receive(b.emit_beacon(50), 101)  # older tf must not regress
-        assert a.peer_beacons[b.ivtp_id] == 100
-        assert a.active_peers(400) == {b.ivtp_id}
-        assert a.active_peers(601) == set()
+        a.handle_frame(beacon, 100)
+        assert a.beacons[b.ivtp_id] == 100
+        a.handle_frame(b.emit_beacon(50), 101)  # older tf must not regress
+        assert a.beacons[b.ivtp_id] == 100
+        assert a.active(400) == {b.ivtp_id}
+        assert a.active(601) == set()
 
 
 class TestComm:
     def test_send_comm_targets_active_peers(self):
         _, _, (a, b, c) = _wire(3)
-        a.on_receive(b.emit_beacon(10), 10)
+        a.handle_frame(b.emit_beacon(10), 10)
         frame, tx = a.send_comm(b"hello", now=20)
         assert tx.receivers == (b.ivtp_id,)
         assert tx.message_hash == identity.sha256(b"hello")
@@ -154,17 +256,16 @@ class TestComm:
         """The endorse frame carries tx_id and verdict under the frame
         signature alone; the ledger host pools it only untampered."""
         chain, _, (a, b) = _wire(2)
-        a.on_receive(b.emit_beacon(10), 10)
-        b.on_receive(a.emit_beacon(10), 10)
+        a.handle_frame(b.emit_beacon(10), 10)
+        b.handle_frame(a.emit_beacon(10), 10)
         frame, tx = b.send_comm(b"ping", now=20)
-        out = a.on_receive(frame, 20)
+        out = a.handle_frame(frame, 20)
         assert [f.kind for f in out] == [KIND_ENDORSE]
-        body = json.loads(out[0].payload)
-        assert body == {"tx_id": tx.tx_id.hex(), "verdict": consensus.VERDICT_VALID}
+        assert out[0].body == (tx.tx_id, consensus.VERDICT_VALID)
         host = sim.LedgerHost(chain)
         flipped = dataclasses.replace(
             out[0],
-            payload=vehicle._compact({**body, "verdict": consensus.VERDICT_INVALID}),
+            payload=vehicle.encode_payload(KIND_ENDORSE, tx.tx_id, consensus.VERDICT_INVALID),
         )
         host.handle_frame(flipped, 20)
         assert host.early_endorsements == {}
@@ -177,16 +278,14 @@ class TestComm:
         """Broadcast content that contradicts the on-chain record is
         endorsed invalid, which feeds the reject quorum."""
         _, _, (a, b) = _wire(2)
-        a.on_receive(b.emit_beacon(10), 10)
-        b.on_receive(a.emit_beacon(10), 10)
+        a.handle_frame(b.emit_beacon(10), 10)
+        b.handle_frame(a.emit_beacon(10), 10)
         frame, tx = b.send_comm(b"ping", now=20)
-        body = json.loads(frame.payload)
-        body["body"] = b"pong".hex()
         forged = make_frame(
-            KIND_COMM, b.keypair, b.ivtp_id, 20, vehicle._compact(body)
+            KIND_COMM, b.keypair, b.ivtp_id, 20, vehicle.encode_payload(KIND_COMM, b"pong", tx)
         )
-        out = a.on_receive(forged, 20)
-        assert json.loads(out[0].payload)["verdict"] == consensus.VERDICT_INVALID
+        out = a.handle_frame(forged, 20)
+        assert out[0].body == (tx.tx_id, consensus.VERDICT_INVALID)
 
     def test_comm_tx_author_must_be_frame_sender(self):
         _, _, (a, b, c) = _wire(3)
@@ -196,20 +295,18 @@ class TestComm:
             c.keypair,
             c.ivtp_id,
             5,
-            vehicle._compact(
-                {"body": b"x".hex(), "tx": ledger.canonical_encode(tx).hex()}
-            ),
+            vehicle.encode_payload(KIND_COMM, b"x", tx),
         )
-        assert a.on_receive(stolen, 5) == []
+        assert a.handle_frame(stolen, 5) == []
         assert a.drops == {"tx_sender_mismatch": 1}
 
     def test_endorsement_dedup_by_tx_id(self):
         _, _, (a, b) = _wire(2)
-        a.on_receive(b.emit_beacon(10), 10)
-        b.on_receive(a.emit_beacon(10), 10)
+        a.handle_frame(b.emit_beacon(10), 10)
+        b.handle_frame(a.emit_beacon(10), 10)
         frame, _ = b.send_comm(b"ping", now=20)
-        assert len(a.on_receive(frame, 20)) == 1
-        assert a.on_receive(frame, 21) == []  # replays earn nothing
+        assert len(a.handle_frame(frame, 20)) == 1
+        assert a.handle_frame(frame, 21) == []  # replays earn nothing
 
     def test_endorsed_keeps_only_the_last_ttl(self):
         """A replay within pending_ttl_ms is not endorsed again; past it
@@ -220,26 +317,20 @@ class TestComm:
         frames = {}
         for t in range(0, 10 * ttl, step):
             frames[t], _ = b.send_comm(b"ping %d" % t, now=t)
-            assert len(a.on_receive(frames[t], t)) == 1
+            assert len(a.handle_frame(frames[t], t)) == 1
             for replayed in (t - ttl, t - ttl - step):
                 if replayed in frames:
-                    assert a.on_receive(frames[replayed], t) == []
+                    assert a.handle_frame(frames[replayed], t) == []
             assert len(a.endorsed) <= ttl // step + 1
         assert list(a.endorsed.values()) == list(range(t - ttl, t + 1, step))
         ahead, _ = b.send_comm(b"from the future", now=t + 1)
-        assert a.on_receive(ahead, t) == []
+        assert a.handle_frame(ahead, t) == []
 
     def test_never_endorses_own_tx(self):
         _, _, (a, b) = _wire(2)
-        b.on_receive(a.emit_beacon(10), 10)
+        b.handle_frame(a.emit_beacon(10), 10)
         frame, _ = b.send_comm(b"ping", now=20)
-        assert b._endorse_tx(
-            ledger.canonical_decode(
-                bytes.fromhex(json.loads(frame.payload)["tx"])
-            ),
-            None,
-            20,
-        ) == []
+        assert b._endorse_tx(frame.body[-1], None, 20) == []
 
 
 def _intersection(net, vehicles, arrivals, delays, iid="x-1", window=300):
@@ -401,9 +492,8 @@ class TestFramePayloadCache:
         f, tx = a.send_comm(b"hello", now=20)
         twin = Frame(f.kind, f.sender, f.tf, f.payload, f.signature)
         before = repr(f)
-        assert f.body["body"] == b"hello".hex()
-        assert f.tx == tx
-        assert {"body", "tx"} <= set(vars(f)) and not {"body", "tx"} & set(vars(twin))
+        assert f.body == (b"hello", tx)
+        assert "body" in vars(f) and "body" not in vars(twin)
         assert f == twin and hash(f) == hash(twin)
         assert repr(f) == repr(twin) == before
 
@@ -430,23 +520,24 @@ class TestFramePayloadCache:
 
     @pytest.mark.parametrize("kind", [KIND_COMM, KIND_REWARD_NOTICE])
     @pytest.mark.parametrize(
-        "payload",
+        "tx_blob",
         [
-            b"not json",
-            b'{"body": ""}',
-            b'{"body": "", "tx": "zz"}',
-            b"TRAILING",
+            lambda tx: struct.pack(">I", 1000) + tx,  # a length prefix past the end
+            None,  # the payload stops before the tx field
+            lambda tx: ledger.BLOB.encode(b"zz", "tx"),  # not a transaction
+            lambda tx: ledger.BLOB.encode(tx + b"\0", "tx"),  # a byte after the tx
         ],
-        ids=["bad_json", "missing_tx", "bad_hex", "trailing_bytes"],
+        ids=["length_past_end", "missing_tx", "bad_tx", "trailing_bytes"],
     )
-    def test_malformed_payload_drops_alike_at_every_receiver(self, kind, payload):
-        """A failed decode is not cached: each receiver raises afresh and
-        drops with the same reason and the same trace row."""
+    def test_malformed_payload_drops_alike_at_every_receiver(self, kind, tx_blob):
+        """A failed decode of the carried transaction is not cached: each
+        receiver raises afresh and drops with the same reason and the same
+        trace row."""
         _, net, (a, *receivers) = _wire(4)
-        if payload == b"TRAILING":
-            tx = signed_comm(a.keypair, a.ivtp_id)
-            payload = json.dumps({"body": "", "tx": (ledger.canonical_encode(tx) + b"\0").hex()})
-            payload = payload.encode()
+        tx = ledger.canonical_encode(signed_comm(a.keypair, a.ivtp_id))
+        payload = ledger.BLOB.encode(b"m", "message") if kind == KIND_COMM else b""
+        if tx_blob is not None:
+            payload += tx_blob(tx)
         f = make_frame(kind, a.keypair, a.ivtp_id, 5, payload)
         net.broadcast(f, 5)
         net.run_until(10)
@@ -456,7 +547,7 @@ class TestFramePayloadCache:
         drops = [r for r in net.trace if r["dir"] == "drop"]
         assert sorted(r["vehicle"] for r in drops) == ["IV-2", "IV-3", "IV-4"]
         assert len({json.dumps(r["detail"]) for r in drops}) == 1
-        assert "tx" not in vars(f)
+        assert "body" not in vars(f)
 
 
 def _arbitration(proposer, ordering, iid, voters=()):
@@ -477,8 +568,7 @@ def _arbitration(proposer, ordering, iid, voters=()):
 
 def _announce(net, sender, tx, at):
     """sender broadcasts a reward notice carrying tx at time at."""
-    payload = {"intersection": tx.intersection_id, "tx": ledger.canonical_encode(tx).hex()}
-    net.broadcast(sender._frame(KIND_REWARD_NOTICE, payload, at), at)
+    net.broadcast(sender._frame(KIND_REWARD_NOTICE, at, tx), at)
     net.run_until(at + 10)
 
 
@@ -540,3 +630,96 @@ class TestRewardGuard:
         iv1.sessions.clear()
         _announce(net, iv2, _arbitration(iv2, [iv1, iv2, iv3, iv4], "x-1", [iv1, iv3, iv4]), 5)
         assert _fees(iv1) == []
+
+
+def _drop_rows(net):
+    return sorted((r["vehicle"], r["detail"]["reason"]) for r in net.trace if r["dir"] == "drop")
+
+
+class TestOneRuleSet:
+    """The vehicles and the ledger host judge a frame by the same rules:
+    a comm carries its sender's CommTx, a reward notice its sender's
+    ArbitrationTx or RewardTx, and a fault past reading the payload
+    raises at every endpoint. Nobody beacons here, so the quorum is zero
+    and a transaction the host pooled would commit at once."""
+
+    def test_comm_carrying_a_reward_is_dropped_everywhere(self):
+        net, (a, b, c), host = _with_host(3)
+        height = host.chain.height
+        net.broadcast(a._frame(KIND_COMM, 5, b"m", _reward(a, b)), 5)
+        net.run_until(10)
+        assert _drop_rows(net) == [
+            ("IV-2", "tx_sender_mismatch"), ("IV-3", "tx_sender_mismatch"),
+            ("host", "tx_sender_mismatch"),
+        ]
+        assert host.pending == {} and host.chain.height == height
+
+    def test_reward_notice_carrying_a_comm_is_dropped_everywhere(self):
+        net, (a, b, c), host = _with_host(3)
+        comm = signed_comm(a.keypair, a.ivtp_id, tf=5)
+        height = host.chain.height
+        net.broadcast(a._frame(KIND_REWARD_NOTICE, 5, comm), 5)
+        net.run_until(10)
+        assert _drop_rows(net) == [
+            ("IV-2", "tx_sender_mismatch"), ("IV-3", "tx_sender_mismatch"),
+            ("host", "tx_sender_mismatch"),
+        ]
+        assert host.pending == {} and host.chain.height == height
+
+    def test_relayed_reward_is_dropped_not_endorsed(self):
+        net, (a, b, c), host = _with_host(3)
+        height = host.chain.height
+        net.broadcast(c._frame(KIND_REWARD_NOTICE, 5, _reward(b, a)), 5)
+        net.run_until(10)
+        assert _drop_rows(net) == [
+            ("IV-1", "tx_sender_mismatch"), ("IV-2", "tx_sender_mismatch"),
+            ("host", "tx_sender_mismatch"),
+        ]
+        assert [r for r in net.trace if r["dir"] == "send" and r["kind"] == "endorse"] == []
+        assert host.pending == {} and host.chain.height == height
+
+    def test_fault_past_the_payload_read_raises(self, monkeypatch):
+        _, _, (a, b) = _wire(2)
+        frame, _ = b.send_comm(b"ping", now=20)
+
+        def broken(*args):
+            raise ValueError("pod_check fault")
+
+        monkeypatch.setattr(consensus, "pod_check", broken)
+        with pytest.raises(ValueError, match="pod_check fault"):
+            a.handle_frame(frame, 20)
+        assert a.drop_count == 0
+
+
+# What the pipeline past a good signature may drop a frame for.
+_PIPELINE_REASONS = {"unknown_kind", "tx_sender_mismatch", "bad_agreement_sig"}
+
+
+@st.composite
+def _any_payload(draw):
+    """A kind and an encoding of its fields, or any kind (known or not)
+    and arbitrary bytes."""
+    if draw(st.booleans()):
+        kind, values = draw(_payload_values())
+        return kind, vehicle.encode_payload(kind, *values)
+    kind = draw(st.sampled_from(sorted(KIND_LABELS)) | st.integers(min_value=1, max_value=255))
+    return kind, draw(st.binary(max_size=300))
+
+
+class TestArbitraryPayloads:
+    @given(_any_payload())
+    @settings(max_examples=150, deadline=None)
+    def test_nothing_escapes_and_drops_are_the_pipelines(self, kind_payload):
+        """Any payload under any kind, well signed by a registered vehicle
+        that shares a session with the two receiving vehicles: the host
+        and both vehicles drop it for a reason of their pipeline, or act
+        on it, and nothing raises out of the run."""
+        kind, payload = kind_payload
+        net, (a, *receivers), host = _with_host(3)
+        ids = frozenset(v.ivtp_id for v in (a, *receivers))
+        for v in receivers:
+            v.open_session("x-1", ids, {veh: 1 for veh in ids}, 10_000)
+        net.broadcast(make_frame(kind, a.keypair, a.ivtp_id, 5, payload), 5)
+        net.run_until(1000)
+        for reason in {r for p in (*receivers, host) for r in p.drops}:
+            assert reason in _PIPELINE_REASONS or reason.startswith("bad_payload:")

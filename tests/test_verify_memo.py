@@ -204,8 +204,7 @@ class TestFrameVerdict:
         ghost = _Silent(identity.sha256(b"ghost"))
         net.join(ghost)
         iv1 = vehicles[0]
-        endorse = {"tx_id": (b"\x07" * 32).hex(), "verdict": "valid"}
-        genuine = iv1._frame(KIND_ENDORSE, endorse, 5)
+        genuine = iv1._frame(KIND_ENDORSE, 5, b"\x07" * 32, "valid")
         forged = dataclasses.replace(genuine, payload=genuine.payload + b" ")
         unknown = make_frame(KIND_ENDORSE, ghost_kp, ghost.ivtp_id, 5, genuine.payload)
         ed25519_verifies.reset()
@@ -347,13 +346,13 @@ class TestCachedSigningBytes:
     def test_forged_frame_drops_after_the_original_is_cached(self):
         a, b = _pair()
         f = make_frame(KIND_BEACON, b.keypair, b.ivtp_id, 0, b"{}")
-        assert a.on_receive(f, 0) == [] and a.drop_count == 0
+        assert a.handle_frame(f, 0) == [] and a.drop_count == 0
         for forged in (
             dataclasses.replace(f, tf=999),
             dataclasses.replace(f, payload=b"{ }"),
             dataclasses.replace(f, signature=bytes(64)),
         ):
-            a.on_receive(forged, 0)
+            a.handle_frame(forged, 0)
         assert a.drops == {"bad_signature": 3}
 
     def test_malformed_frame_drops_every_time(self):
@@ -364,7 +363,7 @@ class TestCachedSigningBytes:
         bad = Frame(kind=300, sender=b.ivtp_id, tf=0, payload=b"{}", signature=good.signature)
         for _ in range(2):
             assert not verify_frame(bad, b.keypair.public_key)
-            assert a.on_receive(bad, 0) == []
+            assert a.handle_frame(bad, 0) == []
             assert "signing_bytes" not in vars(bad)
         assert a.drops == {"bad_signature": 2}
 
