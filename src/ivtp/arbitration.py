@@ -74,7 +74,6 @@ class Schedule:
     derived from, so receivers can recheck the sort."""
 
     ordering: tuple[IvTpId, ...]
-    proposer: IvTpId
     basis: tuple[tuple[IvTpId, TimeFlag], ...]
 
     def consistent(self) -> bool:
@@ -91,7 +90,6 @@ class IntersectionSession:
     intersection_id: str
     participants: frozenset[IvTpId]
     compute_delays: dict[IvTpId, int]
-    collection_deadline: TimeFlag
     intents: dict[IvTpId, TimeFlag] = field(default_factory=dict)
     phase: Phase = Phase.COLLECTING
     round: int = 0
@@ -118,10 +116,10 @@ class IntersectionSession:
         scheduler = min(self.participants)
         return scheduler, now + self.compute_delays[scheduler]
 
-    def make_schedule(self, proposer: IvTpId) -> Schedule:
+    def make_schedule(self) -> Schedule:
         ordering = tuple(compute_order(self.intents))
         basis = tuple(sorted(self.intents.items()))
-        return Schedule(ordering=ordering, proposer=proposer, basis=basis)
+        return Schedule(ordering=ordering, basis=basis)
 
     def matches(self, schedule: Schedule) -> bool:
         """True when this vehicle's own intent set is complete and

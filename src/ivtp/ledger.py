@@ -1,12 +1,14 @@
 """The trust-point blockchain: transactions, Merkle roots, SHA-256
-chained blocks, replayable ledger state, and the communication index.
+chained blocks, replayable ledger state, and queries over the blocks.
 
 Transactions are canonically encoded to bytes (injective, self
 delimiting), identified by the SHA-256 of that encoding, and grouped
 into blocks whose Merkle root commits to the transaction list. The
-full ledger state (balances, registrations, who-talked-to-whom) is a
-pure function of the chain and is rebuilt by replay during validation,
-so any single-byte tamper anywhere is detected.
+blocks are the record. The ledger state holds only what the validity
+rules read (registrations, balances, applied tx ids); it is a pure
+function of the chain and is rebuilt by replay during validation, so
+any single-byte tamper anywhere is detected. Who talked to whom and a
+vehicle's history are read off the blocks when asked for.
 
 Units: trust points are integers in milli-trust (1 IV-TP = 1000).
 Registration grants each vehicle a configurable endowment; rewards are
@@ -421,8 +423,8 @@ class ValidationReport:
 
 @dataclass
 class LedgerState:
-    """Replayed view of the chain. balances and comm_index preserve
-    insertion order, which is first-contact / registration order.
+    """What check_tx reads, replayed from the chain. balances keeps
+    registration order.
 
     apply_block is the one way the state changes: every chain, whether
     built block by block or read back from a file, is replayed through
@@ -432,8 +434,6 @@ class LedgerState:
     balances: dict[IvTpId, int] = field(default_factory=dict)
     registrations: dict[IvTpId, bytes] = field(default_factory=dict)
     registered_pks: set[bytes] = field(default_factory=set)
-    comm_index: dict[IvTpId, dict[IvTpId, None]] = field(default_factory=dict)
-    history: dict[IvTpId, list[bytes]] = field(default_factory=dict)
     tx_by_id: dict[bytes, Transaction] = field(default_factory=dict)
     dealer_id: IvTpId | None = None
     dealer_pk: bytes | None = None
@@ -445,25 +445,6 @@ class LedgerState:
             partial(d.__setitem__, key, d[key]) if key in d else partial(d.__delitem__, key)
         )
         d[key] = value
-
-    def _append(self, d: dict, key, item) -> None:
-        if key not in d:
-            self._put(d, key, [])
-        d[key].append(item)
-        self._undo.append(d[key].pop)
-
-    def _touch_history(self, ids, tx_id: bytes) -> None:
-        seen = set()
-        for i in ids:
-            if i in seen or i not in self.registrations:
-                continue
-            seen.add(i)
-            self._append(self.history, i, tx_id)
-
-    def _link(self, a: IvTpId, b: IvTpId) -> None:
-        if a not in self.comm_index:
-            self._put(self.comm_index, a, {})
-        self._put(self.comm_index[a], b, None)
 
     def check_tx(self, tx: Transaction, height: int) -> str | None:
         """Return a failure code, or None if tx can apply to this state.
@@ -539,8 +520,7 @@ class LedgerState:
 
     def apply_tx(self, tx: Transaction, height: int) -> None:
         """Apply tx, which check_tx has passed, recording its undo."""
-        tx_id = tx.tx_id
-        self._put(self.tx_by_id, tx_id, tx)
+        self._put(self.tx_by_id, tx.tx_id, tx)
         if isinstance(tx, RegisterTx):
             self._put(self.registrations, tx.ivtp_id, tx.vehicle_pk)
             self.registered_pks.add(tx.vehicle_pk)
@@ -552,19 +532,9 @@ class LedgerState:
                 self._put(self.balances, tx.ivtp_id, 0)  # authority holds no endowment
             else:
                 self._put(self.balances, tx.ivtp_id, self.endowment)
-            self._append(self.history, tx.ivtp_id, tx_id)
-        elif isinstance(tx, CommTx):
-            for rcv in tx.receivers:
-                self._link(tx.sender, rcv)
-                self._link(rcv, tx.sender)
-            self._touch_history([tx.author, tx.sender, *tx.receivers], tx_id)
         elif isinstance(tx, RewardTx):
             self._put(self.balances, tx.from_id, self.balances[tx.from_id] - tx.amount)
             self._put(self.balances, tx.to_id, self.balances.get(tx.to_id, 0) + tx.amount)
-            self._touch_history([tx.author, tx.from_id, tx.to_id], tx_id)
-        elif isinstance(tx, ArbitrationTx):
-            voters = [v for v, _ in tx.agreements]
-            self._touch_history([tx.author, tx.proposer, *tx.ordering, *voters], tx_id)
 
     def apply_block(self, block: Block, prev: Block | None) -> ValidationReport | None:
         """The replay step. Check block's header against prev (None for
@@ -722,8 +692,16 @@ def validate_blocks(blocks: list[Block], endowment: int) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def comm_table(chain: Chain) -> dict[IvTpId, list[IvTpId]]:
-    """Who communicated with whom, peers ordered by first contact."""
-    return {veh: list(peers) for veh, peers in chain.state.comm_index.items()}
+    """Who communicated with whom, vehicles and their peers ordered by
+    first contact: read off the committed CommTxs in commit order."""
+    table: dict[IvTpId, dict[IvTpId, None]] = {}
+    for block in chain.blocks:
+        for tx in block.txs:
+            if isinstance(tx, CommTx):
+                for rcv in tx.receivers:
+                    table.setdefault(tx.sender, {})[rcv] = None
+                    table.setdefault(rcv, {})[tx.sender] = None
+    return {veh: list(peers) for veh, peers in table.items()}
 
 
 def balance(chain: Chain, ivtp_id: IvTpId) -> int:
@@ -732,11 +710,22 @@ def balance(chain: Chain, ivtp_id: IvTpId) -> int:
     return chain.state.balances.get(ivtp_id, 0)
 
 
+def _named(tx: Transaction) -> tuple[IvTpId, ...]:
+    """The ids tx's fields name; a registration names only its registrant."""
+    if isinstance(tx, RegisterTx):
+        return (tx.ivtp_id,)
+    if isinstance(tx, CommTx):
+        return (tx.author, tx.sender, *tx.receivers)
+    if isinstance(tx, RewardTx):
+        return (tx.author, tx.from_id, tx.to_id)
+    return (tx.author, tx.proposer, *tx.ordering, *[v for v, _ in tx.agreements])
+
+
 def history(chain: Chain, ivtp_id: IvTpId) -> list[Transaction]:
     """Every committed tx the identity took part in, in commit order."""
     if ivtp_id not in chain.state.registrations:
         raise UnknownVehicleError(ivtp_id.hex())
-    return [chain.tx_by_id[txid] for txid in chain.state.history.get(ivtp_id, [])]
+    return [tx for block in chain.blocks for tx in block.txs if ivtp_id in _named(tx)]
 
 
 def total_supply(chain: Chain) -> int:
@@ -777,7 +766,10 @@ def parse_chain_bytes(data: bytes) -> tuple[list[Block], int, bool]:
     endowment = r.u64()
     blocks = []
     while not r.done():
-        blocks.append(decode_block(_Reader(r.blob())))
+        block = _Reader(r.blob())
+        blocks.append(decode_block(block))
+        if not block.done():
+            raise CorruptChainFileError("trailing bytes after block")
     return blocks, endowment, checksum_ok
 
 

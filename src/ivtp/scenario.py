@@ -128,6 +128,9 @@ def _text(where: str, entry: dict, key: str, default: str | None = None) -> str:
 def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ValidationError("$", "scenario must be a JSON object")
+    name = raw.get("name", name)
+    if not isinstance(name, str):
+        raise ValidationError("name", "must be a string")
 
     net_raw = _section(raw, "network")
     drop = net_raw.get("drop_probability", 0.0)
@@ -224,7 +227,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     run = _counts(RunConfig, "run", _section(raw, "run"))
 
     return ScenarioConfig(
-        name=str(raw.get("name", name)),
+        name=name,
         network=network,
         consensus=consensus,
         ledger=led,

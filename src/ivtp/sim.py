@@ -134,9 +134,7 @@ class LedgerHost(Endpoint):
 class RunHandles:
     """Everything a caller might want to poke at after a run."""
 
-    cfg: ScenarioConfig
     chain: ledger.Chain
-    host: LedgerHost
     vehicles: dict[str, Vehicle]
     net: netsim.Network
     report: dict
@@ -169,7 +167,7 @@ def _build_world(cfg: ScenarioConfig):
     # With nobody active yet the quorum threshold is zero, so the batch
     # commits as one block at t=0.
     host.sweep(0)
-    return chain, host, net, vehicles
+    return chain, net, vehicles
 
 
 def _schedule(cfg: ScenarioConfig, net: netsim.Network, vehicles: dict[str, Vehicle]):
@@ -194,7 +192,7 @@ def run(cfg: ScenarioConfig, out_dir=None) -> RunHandles:
     """Execute one scenario; optionally persist chain, trace and report.
     With out_dir, trace.jsonl is written while the run goes. A run that
     raises leaves that partial trace.jsonl and no report.json."""
-    chain, host, net, vehicles = _build_world(cfg)
+    chain, net, vehicles = _build_world(cfg)
     _schedule(cfg, net, vehicles)
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
@@ -211,9 +209,7 @@ def run(cfg: ScenarioConfig, out_dir=None) -> RunHandles:
         (out / "report.json").write_bytes(encode_report(report))
 
     return RunHandles(
-        cfg=cfg,
         chain=chain,
-        host=host,
         vehicles=vehicles,
         net=net,
         report=report,

@@ -330,7 +330,6 @@ class Vehicle(Endpoint):
             intersection_id=intersection_id,
             participants=participants,
             compute_delays=dict(compute_delays),
-            collection_deadline=collection_deadline,
         )
         self.sessions[intersection_id] = session
         if self.ivtp_id in participants:
@@ -360,7 +359,7 @@ class Vehicle(Endpoint):
 
     def _propose(self, session: IntersectionSession, now: TimeFlag) -> list[Frame]:
         session.phase = Phase.AGREEING
-        schedule = session.make_schedule(self.ivtp_id)
+        schedule = session.make_schedule()
         session.schedule = schedule
         out = [
             self._frame(
@@ -548,7 +547,7 @@ class Vehicle(Endpoint):
             return []  # leftover from an already-failed round
         if session.proposer is not None and f.sender != session.proposer:
             return []
-        schedule = Schedule(ordering=ordering, proposer=f.sender, basis=basis)
+        schedule = Schedule(ordering=ordering, basis=basis)
         if session.matches(schedule):
             session.phase = Phase.AGREEING
             session.proposer = f.sender

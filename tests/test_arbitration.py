@@ -22,12 +22,11 @@ def _vids(n):
     return [bytes([i]) * 32 for i in range(1, n + 1)]
 
 
-def _session(ids, delays, deadline=500, intents=None):
+def _session(ids, delays, intents=None):
     s = IntersectionSession(
         intersection_id="x-1",
         participants=frozenset(ids),
         compute_delays={veh: d for veh, d in zip(ids, delays)},
-        collection_deadline=deadline,
     )
     for veh, tf in (intents or {}).items():
         s.add_intent(veh, tf)
@@ -141,20 +140,18 @@ class TestSession:
     def test_matches_accepts_own_recomputation(self):
         a, b = _vids(2)
         s = _session([a, b], [1, 2], intents={a: 10, b: 12})
-        assert s.matches(s.make_schedule(a))
+        assert s.matches(s.make_schedule())
 
     def test_matches_rejects_forged_ordering(self):
         a, b = _vids(2)
         s = _session([a, b], [1, 2], intents={a: 10, b: 12})
-        forged = Schedule(
-            ordering=(b, a), proposer=a, basis=tuple(sorted(s.intents.items()))
-        )
+        forged = Schedule(ordering=(b, a), basis=tuple(sorted(s.intents.items())))
         assert not s.matches(forged)
 
     def test_matches_rejects_inconsistent_basis(self):
         a, b = _vids(2)
         s = _session([a, b], [1, 2], intents={a: 10, b: 12})
-        forged = Schedule(ordering=(b, a), proposer=a, basis=((a, 10), (b, 5)))
+        forged = Schedule(ordering=(b, a), basis=((a, 10), (b, 5)))
         # Internally consistent with its own basis, but not with ours.
         assert forged.consistent()
         assert not s.matches(forged)
@@ -163,7 +160,7 @@ class TestSession:
         a, b = _vids(2)
         full = _session([a, b], [1, 2], intents={a: 10, b: 12})
         starved = _session([a, b], [1, 2], intents={a: 10})
-        proposal = full.make_schedule(a)
+        proposal = full.make_schedule()
         assert not starved.matches(proposal)
 
     def test_agreement_bookkeeping(self):
@@ -184,7 +181,7 @@ class TestRecovery:
         s = _session([a, b], [1, 2], intents={a: 10, b: 12})
         s.phase = Phase.AGREEING
         s.proposer = a
-        s.schedule = s.make_schedule(a)
+        s.schedule = s.make_schedule()
         s.agreements[b] = b"sig"
         assert recover(s) is Phase.COLLECTING
         assert s.round == 1

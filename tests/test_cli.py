@@ -11,6 +11,12 @@ from conftest import signed_comm, tag2_tx_bytes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
+# SHA-256 of what TestInspectQueries.test_query_output_is_locked prints
+# for each run's chain.bin.
+QUERY_DIGESTS = {
+    "intersection_table2": "cdf7354afce53682530ba2ed30b8c24b98ca07a6239f811c4fa898f56c63ec74",
+    "synthetic_n4": "1ac3b9dd11ab089805eedb723f73cc2bc7cfcb2bf6175b3083b02cbaf8ce998d",
+}
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +199,23 @@ class TestInspectValidate:
         assert cli.main(["inspect", str(path), "validate"]) == 1
         assert "tx_after_block" in capsys.readouterr().out
 
+    def test_bytes_after_a_blocks_last_tx_refused(self, run_dir, tmp_path, capsys):
+        """One byte appended inside the last block's blob, after its last
+        transaction, with the blob length and the file checksum rebuilt:
+        the file would not re-encode to itself, so it is refused."""
+        out_dir, handles = run_dir
+        last = ledger._blob(ledger.encode_block(handles.chain.tip))
+        body = (out_dir / "chain.bin").read_bytes()[: -ledger.HASH_LEN]
+        assert body.endswith(last)
+        body = body[: -len(last)] + ledger._blob(last[4:] + b"\x00")
+        path = tmp_path / "trailing.bin"
+        path.write_bytes(body + identity.sha256(body))
+
+        with pytest.raises(ledger.CorruptChainFileError, match="trailing bytes after block"):
+            ledger.load_chain(path)
+        assert cli.main(["inspect", str(path), "validate"]) == 1
+        assert "trailing bytes after block" in capsys.readouterr().err
+
     def test_header_tamper_caught_by_checksum(self, run_dir, tmp_path, capsys):
         """The endowment header is not covered by any block hash; the
         whole-file checksum is what catches it."""
@@ -285,6 +308,26 @@ class TestInspectQueries:
     def test_balance_requires_vehicle_argument(self, run_dir, capsys):
         out_dir, _ = run_dir
         assert cli.main(["inspect", str(out_dir / "chain.bin"), "balance"]) == 2
+
+    def test_query_output_is_locked(self, tmp_path, capsys):
+        """comm-table, then history for every registered id in ascending
+        order, print the bytes whose SHA-256 is frozen in QUERY_DIGESTS.
+        Between them the two runs commit all four transaction kinds."""
+        kinds = set()
+        for name, want in QUERY_DIGESTS.items():
+            path = SCENARIOS / f"{name}.json"
+            if not path.exists():
+                path = ROOT / "vectors" / f"{name}.json"
+            handles = sim.run(scenario.load_scenario(path), out_dir=tmp_path / name)
+            chain = str(tmp_path / name / "chain.bin")
+            kinds |= {type(tx).__name__ for b in handles.chain.blocks for tx in b.txs}
+            assert cli.main(["inspect", chain, "comm-table"]) == 0
+            printed = [capsys.readouterr().out]
+            for veh in sorted(handles.chain.state.registrations):
+                assert cli.main(["inspect", chain, "history", veh.hex()]) == 0
+                printed.append(capsys.readouterr().out)
+            assert hashlib.sha256("".join(printed).encode()).hexdigest() == want, name
+        assert kinds == {"RegisterTx", "CommTx", "RewardTx", "ArbitrationTx"}
 
     def test_queries_refuse_corrupt_chains(self, run_dir, tmp_path, capsys):
         out_dir, _ = run_dir

@@ -448,11 +448,16 @@ class TestChain:
                 amount=600, reason="second",
             )
         before = copy.deepcopy(chain.state)
+
+        def queries():
+            return ledger.comm_table(chain), [ledger.history(chain, i) for i in ids]
+
+        queried = queries()
         with pytest.raises(ledger.InvalidTxError) as exc:
             chain.append_block(applied + [_signed(bad, keys[ids[0]])], timestamp=1)
         assert chain.height == 1
         assert chain.state == before
-        assert list(chain.state.history) == list(before.history)
+        assert queries() == queried
         assert not any(tx.tx_id in chain.tx_by_id for tx in applied)
         assert ledger.validate_chain(chain).state == chain.state
         assert exc.value.cause == cause

@@ -149,6 +149,8 @@ class TestLoad:
             ),
             ({"vehicles": [{"alias": "A"}], "comms": [{"sender": "A", "payload": None}]},
              "comms[0].payload"),
+            ({"vehicles": [{"alias": "A"}], "name": 5}, "name"),
+            ({"vehicles": [{"alias": "A"}], "name": None}, "name"),
         ],
     )
     def test_validation_errors_name_the_field(self, raw, fieldname):
