@@ -32,7 +32,13 @@ builds for SEED, ``canonical_encode``, ``canonical_decode`` and
 ``tx_signing_bytes`` over every transaction, and the chain-file round
 trip ``parse_chain_bytes`` + ``validate_blocks`` from the file's bytes,
 so every transaction is checked cold (a checkout that has the old
-process-wide verify memo gets it cleared before each repetition). The
+process-wide verify memo gets it cleared before each repetition).
+``canonical_decode_s`` is the decode alone: a decoded transaction keeps
+the bytes it was read from and hashes its id from them when first asked
+(a checkout older than that hashes nothing at decode either). The codec
+set also counts, for one cold round trip, each side's calls of
+``tx_signing_bytes``, ``canonical_encode`` and ``Block.header_bytes``
+(``encode_calls``); they are deterministic, so one run per side is kept. The
 layer microbenches time netsim dispatch (one ``broadcast`` from one of 64
 no-op participants, 1 ms latency and 2 ms jitter, drained by
 ``run_until``), ``verify_frame``, cold (a frame's first check) and
@@ -119,6 +125,18 @@ def best(fn, reps):
         times.append(time.perf_counter() - t0)
     return min(times)
 
+def encode_calls():  # of each encoder in one cold round trip; they stay counting
+    calls = {}
+    for owner, name in ((ledger, "tx_signing_bytes"), (ledger, "canonical_encode"),
+                        (ledger.Block, "header_bytes")):
+        def counting(*args, real=getattr(owner, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        calls[name] = 0
+        setattr(owner, name, counting)
+    round_trip()
+    return calls
+
 print(json.dumps({
     "n_txs": len(txs),
     "chain_sha256": hashlib.sha256(data).hexdigest(),
@@ -126,6 +144,7 @@ print(json.dumps({
     "canonical_decode_s": best(lambda: [ledger.canonical_decode(b) for b in encoded], 15),
     "tx_signing_bytes_s": best(lambda: [ledger.tx_signing_bytes(tx) for tx in txs], 15),
     "chain_round_trip_s": best(round_trip, 3),
+    "encode_calls": encode_calls(),
 }))
 """
 
@@ -315,6 +334,7 @@ def codec_summary(runs: dict) -> dict:
     return {
         "n_txs": {side: r[0]["n_txs"] for side, r in runs.items()},
         "chain_sha256": {side: r[0]["chain_sha256"] for side, r in runs.items()},
+        "encode_calls": {side: r[0]["encode_calls"] for side, r in runs.items()},
         **micro_summary(runs, CODEC_METRICS),
     }
 
@@ -405,6 +425,7 @@ def main(argv=None) -> int:
         for side in alternating(i):
             runs[side].append(microbench(sides[side], _CODEC_RUN, str(args.seed)))
     record["codec"] = codec_summary(runs)
+    print(f"encode calls per cold round trip: {record['codec']['encode_calls']}", flush=True)
     runs = {side: [] for side in sides}
     for i in range(CODEC_RUNS):
         for side in alternating(i):

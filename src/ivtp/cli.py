@@ -16,8 +16,8 @@ from .scenario import ParseError, ValidationError, load_scenario
 def _cmd_run(args) -> int:
     try:
         cfg = load_scenario(args.scenario)
-    except FileNotFoundError:
-        print(f"scenario not found: {args.scenario}", file=sys.stderr)
+    except OSError as exc:  # missing, a directory, unreadable
+        print(f"scenario not found or unreadable: {exc}", file=sys.stderr)
         return 2
     except (ParseError, ValidationError) as exc:
         print(f"bad scenario: {exc}", file=sys.stderr)
@@ -52,8 +52,8 @@ def _resolve_vehicle(chain: ledger.Chain, query: str) -> bytes | None:
 def _cmd_inspect(args) -> int:
     try:
         blocks, endowment, checksum_ok = ledger.load_blocks(args.chain)
-    except FileNotFoundError:
-        print(f"chain file not found: {args.chain}", file=sys.stderr)
+    except OSError as exc:  # missing, a directory, unreadable
+        print(f"chain file not found or unreadable: {exc}", file=sys.stderr)
         return 2
     except (ledger.CorruptChainFileError, ValueError) as exc:
         print(f"corrupt chain file: {exc}", file=sys.stderr)

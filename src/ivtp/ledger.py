@@ -3,7 +3,11 @@ chained blocks, replayable ledger state, and queries over the blocks.
 
 Transactions are canonically encoded to bytes (injective, self
 delimiting), identified by the SHA-256 of that encoding, and grouped
-into blocks whose Merkle root commits to the transaction list. The
+into blocks whose Merkle root commits to the transaction list. Each run
+of fixed-width fields decodes through one struct. A decoded transaction
+carries the bytes it was read from until its signature is checked over
+them, and a decoded block its header's hash, so replaying a loaded
+chain encodes nothing. The
 blocks are the record. The ledger state holds only what the validity
 rules read (registrations, balances, applied tx ids); it is a pure
 function of the chain and is rebuilt by replay during validation, so
@@ -18,6 +22,7 @@ transfers, so total supply only changes at registration.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -89,39 +94,48 @@ def _blob(b: bytes, name: str = "blob") -> bytes:
 
 
 class _Reader:
-    """Reads data[:end] (all of data by default) front to back."""
+    """Reads data[:end] (all of data by default) front to back. take slices
+    data, so a reader over a memoryview copies nothing."""
 
-    def __init__(self, data: bytes, end: int | None = None):
+    def __init__(self, data, end: int | None = None):
         self.data = data
         self.end = len(data) if end is None else end
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > self.end:
+    def _skip(self, n: int) -> int:
+        """Move past n bytes; return where they start."""
+        start, self.pos = self.pos, self.pos + n
+        if self.pos > self.end:
             raise CorruptChainFileError("truncated encoding")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        return start
 
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
+    def take(self, n: int):
+        return self.data[self._skip(n) : self.pos]
 
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
+    def unpack(self, run: struct.Struct) -> tuple:
+        return run.unpack_from(self.data, self._skip(run.size))
 
-    def blob(self) -> bytes:
-        return self.take(self.u32())
+    def blob(self):
+        return self.take(U32.decode(self))
 
-    def done(self) -> bool:
-        return self.pos == self.end
+    def finish(self, what: str) -> None:
+        if self.pos != self.end:
+            raise CorruptChainFileError(f"trailing bytes after {what}")
 
 
 class Codec(NamedTuple):
     """One field's wire form. encode(value, name) raises
-    FieldOverflowError, naming the field, if value does not fit."""
+    FieldOverflowError, naming the field, if value does not fit. A
+    fixed-width codec has a struct code, fmt."""
 
     encode: Callable[[object, str], bytes]
     decode: Callable[[_Reader], object]
+    fmt: str = ""
+
+
+def _fixed(encode, fmt: str) -> Codec:
+    one = struct.Struct(">" + fmt)
+    return Codec(encode, lambda r: r.unpack(one)[0], fmt)
 
 
 def _fixed_width(n: int) -> Codec:
@@ -130,35 +144,39 @@ def _fixed_width(n: int) -> Codec:
             raise FieldOverflowError(f"{name} must be {n} bytes, got {len(b)}")
         return b
 
-    return Codec(encode, lambda r: r.take(n))
+    return _fixed(encode, f"{n}s")
 
 
-def _list_of(item: Codec) -> Codec:
-    """u32 count, then each item."""
-    return Codec(
-        lambda seq, name: _u32(len(seq), name) + b"".join([item.encode(v, name) for v in seq]),
-        lambda r: tuple([item.decode(r) for _ in range(r.u32())]),
-    )
+def _list_of(*item: Codec) -> Codec:
+    """u32 count, then each item: a value of the one fixed-width codec, or
+    a tuple of one value per codec. All items are read through one struct."""
+    each, one = struct.Struct(">" + "".join([c.fmt for c in item])), len(item) == 1
+    first = item[0].encode
+
+    def encode(seq, name: str) -> bytes:
+        if one:
+            return _u32(len(seq), name) + b"".join([first(v, name) for v in seq])
+        parts = [c.encode(v, name) for row in seq for c, v in zip(item, row)]
+        return _u32(len(seq), name) + b"".join(parts)
+
+    def decode(r: _Reader) -> tuple:
+        rows = each.iter_unpack(r.take(U32.decode(r) * each.size))
+        return tuple([v for v, in rows]) if one else tuple(rows)
+
+    return Codec(encode, decode)
 
 
-def _pair(first: Codec, second: Codec) -> Codec:
-    """first, then second: a 2-tuple."""
-    (encode_a, decode_a), (encode_b, decode_b) = first, second
-    return Codec(
-        lambda pair, name: encode_a(pair[0], name) + encode_b(pair[1], name),
-        lambda r: (decode_a(r), decode_b(r)),
-    )
-
-
+U32 = _fixed(_u32, "I")
 ID = _fixed_width(HASH_LEN)
 PUBLIC_KEY = _fixed_width(identity.PUBLIC_KEY_LEN)
 SIGNATURE = _fixed_width(identity.SIGNATURE_LEN)
-U64 = Codec(_u64, _Reader.u64)
+U64 = _fixed(_u64, "Q")
 BLOB = Codec(_blob, _Reader.blob)
-TEXT = Codec(lambda s, name: _blob(s.encode(), name), lambda r: r.blob().decode())
+TEXT = Codec(lambda s, name: _blob(s.encode(), name), lambda r: str(r.blob(), "utf-8"))
 IDS = _list_of(ID)
-AGREEMENTS = _list_of(_pair(ID, SIGNATURE))  # (voter id, signature) pairs
-STAMPED_IDS = _list_of(_pair(ID, U64))  # (id, time flag) pairs
+AGREEMENTS = _list_of(ID, SIGNATURE)  # (voter id, signature) pairs
+STAMPED_IDS = _list_of(ID, U64)  # (id, time flag) pairs
+_ENVELOPE = struct.Struct(">B" + ID.fmt + U64.fmt)  # tag, author, tf
 
 
 def _wire(codec: Codec, default=dataclasses.MISSING):
@@ -168,19 +186,27 @@ def _wire(codec: Codec, default=dataclasses.MISSING):
 
 
 class _Layout:
-    """The _wire fields of a dataclass, in declaration order."""
+    """The _wire fields of a dataclass in declaration order, then tail's
+    codecs (read, not written); a run of fixed-width ones is one struct."""
 
-    def __init__(self, cls):
+    def __init__(self, cls, *tail: Codec):
         wired = [f for f in dataclasses.fields(cls) if "codec" in f.metadata]
         self.encoders = [(f.name, f.metadata["codec"].encode) for f in wired]
-        self.decoders = [f.metadata["codec"].decode for f in wired]
+        self.steps = []  # each reads a tuple of values
+        codecs = [f.metadata["codec"] for f in wired] + list(tail)
+        for fixed, run in itertools.groupby(codecs, key=lambda c: bool(c.fmt)):
+            if fixed:
+                run = struct.Struct(">" + "".join([c.fmt for c in run]))
+                self.steps.append(partial(_Reader.unpack, run=run))
+            else:
+                self.steps += [lambda r, decode=c.decode: (decode(r),) for c in run]
 
     def encode(self, obj) -> bytes:
         return b"".join([encode(getattr(obj, name), name) for name, encode in self.encoders])
 
     def decode(self, r: _Reader) -> list:
-        """The field values, in order: the dataclass's positional args."""
-        return [decode(r) for decode in self.decoders]
+        """The field values, then tail's, in order."""
+        return [value for step in self.steps for value in step(r)]
 
 
 def decode_exact(data: bytes, codecs, what: str) -> tuple:
@@ -188,8 +214,7 @@ def decode_exact(data: bytes, codecs, what: str) -> tuple:
     the last one does."""
     r = _Reader(data)
     values = tuple([codec.decode(r) for codec in codecs])
-    if not r.done():
-        raise CorruptChainFileError(f"trailing bytes after {what}")
+    r.finish(what)
     return values
 
 
@@ -211,6 +236,8 @@ class Transaction:
     in declaration order, then the signature, which covers the rest. For
     registrations the signer is the dealer, for everything else the
     author itself. Tag 2 is unassigned: liveness beacons are frames.
+    A decoded tx keeps its bytes (_span) until its signature verdict is
+    in: tx_id hashes them and the signature is checked over them.
     """
 
     author: IvTpId
@@ -226,9 +253,9 @@ class Transaction:
 
     @cached_property
     def tx_id(self) -> bytes:
-        """SHA-256 of the canonical encoding, computed once per object;
-        the cache lives in __dict__, so == and hash see only the fields."""
-        return sha256(canonical_encode(self))
+        """SHA-256 of the canonical encoding (the span, if any), once per
+        object; cached in __dict__, so == and hash see only the fields."""
+        return sha256(vars(self).get("_span") or canonical_encode(self))
 
 
 @dataclass(frozen=True)
@@ -288,7 +315,7 @@ class ArbitrationTx(Transaction):
         object.__setattr__(self, "_agreements_verdict", None)  # keyed by the voters' keys
 
 
-_TX_LAYOUTS = {cls: _Layout(cls) for cls in Transaction.__subclasses__()}
+_TX_LAYOUTS = {cls: _Layout(cls, SIGNATURE) for cls in Transaction.__subclasses__()}
 _TX_BY_TAG = {cls.TAG: cls for cls in _TX_LAYOUTS}
 
 
@@ -305,25 +332,30 @@ def canonical_encode(tx: Transaction) -> bytes:
     return tx_signing_bytes(tx) + SIGNATURE.encode(tx.signature, "signature")
 
 
-def canonical_decode(data: bytes) -> Transaction:
-    """Inverse of canonical_encode. Rejects trailing garbage."""
+def canonical_decode(data) -> Transaction:
+    """Inverse of canonical_encode; rejects trailing garbage. data, bytes
+    or a memoryview into a chain file, becomes the tx's span."""
     r = _Reader(data)
-    tag, author, tf = r.take(1)[0], ID.decode(r), r.u64()
+    tag, author, tf = r.unpack(_ENVELOPE)
     cls = _TX_BY_TAG.get(tag)
     if cls is None:
         raise CorruptChainFileError(f"unknown transaction tag {tag}")
     values = _TX_LAYOUTS[cls].decode(r)
-    tx = cls(author, tf, SIGNATURE.decode(r), *values)
-    if not r.done():
-        raise CorruptChainFileError("trailing bytes after transaction")
+    r.finish("transaction")
+    tx = cls(author, tf, values.pop(), *values)
+    object.__setattr__(tx, "_span", data)
     return tx
 
 
 def _signature_holds(tx: Transaction, public_key: bytes) -> bool:
-    return identity.verify_once(
-        tx, "_sig_verdict", public_key,
-        lambda: identity.verify(public_key, tx_signing_bytes(tx), tx.signature),
-    )
+    def check() -> bool:
+        if "_span" not in vars(tx):
+            return identity.verify(public_key, tx_signing_bytes(tx), tx.signature)
+        tx.tx_id  # hashed from the span, which goes now that the verdict is due
+        signed = bytes(vars(tx).pop("_span")[: -identity.SIGNATURE_LEN])
+        return identity.verify(public_key, signed, tx.signature)
+
+    return identity.verify_once(tx, "_sig_verdict", public_key, check)
 
 
 def agree_message(intersection_id: str, ordering) -> bytes:
@@ -334,8 +366,13 @@ def agree_message(intersection_id: str, ordering) -> bytes:
 
 def sign_tx(tx: Transaction, keypair: identity.KeyPair) -> Transaction:
     """tx with its envelope signature made by keypair (the signature
-    field of tx itself is not signed, so any placeholder will do)."""
-    return dataclasses.replace(tx, signature=identity.sign(keypair, tx_signing_bytes(tx)))
+    field of tx itself is not signed, so any placeholder will do), its
+    tx_id hashed from the bytes signed. No span is kept: receivers check
+    their own decoded copies."""
+    signed = tx_signing_bytes(tx)
+    tx = dataclasses.replace(tx, signature=identity.sign(keypair, signed))
+    object.__setattr__(tx, "tx_id", sha256(signed + tx.signature))
+    return tx
 
 
 def register_tx_from_issuance(
@@ -383,8 +420,9 @@ class Block:
     def header_bytes(self) -> bytes:
         return _BLOCK_HEADER.encode(self)
 
-    @property
+    @cached_property
     def block_hash(self) -> bytes:
+        """SHA-256 of the header, once per block (decode_block's read)."""
         return sha256(self.header_bytes())
 
 
@@ -397,8 +435,11 @@ def encode_block(block: Block) -> bytes:
 
 
 def decode_block(r: _Reader) -> Block:
-    header = _BLOCK_HEADER.decode(r)
-    return Block(*header, tuple([canonical_decode(r.blob()) for _ in range(r.u32())]))
+    start, header = r.pos, _BLOCK_HEADER.decode(r)
+    header_hash = sha256(r.data[start : r.pos])  # block_hash, from the bytes read
+    block = Block(*header, tuple([canonical_decode(r.blob()) for _ in range(U32.decode(r))]))
+    object.__setattr__(block, "block_hash", header_hash)
+    return block
 
 
 @dataclass
@@ -757,19 +798,22 @@ def parse_chain_bytes(data: bytes) -> tuple[list[Block], int, bool]:
     if len(data) < HASH_LEN + 13:
         raise CorruptChainFileError("truncated file")
     end = len(data) - HASH_LEN
-    checksum_ok = sha256(memoryview(data)[:end]) == data[end:]
-    r = _Reader(data, end)
+    view = memoryview(bytes(data))  # blocks and tx spans are slices of it
+    checksum_ok = sha256(view[:end]) == data[end:]
+    r = _Reader(view, end)
     if r.take(4) != CHAIN_MAGIC:
         raise CorruptChainFileError("bad magic")
     if r.take(1)[0] != CHAIN_VERSION:
         raise CorruptChainFileError("unsupported version")
-    endowment = r.u64()
-    blocks = []
-    while not r.done():
-        block = _Reader(r.blob())
-        blocks.append(decode_block(block))
-        if not block.done():
-            raise CorruptChainFileError("trailing bytes after block")
+    endowment = U64.decode(r)
+    blocks: list[Block] = []
+    while r.pos < r.end:
+        blob = _Reader(r.blob())
+        block = decode_block(blob)
+        blob.finish("block")
+        if blocks and block.prev_hash == blocks[-1].block_hash:
+            object.__setattr__(blocks[-1], "block_hash", block.prev_hash)  # one object for both
+        blocks.append(block)
     return blocks, endowment, checksum_ok
 
 

@@ -103,8 +103,8 @@ def _section(raw: dict, key: str, kind: type = dict):
 
 
 def _nonneg(section: str, key: str, value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValidationError(f"{section}.{key}", "must be a non-negative integer")
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 2**64:
+        raise ValidationError(f"{section}.{key}", "must be a non-negative integer below 2**64")
     return value
 
 
@@ -239,10 +239,12 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        raw = json.loads(text)
+        raw = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not valid UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from exc
     return scenario_from_dict(raw, name=os.path.splitext(os.path.basename(path))[0])

@@ -61,6 +61,16 @@ class TestRunCommand:
         assert cli.main(["run", "--scenario", "/nonexistent.json"]) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_directory_as_scenario_is_usage_error(self, tmp_path, capsys):
+        assert cli.main(["run", "--scenario", str(tmp_path)]) == 2
+        assert "unreadable" in capsys.readouterr().err
+
+    def test_undecodable_scenario_fails(self, tmp_path, capsys):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"vehicles": [\n{"alias": "A\xff"}]}')
+        assert cli.main(["run", "--scenario", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("bad scenario: line 2: ")
+
     def test_unparseable_scenario_fails(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{nope")
@@ -89,6 +99,9 @@ class TestRunCommand:
                 "intersections[0].id",
             ),
             ({"comms": [{"sender": "A", "payload": {"a": 1}}]}, "comms[0].payload"),
+            # Integers go on the wire as u64: a wider one is refused up front.
+            ({"ledger": {"endowment_millitrust": 2**64}}, "ledger.endowment_millitrust"),
+            ({"comms": [{"sender": "A", "at_ms": 2**64}]}, "comms[0].at_ms"),
         ],
     )
     def test_wrongly_typed_field_is_a_schema_error(self, tmp_path, capsys, extra, fieldname):
@@ -238,6 +251,48 @@ class TestInspectValidate:
 
     def test_missing_file(self, capsys):
         assert cli.main(["inspect", "/nonexistent.bin", "validate"]) == 2
+
+    def test_directory_as_chain_is_usage_error(self, tmp_path, capsys):
+        assert cli.main(["inspect", str(tmp_path), "balance", "x"]) == 2
+        assert "unreadable" in capsys.readouterr().err
+
+    def test_hand_flipped_signature_byte_is_bad_signature(self, run_dir, tmp_path, capsys):
+        """One byte of a tip transaction's signature flipped in chain.bin,
+        the tip's Merkle root and the file checksum rebuilt by hand: the
+        replay checks the signature over the bytes the file holds."""
+        out_dir, handles = run_dir
+        tip = handles.chain.tip
+        body = (out_dir / "chain.bin").read_bytes()[: -ledger.HASH_LEN]
+        raw = [ledger.canonical_encode(tx) for tx in tip.txs]
+        forged = raw[0][:-1] + bytes([raw[0][-1] ^ 1])
+        root = ledger.merkle_root([hashlib.sha256(r).digest() for r in [forged, *raw[1:]]])
+        assert body.count(raw[0]) == 1 and body.count(tip.merkle_root) == 1
+        body = body.replace(raw[0], forged).replace(tip.merkle_root, root)
+        path = tmp_path / "forged_sig.bin"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+
+        with pytest.raises(ledger.CorruptChainFileError, match=f"block {tip.height}, .*bad_signature"):
+            ledger.chain_from_bytes(path.read_bytes())
+        assert cli.main(["inspect", str(path), "validate"]) == 1
+        out = capsys.readouterr().out
+        assert f"block {tip.height}," in out and out.rstrip().endswith("bad_signature")
+
+    def test_hand_flipped_body_byte_is_merkle_mismatch(self, run_dir, tmp_path, capsys):
+        """One byte inside block 2's first transaction body flipped in
+        chain.bin, the file checksum rebuilt by hand: its id changes, so
+        the block's Merkle root no longer matches."""
+        out_dir, handles = run_dir
+        tx = handles.chain.blocks[2].txs[0]
+        body = bytearray((out_dir / "chain.bin").read_bytes()[: -ledger.HASH_LEN])
+        at = bytes(body).index(ledger.canonical_encode(tx)) + 1 + 32 + 8  # past the envelope
+        body[at] ^= 1
+        path = tmp_path / "forged_body.bin"
+        path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+
+        with pytest.raises(ledger.CorruptChainFileError, match="block 2: merkle root mismatch"):
+            ledger.chain_from_bytes(path.read_bytes())
+        assert cli.main(["inspect", str(path), "validate"]) == 1
+        assert "block 2: merkle root mismatch" in capsys.readouterr().out
 
 
 class TestInspectQueries:

@@ -3,7 +3,10 @@
 import copy
 import dataclasses
 import hashlib
+import importlib.util
+import pathlib
 import struct
+import sys
 import tracemalloc
 
 import pytest
@@ -101,13 +104,20 @@ class TestCodec:
     def test_whatever_decodes_is_canonical(self, tx, data):
         """A byte changed anywhere either fails to decode or decodes to a
         tx that encodes back to exactly those bytes: the tx_id of what a
-        chain file holds is the hash of the bytes it holds."""
-        raw = bytearray(ledger.canonical_encode(tx))
+        chain file holds is the hash of the bytes it holds, and the
+        signature verdict over those bytes is the one over the encoding."""
+        kp = _kp(b"signer")
+        raw = bytearray(ledger.canonical_encode(ledger.sign_tx(tx, kp)))
         raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
         try:
             decoded = ledger.canonical_decode(bytes(raw))
         except ValueError:
             return
+        verdict = ledger._signature_holds(decoded, kp.public_key)
+        assert "_span" not in vars(decoded)
+        assert verdict == identity.verify(
+            kp.public_key, ledger.tx_signing_bytes(decoded), decoded.signature
+        )
         assert ledger.canonical_encode(decoded) == raw
         assert decoded.tx_id == hashlib.sha256(raw).digest()
 
@@ -201,6 +211,78 @@ def _pinned_txs():
             + struct.pack(">I", 3) + _b(17) + _b(15) + _b(18) + _b(15)
             + struct.pack(">I", 2) + _b(17) + _b(19, 64) + _b(18) + _b(20, 64)),
     ]
+
+
+def _build_chain(seed: int, n_txs: int = 150):
+    """perfbench's chain_audit generator, on a short chain."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(gen)
+    return gen.build_chain(seed, n_txs=n_txs).chain
+
+
+class TestReplayFromBytes:
+    """A loaded chain is checked against the bytes it was read from: no
+    transaction or block header is encoded again to hash or verify it."""
+
+    # SHA-256 of chain_to_bytes(_build_chain(seed)), as written before
+    # decoded transactions kept their bytes.
+    CHAIN_DIGESTS = {
+        1: "884efd81f7d86d810d93af1a3af2a43ec11301d17b66867e5cc90572d132d4a4",
+        2: "c04c7a75be10665ae1d2cb51dea644c6047b6c2fd8160d50c0701102175eedaf",
+        3: "13845ba52785edc7ce8de04517278568268a26a4222611f0fe60ff15eb6e6069",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(CHAIN_DIGESTS))
+    def test_cold_replay_encodes_nothing(self, seed, monkeypatch):
+        data = ledger.chain_to_bytes(_build_chain(seed))
+        assert hashlib.sha256(data).hexdigest() == self.CHAIN_DIGESTS[seed]
+        calls = {"tx_signing_bytes": 0, "canonical_encode": 0, "header_bytes": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(ledger, "tx_signing_bytes")
+        counted(ledger, "canonical_encode")
+        counted(ledger.Block, "header_bytes")
+        blocks, endowment, checksum_ok = ledger.parse_chain_bytes(data)
+        report = ledger.validate_blocks(blocks, endowment)
+        assert checksum_ok and report.ok
+        assert calls == {"tx_signing_bytes": 0, "canonical_encode": 0, "header_bytes": 0}
+        monkeypatch.undo()
+
+        txs = [tx for block in blocks for tx in block.txs]
+        assert not [tx for tx in txs if "_span" in vars(tx)]
+        assert all(tx.tx_id == hashlib.sha256(ledger.canonical_encode(tx)).digest() for tx in txs)
+        assert [b.block_hash for b in blocks] == [
+            hashlib.sha256(b.header_bytes()).digest() for b in blocks
+        ]
+        assert ledger.chain_to_bytes(ledger.Chain(blocks, report.state)) == data
+
+    def test_signed_tx_has_its_id_from_the_bytes_signed(self, monkeypatch):
+        kp = _kp(b"a")
+        tx = signed_comm(kp, b"\x01" * 32)
+        assert "tx_id" in vars(tx) and "_span" not in vars(tx)
+        monkeypatch.setattr(ledger, "canonical_encode", None)
+        assert tx.tx_id == hashlib.sha256(ledger.tx_signing_bytes(tx) + tx.signature).digest()
+
+    def test_span_released_on_a_failed_check_too(self):
+        kp, other = _kp(b"a"), _kp(b"b")
+        raw = ledger.canonical_encode(signed_comm(kp, b"\x01" * 32))
+        decoded = ledger.canonical_decode(raw)
+        assert vars(decoded)["_span"] is raw
+        assert not ledger._signature_holds(decoded, other.public_key)
+        assert "_span" not in vars(decoded)
+        assert decoded.tx_id == hashlib.sha256(raw).digest()
+        # Asked again under another key, the check re-encodes.
+        assert ledger._signature_holds(decoded, kp.public_key)
 
 
 class TestPinnedBytes:

@@ -61,6 +61,17 @@ class TestLoad:
             scenario.load_scenario(p)
         assert err.value.line >= 2
 
+    def test_undecodable_file_is_a_parse_error(self, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{\n  "vehicles": [{"alias": "\xe9"}]}')
+        with pytest.raises(scenario.ParseError) as err:
+            scenario.load_scenario(p)
+        assert err.value.line == 2
+
+    def test_integers_up_to_u64_max_accepted(self):
+        raw = {"vehicles": [{"alias": "A"}], "ledger": {"endowment_millitrust": 2**64 - 1}}
+        assert scenario.scenario_from_dict(raw).ledger.endowment_millitrust == 2**64 - 1
+
     @pytest.mark.parametrize(
         "raw, fieldname",
         [
@@ -151,6 +162,16 @@ class TestLoad:
              "comms[0].payload"),
             ({"vehicles": [{"alias": "A"}], "name": 5}, "name"),
             ({"vehicles": [{"alias": "A"}], "name": None}, "name"),
+            # Every integer goes on the wire as a u64.
+            ({"vehicles": [{"alias": "A"}], "run": {"t_end_ms": 2**64}}, "run.t_end_ms"),
+            (
+                {"vehicles": [{"alias": "A"}],
+                 "intersections": [{
+                     "id": "x", "participants": ["A"],
+                     "arrival_ms": {"A": 2**64}, "compute_delay_ms": {"A": 1},
+                 }]},
+                "intersections[0].arrival_ms.A",
+            ),
         ],
     )
     def test_validation_errors_name_the_field(self, raw, fieldname):
