@@ -1,17 +1,23 @@
 """Record a BENCH_<n>.json file: the benchmark run in alternating pairs of
-a parent checkout and this checkout, the synthetic N-vehicle matrix, and
+a parent commit and the working tree, the synthetic N-vehicle matrix, and
 the per-layer codec, dispatch, frame-verify and frame-payload microbenches.
 
-    git archive PARENT_REV | tar -x -C PARENT_DIR
-    python3 bench/record.py --parent PARENT_DIR --seed 2001 --pairs 10 --out BENCH_<n>.json
+    python3 bench/record.py --parent PARENT_REV --seed 2001 --pairs 10 --out BENCH_<n>.json
 
-Run from the repository root. For every workload in BENCHMARK.json, pair i
-runs ``perfbench/run.py --workload W --seed SEED+i --seconds S`` (S is the
-benchmark's ``run_seconds``) once in each checkout, the parent first in
-even pairs and this checkout first in odd ones, and keeps each side's
-host line and result line. Pick seeds that were not used while the change
-was written. Each workload's summary gives, per end-to-end metric, both
-sides' median and quartiles and the number of pairs the change won.
+Run from the repository root. Both sides run from ``git archive``
+extracts in sibling directories whose names have the same length,
+``<tmp>/side-p`` (PARENT_REV) and ``<tmp>/side-c`` (the working tree's
+tracked files, staged ones included, as ``git stash create`` records
+them; HEAD if nothing changed), since the path a checkout runs from
+moves the peak RSS of its processes. Both paths go into the record, and
+the extracts are removed at the end. For every workload in
+BENCHMARK.json, pair i runs ``perfbench/run.py --workload W --seed
+SEED+i --seconds S`` (S is the benchmark's ``run_seconds``) once in each
+side, the parent first in even pairs and the change first in odd ones,
+and keeps each side's host line and result line. Pick seeds that were
+not used while the change was written. Each workload's summary gives,
+per end-to-end metric, both sides' median and quartiles and the number
+of pairs the change won.
 
 The synthetic matrix runs ``sim.run`` of the scenario ``tests/synthetic.py``
 generates for N = 4, 8, 16, 32 and 64 vehicles, five times per side in
@@ -21,18 +27,20 @@ the wall time of the call (not scaled for host speed), the trace rows and
 the peak RSS (ru_maxrss) of the process.
 
 The recorder pins itself and every process it starts to one CPU, as
-perfbench does. It deletes the ``__pycache__`` directories under each
-checkout's ``src`` and ``perfbench`` and starts every process with
-PYTHONDONTWRITEBYTECODE=1, so that both sides compile the project from
-source, as in a fresh checkout: bytecode left by earlier runs would
-shorten one side's set-up and memory.
+perfbench does. It starts every process with PYTHONDONTWRITEBYTECODE=1,
+so that both sides compile the project from source every time, as in a
+fresh checkout: bytecode left by earlier runs would shorten one side's
+set-up and memory.
 
 The per-layer codec microbenches time, on the chain ``perfbench/gen.py``
 builds for SEED, ``canonical_encode``, ``canonical_decode`` and
 ``tx_signing_bytes`` over every transaction, and the chain-file round
 trip ``parse_chain_bytes`` + ``validate_blocks`` from the file's bytes,
 so every transaction is checked cold (a checkout that has the old
-process-wide verify memo gets it cleared before each repetition).
+process-wide verify memo gets it cleared before each repetition; one
+whose ``parse_chain_bytes`` takes the bytes rather than a file gets
+them), and take the tracemalloc peak of one cold read of the chain file
+from disk up to the replayed ``Chain`` (``read_peak_kib``).
 ``canonical_decode_s`` is the decode alone: a decoded transaction keeps
 the bytes it was read from and hashes its id from them when first asked
 (a checkout older than that hashes nothing at decode either). The codec
@@ -69,6 +77,7 @@ import statistics
 import subprocess
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -102,7 +111,7 @@ print(json.dumps({
 # Run in a fresh interpreter with the checkout's src on sys.path:
 # argv is (perfbench dir of this checkout, seed).
 _CODEC_RUN = """
-import hashlib, json, sys, time
+import hashlib, io, json, sys, tempfile, time, tracemalloc
 sys.path.insert(0, sys.argv[1])
 import gen
 from ivtp import identity, ledger
@@ -110,12 +119,33 @@ chain = gen.build_chain(int(sys.argv[2])).chain
 data = ledger.chain_to_bytes(chain)
 txs = [tx for block in chain.blocks for tx in block.txs]
 encoded = [ledger.canonical_encode(tx) for tx in txs]
+WHOLE = hasattr(ledger, "chain_from_bytes")  # a checkout that parses the whole file's bytes
 
 def round_trip():
     if hasattr(identity, "_ed25519_verify"):  # a checkout with a verify memo
         identity._ed25519_verify.cache_clear()
-    blocks, endowment, checksum_ok = ledger.parse_chain_bytes(data)
-    assert checksum_ok and ledger.validate_blocks(blocks, endowment).ok
+    if WHOLE:
+        blocks, endowment, checksum_ok = ledger.parse_chain_bytes(data)
+        assert checksum_ok and ledger.validate_blocks(blocks, endowment).ok
+        return
+    chain_file = ledger.parse_chain_bytes(io.BytesIO(data))
+    assert ledger.validate_blocks(chain_file.blocks(), chain_file.endowment).ok
+    assert chain_file.checksum_ok
+
+def read_peak_kib():  # of one cold read of the file up to the replayed Chain
+    with tempfile.NamedTemporaryFile(suffix=".bin") as f:
+        f.write(data)
+        f.flush()
+        tracemalloc.start()
+        if WHOLE:
+            loaded = ledger.load_chain(f.name)
+        else:
+            with open(f.name, "rb") as g:
+                loaded = ledger.parse_chain_bytes(g).chain()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert len(loaded.blocks) == len(chain.blocks)
+    return peak / 1024
 
 def best(fn, reps):
     times = []
@@ -145,6 +175,7 @@ print(json.dumps({
     "tx_signing_bytes_s": best(lambda: [ledger.tx_signing_bytes(tx) for tx in txs], 15),
     "chain_round_trip_s": best(round_trip, 3),
     "encode_calls": encode_calls(),
+    "read_peak_kib": read_peak_kib(),
 }))
 """
 
@@ -318,6 +349,7 @@ def microbench(checkout: Path, script: str, *args: str) -> dict:
 
 CODEC_METRICS = (
     "canonical_encode_s", "canonical_decode_s", "tx_signing_bytes_s", "chain_round_trip_s",
+    "read_peak_kib",
 )
 LAYER_METRICS = tuple(
     f"{name}{unit}"
@@ -373,9 +405,22 @@ def alternating(i: int) -> list[str]:
     return ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
 
 
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def extract(rev: str, into: Path) -> None:
+    """A git archive of rev, unpacked into the new directory into."""
+    into.mkdir()
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout, check=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="record a BENCH file")
-    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--parent", required=True, help="the parent commit (any git revision)")
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, required=True)
@@ -384,12 +429,27 @@ def main(argv=None) -> int:
     cpu = max(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
     os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
-    sides = {"parent": args.parent.resolve(), "change": ROOT}
-    for checkout in sides.values():
-        for cache in [*checkout.glob("src/**/__pycache__"), *checkout.glob("perfbench/__pycache__")]:
-            shutil.rmtree(cache)
+    revs = {
+        "parent": git("rev-parse", args.parent),
+        "change": git("stash", "create") or git("rev-parse", "HEAD"),
+    }
+    work = Path(tempfile.mkdtemp(prefix="bench-"))
+    sides = {"parent": work / "side-p", "change": work / "side-c"}
+    try:
+        for side, checkout in sides.items():
+            extract(revs[side], checkout)
+        record = measure(args, sides, cpu)
+    finally:
+        shutil.rmtree(work)
+    record["command"] = " ".join([Path(sys.argv[0]).name, *(argv or sys.argv[1:])])
+    record["sides"] = {side: {"rev": revs[side], "dir": str(sides[side])} for side in sides}
+    args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+def measure(args, sides: dict, cpu: int) -> dict:
+    """Every pair, run and microbench of the record, in the two sides."""
     record = {
-        "command": " ".join([Path(sys.argv[0]).name, *(argv or sys.argv[1:])]),
         "recorder_host": f"cpus={os.cpu_count()} python={platform.python_version()} "
         f"machine={platform.machine()} pinned_cpu={cpu}",
         "run_seconds": BENCHMARK["run_seconds"],
@@ -434,10 +494,12 @@ def main(argv=None) -> int:
     for part, metrics in (("codec", CODEC_METRICS), ("layers", LAYER_METRICS)):
         print(f"{part} medians: " + " ".join(
             f"{name} {m['parent']['median'] * 1e6:.1f} -> {m['change']['median'] * 1e6:.1f} us"
-            for name, m in record[part].items() if name in metrics
+            for name, m in record[part].items() if name in metrics and name.endswith("_s")
         ), flush=True)
-    args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return 0
+    peak = record["codec"]["read_peak_kib"]
+    print(f"cold read traced peak: {peak['parent']['median']:.0f} -> "
+          f"{peak['change']['median']:.0f} KiB", flush=True)
+    return record
 
 
 if __name__ == "__main__":

@@ -22,7 +22,11 @@ def _cmd_run(args) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"bad scenario: {exc}", file=sys.stderr)
         return 1
-    handles = sim.run(cfg, out_dir=args.out)
+    try:
+        handles = sim.run(cfg, out_dir=args.out)
+    except OSError as exc:  # --out names a file, or cannot be written
+        print(f"cannot write to --out: {exc}", file=sys.stderr)
+        return 2
     report = handles.report
     print(f"scenario {report['scenario']}: chain height {report['chain']['height']}")
     for iid, session in report["sessions"].items():
@@ -50,37 +54,34 @@ def _resolve_vehicle(chain: ledger.Chain, query: str) -> bytes | None:
 
 
 def _cmd_inspect(args) -> int:
+    # The file is read one block at a time, each replayed as it is read:
+    # the first fault met, structural or in the replay, is the one told.
     try:
-        blocks, endowment, checksum_ok = ledger.load_blocks(args.chain)
+        with open(args.chain, "rb") as f:
+            chain_file = ledger.parse_chain_bytes(f)
+            if args.query == "validate":
+                report = ledger.validate_blocks(chain_file.blocks(), chain_file.endowment)
+            else:  # the other queries need a replay that is sound and a checksum that holds
+                chain = chain_file.chain()
     except OSError as exc:  # missing, a directory, unreadable
         print(f"chain file not found or unreadable: {exc}", file=sys.stderr)
         return 2
-    except (ledger.CorruptChainFileError, ValueError) as exc:
+    except ValueError as exc:  # CorruptChainFileError, or text that is not UTF-8
         print(f"corrupt chain file: {exc}", file=sys.stderr)
         return 1
 
     if args.query == "validate":
-        report = ledger.validate_blocks(blocks, endowment)
         if not report.ok:
             # Replay pinpoints the damaged height; report it over the
             # blunter whole-file checksum.
             print(f"INVALID: {report.describe()}")
             return 1
-        if not checksum_ok:
+        if not chain_file.checksum_ok:
             print("INVALID: file checksum mismatch (header bytes altered)")
             return 1
+        blocks = report.blocks
         print(f"ok: {len(blocks)} blocks, tip {blocks[-1].block_hash.hex()[:16]}")
         return 0
-
-    # Other queries need a trustworthy replay.
-    if not checksum_ok:
-        print("corrupt chain file: file checksum mismatch", file=sys.stderr)
-        return 1
-    try:
-        chain = ledger.Chain.from_blocks(blocks, endowment)
-    except ledger.CorruptChainFileError as exc:
-        print(f"corrupt chain file: {exc}", file=sys.stderr)
-        return 1
 
     if args.query == "comm-table":
         table = ledger.comm_table(chain)

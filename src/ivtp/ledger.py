@@ -7,8 +7,9 @@ into blocks whose Merkle root commits to the transaction list. Each run
 of fixed-width fields decodes through one struct. A decoded transaction
 carries the bytes it was read from until its signature is checked over
 them, and a decoded block its header's hash, so replaying a loaded
-chain encodes nothing. The
-blocks are the record. The ledger state holds only what the validity
+chain encodes nothing. A chain file is read one block at a time, and
+each block is replayed before the next is read. The blocks are the
+record. The ledger state holds only what the validity
 rules read (registrations, balances, applied tx ids); it is a pure
 function of the chain and is rebuilt by replay during validation, so
 any single-byte tamper anywhere is detected. Who talked to whom and a
@@ -22,12 +23,14 @@ transfers, so total supply only changes at registration.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import io
 import itertools
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import identity
 from .identity import IvTpId, sha256
@@ -94,12 +97,12 @@ def _blob(b: bytes, name: str = "blob") -> bytes:
 
 
 class _Reader:
-    """Reads data[:end] (all of data by default) front to back. take slices
-    data, so a reader over a memoryview copies nothing."""
+    """Reads data front to back. take slices data, so a reader over a
+    memoryview copies nothing."""
 
-    def __init__(self, data, end: int | None = None):
+    def __init__(self, data):
         self.data = data
-        self.end = len(data) if end is None else end
+        self.end = len(data)
         self.pos = 0
 
     def _skip(self, n: int) -> int:
@@ -126,11 +129,13 @@ class _Reader:
 class Codec(NamedTuple):
     """One field's wire form. encode(value, name) raises
     FieldOverflowError, naming the field, if value does not fit. A
-    fixed-width codec has a struct code, fmt."""
+    fixed-width codec has a struct code, fmt; one of vehicle ids has
+    intern(value, ids), value with each id swapped for ids' object."""
 
     encode: Callable[[object, str], bytes]
     decode: Callable[[_Reader], object]
     fmt: str = ""
+    intern: Callable[[object, dict], object] | None = None
 
 
 def _fixed(encode, fmt: str) -> Codec:
@@ -173,8 +178,12 @@ SIGNATURE = _fixed_width(identity.SIGNATURE_LEN)
 U64 = _fixed(_u64, "Q")
 BLOB = Codec(_blob, _Reader.blob)
 TEXT = Codec(lambda s, name: _blob(s.encode(), name), lambda r: str(r.blob(), "utf-8"))
-IDS = _list_of(ID)
-AGREEMENTS = _list_of(ID, SIGNATURE)  # (voter id, signature) pairs
+# Vehicle ids: the same few recur all through a chain file.
+VEHICLE_ID = ID._replace(intern=lambda v, ids: ids.setdefault(v, v))
+IDS = _list_of(ID)._replace(intern=lambda vs, ids: tuple([ids.setdefault(v, v) for v in vs]))
+AGREEMENTS = _list_of(ID, SIGNATURE)._replace(  # (voter id, signature) pairs
+    intern=lambda rows, ids: tuple([(ids.setdefault(v, v), sig) for v, sig in rows])
+)
 STAMPED_IDS = _list_of(ID, U64)  # (id, time flag) pairs
 _ENVELOPE = struct.Struct(">B" + ID.fmt + U64.fmt)  # tag, author, tf
 
@@ -194,6 +203,7 @@ class _Layout:
         self.encoders = [(f.name, f.metadata["codec"].encode) for f in wired]
         self.steps = []  # each reads a tuple of values
         codecs = [f.metadata["codec"] for f in wired] + list(tail)
+        self.interns = [(i, c.intern) for i, c in enumerate(codecs) if c.intern]
         for fixed, run in itertools.groupby(codecs, key=lambda c: bool(c.fmt)):
             if fixed:
                 run = struct.Struct(">" + "".join([c.fmt for c in run]))
@@ -204,9 +214,14 @@ class _Layout:
     def encode(self, obj) -> bytes:
         return b"".join([encode(getattr(obj, name), name) for name, encode in self.encoders])
 
-    def decode(self, r: _Reader) -> list:
-        """The field values, then tail's, in order."""
-        return [value for step in self.steps for value in step(r)]
+    def decode(self, r: _Reader, ids: dict | None = None) -> list:
+        """The field values, then tail's, in order, vehicle ids interned
+        in ids if given."""
+        values = [value for step in self.steps for value in step(r)]
+        if ids is not None:
+            for i, intern in self.interns:
+                values[i] = intern(values[i], ids)
+        return values
 
 
 def decode_exact(data: bytes, codecs, what: str) -> tuple:
@@ -264,9 +279,9 @@ class RegisterTx(Transaction):
     issuing dealer. Carries dealer_id and counter so the ID derivation
     can be re-checked during replay."""
 
-    ivtp_id: IvTpId = _wire(ID, b"")
+    ivtp_id: IvTpId = _wire(VEHICLE_ID, b"")
     vehicle_pk: bytes = _wire(PUBLIC_KEY, b"")
-    dealer_id: bytes = _wire(ID, b"")
+    dealer_id: bytes = _wire(VEHICLE_ID, b"")
     counter: int = _wire(U64, 0)
     dealer_sig: bytes = _wire(SIGNATURE, b"")  # over ivtp_id || vehicle_pk
 
@@ -278,7 +293,7 @@ class CommTx(Transaction):
     """A broadcast message record: sender, intended receivers, and the
     hash of the payload (content stays off-chain)."""
 
-    sender: IvTpId = _wire(ID, b"")
+    sender: IvTpId = _wire(VEHICLE_ID, b"")
     receivers: tuple[IvTpId, ...] = _wire(IDS, ())
     message_hash: bytes = _wire(ID, b"")
     tf_sent: TimeFlag = _wire(U64, 0)
@@ -290,8 +305,8 @@ class CommTx(Transaction):
 class RewardTx(Transaction):
     """Transfer of trust points. Author must equal the paying side."""
 
-    from_id: IvTpId = _wire(ID, b"")
-    to_id: IvTpId = _wire(ID, b"")
+    from_id: IvTpId = _wire(VEHICLE_ID, b"")
+    to_id: IvTpId = _wire(VEHICLE_ID, b"")
     amount: int = _wire(U64, 0)  # milli-trust, > 0
     reason: str = _wire(TEXT, "")
 
@@ -305,7 +320,7 @@ class ArbitrationTx(Transaction):
 
     intersection_id: str = _wire(TEXT, "")
     ordering: tuple[IvTpId, ...] = _wire(IDS, ())
-    proposer: IvTpId = _wire(ID, b"")
+    proposer: IvTpId = _wire(VEHICLE_ID, b"")
     agreements: tuple[tuple[IvTpId, bytes], ...] = _wire(AGREEMENTS, ())
 
     TAG = 5
@@ -332,16 +347,19 @@ def canonical_encode(tx: Transaction) -> bytes:
     return tx_signing_bytes(tx) + SIGNATURE.encode(tx.signature, "signature")
 
 
-def canonical_decode(data) -> Transaction:
+def canonical_decode(data, ids: dict | None = None) -> Transaction:
     """Inverse of canonical_encode; rejects trailing garbage. data, bytes
-    or a memoryview into a chain file, becomes the tx's span."""
+    or a memoryview into a chain file's block, becomes the tx's span.
+    With ids, each vehicle id read is ids' one object for it."""
     r = _Reader(data)
     tag, author, tf = r.unpack(_ENVELOPE)
     cls = _TX_BY_TAG.get(tag)
     if cls is None:
         raise CorruptChainFileError(f"unknown transaction tag {tag}")
-    values = _TX_LAYOUTS[cls].decode(r)
+    values = _TX_LAYOUTS[cls].decode(r, ids)
     r.finish("transaction")
+    if ids is not None:
+        author = ids.setdefault(author, author)
     tx = cls(author, tf, values.pop(), *values)
     object.__setattr__(tx, "_span", data)
     return tx
@@ -434,10 +452,10 @@ def encode_block(block: Block) -> bytes:
     return b"".join([block.header_bytes(), _u32(len(txs)), *txs])
 
 
-def decode_block(r: _Reader) -> Block:
+def decode_block(r: _Reader, ids: dict | None = None) -> Block:
     start, header = r.pos, _BLOCK_HEADER.decode(r)
     header_hash = sha256(r.data[start : r.pos])  # block_hash, from the bytes read
-    block = Block(*header, tuple([canonical_decode(r.blob()) for _ in range(U32.decode(r))]))
+    block = Block(*header, tuple([canonical_decode(r.blob(), ids) for _ in range(U32.decode(r))]))
     object.__setattr__(block, "block_hash", header_hash)
     return block
 
@@ -448,8 +466,9 @@ class ValidationReport:
     height: int | None = None
     tx_id: bytes | None = None
     cause: str | None = None
-    # The replayed state of a valid chain, for Chain.from_blocks.
+    # The replayed state and blocks of a valid chain, for Chain.from_blocks.
     state: LedgerState | None = field(default=None, repr=False, compare=False)
+    blocks: list[Block] | None = field(default=None, repr=False, compare=False)
 
     def describe(self) -> str:
         if self.ok:
@@ -656,13 +675,13 @@ class Chain:
         return cls.from_blocks([genesis], endowment)
 
     @classmethod
-    def from_blocks(cls, blocks: list[Block], endowment: int) -> "Chain":
+    def from_blocks(cls, blocks: Iterable[Block], endowment: int) -> "Chain":
         """Replay blocks once, through validate_blocks; raises
         CorruptChainFileError naming the first failure."""
         report = validate_blocks(blocks, endowment)
         if not report.ok:
             raise CorruptChainFileError(report.describe())
-        return cls(list(blocks), report.state)
+        return cls(report.blocks, report.state)
 
     @property
     def height(self) -> int:
@@ -713,19 +732,20 @@ def validate_chain(chain: Chain) -> ValidationReport:
     return validate_blocks(chain.blocks, chain.state.endowment)
 
 
-def validate_blocks(blocks: list[Block], endowment: int) -> ValidationReport:
-    """Replay blocks from genesis through LedgerState.apply_block. A
-    valid chain's report carries the replayed state."""
-    if not blocks:
-        return ValidationReport(ok=False, height=None, cause="empty chain")
+def validate_blocks(blocks: Iterable[Block], endowment: int) -> ValidationReport:
+    """Replay blocks from genesis through LedgerState.apply_block, each
+    as it comes, up to the first failure. A valid chain's report
+    carries the replayed state and the blocks."""
     state = LedgerState(endowment=endowment)
-    prev: Block | None = None
+    replayed: list[Block] = []
     for block in blocks:
-        failure = state.apply_block(block, prev)
+        failure = state.apply_block(block, replayed[-1] if replayed else None)
         if failure is not None:
             return failure
-        prev = block
-    return ValidationReport(ok=True, state=state)
+        replayed.append(block)
+    if not replayed:
+        return ValidationReport(ok=False, height=None, cause="empty chain")
+    return ValidationReport(ok=True, state=state, blocks=replayed)
 
 
 # ---------------------------------------------------------------------------
@@ -785,47 +805,76 @@ def chain_to_bytes(chain: Chain) -> bytes:
     return body + sha256(body)
 
 
-def chain_from_bytes(data: bytes) -> Chain:
-    blocks, endowment, checksum_ok = parse_chain_bytes(data)
-    if not checksum_ok:
-        raise CorruptChainFileError("checksum mismatch")
-    return Chain.from_blocks(blocks, endowment)
+_FILE_HEADER = struct.Struct(">4sBQ")  # magic, version, endowment
 
 
-def parse_chain_bytes(data: bytes) -> tuple[list[Block], int, bool]:
-    """Structural parse only: blocks, endowment, and whether the trailing
-    digest matches. Replay validation is validate_blocks' job."""
-    if len(data) < HASH_LEN + 13:
-        raise CorruptChainFileError("truncated file")
-    end = len(data) - HASH_LEN
-    view = memoryview(bytes(data))  # blocks and tx spans are slices of it
-    checksum_ok = sha256(view[:end]) == data[end:]
-    r = _Reader(view, end)
-    if r.take(4) != CHAIN_MAGIC:
+class ChainFile:
+    """One read of a chain file, front to back (parse_chain_bytes opens
+    it). Each read is the header, a block's length or blob, or the
+    digest, and all but the digest feed one SHA-256 (a file that cannot
+    seek is read whole first). blocks() parses a block only when the next
+    is asked for, so a replay of them checks each block, and lets go of
+    its tx spans, before the next is read."""
+
+    def __init__(self, f):
+        if not f.seekable():  # a pipe, say: its size is known only once it is read
+            f = io.BytesIO(f.read())
+        self._f = f
+        self._left = f.seek(0, io.SEEK_END) - HASH_LEN  # bytes before the digest
+        f.seek(0)
+        if self._left < _FILE_HEADER.size:
+            raise CorruptChainFileError("truncated file")
+        self._sha = hashlib.sha256()
+        self.endowment = 0
+        self.checksum_ok: bool | None = None  # known once blocks() is done
+
+    def _read(self, n: int) -> bytes:
+        if n > self._left:
+            raise CorruptChainFileError("truncated encoding")
+        data = self._f.read(n)
+        if len(data) != n:
+            raise CorruptChainFileError("truncated file")
+        self._left -= n
+        self._sha.update(data)
+        return data
+
+    def blocks(self) -> Iterator[Block]:
+        """Each block in file order. Within the read each distinct vehicle
+        id is one bytes object, and a block_hash is its successor's
+        prev_hash object. At the end, checksum_ok is set."""
+        ids: dict[bytes, bytes] = {}
+        prev = None
+        while self._left:
+            blob = _Reader(memoryview(self._read(int.from_bytes(self._read(4), "big"))))
+            block = decode_block(blob, ids)
+            blob.finish("block")
+            if prev is not None and block.prev_hash == prev.block_hash:
+                object.__setattr__(prev, "block_hash", block.prev_hash)
+            yield block
+            prev = block
+        if self.checksum_ok is None:  # a second pass finds nothing left to read
+            self.checksum_ok = self._sha.digest() == self._f.read(HASH_LEN)
+
+    def chain(self) -> Chain:
+        """The chain, replayed as it is read; raises CorruptChainFileError
+        on the first fault met, then on a checksum mismatch."""
+        chain = Chain.from_blocks(self.blocks(), self.endowment)
+        if not self.checksum_ok:
+            raise CorruptChainFileError("file checksum mismatch")
+        return chain
+
+
+def parse_chain_bytes(f) -> ChainFile:
+    """Open a read of the chain file f, opened binary, past its
+    checked header. Replay validation is validate_blocks' job."""
+    file = ChainFile(f)
+    magic, version, file.endowment = _FILE_HEADER.unpack(file._read(_FILE_HEADER.size))
+    if magic != CHAIN_MAGIC:
         raise CorruptChainFileError("bad magic")
-    if r.take(1)[0] != CHAIN_VERSION:
+    if version != CHAIN_VERSION:
         raise CorruptChainFileError("unsupported version")
-    endowment = U64.decode(r)
-    blocks: list[Block] = []
-    while r.pos < r.end:
-        blob = _Reader(r.blob())
-        block = decode_block(blob)
-        blob.finish("block")
-        if blocks and block.prev_hash == blocks[-1].block_hash:
-            object.__setattr__(blocks[-1], "block_hash", block.prev_hash)  # one object for both
-        blocks.append(block)
-    return blocks, endowment, checksum_ok
+    return file
 
 
 def save_chain(chain: Chain, path) -> None:
     Path(path).write_bytes(chain_to_bytes(chain))
-
-
-def load_chain(path) -> Chain:
-    return chain_from_bytes(Path(path).read_bytes())
-
-
-def load_blocks(path) -> tuple[list[Block], int, bool]:
-    """Parse a chain file without validating; for the inspector, which
-    must report tampering rather than refuse to read."""
-    return parse_chain_bytes(Path(path).read_bytes())

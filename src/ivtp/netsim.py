@@ -108,8 +108,8 @@ class Trace:
     whole trace.
 
     Read back, it is a sequence of row dicts decoded on demand, from the
-    file when bound and then from the buffer: it supports len(),
-    iteration and == against a list.
+    file when bound and then from the buffer: it supports len() and
+    iteration.
     """
 
     def __init__(self):
@@ -121,14 +121,6 @@ class Trace:
         self.counts: Counter[str] = Counter()
         self.notes: list[dict] = []
         self._quoted = _Quoted()
-
-    @classmethod
-    def from_rows(cls, rows) -> Trace:
-        """The trace of already-parsed rows, such as a trace.jsonl read back."""
-        trace = cls()
-        for row in rows:
-            trace._add(row)
-        return trace
 
     def bind(self, path) -> None:
         """Write the trace to path (created or truncated) from now on,
@@ -212,11 +204,6 @@ class Trace:
             end = data.index(b"\n", start)
             yield json.loads(data[start:end])
             start = end + 1
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, Trace)):
-            return NotImplemented
-        return list(self) == list(other)
 
 
 class Names(dict):

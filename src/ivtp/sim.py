@@ -234,9 +234,10 @@ def build_report(
     aliases: netsim.Names,
     trace_digest: bytes,
 ) -> dict:
-    """Deterministic run summary; rebuilding from the persisted chain
-    and trace (netsim.Trace.from_rows of its rows) yields identical
-    bytes. Of the trace it reads only the row counts and the notes."""
+    """Deterministic run summary; rebuilding it from the persisted
+    chain and trace (a Trace holding trace.jsonl's rows) yields
+    identical bytes. Of the trace it reads only the row counts and the
+    notes."""
     name = aliases.__getitem__
 
     blocks = [

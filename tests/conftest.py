@@ -1,8 +1,14 @@
 """Shared fixtures and the acceptance-criteria result banner."""
 
-import pytest
+import contextlib
+from pathlib import Path
 
-from ivtp import consensus, identity, ledger
+import pytest
+from cryptography.hazmat.primitives.asymmetric import ed25519
+
+from ivtp import consensus, identity, ledger, netsim, scenario, sim
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Criterion number -> (label, passed). Filled by tests/test_acceptance.py,
 # printed as a summary section so every run shows one line per criterion.
@@ -81,3 +87,76 @@ def tag2_tx_bytes(kp: identity.KeyPair, author: bytes, tf: int = 1) -> bytes:
         + ledger._blob(b"net-0") + ledger._blob(b"zone-0")
     )
     return body + identity.sign(kp, body)
+
+
+def read_chain(path) -> ledger.Chain:
+    """The chain a chain file holds, read and replayed block by block."""
+    with open(path, "rb") as f:
+        return ledger.parse_chain_bytes(f).chain()
+
+
+def trace_from_rows(rows) -> netsim.Trace:
+    """The trace of already-parsed rows, such as a trace.jsonl read back."""
+    trace = netsim.Trace()
+    for row in rows:
+        trace._add(row)
+    return trace
+
+
+def scenario_path(name: str) -> Path:
+    """Bundled scenarios live in scenarios/, the synthetic N-vehicle
+    ones (1 ms latency, 2 ms jitter, 10% loss) in vectors/, next to the
+    locked digests."""
+    bundled = ROOT / "scenarios" / f"{name}.json"
+    return bundled if bundled.exists() else ROOT / "vectors" / f"{name}.json"
+
+
+class Meter:
+    """Ed25519 verifies made since the last reset(); call it to read."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __call__(self) -> int:
+        return self.count
+
+    def reset(self) -> None:
+        self.count = 0
+
+
+@contextlib.contextmanager
+def counting_ed25519(meter: Meter):
+    """Count into meter every Ed25519 verify made inside the block, where
+    identity.verify calls into cryptography."""
+    load = ed25519.Ed25519PublicKey.from_public_bytes
+
+    class Counting:
+        def __init__(self, key):
+            self.key = key
+
+        def verify(self, signature, message):
+            meter.count += 1
+            return self.key.verify(signature, message)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            ed25519.Ed25519PublicKey, "from_public_bytes", staticmethod(lambda b: Counting(load(b)))
+        )
+        yield meter
+
+
+@pytest.fixture(scope="session")
+def locked_run():
+    """locked_run(name): the handles of the locked scenario's run without
+    an out dir and the Ed25519 verifies it made. Each scenario runs once
+    per session, however many tests ask for it."""
+    runs = {}
+
+    def get(name: str):
+        if name not in runs:
+            with counting_ed25519(Meter()) as meter:
+                handles = sim.run(scenario.load_scenario(scenario_path(name)))
+            runs[name] = handles, meter()
+        return runs[name]
+
+    return get

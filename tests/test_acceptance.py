@@ -7,9 +7,11 @@ constant the bundled scenarios must reproduce.
 
 import dataclasses
 import hashlib
+import io
 import itertools
 import pathlib
 import random
+from collections import Counter
 
 from ivtp import consensus, identity, ledger, scenario, sim
 from conftest import make_fleet, signed_comm
@@ -92,8 +94,10 @@ def test_criterion_3_quorum_rule(acceptance):
 
 
 def test_criterion_4_tamper_evidence(acceptance):
-    """1000 random single-byte corruptions of an 11-block chain file:
-    every one is caught by parsing, the file checksum, or replay."""
+    """1000 random single-byte corruptions and 100 random truncations of
+    an 11-block chain file: every one is caught, by the header check, by
+    a fault raised while the blocks are read and replayed, by the
+    replay's verdict, or by the file checksum."""
     _, chain, ids, keys = make_fleet(4)
     for i in range(9):
         tx = _signed(
@@ -112,23 +116,32 @@ def test_criterion_4_tamper_evidence(acceptance):
     assert len(chain.blocks) == 11
     data = ledger.chain_to_bytes(chain)
 
-    def detected(mutated: bytes) -> bool:
+    def caught_by(mutated: bytes) -> str | None:
         try:
-            blocks, endowment, checksum_ok = ledger.parse_chain_bytes(mutated)
-        except (ledger.CorruptChainFileError, ValueError):
-            return True
-        if not checksum_ok:
-            return True
-        return not ledger.validate_blocks(blocks, endowment).ok
+            chain_file = ledger.parse_chain_bytes(io.BytesIO(mutated))
+        except ValueError:  # CorruptChainFileError among them
+            return "header"
+        try:
+            report = ledger.validate_blocks(chain_file.blocks(), chain_file.endowment)
+        except ValueError:
+            return "raised during replay"
+        if not report.ok:
+            return "replay"
+        return None if chain_file.checksum_ok else "checksum"
 
     rng = random.Random(0)
-    caught = 0
+    flips = Counter()
     for _ in range(1000):
         pos = rng.randrange(len(data))
         flip = rng.randrange(1, 256)
         mutated = data[:pos] + bytes([data[pos] ^ flip]) + data[pos + 1 :]
-        caught += detected(mutated)
-    assert acceptance(4, "tamper evidence 1000/1000", caught == 1000)
+        flips[caught_by(mutated)] += 1
+    cuts = Counter(caught_by(data[: rng.randrange(len(data))]) for _ in range(100))
+    assert caught_by(data) is None
+    # Structural faults past the header surface while earlier blocks replay.
+    assert flips["raised during replay"] > 0 and cuts["raised during replay"] > 0
+    ok = flips[None] == cuts[None] == 0
+    assert acceptance(4, "tamper evidence 1000/1000 flips, 100/100 cuts", ok)
 
 
 def test_criterion_5_conservation(acceptance):

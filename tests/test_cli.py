@@ -1,13 +1,16 @@
 """Command line: run, inspect, vectors. Exit codes and output shapes."""
 
+import dataclasses
 import hashlib
 import json
+import os
 import pathlib
+import threading
 
 import pytest
 
 from ivtp import cli, identity, ledger, scenario, sim
-from conftest import signed_comm, tag2_tx_bytes
+from conftest import read_chain, signed_comm, tag2_tx_bytes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -56,6 +59,14 @@ class TestRunCommand:
         assert "trace digest" in out
         for fname in ("chain.bin", "trace.jsonl", "report.json"):
             assert (tmp_path / fname).exists()
+
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        scenario_file = str(SCENARIOS / "intersection_table2.json")
+        assert cli.main(["run", "--scenario", scenario_file, "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("cannot write to --out: ")
+        assert taken.read_text() == ""
 
     def test_missing_scenario_is_usage_error(self, capsys):
         assert cli.main(["run", "--scenario", "/nonexistent.json"]) == 2
@@ -157,7 +168,7 @@ class TestInspectValidate:
         _write_forged(path, blocks, handles.chain.state.endowment)
 
         with pytest.raises(ledger.CorruptChainFileError, match="duplicate_tx"):
-            ledger.chain_from_bytes(path.read_bytes())
+            read_chain(path)
         assert cli.main(["inspect", str(path), "validate"]) == 1
         assert "block 7" in capsys.readouterr().out
 
@@ -182,7 +193,7 @@ class TestInspectValidate:
         path.write_bytes(body + identity.sha256(body))
 
         with pytest.raises(ledger.CorruptChainFileError, match="unknown transaction tag 2"):
-            ledger.chain_from_bytes(path.read_bytes())
+            read_chain(path)
         assert cli.main(["inspect", str(path), "validate"]) == 1
         assert "unknown transaction tag 2" in capsys.readouterr().err
 
@@ -206,9 +217,12 @@ class TestInspectValidate:
         path = tmp_path / "late.bin"
         path.write_bytes(body + identity.sha256(body))
 
-        assert ledger.parse_chain_bytes(path.read_bytes())[2]
+        with open(path, "rb") as f:  # well formed: the parse alone reads it to a sound checksum
+            chain_file = ledger.parse_chain_bytes(f)
+            assert len(list(chain_file.blocks())) == len(handles.chain.blocks) + 1
+            assert chain_file.checksum_ok
         with pytest.raises(ledger.CorruptChainFileError, match="tx_after_block"):
-            ledger.chain_from_bytes(path.read_bytes())
+            read_chain(path)
         assert cli.main(["inspect", str(path), "validate"]) == 1
         assert "tx_after_block" in capsys.readouterr().out
 
@@ -225,7 +239,7 @@ class TestInspectValidate:
         path.write_bytes(body + identity.sha256(body))
 
         with pytest.raises(ledger.CorruptChainFileError, match="trailing bytes after block"):
-            ledger.load_chain(path)
+            read_chain(path)
         assert cli.main(["inspect", str(path), "validate"]) == 1
         assert "trailing bytes after block" in capsys.readouterr().err
 
@@ -241,6 +255,75 @@ class TestInspectValidate:
         out = capsys.readouterr().out
         assert rc == 1
         assert "checksum" in out
+
+    def test_replay_fault_is_told_before_a_later_structural_fault(self, run_dir, tmp_path, capsys):
+        """The file is replayed as it is read, so a replay fault in block
+        2 is told even though the file breaks off further on: validate
+        names block 2 on stdout, and a query refuses the chain for it."""
+        out_dir, handles = run_dir
+        blocks = list(handles.chain.blocks)
+        blocks[2] = dataclasses.replace(blocks[2], merkle_root=b"\x22" * 32)
+        _write_forged(tmp_path / "forged.bin", blocks, handles.chain.state.endowment)
+        body = (tmp_path / "forged.bin").read_bytes()[: -ledger.HASH_LEN]
+        path = tmp_path / "forged_then_cut.bin"
+        path.write_bytes(body + ledger._u32(2**32 - 1) + bytes(ledger.HASH_LEN))
+
+        assert cli.main(["inspect", str(path), "validate"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "INVALID: chain INVALID at block 2: merkle root mismatch\n"
+        assert captured.err == ""
+        assert cli.main(["inspect", str(path), "comm-table"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "corrupt chain file: chain INVALID at block 2: merkle root mismatch\n"
+        # Without the replay fault, the cut is met and told as before.
+        body = (out_dir / "chain.bin").read_bytes()[: -ledger.HASH_LEN]
+        path.write_bytes(body + ledger._u32(2**32 - 1) + bytes(ledger.HASH_LEN))
+        assert cli.main(["inspect", str(path), "validate"]) == 1
+        assert capsys.readouterr().err == "corrupt chain file: truncated encoding\n"
+
+    def test_query_tells_a_replay_fault_before_a_checksum_mismatch(self, run_dir, tmp_path, capsys):
+        """A query reads the checksum only after the replay: a file with a
+        bad block and a bad digest is refused for the block."""
+        _, handles = run_dir
+        blocks = list(handles.chain.blocks)
+        blocks[2] = dataclasses.replace(blocks[2], merkle_root=b"\x22" * 32)
+        path = tmp_path / "forged.bin"
+        _write_forged(path, blocks, handles.chain.state.endowment)
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 1
+        path.write_bytes(bytes(data))
+        veh = handles.chain.blocks[1].txs[0].ivtp_id.hex()
+        assert cli.main(["inspect", str(path), "balance", veh]) == 1
+        assert capsys.readouterr().err == (
+            "corrupt chain file: chain INVALID at block 2: merkle root mismatch\n"
+        )
+
+    def test_checksum_mismatch_refused_after_a_sound_replay(self, run_dir, tmp_path, capsys):
+        out_dir, handles = run_dir
+        data = bytearray((out_dir / "chain.bin").read_bytes())
+        data[-1] ^= 1
+        path = tmp_path / "digest.bin"
+        path.write_bytes(bytes(data))
+        veh = handles.chain.blocks[1].txs[0].ivtp_id.hex()
+        assert cli.main(["inspect", str(path), "balance", veh]) == 1
+        assert capsys.readouterr().err == "corrupt chain file: file checksum mismatch\n"
+        assert cli.main(["inspect", str(path), "validate"]) == 1
+        assert capsys.readouterr().out == "INVALID: file checksum mismatch (header bytes altered)\n"
+
+    def test_chain_read_from_a_pipe(self, run_dir, tmp_path, capsys):
+        """A chain path that cannot seek, such as a FIFO, is still read."""
+        out_dir, handles = run_dir
+        fifo = tmp_path / "chain.fifo"
+        os.mkfifo(fifo)
+        data = (out_dir / "chain.bin").read_bytes()
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            rc = cli.main(["inspect", str(fifo), "validate"])
+        finally:
+            writer.join(timeout=10)
+        assert rc == 0 and not writer.is_alive()
+        assert capsys.readouterr().out.startswith(f"ok: {len(handles.chain.blocks)} blocks")
 
     def test_truncated_file_is_corrupt(self, run_dir, tmp_path, capsys):
         out_dir, _ = run_dir
@@ -272,7 +355,7 @@ class TestInspectValidate:
         path.write_bytes(body + hashlib.sha256(body).digest())
 
         with pytest.raises(ledger.CorruptChainFileError, match=f"block {tip.height}, .*bad_signature"):
-            ledger.chain_from_bytes(path.read_bytes())
+            read_chain(path)
         assert cli.main(["inspect", str(path), "validate"]) == 1
         out = capsys.readouterr().out
         assert f"block {tip.height}," in out and out.rstrip().endswith("bad_signature")
@@ -290,7 +373,7 @@ class TestInspectValidate:
         path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
 
         with pytest.raises(ledger.CorruptChainFileError, match="block 2: merkle root mismatch"):
-            ledger.chain_from_bytes(path.read_bytes())
+            read_chain(path)
         assert cli.main(["inspect", str(path), "validate"]) == 1
         assert "block 2: merkle root mismatch" in capsys.readouterr().out
 

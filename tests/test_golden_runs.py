@@ -9,17 +9,11 @@ from pathlib import Path
 import pytest
 
 from ivtp import scenario, sim
+from conftest import read_chain, scenario_path
 from synthetic import render, synthetic_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "vectors" / "runs.json").read_text())
-
-
-def _scenario_path(name: str) -> Path:
-    """Bundled scenarios live in scenarios/, the synthetic N-vehicle
-    ones (1 ms latency, 2 ms jitter, 10% loss) next to their digests."""
-    bundled = ROOT / "scenarios" / f"{name}.json"
-    return bundled if bundled.exists() else ROOT / "vectors" / f"{name}.json"
 
 
 SYNTHETIC_N = (4, 8, 16, 32, 64)
@@ -35,7 +29,7 @@ def test_synthetic_vectors_come_from_the_generator(n):
 def test_synthetic_scenarios_are_locked():
     assert {f"synthetic_n{n}" for n in SYNTHETIC_N} <= set(GOLDEN)
     for n in SYNTHETIC_N:
-        cfg = scenario.load_scenario(_scenario_path(f"synthetic_n{n}"))
+        cfg = scenario.load_scenario(scenario_path(f"synthetic_n{n}"))
         assert len(cfg.vehicles) == n
         assert len(cfg.comms) == n
         assert [len(x.participants) for x in cfg.intersections] == [min(n, 8)]
@@ -45,18 +39,25 @@ def test_synthetic_scenarios_are_locked():
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_artifacts_match_golden_digests(name, tmp_path):
+def test_artifacts_match_golden_digests(name, tmp_path, locked_run):
     """A run with an out dir writes the locked artifacts. Its trace.jsonl,
     streamed to the file during the run, is byte for byte what a run
-    without an out dir holds in memory, and both report the same."""
-    cfg = scenario.load_scenario(_scenario_path(name))
+    without an out dir holds in memory, and both report the same. Its
+    chain.bin reads back as the run's chain."""
+    cfg = scenario.load_scenario(scenario_path(name))
     streamed = sim.run(cfg, out_dir=tmp_path)
     got = {
         artifact: hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
         for artifact in GOLDEN[name]
     }
     assert got == GOLDEN[name]
-    in_memory = sim.run(cfg)
+    in_memory, _verifies = locked_run(name)
     assert (tmp_path / "trace.jsonl").read_bytes() == in_memory.net.trace.data
     assert streamed.report == in_memory.report
     assert in_memory.report["trace_digest"] == GOLDEN[name]["trace.jsonl"]
+
+    loaded, chain = read_chain(tmp_path / "chain.bin"), streamed.chain
+    assert len(loaded.blocks) == len(chain.blocks) > 1
+    assert [b.block_hash for b in loaded.blocks] == [b.block_hash for b in chain.blocks]
+    assert list(loaded.state.balances.items()) == list(chain.state.balances.items())
+    assert list(loaded.state.registrations.items()) == list(chain.state.registrations.items())

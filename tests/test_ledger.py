@@ -4,17 +4,17 @@ import copy
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import pathlib
 import struct
 import sys
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivtp import identity, ledger
-from conftest import make_fleet, signed_comm, tag2_tx_bytes
+from conftest import make_fleet, read_chain, signed_comm, tag2_tx_bytes
 
 
 def _kp(tag: bytes) -> identity.KeyPair:
@@ -236,7 +236,8 @@ class TestReplayFromBytes:
 
     @pytest.mark.parametrize("seed", sorted(CHAIN_DIGESTS))
     def test_cold_replay_encodes_nothing(self, seed, monkeypatch):
-        data = ledger.chain_to_bytes(_build_chain(seed))
+        chain = _build_chain(seed)
+        data = ledger.chain_to_bytes(chain)
         assert hashlib.sha256(data).hexdigest() == self.CHAIN_DIGESTS[seed]
         calls = {"tx_signing_bytes": 0, "canonical_encode": 0, "header_bytes": 0}
 
@@ -252,13 +253,16 @@ class TestReplayFromBytes:
         counted(ledger, "tx_signing_bytes")
         counted(ledger, "canonical_encode")
         counted(ledger.Block, "header_bytes")
-        blocks, endowment, checksum_ok = ledger.parse_chain_bytes(data)
-        report = ledger.validate_blocks(blocks, endowment)
-        assert checksum_ok and report.ok
+        chain_file = ledger.parse_chain_bytes(io.BytesIO(data))
+        report = ledger.validate_blocks(chain_file.blocks(), chain_file.endowment)
+        assert chain_file.checksum_ok and report.ok
         assert calls == {"tx_signing_bytes": 0, "canonical_encode": 0, "header_bytes": 0}
         monkeypatch.undo()
 
+        blocks = report.blocks
         txs = [tx for block in blocks for tx in block.txs]
+        assert len(blocks) == len(chain.blocks)
+        assert len(txs) == sum(len(block.txs) for block in chain.blocks) > 100
         assert not [tx for tx in txs if "_span" in vars(tx)]
         assert all(tx.tx_id == hashlib.sha256(ledger.canonical_encode(tx)).digest() for tx in txs)
         assert [b.block_hash for b in blocks] == [
@@ -641,12 +645,35 @@ class TestValidation:
         assert report.height == 1
 
 
+class _RecordedReads(io.BytesIO):
+    """A chain file in memory that records the size of every read."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.sizes: list[int] = []
+
+    def read(self, n=-1):
+        self.sizes.append(n)
+        return super().read(n)
+
+
+def _comm_chain(blocks: int = 40):
+    """A chain of two vehicles, then blocks holding one comm each, from
+    either vehicle to the other."""
+    _, chain, ids, keys = make_fleet(2)
+    for t in range(1, blocks + 1):
+        author, receiver = ids[t % 2], ids[(t + 1) % 2]
+        tx = signed_comm(keys[author], author, tf=t, receivers=(receiver,))
+        chain.append_block([tx], timestamp=t)
+    return chain
+
+
 class TestChainFile:
     def test_roundtrip(self, tmp_path):
         _, chain, _, _ = make_fleet(3)
         path = tmp_path / "chain.bin"
         ledger.save_chain(chain, path)
-        loaded = ledger.load_chain(path)
+        loaded = read_chain(path)
         assert [b.block_hash for b in loaded.blocks] == [
             b.block_hash for b in chain.blocks
         ]
@@ -656,38 +683,101 @@ class TestChainFile:
         _, chain, _, _ = make_fleet(1)
         data = bytearray(ledger.chain_to_bytes(chain))
         data[0] ^= 0xFF
-        with pytest.raises(ledger.CorruptChainFileError):
-            ledger.chain_from_bytes(bytes(data))
+        with pytest.raises(ledger.CorruptChainFileError, match="bad magic"):
+            ledger.parse_chain_bytes(io.BytesIO(bytes(data)))
 
     def test_checksum_covers_header(self):
         """Flipping the endowment header field must not go unnoticed."""
         _, chain, _, _ = make_fleet(1)
         data = bytearray(ledger.chain_to_bytes(chain))
         data[7] ^= 0x01  # inside the endowment u64
-        with pytest.raises(ledger.CorruptChainFileError):
-            ledger.chain_from_bytes(bytes(data))
+        with pytest.raises(ledger.CorruptChainFileError, match="checksum"):
+            ledger.parse_chain_bytes(io.BytesIO(bytes(data))).chain()
 
-    def test_parse_holds_the_file_once(self):
-        """Parsing reads blocks straight out of the file's bytes: no copy
-        of the whole body is made to hash or to read it."""
-        _, chain, ids, keys = make_fleet(2)
-        for t in range(1, 41):
-            author = ids[t % 2]
-            chain.append_block([signed_comm(keys[author], author, tf=t)], timestamp=t)
+    def test_no_read_exceeds_one_block(self):
+        """The reader reads the header, then each block's length and blob,
+        then the digest: every byte once, and never more at a time than
+        the largest block's blob."""
+        chain = _comm_chain()
         data = ledger.chain_to_bytes(chain)
-        tracemalloc.start()
-        try:
-            blocks, _endowment, checksum_ok = ledger.parse_chain_bytes(data)
-            live, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert checksum_ok and [b.block_hash for b in blocks] == [b.block_hash for b in chain.blocks]
-        assert peak - live < len(data) // 2
+        f = _RecordedReads(data)
+        loaded = ledger.parse_chain_bytes(f).chain()
+        assert [b.block_hash for b in loaded.blocks] == [b.block_hash for b in chain.blocks]
+        largest = max(len(ledger.encode_block(b)) for b in chain.blocks)
+        assert len(f.sizes) == 2 + 2 * len(chain.blocks)
+        assert 0 < max(f.sizes) <= largest < len(data) // 10
+        assert sum(f.sizes) == len(data)
+
+    def test_each_block_is_replayed_before_the_next_is_read(self):
+        chain = _comm_chain(5)
+        data = ledger.chain_to_bytes(chain)
+        f = io.BytesIO(data)
+        chain_file = ledger.parse_chain_bytes(f)
+        ends, at = [], 13
+        for block in chain.blocks:
+            at += 4 + len(ledger.encode_block(block))
+            ends.append(at)
+        read_to = []
+
+        def watched():
+            for block in chain_file.blocks():
+                read_to.append(f.tell())
+                yield block
+
+        report = ledger.validate_blocks(watched(), chain_file.endowment)
+        assert report.ok and chain_file.checksum_ok
+        assert read_to == ends and ends[-1] == len(data) - ledger.HASH_LEN
+
+    def test_one_object_per_vehicle_id(self):
+        """Within one read every vehicle id a transaction names is one
+        bytes object, the registration's own; hashes are not pooled."""
+        chain = _comm_chain()
+        loaded = ledger.parse_chain_bytes(io.BytesIO(ledger.chain_to_bytes(chain))).chain()
+        registered = {veh: veh for veh in loaded.state.registrations}
+        named = [veh for b in loaded.blocks for tx in b.txs for veh in (tx.author, *ledger._named(tx))]
+        assert len(named) > 3 * len(loaded.blocks)
+        assert all(registered[veh] is veh for veh in named)
+        comms = [tx for b in loaded.blocks for tx in b.txs if isinstance(tx, ledger.CommTx)]
+        assert len({id(tx.message_hash) for tx in comms}) == len(comms) == 40
+        # A second read pools its ids afresh: no table outlives a read.
+        again = ledger.parse_chain_bytes(io.BytesIO(ledger.chain_to_bytes(chain))).chain()
+        assert all(
+            veh is not registered[veh] for veh in again.state.registrations
+        )
+
+    def test_first_fault_met_is_reported(self):
+        """A replay fault stops the read: a later structural fault is not
+        reached, and neither is the checksum."""
+        chain = _comm_chain(5)
+        blocks = list(chain.blocks)
+        blocks[2] = dataclasses.replace(blocks[2], merkle_root=b"\x22" * 32)
+        body = b"".join(
+            [ledger.CHAIN_MAGIC, bytes([ledger.CHAIN_VERSION]), ledger._u64(chain.state.endowment)]
+            + [ledger._blob(ledger.encode_block(b)) for b in blocks]
+        )
+        broken = body + b"\xff\xff\xff\xff" + bytes(ledger.HASH_LEN)  # a length past the end
+        chain_file = ledger.parse_chain_bytes(io.BytesIO(broken))
+        report = ledger.validate_blocks(chain_file.blocks(), chain_file.endowment)
+        assert (report.height, report.cause) == (2, "merkle root mismatch")
+        assert chain_file.checksum_ok is None
+        with pytest.raises(ledger.CorruptChainFileError, match="block 2: merkle root mismatch"):
+            ledger.parse_chain_bytes(io.BytesIO(broken)).chain()
+        # The same length fault after a valid chain is met once the replay gets there.
+        valid = ledger.chain_to_bytes(chain)[: -ledger.HASH_LEN]
+        with pytest.raises(ledger.CorruptChainFileError, match="^truncated encoding$"):
+            ledger.parse_chain_bytes(io.BytesIO(valid + b"\xff\xff\xff\xff" + bytes(32))).chain()
+
+    def test_a_second_pass_reads_nothing_and_keeps_the_verdict(self):
+        chain = _comm_chain(2)
+        chain_file = ledger.parse_chain_bytes(io.BytesIO(ledger.chain_to_bytes(chain)))
+        assert len(list(chain_file.blocks())) == len(chain.blocks) and chain_file.checksum_ok
+        assert list(chain_file.blocks()) == [] and chain_file.checksum_ok
 
     def test_parse_reports_checksum_separately(self):
         _, chain, _, _ = make_fleet(1)
         data = bytearray(ledger.chain_to_bytes(chain))
         data[-1] ^= 0x01  # inside the trailing digest itself
-        blocks, endowment, checksum_ok = ledger.parse_chain_bytes(bytes(data))
-        assert not checksum_ok
-        assert ledger.validate_blocks(blocks, endowment).ok
+        chain_file = ledger.parse_chain_bytes(io.BytesIO(bytes(data)))
+        report = ledger.validate_blocks(chain_file.blocks(), chain_file.endowment)
+        assert report.ok and len(report.blocks) == len(chain.blocks) == 2
+        assert chain_file.checksum_ok is False

@@ -431,7 +431,7 @@ class TestTrace:
     def test_note_row_shape(self):
         trace = netsim.Trace()
         trace.note(9, "IV-1", "session_committed", {"rounds": 1})
-        assert trace == [
+        assert list(trace) == [
             {
                 "t_ms": 9,
                 "vehicle": "IV-1",

@@ -9,7 +9,7 @@ import pytest
 
 from ivtp import consensus, identity, ledger, netsim, scenario, sim, vehicle
 from ivtp.vehicle import KIND_BEACON, KIND_COMM, KIND_ENDORSE, Vehicle, make_frame
-from conftest import make_fleet, signed_comm
+from conftest import make_fleet, read_chain, signed_comm, trace_from_rows
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -427,7 +427,7 @@ class TestRun:
         handles = sim.run(cfg, out_dir=tmp_path)
         for fname in ("chain.bin", "trace.jsonl", "report.json"):
             assert (tmp_path / fname).exists()
-        loaded = ledger.load_chain(tmp_path / "chain.bin")
+        loaded = read_chain(tmp_path / "chain.bin")
         assert loaded.tip.block_hash == handles.chain.tip.block_hash
         assert (tmp_path / "report.json").read_bytes() == sim.encode_report(
             handles.report
@@ -438,9 +438,9 @@ class TestRun:
         it from the persisted artifacts reproduces the exact bytes."""
         cfg = scenario.load_scenario(SCENARIOS / "intersection_table2.json")
         handles = sim.run(cfg, out_dir=tmp_path)
-        chain = ledger.load_chain(tmp_path / "chain.bin")
+        chain = read_chain(tmp_path / "chain.bin")
         trace_bytes = (tmp_path / "trace.jsonl").read_bytes()
-        trace = netsim.Trace.from_rows(json.loads(line) for line in trace_bytes.splitlines())
+        trace = trace_from_rows(json.loads(line) for line in trace_bytes.splitlines())
         assert trace.data == trace_bytes
         rebuilt = sim.build_report(
             cfg, chain, trace, handles.net.names, identity.sha256(trace_bytes)

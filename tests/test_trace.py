@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivtp import netsim, scenario, sim
+from conftest import trace_from_rows
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -104,9 +105,6 @@ class TestView:
         trace = self._mixed()
         assert len(trace) == 4
         assert [row["dir"] for row in trace] == ["send", "note", "recv", "drop"]
-        assert trace == list(trace)
-        assert trace != list(trace)[:3]
-        assert trace != "not a list"
 
     def test_counts_and_notes(self):
         trace = self._mixed()
@@ -123,11 +121,11 @@ class TestView:
 
     def test_from_rows_is_the_same_trace(self):
         trace = self._mixed()
-        rebuilt = netsim.Trace.from_rows(list(trace))
+        rebuilt = trace_from_rows(list(trace))
         assert rebuilt.data == trace.data
         assert rebuilt.counts == trace.counts
         assert rebuilt.notes == trace.notes
-        assert rebuilt == trace
+        assert list(rebuilt) == list(trace)
 
 
 class DictRowTrace(netsim.Trace):
@@ -199,11 +197,11 @@ class TestStream:
         assert len(bound) == len(unbound)
         assert bound.counts == unbound.counts and bound.notes == unbound.notes
         assert bound.data == unbound.data
-        assert bound == unbound and list(bound) == list(unbound)
+        assert list(bound) == list(unbound)
         whole = bytes(unbound.data)
         assert bound.close() == unbound.close() == hashlib.sha256(whole).digest()
         assert path.read_bytes() == whole and bound.data == whole
-        assert len(bound._data) == 0 and bound == unbound
+        assert len(bound._data) == 0 and list(bound) == list(unbound)
 
     def test_run_with_out_dir_holds_less_than_half_its_trace(self, tmp_path):
         """The trace goes to its file during the run, so what the run

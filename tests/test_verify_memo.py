@@ -11,7 +11,6 @@ import struct
 from pathlib import Path
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from ivtp import identity, ledger, netsim, scenario, sim
 from ivtp.ledger import FieldOverflowError
@@ -25,7 +24,7 @@ from ivtp.vehicle import (
     verify_frame,
 )
 
-from conftest import make_fleet, signed_comm
+from conftest import Meter, counting_ed25519, make_fleet, signed_comm
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "vectors" / "runs.json").read_text())
@@ -44,38 +43,12 @@ def signed():
     return kp, message, identity.sign(kp, message)
 
 
-class _Meter:
-    """Ed25519 verifies made since the last reset(); call it to read."""
-
-    def __init__(self):
-        self.count = 0
-
-    def __call__(self) -> int:
-        return self.count
-
-    def reset(self) -> None:
-        self.count = 0
-
-
 @pytest.fixture
-def ed25519_verifies(monkeypatch):
-    """A _Meter of the Ed25519 verifies made, counted where
+def ed25519_verifies():
+    """A Meter of the Ed25519 verifies made, counted where
     identity.verify calls into cryptography."""
-    meter = _Meter()
-    load = ed25519.Ed25519PublicKey.from_public_bytes
-
-    class Counting:
-        def __init__(self, key):
-            self.key = key
-
-        def verify(self, signature, message):
-            meter.count += 1
-            return self.key.verify(signature, message)
-
-    monkeypatch.setattr(
-        ed25519.Ed25519PublicKey, "from_public_bytes", staticmethod(lambda b: Counting(load(b)))
-    )
-    return meter
+    with counting_ed25519(Meter()) as meter:
+        yield meter
 
 
 class TestExactKeys:
@@ -138,10 +111,8 @@ LOCKED_RUN_VERIFIES = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_ed25519_verifies_per_locked_run(name, ed25519_verifies):
-    bundled = ROOT / "scenarios" / f"{name}.json"
-    path = bundled if bundled.exists() else ROOT / "vectors" / f"{name}.json"
-    handles = sim.run(scenario.load_scenario(path))
+def test_ed25519_verifies_per_locked_run(name, locked_run, ed25519_verifies):
+    handles, ed25519_verifies.count = locked_run(name)  # counted during the run
     assert handles.report["trace_digest"] == GOLDEN[name]["trace.jsonl"]
     assert ed25519_verifies() == LOCKED_RUN_VERIFIES[name]
     # Replaying the chain reuses the verdicts its transactions carry:
