@@ -91,26 +91,23 @@ def _cmd_inspect(args) -> int:
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
 
-    if args.query in ("balance", "history"):
-        if not args.vehicle:
-            print(f"{args.query} needs a vehicle id", file=sys.stderr)
-            return 2
-        veh = _resolve_vehicle(chain, args.vehicle)
-        if veh is None:
-            print(f"unknown vehicle: {args.vehicle}", file=sys.stderr)
-            return 1
-        if args.query == "balance":
-            print(json.dumps({"vehicle": veh.hex(), "balance": ledger.balance(chain, veh)}))
-            return 0
-        rows = [
-            {"tx_id": tx.tx_id.hex(), "kind": type(tx).__name__, "tf": tx.tf}
-            for tx in ledger.history(chain, veh)
-        ]
-        print(json.dumps({"vehicle": veh.hex(), "history": rows}, indent=2))
+    # balance or history: argparse's choices refuse any other query
+    if not args.vehicle:
+        print(f"{args.query} needs a vehicle id", file=sys.stderr)
+        return 2
+    veh = _resolve_vehicle(chain, args.vehicle)
+    if veh is None:
+        print(f"unknown vehicle: {args.vehicle}", file=sys.stderr)
+        return 1
+    if args.query == "balance":
+        print(json.dumps({"vehicle": veh.hex(), "balance": ledger.balance(chain, veh)}))
         return 0
-
-    print(f"unknown query: {args.query}", file=sys.stderr)
-    return 2
+    rows = [
+        {"tx_id": tx.tx_id.hex(), "kind": type(tx).__name__, "tf": tx.tf}
+        for tx in ledger.history(chain, veh)
+    ]
+    print(json.dumps({"vehicle": veh.hex(), "history": rows}, indent=2))
+    return 0
 
 
 def _cmd_vectors(args) -> int:

@@ -106,13 +106,15 @@ class CommitResult:
 def try_commit(
     pending: Collection[PendingTx], active_set: set[IvTpId], chain: Chain, now: TimeFlag
 ) -> CommitResult:
-    """Select every pending tx that reached quorum, commit them as one
-    block (ordered by tf then tx_id), and report quorum-rejected txs.
+    """Select every pending tx that reached quorum, commit those that
+    still apply as one block (ordered by tf then tx_id, each admitted
+    against the state the ones before it left), and report the txs
+    rejected by quorum or refused at commit.
 
     Endorsements are assumed authenticated (by their frame) and
-    deduplicated on ingestion. A tx that would no longer apply cleanly
-    (say its payer spent the balance since endorsement) is rejected, not
-    committed.
+    deduplicated on ingestion. A tx that would no longer apply (say its
+    payer spent the balance since endorsement) is rejected with the
+    ledger's cause, not committed.
     """
     committable: list[PendingTx] = []
     still_pending: list[PendingTx] = []
@@ -126,16 +128,11 @@ def try_commit(
             rejected.append((item, "quorum_invalid"))
         else:
             still_pending.append(item)
+    if not committable:
+        return CommitResult(None, still_pending, rejected)
 
     committable.sort(key=lambda p: (p.tx.tf, p.tx.tx_id))
-    # append_block is all or nothing: drop the tx it names and retry, so
-    # one stale tx cannot poison the block.
-    while committable:
-        try:
-            block = chain.append_block([item.tx for item in committable], timestamp=now)
-        except ledger.InvalidTxError as exc:
-            i = next(i for i, item in enumerate(committable) if item.tx.tx_id == exc.tx_id)
-            rejected.append((committable.pop(i), exc.cause))
-            continue
-        return CommitResult(block, still_pending, rejected)
-    return CommitResult(None, still_pending, rejected)
+    block, refused = chain.append_block([item.tx for item in committable], timestamp=now)
+    by_id = {item.tx.tx_id: item for item in committable}
+    rejected += [(by_id[tx.tx_id], cause) for tx, cause in refused]
+    return CommitResult(block, still_pending, rejected)

@@ -12,8 +12,10 @@ each block is replayed before the next is read. The blocks are the
 record. The ledger state holds only what the validity
 rules read (registrations, balances, applied tx ids); it is a pure
 function of the chain and is rebuilt by replay during validation, so
-any single-byte tamper anywhere is detected. Who talked to whom and a
-vehicle's history are read off the blocks when asked for.
+any single-byte tamper anywhere is detected. A commit and a replay
+admit each transaction through one step, LedgerState.admit, which
+changes the state only for a transaction that passes. Who talked to
+whom and a vehicle's history are read off the blocks when asked for.
 
 Units: trust points are integers in milli-trust (1 IV-TP = 1000).
 Registration grants each vehicle a configurable endowment; rewards are
@@ -53,19 +55,8 @@ class EmptyLeafListError(ValueError):
     """Merkle root of zero leaves is undefined."""
 
 
-class InvalidTxError(ValueError):
-    def __init__(self, tx_id: bytes, cause: str):
-        super().__init__(f"invalid tx {tx_id.hex()[:12]}: {cause}")
-        self.tx_id = tx_id
-        self.cause = cause
-
-
 class NonMonotonicTimestampError(ValueError):
     """Block timestamp went backwards."""
-
-
-class InsufficientBalanceError(InvalidTxError):
-    """Reward sender does not hold the transferred amount."""
 
 
 class UnknownVehicleError(KeyError):
@@ -486,9 +477,9 @@ class LedgerState:
     """What check_tx reads, replayed from the chain. balances keeps
     registration order.
 
-    apply_block is the one way the state changes: every chain, whether
-    built block by block or read back from a file, is replayed through
-    it, and check_tx is the one rule set it applies."""
+    admit is the one way the state changes: every transaction, whether
+    committed to a new block or replayed from a file, goes through it,
+    and check_tx is the one rule set it applies."""
 
     endowment: int
     balances: dict[IvTpId, int] = field(default_factory=dict)
@@ -497,14 +488,6 @@ class LedgerState:
     tx_by_id: dict[bytes, Transaction] = field(default_factory=dict)
     dealer_id: IvTpId | None = None
     dealer_pk: bytes | None = None
-    # Inverse of each change apply_tx made in the current apply_block.
-    _undo: list = field(default_factory=list, repr=False, compare=False)
-
-    def _put(self, d: dict, key, value) -> None:
-        self._undo.append(
-            partial(d.__setitem__, key, d[key]) if key in d else partial(d.__delitem__, key)
-        )
-        d[key] = value
 
     def check_tx(self, tx: Transaction, height: int) -> str | None:
         """Return a failure code, or None if tx can apply to this state.
@@ -578,50 +561,28 @@ class LedgerState:
                 return "bad_agreement_signature"
         return None
 
-    def apply_tx(self, tx: Transaction, height: int) -> None:
-        """Apply tx, which check_tx has passed, recording its undo."""
-        self._put(self.tx_by_id, tx.tx_id, tx)
-        if isinstance(tx, RegisterTx):
-            self._put(self.registrations, tx.ivtp_id, tx.vehicle_pk)
-            self.registered_pks.add(tx.vehicle_pk)
-            self._undo.append(partial(self.registered_pks.discard, tx.vehicle_pk))
-            if height == 0:
-                # Not undoable, and need not be: genesis holds one tx.
-                self.dealer_id = tx.ivtp_id
-                self.dealer_pk = tx.vehicle_pk
-                self._put(self.balances, tx.ivtp_id, 0)  # authority holds no endowment
-            else:
-                self._put(self.balances, tx.ivtp_id, self.endowment)
-        elif isinstance(tx, RewardTx):
-            self._put(self.balances, tx.from_id, self.balances[tx.from_id] - tx.amount)
-            self._put(self.balances, tx.to_id, self.balances.get(tx.to_id, 0) + tx.amount)
-
-    def apply_block(self, block: Block, prev: Block | None) -> ValidationReport | None:
-        """The replay step. Check block's header against prev (None for
-        genesis), then check_tx and apply_tx each transaction in order,
-        refusing a tx_id already applied in this block or before it and
-        a tx whose time flag is later than the block's timestamp.
-
-        All or nothing: on failure the state is left exactly as it was
-        and the returned report names the cause."""
-        h = block.height
-        cause = _header_fault(block, prev)
+    def admit(self, tx: Transaction, height: int, timestamp: TimeFlag) -> str | None:
+        """The one admission step, for commit and replay alike: the cause
+        tx is refused for in a block at height with timestamp (a time flag
+        past it, a tx_id already applied, or check_tx's), or None once tx
+        is applied. A refused tx changes nothing."""
+        if tx.tf > timestamp:
+            return "tx_after_block"
+        if tx.tx_id in self.tx_by_id:
+            return "duplicate_tx"
+        cause = self.check_tx(tx, height)
         if cause is not None:
-            return ValidationReport(False, h, None, cause)
-        self._undo.clear()
-        for tx in block.txs:
-            if tx.tf > block.timestamp:
-                cause = "tx_after_block"
-            elif tx.tx_id in self.tx_by_id:
-                cause = "duplicate_tx"
-            else:
-                cause = self.check_tx(tx, h)
-            if cause is not None:
-                while self._undo:
-                    self._undo.pop()()
-                return ValidationReport(False, h, tx.tx_id, cause)
-            self.apply_tx(tx, h)
-        self._undo.clear()
+            return cause
+        self.tx_by_id[tx.tx_id] = tx
+        if isinstance(tx, RegisterTx):
+            self.registrations[tx.ivtp_id] = tx.vehicle_pk
+            self.registered_pks.add(tx.vehicle_pk)
+            if height == 0:  # genesis registers the dealer
+                self.dealer_id, self.dealer_pk = tx.ivtp_id, tx.vehicle_pk
+            self.balances[tx.ivtp_id] = self.endowment if height else 0  # the dealer holds none
+        elif isinstance(tx, RewardTx):
+            self.balances[tx.from_id] -= tx.amount
+            self.balances[tx.to_id] = self.balances.get(tx.to_id, 0) + tx.amount
         return None
 
 
@@ -695,29 +656,29 @@ class Chain:
     def tx_by_id(self) -> dict[bytes, Transaction]:
         return self.state.tx_by_id
 
-    def append_block(self, txs: list[Transaction], timestamp: TimeFlag) -> Block:
-        """Validate txs against current state and append one new block.
-        All or nothing: if any tx fails, the chain is left unchanged."""
-        if not txs:
-            raise ValueError("a block needs at least one transaction")
+    def append_block(
+        self, txs: list[Transaction], timestamp: TimeFlag
+    ) -> tuple[Block | None, list[tuple[Transaction, str]]]:
+        """Admit txs in order against the current state and append one
+        block of those that applied. Returns that block, or None if none
+        did, and each refused tx with its cause."""
         if timestamp < self.tip.timestamp:
             raise NonMonotonicTimestampError(
                 f"timestamp {timestamp} precedes tip {self.tip.timestamp}"
             )
-        block = Block(
-            height=self.height + 1,
-            prev_hash=self.tip.block_hash,
-            merkle_root=merkle_root([tx.tx_id for tx in txs]),
-            timestamp=timestamp,
-            txs=tuple(txs),
-        )
-        failure = self.state.apply_block(block, self.tip)
-        if failure is not None:
-            if failure.cause == "insufficient_balance":
-                raise InsufficientBalanceError(failure.tx_id, failure.cause)
-            raise InvalidTxError(failure.tx_id, failure.cause)
+        height, admitted, refused = self.height + 1, [], []
+        for tx in txs:
+            cause = self.state.admit(tx, height, timestamp)
+            if cause is None:
+                admitted.append(tx)
+            else:
+                refused.append((tx, cause))
+        if not admitted:
+            return None, refused
+        root = merkle_root([tx.tx_id for tx in admitted])
+        block = Block(height, self.tip.block_hash, root, timestamp, tuple(admitted))
         self.blocks.append(block)
-        return block
+        return block, refused
 
     def is_registered(self, ivtp_id: IvTpId) -> bool:
         return ivtp_id in self.state.registrations
@@ -733,15 +694,20 @@ def validate_chain(chain: Chain) -> ValidationReport:
 
 
 def validate_blocks(blocks: Iterable[Block], endowment: int) -> ValidationReport:
-    """Replay blocks from genesis through LedgerState.apply_block, each
-    as it comes, up to the first failure. A valid chain's report
-    carries the replayed state and the blocks."""
+    """Replay blocks from genesis, each as it comes: check its header
+    against the one before, then admit its transactions in order, up to
+    the first failure. A valid chain's report carries the replayed state
+    and the blocks; a failed replay's state is dropped unfinished."""
     state = LedgerState(endowment=endowment)
     replayed: list[Block] = []
     for block in blocks:
-        failure = state.apply_block(block, replayed[-1] if replayed else None)
-        if failure is not None:
-            return failure
+        cause = _header_fault(block, replayed[-1] if replayed else None)
+        if cause is not None:
+            return ValidationReport(False, block.height, None, cause)
+        for tx in block.txs:
+            cause = state.admit(tx, block.height, block.timestamp)
+            if cause is not None:
+                return ValidationReport(False, block.height, tx.tx_id, cause)
         replayed.append(block)
     if not replayed:
         return ValidationReport(ok=False, height=None, cause="empty chain")

@@ -447,6 +447,12 @@ class TestInspectQueries:
         out_dir, _ = run_dir
         assert cli.main(["inspect", str(out_dir / "chain.bin"), "balance"]) == 2
 
+    def test_unknown_query_is_usage_error(self, run_dir, capsys):
+        """argparse's choices refuse the query before the file is read."""
+        out_dir, _ = run_dir
+        assert cli.main(["inspect", str(out_dir / "chain.bin"), "bogus"]) == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     def test_query_output_is_locked(self, tmp_path, capsys):
         """comm-table, then history for every registered id in ascending
         order, print the bytes whose SHA-256 is frozen in QUERY_DIGESTS.

@@ -328,6 +328,65 @@ class TestTryCommit:
         )
         assert result.block is not None
 
+    def _stale_reward_pool(self, ids, keys):
+        """[good comm, reward its payer cannot fund, good comm], each
+        endorsed by every other vehicle, in commit order."""
+        reward = _signed(
+            ledger.RewardTx(
+                author=ids[0], tf=11, signature=b"", from_id=ids[0], to_id=ids[1],
+                amount=700, reason="stale",
+            ),
+            keys[ids[0]],
+        )
+        comms = [signed_comm(keys[v], v, tf=tf) for v, tf in ((ids[1], 10), (ids[2], 12))]
+        txs = [comms[0], reward, comms[1]]
+        items = [consensus.PendingTx(tx=tx) for tx in txs]
+        for item in items:
+            for veh in ids:
+                item.add(consensus.Endorsement(item.tx.tx_id, veh, consensus.VERDICT_VALID))
+        return items
+
+    def test_refused_tx_leaves_the_rest_committed(self):
+        _, chain, ids, keys = make_fleet(3, endowment=600)
+        items = self._stale_reward_pool(ids, keys)
+        result = consensus.try_commit(items, set(ids), chain, now=20)
+        assert result.block is chain.tip
+        assert result.block.txs == (items[0].tx, items[2].tx)
+        assert result.rejected == [(items[1], "insufficient_balance")]
+        assert not result.still_pending
+        assert items[1].tx.tx_id not in chain.tx_by_id
+        assert ledger.validate_chain(chain).state == chain.state
+
+    def test_each_committable_tx_checked_once(self, monkeypatch):
+        """Admission walks the pool once: no tx before a refused one is
+        checked a second time."""
+        _, chain, ids, keys = make_fleet(3, endowment=600)
+        items = self._stale_reward_pool(ids, keys)
+        checked = []
+        check_tx = ledger.LedgerState.check_tx
+        monkeypatch.setattr(
+            ledger.LedgerState, "check_tx",
+            lambda state, tx, height: checked.append(tx) or check_tx(state, tx, height),
+        )
+        consensus.try_commit(items, set(ids), chain, now=20)
+        assert checked == [item.tx for item in items]
+
+    def test_nothing_committable_never_appends(self, monkeypatch):
+        _, chain, ids, keys = make_fleet(4)
+        waiting = self._pending(chain, ids, keys, ids[0], ids[1:2])
+        refused = self._pending(
+            chain, ids, keys, ids[1], ids[2:], verdict=consensus.VERDICT_INVALID
+        )
+
+        def append_block(*args, **kwargs):
+            raise AssertionError("append_block called with nothing to commit")
+
+        monkeypatch.setattr(ledger.Chain, "append_block", append_block)
+        result = consensus.try_commit([waiting, refused], set(ids), chain, now=20)
+        assert result.block is None
+        assert result.still_pending == [waiting]
+        assert result.rejected == [(refused, "quorum_invalid")]
+
     def test_no_committable_returns_no_block(self):
         _, chain, ids, _ = make_fleet(2)
         active = set(ids)

@@ -1,6 +1,5 @@
 """Transactions, blocks, chain validation, balances, persistence."""
 
-import copy
 import dataclasses
 import hashlib
 import importlib.util
@@ -27,6 +26,13 @@ def _signed(tx, kp):
     return dataclasses.replace(
         tx, signature=identity.sign(kp, ledger.tx_signing_bytes(tx))
     )
+
+
+def _assert_left_out(chain, refused):
+    """No refused tx is on the chain, and the live state matches a replay."""
+    assert not any(tx.tx_id in chain.tx_by_id for tx in refused)
+    assert not any(tx in block.txs for block in chain.blocks for tx in refused)
+    assert ledger.validate_chain(chain).state == chain.state
 
 
 _ids = st.binary(min_size=32, max_size=32)
@@ -401,8 +407,9 @@ class TestChain:
             ),
         )
         tx = ledger.register_tx_from_issuance(issuance, dealer, tf=1)
-        with pytest.raises(ledger.InvalidTxError):
-            chain.append_block([tx], timestamp=1)
+        assert chain.append_block([tx], timestamp=1) == (None, [(tx, "duplicate_id")])
+        assert chain.height == 1
+        _assert_left_out(chain, [tx])
 
     def test_timestamps_monotonic(self):
         _, chain, ids, keys = make_fleet(2)
@@ -435,8 +442,9 @@ class TestChain:
             ),
             keys[ids[0]],
         )
-        with pytest.raises(ledger.InsufficientBalanceError):
-            chain.append_block([tx], timestamp=1)
+        assert chain.append_block([tx], timestamp=1) == (None, [(tx, "insufficient_balance")])
+        assert ledger.balance(chain, ids[0]) == ledger.balance(chain, ids[1]) == 100
+        _assert_left_out(chain, [tx])
 
     def test_reward_moves_balance_and_conserves(self):
         _, chain, ids, keys = make_fleet(2)
@@ -501,8 +509,8 @@ class TestChain:
 
     @pytest.mark.parametrize("cause", ["sender_mismatch", "insufficient_balance"])
     def test_failed_append_leaves_chain_unchanged(self, cause):
-        """A block whose last tx fails must leave none of the txs before
-        it applied: the live state has to keep matching a replay."""
+        """A refused tx leaves no trace: the txs before it commit as one
+        block, and the live state and queries show exactly those."""
         dealer, chain, ids, keys = make_fleet(3, endowment=1000)
         newcomer = _kp(b"newcomer")
         applied = [
@@ -533,28 +541,28 @@ class TestChain:
                 author=ids[0], tf=1, signature=b"", from_id=ids[0], to_id=ids[2],
                 amount=600, reason="second",
             )
-        before = copy.deepcopy(chain.state)
-
-        def queries():
-            return ledger.comm_table(chain), [ledger.history(chain, i) for i in ids]
-
-        queried = queries()
-        with pytest.raises(ledger.InvalidTxError) as exc:
-            chain.append_block(applied + [_signed(bad, keys[ids[0]])], timestamp=1)
-        assert chain.height == 1
-        assert chain.state == before
-        assert queries() == queried
-        assert not any(tx.tx_id in chain.tx_by_id for tx in applied)
-        assert ledger.validate_chain(chain).state == chain.state
-        assert exc.value.cause == cause
+        bad = _signed(bad, keys[ids[0]])
+        before = [ledger.history(chain, i) for i in ids]
+        block, refused = chain.append_block(applied + [bad], timestamp=1)
+        assert block.txs == tuple(applied) and chain.tip is block
+        assert refused == [(bad, cause)]
+        assert all(tx.tx_id in chain.tx_by_id for tx in applied)
+        _assert_left_out(chain, [bad])
+        assert ledger.comm_table(chain) == {
+            ids[2]: [ids[1]], ids[1]: [ids[2], ids[0]], ids[0]: [ids[1]]
+        }
+        touching = [applied[2:], applied[1:], applied[1:2]]
+        assert [ledger.history(chain, i) for i in ids] == [
+            was + txs for was, txs in zip(before, touching)
+        ]
 
     def test_tx_after_its_block_rejected(self):
         """A tx's time flag may not be later than the block holding it."""
         _, chain, ids, keys = make_fleet(2)
-        with pytest.raises(ledger.InvalidTxError) as exc:
-            chain.append_block([signed_comm(keys[ids[0]], ids[0], tf=10**12)], timestamp=5)
-        assert exc.value.cause == "tx_after_block"
+        late = signed_comm(keys[ids[0]], ids[0], tf=10**12)
+        assert chain.append_block([late], timestamp=5) == (None, [(late, "tx_after_block")])
         assert chain.height == 1
+        _assert_left_out(chain, [late])
         chain.append_block([signed_comm(keys[ids[0]], ids[0], tf=5)], timestamp=5)
         assert ledger.validate_chain(chain).ok
 
@@ -569,10 +577,27 @@ class TestChain:
             keys[ids[0]],
         )
         chain.append_block([tx], timestamp=1)
-        with pytest.raises(ledger.InvalidTxError) as exc:
-            chain.append_block([tx], timestamp=2)
-        assert exc.value.cause == "duplicate_tx"
+        again = dataclasses.replace(tx)
+        assert chain.append_block([again], timestamp=2) == (None, [(again, "duplicate_tx")])
         assert chain.height == 2
+        # The refused copy shares its tx_id with the committed one, which
+        # is the only one on the chain.
+        assert [t for block in chain.blocks for t in block.txs].count(tx) == 1
+        assert chain.tx_by_id[tx.tx_id] is tx
+        assert ledger.validate_chain(chain).state == chain.state
+
+    def test_one_merkle_root_per_block(self, monkeypatch):
+        """append_block hashes the Merkle root of the txs it admitted
+        once; no second header pass recomputes it."""
+        _, chain, ids, keys = make_fleet(2)
+        calls = []
+        root = ledger.merkle_root
+        monkeypatch.setattr(ledger, "merkle_root", lambda leaves: calls.append(1) or root(leaves))
+        txs = [signed_comm(keys[v], v, receivers=ids) for v in ids]
+        chain.append_block(txs, timestamp=1)
+        assert len(calls) == 1
+        assert chain.tip.txs == tuple(txs)
+        assert chain.tip.merkle_root == root([tx.tx_id for tx in txs])
 
 
 class TestValidation:

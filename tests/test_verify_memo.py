@@ -280,9 +280,11 @@ class TestTxVerdict:
         ed25519_verifies.reset()
         assert [state.check_tx(forged, 2) for _ in range(3)] == ["bad_signature"] * 3
         assert ed25519_verifies() == 1
-        with pytest.raises(ledger.InvalidTxError, match="bad_signature"):
-            a.chain.append_block([forged], timestamp=5)
+        assert a.chain.append_block([forged], timestamp=5) == (None, [(forged, "bad_signature")])
         assert ed25519_verifies() == 1
+        assert forged.tx_id not in a.chain.tx_by_id
+        assert not any(forged in block.txs for block in a.chain.blocks)
+        assert ledger.validate_chain(a.chain).state == a.chain.state
 
 
 class TestCachedSigningBytes:
