@@ -201,6 +201,8 @@ def timed(fn, reps):
 class Idle:
     def __init__(self, ivtp_id):
         self.ivtp_id = ivtp_id
+    def heeds(self, frame):
+        return True
     def handle_frame(self, frame, now):
         return []
     def handle_timer(self, tag, now):

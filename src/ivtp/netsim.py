@@ -217,6 +217,8 @@ class Names(dict):
 class Participant(Protocol):
     ivtp_id: IvTpId
 
+    def heeds(self, frame) -> bool: ...
+
     def handle_frame(self, frame, now: TimeFlag) -> list: ...
 
     def handle_timer(self, tag, now: TimeFlag) -> list: ...
@@ -293,7 +295,8 @@ class Network:
     def run_until(self, t_end: TimeFlag) -> None:
         """Dispatch every event due at or before t_end, in (due, insertion)
         order (one scheduled for the current instant goes last), then
-        advance the clock to t_end. An event leaves before its handler runs."""
+        advance the clock to t_end. An event leaves before its handler runs.
+        A frame's recv row is written; handle_frame runs if the target heeds it."""
         if t_end < self.clock:
             raise ValueError("cannot run backwards")
         buckets, times, participants = self._buckets, self._times, self.participants
@@ -310,6 +313,8 @@ class Network:
                     out = target.handle_timer(payload, due)
                 else:
                     trace.recv(due, names[target_id], payload.kind_label, names[payload.sender])
+                    if not target.heeds(payload):
+                        continue
                     out = target.handle_frame(payload, due)
                 for frame in out or []:
                     self.broadcast(frame, due)

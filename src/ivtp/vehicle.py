@@ -8,12 +8,12 @@ form is the signing bytes. Each payload is its kind's fields in wire
 order (PAYLOAD_FIELDS), written and read by the ledger's codecs. A
 receiver verifies the signature against the sender's on-chain key, then
 reads the payload, before any handler sees the content; frames that fail
-are dropped and counted, never raised.
+are dropped and counted, never raised. Only an endorsement of a
+transaction already on the chain is ignored unchecked (Endpoint.heeds).
 """
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -100,6 +100,20 @@ class SessionExistsError(ValueError):
     """A vehicle runs at most one session per intersection at a time."""
 
 
+class _once:
+    """functools.cached_property without the RLock CPython 3.11 takes on
+    each first read: the value goes into the instance's __dict__."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Frame:
     """One broadcast message, heard by every participant in range."""
@@ -110,28 +124,28 @@ class Frame:
     payload: bytes
     signature: bytes = b""
 
-    # Each cached property below, and the signature check (verify_frame), is
-    # made once per frame object, however many receivers read it. The caches
-    # live in __dict__, so ==, hash and repr see only the fields. A property
-    # that raises caches nothing: every receiver re-raises, and drops alike.
+    # Each _once attribute below, and the signature check (verify_frame), is
+    # made once per frame object, however many receivers read it. The values
+    # live in __dict__, so ==, hash and repr see only the fields. One that
+    # raises stores nothing: every receiver re-raises, and drops alike.
 
-    @functools.cached_property
+    @_once
     def kind_label(self) -> str:
         label = KIND_LABELS.get(self.kind)
         return f"kind-{self.kind}" if label is None else label
 
-    @functools.cached_property
+    @_once
     def signing_bytes(self) -> bytes:
         """What the sender signs. Raises FieldOverflowError on a malformed
         frame."""
         return _signing_bytes(self.kind, self.sender, self.tf, self.payload)
 
-    @functools.cached_property
+    @_once
     def body(self) -> tuple:
         """The payload's field values in PAYLOAD_FIELDS order, a carried
         transaction decoded. Raises one of DECODE_ERRORS unless the
-        payload is exactly those fields. Read it only after the signature
-        check: every receiver shares it."""
+        payload is exactly those fields. A function of the payload alone,
+        shared by every receiver; Endpoint.heeds reads it unchecked."""
         return ledger.decode_exact(self.payload, _PAYLOAD_CODECS[self.kind], "payload")
 
 
@@ -183,8 +197,8 @@ class Endpoint:
     """A network participant that names itself in the trace by its
     alias: it writes a drop row for each frame it refuses, counted by
     reason, and note rows for what it does. It keeps the freshest beacon
-    it heard from each sender, and judges every frame past its signature
-    check by the same rules (_receive)."""
+    it heard from each sender, and runs every frame it heeds through one
+    pipeline: key lookup, signature check, then _receive."""
 
     # Kind -> name of its handler method; a subclass without one ignores the kind.
     _HANDLERS = {kind: f"_on_{label}" for kind, label in KIND_LABELS.items()}
@@ -221,6 +235,30 @@ class Endpoint:
         return consensus.active_vehicles(
             self.chain, now, self.config.beacon_window_ms, self.beacons
         )
+
+    # netsim.Participant protocol
+
+    def heeds(self, f: Frame) -> bool:
+        """False only for a registered sender's endorse frame whose payload
+        reads and names a transaction already on the chain: nothing acts on
+        it, so it skips handle_frame, and a forged one leaves no drop row."""
+        if f.kind != KIND_ENDORSE or not self.chain.is_registered(f.sender):
+            return True
+        try:
+            tx_id = f.body[0]
+        except DECODE_ERRORS:
+            return True
+        return tx_id not in self.chain.tx_by_id
+
+    def handle_frame(self, f: Frame, now: TimeFlag) -> list[Frame]:
+        """Verification pipeline: on-chain key lookup, signature check,
+        then _receive. A bad frame is dropped with a trace row."""
+        pk = self.chain.public_key_of(f.sender)
+        if pk is None:
+            return self._drop(f, now, "unknown_sender")
+        if not verify_frame(f, pk):
+            return self._drop(f, now, "bad_signature")
+        return self._receive(f, now)
 
     def _receive(self, f: Frame, now: TimeFlag) -> list[Frame]:
         """The pipeline past the key lookup and signature check: drop an
@@ -460,15 +498,8 @@ class Vehicle(Endpoint):
 
     # netsim.Participant protocol
 
-    def handle_frame(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        """Verification pipeline: on-chain key lookup, signature check,
-        then Endpoint._receive. A bad frame is dropped with a trace row."""
-        pk = self.chain.public_key_of(f.sender)
-        if pk is None:
-            return self._drop(f, now, "unknown_sender")
-        if not verify_frame(f, pk):
-            return self._drop(f, now, "bad_signature")
-        return self._receive(f, now)
+    # Bound in the class itself: perfbench/spans.py wraps each class's own.
+    handle_frame = Endpoint.handle_frame
 
     def handle_timer(self, tag, now: TimeFlag) -> list[Frame]:
         kind = tag[0]

@@ -20,6 +20,9 @@ class Recorder:
         self.timers = []
         self.replies = replies or []
 
+    def heeds(self, frame):
+        return True
+
     def handle_frame(self, frame, now):
         self.frames.append((frame, now))
         out, self.replies = self.replies, []
@@ -292,6 +295,9 @@ class Logger:
         self.ivtp_id, self.log, self.net = ivtp_id, log, net
         self.replies = list(replies)
         self.fail_on = fail_on
+
+    def heeds(self, frame):
+        return True
 
     def handle_frame(self, frame, now):
         self.log.append((now, self.ivtp_id[0], "frame", frame.tf))

@@ -15,6 +15,7 @@ import pytest
 from ivtp import identity, ledger, netsim, scenario, sim
 from ivtp.ledger import FieldOverflowError
 from ivtp.vehicle import (
+    DECODE_ERRORS,
     KIND_BEACON,
     KIND_COMM,
     KIND_ENDORSE,
@@ -97,16 +98,18 @@ class TestBytesLike:
 
 # Real Ed25519 verifies in each locked run. The ledger checks an
 # arbitration's agreements again after its proposer checked each one on
-# arrival (Vehicle._on_agree); every other signature is checked once.
+# arrival (Vehicle._on_agree); every other signature is checked once,
+# but for an endorse frame that reaches every receiver only after its
+# transaction is on the chain, which is never checked (Endpoint.heeds).
 LOCKED_RUN_VERIFIES = {
-    "broadcast_round": 78,
-    "intersection_table2": 122,
+    "broadcast_round": 75,
+    "intersection_table2": 116,
     "lossy_total": 10,
     "synthetic_n4": 126,
-    "synthetic_n8": 269,
-    "synthetic_n16": 622,
-    "synthetic_n32": 1759,
-    "synthetic_n64": 5197,
+    "synthetic_n8": 264,
+    "synthetic_n16": 597,
+    "synthetic_n32": 1655,
+    "synthetic_n64": 4755,
 }
 
 
@@ -160,20 +163,7 @@ class TestFrameVerdict:
         check is shared: still, each receiver, the ledger host included,
         writes the drop row of a forged one, and the host pools nothing. A refused
         signature costs one Ed25519 verify, however many receive it."""
-        dealer, chain, ids, keys = make_fleet(3)
-        net = netsim.Network()
-        vehicles = []
-        for i, veh in enumerate(ids):
-            v = Vehicle(veh, keys[veh], chain, alias=f"IV-{i + 1}")
-            v.net = net
-            net.join(v)
-            vehicles.append(v)
-        host = sim.LedgerHost(chain)
-        host.net = net
-        net.join(host)
-        ghost_kp = identity.keygen(identity.sha256(b"ghost"))
-        ghost = _Silent(identity.sha256(b"ghost"))
-        net.join(ghost)
+        net, _chain, vehicles, host, ghost_kp, ghost = _endorse_net()
         iv1 = vehicles[0]
         genuine = iv1._frame(KIND_ENDORSE, 5, b"\x07" * 32, "valid")
         forged = dataclasses.replace(genuine, payload=genuine.payload + b" ")
@@ -205,11 +195,150 @@ class _Silent:
     def __init__(self, ivtp_id):
         self.ivtp_id = ivtp_id
 
+    def heeds(self, frame):
+        return True
+
     def handle_frame(self, frame, now):
         return []
 
     def handle_timer(self, tag, now):
         return []
+
+
+def _endorse_net():
+    """Three registered vehicles IV-1..IV-3, the ledger host and an
+    unregistered "ghost" on one network, with no latency, each named by
+    its alias in the trace."""
+    _dealer, chain, ids, keys = make_fleet(3)
+    net = netsim.Network()
+    vehicles = [Vehicle(veh, keys[veh], chain, alias=f"IV-{i + 1}") for i, veh in enumerate(ids)]
+    host = sim.LedgerHost(chain)
+    for member in (*vehicles, host):
+        net.names[member.ivtp_id] = member.alias
+        member.net = net
+        net.join(member)
+    ghost_kp = identity.keygen(identity.sha256(b"ghost"))
+    ghost = _Silent(identity.sha256(b"ghost"))
+    net.names[ghost.ivtp_id] = "ghost"
+    net.join(ghost)
+    return net, chain, vehicles, host, ghost_kp, ghost
+
+
+class TestEndorsementOfCommittedTx:
+    """An endorse frame whose transaction is already on the chain can
+    change nothing anywhere: a registered sender's one that reads is
+    heard (a recv row at every receiver) but reaches no handle_frame and
+    costs no Ed25519 verify. Every other endorse frame is checked and
+    dropped as before."""
+
+    @pytest.fixture
+    def world(self, monkeypatch):
+        net, chain, vehicles, host, ghost_kp, ghost = _endorse_net()
+        author = vehicles[1]
+        tx = signed_comm(author.keypair, author.ivtp_id)
+        block, refused = chain.append_block([tx], timestamp=1)
+        assert block is not None and not refused
+        handled = []
+        for cls in (Vehicle, sim.LedgerHost):
+            inner = cls.handle_frame
+
+            def counted(self, f, now, inner=inner):
+                handled.append(self.alias)
+                return inner(self, f, now)
+
+            monkeypatch.setattr(cls, "handle_frame", counted)
+        return net, vehicles, host, ghost_kp, ghost, tx.tx_id, handled
+
+    @staticmethod
+    def _rows(net, direction):
+        return sorted(
+            (r["vehicle"], r["detail"].get("reason")) for r in net.trace if r["dir"] == direction
+        )
+
+    @staticmethod
+    def _unchanged(vehicles, host):
+        assert [v.drops.total() for v in vehicles] + [host.drops.total()] == [0, 0, 0, 0]
+        assert host.pending == {} and host.early_endorsements == {}
+
+    def test_is_heard_but_not_checked(self, world, ed25519_verifies):
+        net, vehicles, host, _ghost_kp, _ghost, tx_id, handled = world
+        heard = vehicles[0]._frame(KIND_ENDORSE, 5, tx_id, "valid")
+        assert not any(e.heeds(heard) for e in (*vehicles, host))
+        ed25519_verifies.reset()
+        net.broadcast(heard, 5)
+        net.run_until(5)
+        assert self._rows(net, "recv") == [
+            ("IV-2", None), ("IV-3", None), ("ghost", None), ("host", None),
+        ]
+        assert handled == [] and ed25519_verifies() == 0
+        assert self._rows(net, "drop") == []
+        self._unchanged(vehicles, host)
+        # An endorsement of a transaction not on the chain is checked.
+        pending = vehicles[0]._frame(KIND_ENDORSE, 6, b"\x07" * 32, "valid")
+        net.broadcast(pending, 6)
+        net.run_until(6)
+        assert sorted(handled) == ["IV-2", "IV-3", "host"] and ed25519_verifies() == 1
+        assert list(host.early_endorsements) == [b"\x07" * 32]
+
+    def test_unregistered_sender_still_drops_everywhere(self, world, ed25519_verifies):
+        net, vehicles, host, ghost_kp, ghost, tx_id, handled = world
+        payload = vehicles[0]._frame(KIND_ENDORSE, 5, tx_id, "valid").payload
+        unknown = make_frame(KIND_ENDORSE, ghost_kp, ghost.ivtp_id, 5, payload)
+        assert all(e.heeds(unknown) for e in (*vehicles, host))
+        ed25519_verifies.reset()
+        net.broadcast(unknown, 5)
+        net.run_until(5)
+        everyone = ["IV-1", "IV-2", "IV-3", "host"]
+        assert sorted(handled) == everyone
+        assert self._rows(net, "drop") == [(name, "unknown_sender") for name in everyone]
+        assert ed25519_verifies() == 0
+        assert host.early_endorsements == {}
+
+    def test_unreadable_payload_drops_as_before(self, world, ed25519_verifies):
+        """A payload that does not decode is checked: signed, only the
+        host reads it (bad_payload); forged, every receiver drops it."""
+        net, vehicles, host, _ghost_kp, _ghost, tx_id, handled = world
+        iv1 = vehicles[0]
+        payload = iv1._frame(KIND_ENDORSE, 5, tx_id, "valid").payload + b"\x00"
+        signed = make_frame(KIND_ENDORSE, iv1.keypair, iv1.ivtp_id, 5, payload)
+        forged = dataclasses.replace(signed, signature=bytes(64))
+        with pytest.raises(DECODE_ERRORS) as unread:
+            dataclasses.replace(signed).body
+        assert all(e.heeds(f) for e in (*vehicles, host) for f in (signed, forged))
+        ed25519_verifies.reset()
+        for t, f in enumerate((signed, forged), start=5):
+            net.broadcast(f, t)
+            net.run_until(t)
+        assert self._rows(net, "drop") == [
+            ("IV-2", "bad_signature"),
+            ("IV-3", "bad_signature"),
+            ("host", f"bad_payload:{unread.value}"),
+            ("host", "bad_signature"),
+        ]
+        assert sorted(handled) == ["IV-2", "IV-2", "IV-3", "IV-3", "host", "host"]
+        assert ed25519_verifies() == 2
+        assert host.pending == {} and host.early_endorsements == {}
+
+    def test_forged_frame_is_ignored_unchecked(self, world, ed25519_verifies):
+        """The one frame whose fate differs from a full check: a forged
+        endorsement of a committed transaction from a registered id
+        writes recv rows and nothing else, no bad_signature row."""
+        net, vehicles, host, _ghost_kp, _ghost, tx_id, handled = world
+        iv1, iv2 = vehicles[:2]
+        genuine = iv1._frame(KIND_ENDORSE, 5, tx_id, "invalid")
+        forgeries = (
+            dataclasses.replace(genuine, signature=bytes(64)),
+            make_frame(KIND_ENDORSE, iv2.keypair, iv1.ivtp_id, 5, genuine.payload),
+        )
+        pk = iv1.keypair.public_key
+        assert not any(identity.verify(pk, f.signing_bytes, f.signature) for f in forgeries)
+        ed25519_verifies.reset()
+        for forged in forgeries:
+            net.broadcast(forged, 5)
+        net.run_until(5)
+        assert handled == [] and ed25519_verifies() == 0
+        assert self._rows(net, "drop") == [] and net.trace.counts["recv"] == 8
+        self._unchanged(vehicles, host)
 
 
 def _state(*registrations):
