@@ -20,11 +20,18 @@ per end-to-end metric, both sides' median and quartiles and the number
 of pairs the change won.
 
 The synthetic matrix runs ``sim.run`` of the scenario ``tests/synthetic.py``
-generates for N = 4, 8, 16, 32 and 64 vehicles, five times per side in
+generates for N = 4, 8, 16, 32 and 64 vehicles, ten times per side in
 alternating order, each in a fresh interpreter and with a temporary out
-dir that is removed afterwards, as ``ivtp run --out`` runs it. It records
-the wall time of the call (not scaled for host speed), the trace rows and
-the peak RSS (ru_maxrss) of the process.
+dir that is removed afterwards, as ``ivtp run --out`` runs it. The call
+runs inside ``perfbench/calib.py``'s ``Sampler``, as perfbench times its
+runs: each run records the call's wall time less the ticks' (``run_s``),
+the same scaled to the reference host speed (``ref_s``) and the mean
+tick time (``tick_ms``); a call that ends before its first tick is run
+again in the same interpreter until one lands. Each N gives both sides'
+``run_s`` and ``ref_s`` medians and the pairs the change won on each,
+the trace rows, the peak RSS (ru_maxrss) of the process and the Ed25519
+verifies of the run (calls of ``identity.verify``, counted during the
+timed call; deterministic, so one run per side is kept).
 
 The recorder pins itself and every process it starts to one CPU, as
 perfbench does. It starts every process with PYTHONDONTWRITEBYTECODE=1,
@@ -83,24 +90,40 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SYNTHETIC_N = (4, 8, 16, 32, 64)
-MATRIX_REPS = 5
+MATRIX_REPS = 10
 CODEC_RUNS = 10
 
 # Run in a fresh interpreter with the checkout's src on sys.path:
-# argv is (tests dir of this checkout, N).
+# argv is (tests dir, perfbench dir, N). The call runs inside
+# calib.Sampler, as perfbench/worker.py times sim.run, and again until a
+# calibration tick lands in it.
 _SYNTHETIC_RUN = """
 import json, resource, sys, tempfile, time
-sys.path.insert(0, sys.argv[1])
+sys.path[:0] = sys.argv[1:3]
+import calib
 from synthetic import synthetic_scenario
-from ivtp import scenario, sim
-n = int(sys.argv[2])
+from ivtp import identity, scenario, sim
+n = int(sys.argv[3])
 cfg = scenario.scenario_from_dict(synthetic_scenario(n), name=f"synthetic_n{n}")
-with tempfile.TemporaryDirectory() as out:
-    t0 = time.perf_counter()
-    handles = sim.run(cfg, out)
-    run_s = time.perf_counter() - t0
+verify, verifies = identity.verify, [0]
+
+def counted(*args):
+    verifies[0] += 1
+    return verify(*args)
+
+identity.verify = counted
+ticks = None
+while ticks is None or not ticks.ticks_s:
+    verifies[0] = 0
+    with tempfile.TemporaryDirectory() as out, calib.Sampler() as ticks:
+        t0 = time.perf_counter()
+        handles = sim.run(cfg, out)
+        run_s = time.perf_counter() - t0 - ticks.busy_s
 print(json.dumps({
     "run_s": run_s,
+    "ref_s": run_s * ticks.scale(),
+    "tick_ms": 1e3 * sum(ticks.ticks_s) / len(ticks.ticks_s),
+    "verifies": verifies[0],
     "trace_rows": len(handles.net.trace),
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "trace_digest": handles.report["trace_digest"],
@@ -336,7 +359,9 @@ def value(side: dict, name: str) -> float:
 def synthetic(checkout: Path, n: int) -> dict:
     """One synthetic run in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONHASHSEED": "0"}
-    cmd = [sys.executable, "-c", _SYNTHETIC_RUN, str(ROOT / "tests"), str(n)]
+    cmd = [
+        sys.executable, "-c", _SYNTHETIC_RUN, str(ROOT / "tests"), str(ROOT / "perfbench"), str(n),
+    ]
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -388,14 +413,29 @@ def micro_summary(runs: dict, metrics) -> dict:
     return out
 
 
-def matrix_entry(runs: list[dict]) -> dict:
-    return {
-        "run_s": [r["run_s"] for r in runs],
-        "run_s_median": statistics.median(r["run_s"] for r in runs),
-        "trace_rows": runs[0]["trace_rows"],
-        "peak_rss_mb_median": statistics.median(r["peak_rss_mb"] for r in runs),
-        "trace_digest": runs[0]["trace_digest"],
+MATRIX_TIMES = ("run_s", "ref_s", "tick_ms")
+
+
+def matrix_entry(runs: dict) -> dict:
+    """One N: per side every run's times, the medians, the verifies and
+    what the run left; per time, the pairs the change won."""
+    entry = {}
+    for side, r in runs.items():
+        entry[side] = {name: [run[name] for run in r] for name in MATRIX_TIMES}
+        entry[side].update({
+            "run_s_median": statistics.median(run["run_s"] for run in r),
+            "ref_s_median": statistics.median(run["ref_s"] for run in r),
+            "verifies": r[0]["verifies"],
+            "trace_rows": r[0]["trace_rows"],
+            "peak_rss_mb_median": statistics.median(run["peak_rss_mb"] for run in r),
+            "trace_digest": r[0]["trace_digest"],
+        })
+    entry["change_won"] = {
+        name: sum(c < p for p, c in zip(entry["parent"][name], entry["change"][name]))
+        for name in ("run_s", "ref_s")
     }
+    entry["pairs"] = len(runs["parent"])
+    return entry
 
 
 def src_lines(checkout: Path) -> int:
@@ -477,11 +517,14 @@ def measure(args, sides: dict, cpu: int) -> dict:
         for i in range(MATRIX_REPS):
             for side in alternating(i):
                 runs[side].append(synthetic(sides[side], n))
-        entry = record["synthetic"][f"n{n}"] = {side: matrix_entry(r) for side, r in runs.items()}
-        print(f"synthetic n{n}: " + " ".join(
-            f"{side} {r['run_s_median']:.3f} s {r['peak_rss_mb_median']:.1f} MB"
-            for side, r in entry.items()
-        ), flush=True)
+        entry = record["synthetic"][f"n{n}"] = matrix_entry(runs)
+        line = [f"synthetic n{n}:"]
+        for side in sides:
+            e = entry[side]
+            line.append(f"{side} ref {e['ref_s_median']:.3f} s run {e['run_s_median']:.3f} s"
+                        f" {e['verifies']} verifies {e['peak_rss_mb_median']:.1f} MB")
+        line.append(f"ref_s won {entry['change_won']['ref_s']} of {entry['pairs']}")
+        print(" ".join(line), flush=True)
     runs = {side: [] for side in sides}
     for i in range(CODEC_RUNS):
         for side in alternating(i):

@@ -29,8 +29,10 @@ verify_frame = vehicle.verify_frame
 
 class LedgerHost(Endpoint):
     """Network participant that turns broadcasts into chain state: it
-    reads beacons, transactions and endorsements, and refuses a frame,
-    with a drop row, for the reasons a vehicle would."""
+    reads beacons, transactions and endorsements, and refuses one of
+    those, with a drop row, for the reasons a vehicle would. It has no
+    handler for the session kinds, so it skips a registered sender's
+    session frame unchecked (Endpoint.heeds)."""
 
     def __init__(self, chain: ledger.Chain, config: ConsensusConfig = ConsensusConfig()):
         super().__init__(HOST_ID, "host", chain, config)

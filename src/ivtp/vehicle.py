@@ -8,8 +8,10 @@ form is the signing bytes. Each payload is its kind's fields in wire
 order (PAYLOAD_FIELDS), written and read by the ledger's codecs. A
 receiver verifies the signature against the sender's on-chain key, then
 reads the payload, before any handler sees the content; frames that fail
-are dropped and counted, never raised. Only an endorsement of a
-transaction already on the chain is ignored unchecked (Endpoint.heeds).
+are dropped and counted, never raised. A frame the receiver would not act
+on is ignored unchecked (Endpoint.heeds): a registered sender's frame of a
+kind the receiver has no handler for, and an endorsement of a transaction
+already on the chain.
 """
 
 from __future__ import annotations
@@ -198,10 +200,22 @@ class Endpoint:
     alias: it writes a drop row for each frame it refuses, counted by
     reason, and note rows for what it does. It keeps the freshest beacon
     it heard from each sender, and runs every frame it heeds through one
-    pipeline: key lookup, signature check, then _receive."""
+    pipeline: key lookup, signature check, then _receive. It heeds every
+    frame it could act on or must refuse; a known kind it has no handler
+    for it skips, unchecked, when the sender is registered."""
 
     # Kind -> name of its handler method; a subclass without one ignores the kind.
     _HANDLERS = {kind: f"_on_{label}" for kind, label in KIND_LABELS.items()}
+    # Set once per subclass: the known kinds it has no handler for, and the
+    # kinds heeds reads past its first test (those and endorse).
+    _UNHANDLED: frozenset[int] = frozenset()
+    _SCREENED: frozenset[int] = frozenset()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        handlers = cls._HANDLERS.items()
+        cls._UNHANDLED = frozenset(k for k, name in handlers if not hasattr(cls, name))
+        cls._SCREENED = cls._UNHANDLED | {KIND_ENDORSE}
 
     def __init__(
         self, ivtp_id: IvTpId, alias: str, chain: ledger.Chain, config: ConsensusConfig
@@ -239,11 +253,17 @@ class Endpoint:
     # netsim.Participant protocol
 
     def heeds(self, f: Frame) -> bool:
-        """False only for a registered sender's endorse frame whose payload
-        reads and names a transaction already on the chain: nothing acts on
-        it, so it skips handle_frame, and a forged one leaves no drop row."""
-        if f.kind != KIND_ENDORSE or not self.chain.is_registered(f.sender):
+        """False for a registered sender's frame that this endpoint would
+        not act on: a known kind it has no handler for (vehicles: endorse;
+        the ledger host: the session kinds), or an endorse frame whose
+        payload reads and names a transaction already on the chain. Such a
+        frame skips handle_frame, so a forged one leaves no drop row. An
+        unregistered sender's frame, an unknown kind and an unreadable
+        endorsement are heeded, and dropped by the pipeline."""
+        if f.kind not in self._SCREENED or not self.chain.is_registered(f.sender):
             return True
+        if f.kind in self._UNHANDLED:
+            return False
         try:
             tx_id = f.body[0]
         except DECODE_ERRORS:
@@ -262,7 +282,8 @@ class Endpoint:
 
     def _receive(self, f: Frame, now: TimeFlag) -> list[Frame]:
         """The pipeline past the key lookup and signature check: drop an
-        unknown kind, ignore one this endpoint has no handler for, read
+        unknown kind, ignore one this endpoint has no handler for (on the
+        network heeds skips those, so only a direct call gets here), read
         the payload (a beacon's is never read) and check its carried
         transaction, then run the handler. Only the read can drop a frame
         as bad_payload: a fault in a handler raises."""

@@ -19,8 +19,11 @@ from ivtp.vehicle import (
     KIND_BEACON,
     KIND_COMM,
     KIND_ENDORSE,
+    KIND_LABELS,
+    KIND_SCHEDULE,
     Frame,
     Vehicle,
+    encode_payload,
     make_frame,
     verify_frame,
 )
@@ -98,18 +101,20 @@ class TestBytesLike:
 
 # Real Ed25519 verifies in each locked run. The ledger checks an
 # arbitration's agreements again after its proposer checked each one on
-# arrival (Vehicle._on_agree); every other signature is checked once,
-# but for an endorse frame that reaches every receiver only after its
-# transaction is on the chain, which is never checked (Endpoint.heeds).
+# arrival (Vehicle._on_agree); every other signature is checked once, at
+# the first receiver that acts on it. Nobody checks an endorse frame that
+# reaches the ledger host only after its transaction is on the chain, or
+# not at all: vehicles skip endorse frames, and the host the session
+# kinds, unchecked (Endpoint.heeds).
 LOCKED_RUN_VERIFIES = {
-    "broadcast_round": 75,
+    "broadcast_round": 74,
     "intersection_table2": 116,
     "lossy_total": 10,
-    "synthetic_n4": 126,
-    "synthetic_n8": 264,
-    "synthetic_n16": 597,
-    "synthetic_n32": 1655,
-    "synthetic_n64": 4755,
+    "synthetic_n4": 123,
+    "synthetic_n8": 251,
+    "synthetic_n16": 543,
+    "synthetic_n32": 1415,
+    "synthetic_n64": 3738,
 }
 
 
@@ -158,11 +163,12 @@ class TestFrameVerdict:
         assert f == twin and hash(f) == hash(twin)
         assert repr(f) == repr(twin) == before
 
-    def test_forged_endorse_frames_drop_at_every_receiver(self, ed25519_verifies):
-        """A vehicle discards an endorse frame after its check, and the
-        check is shared: still, each receiver, the ledger host included,
-        writes the drop row of a forged one, and the host pools nothing. A refused
-        signature costs one Ed25519 verify, however many receive it."""
+    def test_forged_endorse_frame_drops_at_the_host_only(self, ed25519_verifies):
+        """Only the ledger host acts on an endorse frame, so only the host
+        checks a registered sender's one: a forged one drops there as
+        bad_signature, for one Ed25519 verify, and the host pools nothing.
+        Vehicles skip it unchecked. An unregistered sender's drops at every
+        receiver as unknown_sender."""
         net, _chain, vehicles, host, ghost_kp, ghost = _endorse_net()
         iv1 = vehicles[0]
         genuine = iv1._frame(KIND_ENDORSE, 5, b"\x07" * 32, "valid")
@@ -176,11 +182,11 @@ class TestFrameVerdict:
             (r["vehicle"], r["detail"]["reason"]) for r in net.trace if r["dir"] == "drop"
         )
         assert drops == sorted(
-            [("IV-2", "bad_signature"), ("IV-3", "bad_signature"), ("host", "bad_signature")]
+            [("host", "bad_signature")]
             + [(f"IV-{i}", "unknown_sender") for i in (1, 2, 3)]
             + [("host", "unknown_sender")]
         )
-        assert [v.drops.total() for v in vehicles] == [1, 2, 2]
+        assert [v.drops.total() for v in vehicles] == [1, 1, 1]
         assert host.early_endorsements == {}
         assert ed25519_verifies() == 1
         # The genuine frame reaches the host's pool.
@@ -228,8 +234,9 @@ class TestEndorsementOfCommittedTx:
     """An endorse frame whose transaction is already on the chain can
     change nothing anywhere: a registered sender's one that reads is
     heard (a recv row at every receiver) but reaches no handle_frame and
-    costs no Ed25519 verify. Every other endorse frame is checked and
-    dropped as before."""
+    costs no Ed25519 verify. Vehicles skip every registered sender's
+    endorse frame so; the host checks every other one, and an
+    unregistered sender's drops everywhere."""
 
     @pytest.fixture
     def world(self, monkeypatch):
@@ -273,11 +280,12 @@ class TestEndorsementOfCommittedTx:
         assert handled == [] and ed25519_verifies() == 0
         assert self._rows(net, "drop") == []
         self._unchanged(vehicles, host)
-        # An endorsement of a transaction not on the chain is checked.
+        # An endorsement of a transaction not on the chain is checked by
+        # the host, the one endpoint that pools endorsements.
         pending = vehicles[0]._frame(KIND_ENDORSE, 6, b"\x07" * 32, "valid")
         net.broadcast(pending, 6)
         net.run_until(6)
-        assert sorted(handled) == ["IV-2", "IV-3", "host"] and ed25519_verifies() == 1
+        assert handled == ["host"] and ed25519_verifies() == 1
         assert list(host.early_endorsements) == [b"\x07" * 32]
 
     def test_unregistered_sender_still_drops_everywhere(self, world, ed25519_verifies):
@@ -295,8 +303,9 @@ class TestEndorsementOfCommittedTx:
         assert host.early_endorsements == {}
 
     def test_unreadable_payload_drops_as_before(self, world, ed25519_verifies):
-        """A payload that does not decode is checked: signed, only the
-        host reads it (bad_payload); forged, every receiver drops it."""
+        """A payload that does not decode is checked by the host, which
+        drops it as bad_payload when signed and bad_signature when forged;
+        vehicles skip both unchecked."""
         net, vehicles, host, _ghost_kp, _ghost, tx_id, handled = world
         iv1 = vehicles[0]
         payload = iv1._frame(KIND_ENDORSE, 5, tx_id, "valid").payload + b"\x00"
@@ -304,18 +313,17 @@ class TestEndorsementOfCommittedTx:
         forged = dataclasses.replace(signed, signature=bytes(64))
         with pytest.raises(DECODE_ERRORS) as unread:
             dataclasses.replace(signed).body
-        assert all(e.heeds(f) for e in (*vehicles, host) for f in (signed, forged))
+        assert all(host.heeds(f) for f in (signed, forged))
+        assert not any(v.heeds(f) for v in vehicles for f in (signed, forged))
         ed25519_verifies.reset()
         for t, f in enumerate((signed, forged), start=5):
             net.broadcast(f, t)
             net.run_until(t)
         assert self._rows(net, "drop") == [
-            ("IV-2", "bad_signature"),
-            ("IV-3", "bad_signature"),
             ("host", f"bad_payload:{unread.value}"),
             ("host", "bad_signature"),
         ]
-        assert sorted(handled) == ["IV-2", "IV-2", "IV-3", "IV-3", "host", "host"]
+        assert handled == ["host", "host"]
         assert ed25519_verifies() == 2
         assert host.pending == {} and host.early_endorsements == {}
 
@@ -339,6 +347,88 @@ class TestEndorsementOfCommittedTx:
         assert handled == [] and ed25519_verifies() == 0
         assert self._rows(net, "drop") == [] and net.trace.counts["recv"] == 8
         self._unchanged(vehicles, host)
+
+
+# The known kinds each endpoint has no handler for: a registered sender's
+# frame of one reaches no handle_frame and costs no Ed25519 verify.
+UNHANDLED = {"vehicle": {"endorse"}, "host": {"intent", "schedule", "agree", "disagree"}}
+
+
+class TestUnhandledKinds:
+    """An endpoint checks a frame only where it acts on it: it skips,
+    unchecked, a registered sender's frame of a known kind it has no
+    handler for. An unregistered sender's frame and an unknown kind are
+    still heeded, and dropped by the pipeline."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return _endorse_net()
+
+    @pytest.mark.parametrize("registered", [True, False], ids=["registered", "unregistered"])
+    @pytest.mark.parametrize("endpoint", sorted(UNHANDLED))
+    @pytest.mark.parametrize(
+        "kind", [*KIND_LABELS, 99], ids=lambda k: KIND_LABELS.get(k, "kind-99")
+    )
+    def test_heeds(self, world, kind, endpoint, registered):
+        _net, _chain, vehicles, host, ghost_kp, ghost = world
+        receiver = host if endpoint == "host" else vehicles[1]
+        if registered:
+            sender_kp, sender = vehicles[0].keypair, vehicles[0].ivtp_id
+        else:
+            sender_kp, sender = ghost_kp, ghost.ivtp_id
+        # An endorsement of a transaction not on the chain; heeds reads no
+        # other kind's payload.
+        payload = b""
+        if kind == KIND_ENDORSE:
+            payload = encode_payload(KIND_ENDORSE, b"\x07" * 32, "valid")
+        f = make_frame(kind, sender_kp, sender, 5, payload)
+        skipped = registered and KIND_LABELS.get(kind) in UNHANDLED[endpoint]
+        assert receiver.heeds(f) is not skipped
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "scenarios").glob("*.json")))
+    def test_locked_run_hands_no_endpoint_a_kind_it_has_no_handler_for(self, name, monkeypatch):
+        """Each endpoint's handle_frame gets every kind it heard but
+        those it has no handler for, with every byte of the run locked."""
+        handed = {"vehicle": set(), "host": set()}
+        for endpoint, cls in (("vehicle", Vehicle), ("host", sim.LedgerHost)):
+            inner = cls.handle_frame
+
+            def counted(self, f, now, inner=inner, kinds=handed[endpoint]):
+                kinds.add(f.kind_label)
+                return inner(self, f, now)
+
+            monkeypatch.setattr(cls, "handle_frame", counted)
+        handles = sim.run(scenario.load_scenario(ROOT / "scenarios" / f"{name}.json"))
+        assert handles.report["trace_digest"] == GOLDEN[name]["trace.jsonl"]
+        heard = {"vehicle": set(), "host": set()}
+        for row in handles.net.trace:
+            if row["dir"] == "recv":
+                heard["host" if row["vehicle"] == "host" else "vehicle"].add(row["kind"])
+        for endpoint, kinds in handed.items():
+            assert kinds == heard[endpoint] - UNHANDLED[endpoint]
+
+    def test_forged_schedule_frame_drops_at_every_vehicle_only(self, ed25519_verifies):
+        """The host has no schedule handler: a forged schedule frame from
+        a registered id costs it no check and writes no drop row there,
+        while every vehicle that hears it drops it, for one verify."""
+        net, _chain, vehicles, host, _ghost_kp, _ghost = _endorse_net()
+        iv1 = vehicles[0]
+        genuine = iv1._frame(KIND_SCHEDULE, 5, "x-1", 0, (iv1.ivtp_id,), ((iv1.ivtp_id, 5),))
+        forged = dataclasses.replace(genuine, signature=bytes(64))
+        ed25519_verifies.reset()
+        net.broadcast(forged, 5)
+        net.run_until(5)
+        rows = sorted((r["vehicle"], r["dir"], r["detail"].get("reason")) for r in net.trace)
+        assert rows == [
+            ("IV-1", "send", None),
+            ("IV-2", "drop", "bad_signature"),
+            ("IV-2", "recv", None),
+            ("IV-3", "drop", "bad_signature"),
+            ("IV-3", "recv", None),
+            ("ghost", "recv", None),
+            ("host", "recv", None),
+        ]
+        assert host.drops.total() == 0 and ed25519_verifies() == 1
 
 
 def _state(*registrations):
