@@ -1,6 +1,7 @@
 """Record a BENCH_<n>.json file: the benchmark run in alternating pairs of
 a parent commit and the working tree, the synthetic N-vehicle matrix, and
-the per-layer codec, dispatch, frame-verify and frame-payload microbenches.
+the per-layer codec, dispatch, frame-verify, Ed25519 and frame-payload
+microbenches.
 
     python3 bench/record.py --parent PARENT_REV --seed 2001 --pairs 10 --out BENCH_<n>.json
 
@@ -43,28 +44,27 @@ The per-layer codec microbenches time, on the chain ``perfbench/gen.py``
 builds for SEED, ``canonical_encode``, ``canonical_decode`` and
 ``tx_signing_bytes`` over every transaction, and the chain-file round
 trip ``parse_chain_bytes`` + ``validate_blocks`` from the file's bytes,
-so every transaction is checked cold (a checkout that has the old
-process-wide verify memo gets it cleared before each repetition; one
-whose ``parse_chain_bytes`` takes the bytes rather than a file gets
-them), and take the tracemalloc peak of one cold read of the chain file
-from disk up to the replayed ``Chain`` (``read_peak_kib``).
-``canonical_decode_s`` is the decode alone: a decoded transaction keeps
-the bytes it was read from and hashes its id from them when first asked
-(a checkout older than that hashes nothing at decode either). The codec
-set also counts, for one cold round trip, each side's calls of
-``tx_signing_bytes``, ``canonical_encode`` and ``Block.header_bytes``
-(``encode_calls``); they are deterministic, so one run per side is kept. The
-layer microbenches time netsim dispatch (one ``broadcast`` from one of 64
+so every transaction is checked cold, and take the tracemalloc peak of
+one cold read of the chain file from disk up to the replayed ``Chain``
+(``read_peak_kib``). ``canonical_decode_s`` is the decode alone: a
+decoded transaction keeps the bytes it was read from and hashes its id
+from them when first asked. The codec set also counts, for one cold
+round trip, each side's calls of ``tx_signing_bytes``,
+``canonical_encode`` and ``Block.header_bytes`` (``encode_calls``);
+they are deterministic, so one run per side is kept. The layer
+microbenches time netsim dispatch (one ``broadcast`` from one of 64
 no-op participants, 1 ms latency and 2 ms jitter, drained by
-``run_until``), ``verify_frame``, cold (a frame's first check) and
-warm (the same frame again, as every further receiver checks it), and a
-frame payload's encode plus decode (``payload_endorse`` for an endorse
-frame, ``payload_schedule_12`` for a schedule of 12 vehicles: a sender's
-encoding, then a fresh frame's ``body`` with the ids and integers read
-out of it; a checkout with JSON payloads runs its JSON and hex path). Each
-timed loop runs inside ``perfbench/calib.py``'s ``Sampler``, so each
-value has its raw seconds per call (``_s``) and the same scaled to the
-reference host speed (``_ref_s``). Each side runs each set in ten fresh
+``run_until``), ``verify_frame``, cold (a frame's first check; each
+frame's signature is read before the timing, so a checkout that signs a
+frame on that first read times the check alone too) and warm (the same
+frame again, as every further receiver checks it), raw Ed25519
+``identity.sign`` and ``identity.verify`` of one frame's signing bytes,
+and a frame payload's encode plus decode (``payload_endorse`` for an
+endorse frame, ``payload_schedule_12`` for a schedule of 12 vehicles: a
+sender's encoding, then a fresh frame's ``body``). Each timed loop
+runs inside ``perfbench/calib.py``'s ``Sampler``, so each value has
+its raw seconds per call (``_s``) and the same scaled to the reference
+host speed (``_ref_s``). Each side runs each set in ten fresh
 interpreters, paired and in alternating order as above; each
 interpreter keeps the best of its repetitions. The record gives every
 interpreter's value, each side's median and quartiles, the pairs the
@@ -72,14 +72,21 @@ change won, and the SHA-256 of the chain file each side wrote.
 
 It also records each side's line count of ``src/ivtp/*.py``, as
 ``wc -l`` counts them, next to the numbers.
+
+Every process the recorder starts runs in a session of its own. A
+SIGTERM or SIGINT unwinds the recorder as an error would: it ends the
+process group of the command running then (perfbench/run.py and its
+worker), removes the extracts and exits with 128 + the signal number.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import shutil
@@ -137,20 +144,13 @@ _CODEC_RUN = """
 import hashlib, io, json, sys, tempfile, time, tracemalloc
 sys.path.insert(0, sys.argv[1])
 import gen
-from ivtp import identity, ledger
+from ivtp import ledger
 chain = gen.build_chain(int(sys.argv[2])).chain
 data = ledger.chain_to_bytes(chain)
 txs = [tx for block in chain.blocks for tx in block.txs]
 encoded = [ledger.canonical_encode(tx) for tx in txs]
-WHOLE = hasattr(ledger, "chain_from_bytes")  # a checkout that parses the whole file's bytes
 
 def round_trip():
-    if hasattr(identity, "_ed25519_verify"):  # a checkout with a verify memo
-        identity._ed25519_verify.cache_clear()
-    if WHOLE:
-        blocks, endowment, checksum_ok = ledger.parse_chain_bytes(data)
-        assert checksum_ok and ledger.validate_blocks(blocks, endowment).ok
-        return
     chain_file = ledger.parse_chain_bytes(io.BytesIO(data))
     assert ledger.validate_blocks(chain_file.blocks(), chain_file.endowment).ok
     assert chain_file.checksum_ok
@@ -160,11 +160,8 @@ def read_peak_kib():  # of one cold read of the file up to the replayed Chain
         f.write(data)
         f.flush()
         tracemalloc.start()
-        if WHOLE:
-            loaded = ledger.load_chain(f.name)
-        else:
-            with open(f.name, "rb") as g:
-                loaded = ledger.parse_chain_bytes(g).chain()
+        with open(f.name, "rb") as g:
+            loaded = ledger.parse_chain_bytes(g).chain()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert len(loaded.blocks) == len(chain.blocks)
@@ -232,10 +229,7 @@ class Idle:
         return []
 
 ids = [bytes([i]) * 32 for i in range(1, 65)]
-if hasattr(netsim, "NetworkConfig"):
-    net = netsim.Network(netsim.NetworkConfig(latency_ms=1, jitter_ms=2, seed=1))
-else:  # a checkout whose Network takes a LinkModel and a seed
-    net = netsim.Network(link=netsim.LinkModel(base_latency_ms=1, jitter_ms=2), seed=1)
+net = netsim.Network(netsim.NetworkConfig(latency_ms=1, jitter_ms=2, seed=1))
 for veh in ids:
     net.join(Idle(veh))
 net.trace.bind(os.devnull)
@@ -249,45 +243,35 @@ def dispatch():
 kp = identity.keygen(identity.sha256(b"bench"))
 def signed(i):
     return vehicle.make_frame(vehicle.KIND_COMM, kp, ids[0], i, b'{"n":%d}' % i)
-cold = iter([signed(i) for i in range(1200)])
+frames = [signed(i) for i in range(1200)]
+for f in frames:
+    f.signature  # made on this read where frames are signed lazily; outside the timing
+cold = iter(frames)
 warm = signed(0)
 vehicle.verify_frame(warm, kp.public_key)
+message = warm.signing_bytes
+signature = identity.sign(kp, message)
 
 # Payload encode plus decode, as a sender writes and a receiver reads it:
 # an endorse frame's, and a schedule frame's for 12 vehicles.
 crew = ids[:12]
 basis = tuple((veh, 100 + i) for i, veh in enumerate(crew))
 E, S = vehicle.KIND_ENDORSE, vehicle.KIND_SCHEDULE
-if hasattr(vehicle, "encode_payload"):
-    def endorse_payload():
-        return vehicle.Frame(E, ids[0], 0, vehicle.encode_payload(E, ids[1], "valid")).body
 
-    def schedule_payload():
-        payload = vehicle.encode_payload(S, "x-1", 0, crew, basis)
-        return vehicle.Frame(S, ids[0], 0, payload).body
-else:  # a checkout whose payloads are JSON with hex ids
-    def endorse_payload():
-        payload = vehicle._compact({"tx_id": ids[1].hex(), "verdict": "valid"})
-        body = vehicle.Frame(E, ids[0], 0, payload).body
-        return bytes.fromhex(body["tx_id"]), body["verdict"]
+def endorse_payload():
+    return vehicle.Frame(E, ids[0], 0, vehicle.encode_payload(E, ids[1], "valid")).body
 
-    def schedule_payload():
-        payload = vehicle._compact({
-            "intersection": "x-1", "round": 0, "ordering": [veh.hex() for veh in crew],
-            "basis": [[veh.hex(), tf] for veh, tf in basis],
-        })
-        body = vehicle.Frame(S, ids[0], 0, payload).body
-        return (
-            body["intersection"], int(body["round"]),
-            tuple(bytes.fromhex(veh) for veh in body["ordering"]),
-            tuple((bytes.fromhex(veh), int(tf)) for veh, tf in body["basis"]),
-        )
+def schedule_payload():
+    payload = vehicle.encode_payload(S, "x-1", 0, crew, basis)
+    return vehicle.Frame(S, ids[0], 0, payload).body
 
 out = {}
 for name, fn, reps in [
     ("dispatch_63", dispatch, 1000),
     ("verify_frame_cold", lambda: vehicle.verify_frame(next(cold), kp.public_key), 400),
     ("verify_frame_warm", lambda: vehicle.verify_frame(warm, kp.public_key), 100000),
+    ("ed25519_sign", lambda: identity.sign(kp, message), 400),
+    ("ed25519_verify", lambda: identity.verify(kp.public_key, message, signature), 400),
     ("payload_endorse", endorse_payload, 20000),
     ("payload_schedule_12", schedule_payload, 5000),
 ]:
@@ -303,6 +287,34 @@ print(json.dumps(out))
 UNSCALED = ("run_s", "audit_s", "raw_setup_s", "tick_ms")
 
 
+def run(cmd: list[str], cwd: Path, env: dict | None = None) -> str:
+    """The output of cmd, run in cwd in a session of its own; the recorder
+    exits with its errors if it fails. If the recorder stops first, it
+    ends cmd's whole process group, perfbench/run.py's workers included."""
+    proc = subprocess.Popen(
+        cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate()
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+    if proc.returncode != 0:
+        shown = " ".join("<script>" if "\n" in arg else arg for arg in cmd)
+        raise SystemExit(f"{shown} exited {proc.returncode} in {cwd}:\n{err}")
+    return out
+
+
+def stop(signum, _frame):
+    """SIGTERM or SIGINT: unwind into main's cleanup, as an error would."""
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, signal.SIG_IGN)
+    raise SystemExit(128 + signum)
+
+
 def perfbench(checkout: Path, workload: str, seed: int) -> dict:
     """One perfbench/run.py command in checkout: its host and result lines
     and the UNSCALED medians it printed."""
@@ -310,10 +322,7 @@ def perfbench(checkout: Path, workload: str, seed: int) -> dict:
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
     ]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"{' '.join(cmd)} failed in {checkout}:\n{done.stderr}")
-    lines = done.stdout.splitlines()
+    lines = run(cmd, checkout).splitlines()
     host = next(line for line in lines if line.startswith("host:"))
     printed = dict(line.split()[:2] for line in lines if line.startswith("  ") and " [n " in line)
     unscaled = {name: float(printed[name]) for name in UNSCALED if name in printed}
@@ -362,16 +371,14 @@ def synthetic(checkout: Path, n: int) -> dict:
     cmd = [
         sys.executable, "-c", _SYNTHETIC_RUN, str(ROOT / "tests"), str(ROOT / "perfbench"), str(n),
     ]
-    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout)
+    return json.loads(run(cmd, checkout, env))
 
 
 def microbench(checkout: Path, script: str, *args: str) -> dict:
     """One microbench script run in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONHASHSEED": "0"}
     cmd = [sys.executable, "-c", script, str(ROOT / "perfbench"), *args]
-    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout)
+    return json.loads(run(cmd, checkout, env))
 
 
 CODEC_METRICS = (
@@ -381,8 +388,8 @@ CODEC_METRICS = (
 LAYER_METRICS = tuple(
     f"{name}{unit}"
     for name in (
-        "dispatch_63", "verify_frame_cold", "verify_frame_warm", "payload_endorse",
-        "payload_schedule_12",
+        "dispatch_63", "verify_frame_cold", "verify_frame_warm", "ed25519_sign",
+        "ed25519_verify", "payload_endorse", "payload_schedule_12",
     )
     for unit in ("_s", "_ref_s")
 )
@@ -468,6 +475,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, stop)
     cpu = max(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
     os.environ["PYTHONDONTWRITEBYTECODE"] = "1"

@@ -11,10 +11,13 @@ chain encodes nothing. A chain file is read one block at a time, and
 each block is replayed before the next is read. The blocks are the
 record. The ledger state holds only what the validity
 rules read (registrations, balances, applied tx ids); it is a pure
-function of the chain and is rebuilt by replay during validation, so
-any single-byte tamper anywhere is detected. A commit and a replay
-admit each transaction through one step, LedgerState.admit, which
-changes the state only for a transaction that passes. Who talked to
+function of the chain and is rebuilt by replay during validation. An
+edit that leaves every hash as it was (a flipped byte, a cut) is
+detected; one that recomputes the hashes can pass, as blocks are
+unsigned: a file alone shows only that each transaction was signed by
+its author and passes the replay rules. A commit and a replay admit
+each transaction through one step, LedgerState.admit, which changes the
+state only for a transaction that passes. Who talked to
 whom and a vehicle's history are read off the blocks when asked for.
 
 Units: trust points are integers in milli-trust (1 IV-TP = 1000).

@@ -3,7 +3,10 @@ handlers.
 
 Every message on the air is a broadcast Frame: a kind tag, the sender's
 trust-point id, a time flag and a kind-specific payload, signed by the
-sender. Frames travel between participants as objects; their only byte
+sender when its signature is first read, in practice by the first
+receiver that checks it: a frame nobody checks is never signed, and as
+Ed25519 is deterministic the bytes are what an eager sign makes.
+Frames travel between participants as objects; their only byte
 form is the signing bytes. Each payload is its kind's fields in wire
 order (PAYLOAD_FIELDS), written and read by the ledger's codecs. A
 receiver verifies the signature against the sender's on-chain key, then
@@ -116,15 +119,27 @@ class _once:
         return value
 
 
+class _SignOnRead:
+    """A make_frame frame's signature: made by identity.sign on first read,
+    then kept in __dict__ like a field's value. b"" on the class: the default."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return b""
+        sig = vars(obj)["signature"] = identity.sign(vars(obj).pop("_signer"), obj.signing_bytes)
+        return sig
+
+
 @dataclass(frozen=True)
 class Frame:
-    """One broadcast message, heard by every participant in range."""
+    """One broadcast message, heard by every participant in range. One that
+    make_frame built is signed on the first read of its signature."""
 
     kind: int
     sender: IvTpId
     tf: TimeFlag
     payload: bytes
-    signature: bytes = b""
+    signature: bytes = _SignOnRead()
 
     # Each _once attribute below, and the signature check (verify_frame), is
     # made once per frame object, however many receivers read it. The values
@@ -162,11 +177,11 @@ def _signing_bytes(kind: int, sender: IvTpId, tf: TimeFlag, payload: bytes) -> b
 def make_frame(
     kind: int, keypair: KeyPair, sender: IvTpId, tf: TimeFlag, payload: bytes
 ) -> Frame:
-    body = _signing_bytes(kind, sender, tf, payload)
-    signed = Frame(kind, sender, tf, payload, identity.sign(keypair, body))
-    # The signature is not part of the signing bytes: keep the encoding.
-    vars(signed)["signing_bytes"] = body
-    return signed
+    """A frame keypair signs on the first read of its signature (_SignOnRead)."""
+    f = object.__new__(Frame)
+    vars(f).update(kind=kind, sender=sender, tf=tf, payload=payload, _signer=keypair)
+    vars(f)["signing_bytes"] = _signing_bytes(kind, sender, tf, payload)
+    return f
 
 
 def verify_frame(f: Frame, sender_pk: bytes) -> bool:

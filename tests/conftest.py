@@ -112,7 +112,7 @@ def scenario_path(name: str) -> Path:
 
 
 class Meter:
-    """Ed25519 verifies made since the last reset(); call it to read."""
+    """Ed25519 verifies or signs made since the last reset(); call it to read."""
 
     def __init__(self):
         self.count = 0
@@ -145,18 +145,32 @@ def counting_ed25519(meter: Meter):
         yield meter
 
 
+@contextlib.contextmanager
+def counting_signs(meter: Meter):
+    """Count into meter every identity.sign call made inside the block."""
+    sign = identity.sign
+
+    def counted(keypair, message):
+        meter.count += 1
+        return sign(keypair, message)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identity, "sign", counted)
+        yield meter
+
+
 @pytest.fixture(scope="session")
 def locked_run():
     """locked_run(name): the handles of the locked scenario's run without
-    an out dir and the Ed25519 verifies it made. Each scenario runs once
-    per session, however many tests ask for it."""
+    an out dir, and the Ed25519 verifies and signs it made. Each scenario
+    runs once per session, however many tests ask for it."""
     runs = {}
 
     def get(name: str):
         if name not in runs:
-            with counting_ed25519(Meter()) as meter:
+            with counting_ed25519(Meter()) as verifies, counting_signs(Meter()) as signs:
                 handles = sim.run(scenario.load_scenario(scenario_path(name)))
-            runs[name] = handles, meter()
+            runs[name] = handles, verifies(), signs()
         return runs[name]
 
     return get

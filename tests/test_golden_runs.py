@@ -51,7 +51,7 @@ def test_artifacts_match_golden_digests(name, tmp_path, locked_run):
         for artifact in GOLDEN[name]
     }
     assert got == GOLDEN[name]
-    in_memory, _verifies = locked_run(name)
+    in_memory, _verifies, _signs = locked_run(name)
     assert (tmp_path / "trace.jsonl").read_bytes() == in_memory.net.trace.data
     assert streamed.report == in_memory.report
     assert in_memory.report["trace_digest"] == GOLDEN[name]["trace.jsonl"]

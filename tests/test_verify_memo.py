@@ -28,7 +28,7 @@ from ivtp.vehicle import (
     verify_frame,
 )
 
-from conftest import Meter, counting_ed25519, make_fleet, signed_comm
+from conftest import Meter, counting_ed25519, counting_signs, make_fleet, signed_comm
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "vectors" / "runs.json").read_text())
@@ -45,6 +45,13 @@ def signed():
     kp = identity.keygen(identity.sha256(b"memo"))
     message = b"status report from IV-1"
     return kp, message, identity.sign(kp, message)
+
+
+@pytest.fixture
+def signs():
+    """A Meter of the identity.sign calls made."""
+    with counting_signs(Meter()) as meter:
+        yield meter
 
 
 @pytest.fixture
@@ -120,7 +127,7 @@ LOCKED_RUN_VERIFIES = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_ed25519_verifies_per_locked_run(name, locked_run, ed25519_verifies):
-    handles, ed25519_verifies.count = locked_run(name)  # counted during the run
+    handles, ed25519_verifies.count, _signs = locked_run(name)  # counted during the run
     assert handles.report["trace_digest"] == GOLDEN[name]["trace.jsonl"]
     assert ed25519_verifies() == LOCKED_RUN_VERIFIES[name]
     # Replaying the chain reuses the verdicts its transactions carry:
@@ -130,6 +137,29 @@ def test_ed25519_verifies_per_locked_run(name, locked_run, ed25519_verifies):
     )
     assert ledger.validate_chain(handles.chain).ok
     assert ed25519_verifies() == LOCKED_RUN_VERIFIES[name] + registrations
+
+
+# Ed25519 signs (identity.sign calls) in each locked run: one per
+# transaction, agreement and dealer binding, and one per frame that some
+# endpoint checked. make_frame's frame is signed on the first read of its
+# signature, so a frame that no endpoint checks is never signed.
+LOCKED_RUN_SIGNS = {
+    "broadcast_round": 74,
+    "intersection_table2": 113,
+    "lossy_total": 10,
+    "synthetic_n4": 120,
+    "synthetic_n8": 251,
+    "synthetic_n16": 544,
+    "synthetic_n32": 1411,
+    "synthetic_n64": 3738,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_ed25519_signs_per_locked_run(name, locked_run):
+    handles, _verifies, signs = locked_run(name)
+    assert handles.report["trace_digest"] == GOLDEN[name]["trace.jsonl"]
+    assert signs == LOCKED_RUN_SIGNS[name]
 
 
 class TestFrameVerdict:
@@ -287,6 +317,19 @@ class TestEndorsementOfCommittedTx:
         net.run_until(6)
         assert handled == ["host"] and ed25519_verifies() == 1
         assert list(host.early_endorsements) == [b"\x07" * 32]
+
+    def test_is_never_signed(self, world, signs):
+        """A frame no endpoint checks costs its sender no sign either; the
+        host's check of the pending endorsement signs that one."""
+        net, vehicles, _host, _ghost_kp, _ghost, tx_id, handled = world
+        heard = vehicles[0]._frame(KIND_ENDORSE, 5, tx_id, "valid")
+        pending = vehicles[0]._frame(KIND_ENDORSE, 5, b"\x07" * 32, "valid")
+        signs.reset()
+        for f in (heard, pending):
+            net.broadcast(f, 5)
+        net.run_until(5)
+        assert handled == ["host"] and signs() == 1
+        assert "_signer" in vars(heard) and "_signer" not in vars(pending)
 
     def test_unregistered_sender_still_drops_everywhere(self, world, ed25519_verifies):
         net, vehicles, host, ghost_kp, ghost, tx_id, handled = world
@@ -560,11 +603,68 @@ class TestCachedSigningBytes:
         assert a.drops == {"bad_signature": 2}
 
 
+def _unread():
+    """A keypair and a make_frame endorse frame whose signature nobody read."""
+    kp = identity.keygen(identity.sha256(b"v"))
+    payload = encode_payload(KIND_ENDORSE, b"\x07" * 32, "valid")
+    return kp, make_frame(KIND_ENDORSE, kp, b"\x05" * 32, 12, payload)
+
+
+class TestSignOnRead:
+    """make_frame's frame is signed by identity.sign on the first read of
+    its signature, and is from then on the frame an eager sign builds."""
+
+    def test_unread_frame_costs_no_sign(self, signs):
+        kp, f = _unread()
+        assert (f.kind, f.tf, f.kind_label) == (KIND_ENDORSE, 12, "endorse")
+        assert f.body == (b"\x07" * 32, "valid")
+        assert f.signing_bytes and signs() == 0
+        sig = f.signature
+        assert signs() == 1 and f.signature is sig and signs() == 1
+        assert identity.verify(kp.public_key, f.signing_bytes, sig)
+        assert verify_frame(f, kp.public_key) and signs() == 1
+
+    def test_replaced_unread_frame_fails_closed(self):
+        changes = ({"tf": 13}, {"payload": b""}, {"sender": b"\x06" * 32}, {"kind": KIND_BEACON})
+        for change in changes:
+            kp, f = _unread()
+            forged = dataclasses.replace(f, **change)
+            assert "_signer" not in vars(forged)
+            assert not verify_frame(forged, kp.public_key)
+            assert verify_frame(f, kp.public_key)
+
+    def test_unread_frame_equals_its_eager_twin(self):
+        kp, f = _unread()
+        twin = Frame(f.kind, f.sender, f.tf, f.payload, identity.sign(kp, f.signing_bytes))
+        assert "_signer" in vars(f) and "_signer" not in vars(twin)
+        assert hash(f) == hash(twin)
+        assert _unread()[1] == twin and twin == _unread()[1]
+        assert twin.signature == f.signature and Frame(*dataclasses.astuple(f)) == f
+
+    def test_signer_stays_out_of_repr_and_equality(self):
+        kp, f = _unread()
+        assert [fld.name for fld in dataclasses.fields(Frame)] == [
+            "kind", "sender", "tf", "payload", "signature",
+        ]
+        assert _unread()[1] == _unread()[1]  # both unread: the signer takes no part
+        text = repr(f)
+        assert "_signer" not in vars(f) and "signature" in vars(f)
+        assert "_signer" not in text and "KeyPair" not in text and repr(kp.secret_key) not in text
+        assert text == repr(dataclasses.replace(f))
+
+    def test_a_frame_built_directly_keeps_its_signature(self, signs):
+        assert Frame.signature == b"" and Frame(KIND_BEACON, b"\x05" * 32, 0, b"").signature == b""
+        f = Frame(KIND_BEACON, b"\x05" * 32, 0, b"", bytes(64))
+        assert f.signature == bytes(64) and "_signer" not in vars(f) and signs() == 0
+
+
 def test_beacons_and_endorsements_are_signed_once(monkeypatch):
-    """intersection_table2: each beacon and endorse frame costs one
-    identity.sign, its own. Every other signature made or checked in the
-    run belongs to a frame, a transaction, an agreement or a dealer
-    binding: no inner beacon transaction, no endorsement message."""
+    """intersection_table2: a beacon or endorse frame costs one
+    identity.sign, its own, if some endpoint checked it, and none if no
+    endpoint did: the frames signed are the frames verified. Every other
+    signature made or checked in the run belongs to a frame, a
+    transaction, an agreement or a dealer binding: no inner beacon
+    transaction, no endorsement message."""
     signed, verified, frames = [], [], []
     real_sign, real_verify = identity.sign, identity.verify
     real_broadcast = netsim.Network.broadcast
@@ -588,7 +688,9 @@ def test_beacons_and_endorsements_are_signed_once(monkeypatch):
 
     once = [f for f in frames if f.kind in (KIND_BEACON, KIND_ENDORSE)]
     assert {f.kind for f in once} == {KIND_BEACON, KIND_ENDORSE}
-    assert all(signed.count(f.signing_bytes) == 1 for f in once)
+    checked = [f.signing_bytes in verified for f in once]
+    assert [signed.count(f.signing_bytes) for f in once] == [int(c) for c in checked]
+    assert any(checked) and not all(checked)
 
     txs = [tx for block in handles.chain.blocks for tx in block.txs]
     txs += [tx for veh in handles.vehicles.values() for tx in veh.submitted]
