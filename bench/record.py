@@ -61,7 +61,10 @@ frame again, as every further receiver checks it), raw Ed25519
 ``identity.sign`` and ``identity.verify`` of one frame's signing bytes,
 and a frame payload's encode plus decode (``payload_endorse`` for an
 endorse frame, ``payload_schedule_12`` for a schedule of 12 vehicles: a
-sender's encoding, then a fresh frame's ``body``). Each timed loop
+sender's encoding, then a fresh frame's ``body``), and a receiving
+vehicle's ``heeds`` plus ``handle_frame`` of another registered
+vehicle's beacon that it already verified (``handle_frame_warm``, the
+path every receiver after the first takes). Each timed loop
 runs inside ``perfbench/calib.py``'s ``Sampler``, so each value has
 its raw seconds per call (``_s``) and the same scaled to the reference
 host speed (``_ref_s``). Each side runs each set in ten fresh
@@ -208,7 +211,7 @@ _LAYER_RUN = """
 import json, os, sys, time
 sys.path.insert(0, sys.argv[1])
 import calib
-from ivtp import identity, netsim, vehicle
+from ivtp import consensus, identity, ledger, netsim, vehicle
 
 def timed(fn, reps):
     with calib.Sampler() as ticks:
@@ -265,6 +268,25 @@ def schedule_payload():
     payload = vehicle.encode_payload(S, "x-1", 0, crew, basis)
     return vehicle.Frame(S, ids[0], 0, payload).body
 
+# A registered vehicle's beacon, already verified, as every receiver after
+# the first hears it: heeds, then handle_frame at a second vehicle.
+dealer = identity.DealerAuthority.from_name("dealer")
+chain = ledger.Chain.create(dealer, endowment=100000, genesis_tf=0)
+fleet = []
+for alias in (b"IV-1", b"IV-2"):
+    pair = identity.keygen(identity.sha256(alias))
+    fleet.append((dealer.issue(pair.public_key), pair))
+regs = [consensus.PendingTx(tx=ledger.register_tx_from_issuance(i, dealer, tf=0)) for i, _ in fleet]
+assert consensus.try_commit(regs, set(), chain, now=0).block is not None
+sender, receiver = (vehicle.Vehicle(i.ivtp_id, pair, chain) for i, pair in fleet)
+heard = sender.emit_beacon(50)
+assert receiver.heeds(heard) and receiver.handle_frame(heard, 50) == []
+assert receiver.drop_count == 0
+
+def handle_frame_warm():
+    if receiver.heeds(heard):
+        receiver.handle_frame(heard, 50)
+
 out = {}
 for name, fn, reps in [
     ("dispatch_63", dispatch, 1000),
@@ -274,6 +296,7 @@ for name, fn, reps in [
     ("ed25519_verify", lambda: identity.verify(kp.public_key, message, signature), 400),
     ("payload_endorse", endorse_payload, 20000),
     ("payload_schedule_12", schedule_payload, 5000),
+    ("handle_frame_warm", handle_frame_warm, 100000),
 ]:
     best = min(timed(fn, reps) for _ in range(3))
     out[name + "_s"], out[name + "_ref_s"] = best
@@ -389,7 +412,7 @@ LAYER_METRICS = tuple(
     f"{name}{unit}"
     for name in (
         "dispatch_63", "verify_frame_cold", "verify_frame_warm", "ed25519_sign",
-        "ed25519_verify", "payload_endorse", "payload_schedule_12",
+        "ed25519_verify", "payload_endorse", "payload_schedule_12", "handle_frame_warm",
     )
     for unit in ("_s", "_ref_s")
 )

@@ -37,6 +37,10 @@ class ValidationError(ValueError):
         self.cause = cause
 
 
+# The run's names for the dealer and the ledger host; no vehicle may take one.
+DEALER_ALIAS, HOST_ALIAS = "dealer", "host"
+
+
 def seed_bytes(seed: str) -> bytes:
     """Vehicle key seed: 64 hex chars are taken verbatim, anything else
     is hashed, so human-readable names work as seeds."""
@@ -153,6 +157,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         raise ValidationError("vehicles", "must be a non-empty list")
     vehicles = []
     seen_aliases: set[str] = set()
+    seen_seeds: dict[bytes, int] = {}  # key seed -> the first vehicle's index
     for i, entry in enumerate(vehicles_raw):
         if not isinstance(entry, dict) or "alias" not in entry:
             raise ValidationError(f"vehicles[{i}]", "must be an object with an alias")
@@ -161,8 +166,13 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
             raise ValidationError(f"vehicles[{i}].alias", "must be a non-empty string")
         if alias in seen_aliases:
             raise ValidationError(f"vehicles[{i}].alias", f"duplicate alias {alias!r}")
+        if alias in (DEALER_ALIAS, HOST_ALIAS):
+            raise ValidationError(f"vehicles[{i}].alias", f"alias {alias!r} is reserved")
         seen_aliases.add(alias)
         seed = _text(f"vehicles[{i}]", entry, "seed", alias)
+        first = seen_seeds.setdefault(seed_bytes(seed), i)
+        if first != i:
+            raise ValidationError(f"vehicles[{i}].seed", f"same key seed as vehicles[{first}]")
         vehicles.append(VehicleSpec(alias=alias, seed=seed))
 
     intersections = []

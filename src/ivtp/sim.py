@@ -18,7 +18,7 @@ from . import consensus, identity, ledger, netsim, vehicle
 from .consensus import ConsensusConfig
 from .identity import sha256
 from .ledger import ArbitrationTx, RewardTx, TimeFlag, Transaction
-from .scenario import ScenarioConfig, seed_bytes
+from .scenario import DEALER_ALIAS, HOST_ALIAS, ScenarioConfig, seed_bytes
 from .vehicle import Endpoint, Frame, Vehicle
 
 HOST_ID = sha256(b"ivtp/ledger-host")
@@ -30,12 +30,12 @@ verify_frame = vehicle.verify_frame
 class LedgerHost(Endpoint):
     """Network participant that turns broadcasts into chain state: it
     reads beacons, transactions and endorsements, and refuses one of
-    those, with a drop row, for the reasons a vehicle would. It has no
-    handler for the session kinds, so it skips a registered sender's
-    session frame unchecked (Endpoint.heeds)."""
+    those, with a drop row, for the reasons a vehicle would. Its table
+    (Endpoint._DISPATCH) has no handler for the session kinds, so it
+    skips a registered sender's session frame unchecked (heeds)."""
 
     def __init__(self, chain: ledger.Chain, config: ConsensusConfig = ConsensusConfig()):
-        super().__init__(HOST_ID, "host", chain, config)
+        super().__init__(HOST_ID, HOST_ALIAS, chain, config)
         # tx_id -> its pooled tx, in arrival order.
         self.pending: dict[bytes, consensus.PendingTx] = {}
         # tx_id -> (arrival time, endorsement) for txs not heard yet;
@@ -143,7 +143,7 @@ def _build_world(cfg: ScenarioConfig):
         dealer, endowment=cfg.ledger.endowment_millitrust, genesis_tf=0
     )
     net = netsim.Network(cfg.network)
-    net.names[dealer.dealer_id] = "dealer"
+    net.names[dealer.dealer_id] = DEALER_ALIAS
     host = LedgerHost(chain, cfg.consensus)
 
     vehicles: dict[str, Vehicle] = {}

@@ -13,8 +13,8 @@ receiver verifies the signature against the sender's on-chain key, then
 reads the payload, before any handler sees the content; frames that fail
 are dropped and counted, never raised. A frame the receiver would not act
 on is ignored unchecked (Endpoint.heeds): a registered sender's frame of a
-kind the receiver has no handler for, and an endorsement of a transaction
-already on the chain.
+kind its class's table (Endpoint._DISPATCH) has no handler for, and an
+endorsement of a transaction already on the chain.
 """
 
 from __future__ import annotations
@@ -153,9 +153,13 @@ class Frame:
 
     @_once
     def signing_bytes(self) -> bytes:
-        """What the sender signs. Raises FieldOverflowError on a malformed
-        frame."""
-        return _signing_bytes(self.kind, self.sender, self.tf, self.payload)
+        """What the sender signs: the ledger's envelope (kind as the tag,
+        sender, tf), then the length-prefixed payload. Raises
+        FieldOverflowError on a malformed frame."""
+        kind = self.kind
+        if not 0 < kind < 256:
+            raise FieldOverflowError(f"frame kind out of range: {kind}")
+        return ledger.envelope(kind, self.sender, self.tf) + BLOB.encode(self.payload, "payload")
 
     @_once
     def body(self) -> tuple:
@@ -166,21 +170,13 @@ class Frame:
         return ledger.decode_exact(self.payload, _PAYLOAD_CODECS[self.kind], "payload")
 
 
-def _signing_bytes(kind: int, sender: IvTpId, tf: TimeFlag, payload: bytes) -> bytes:
-    """The ledger's envelope (kind as the tag, sender, tf), then the
-    length-prefixed payload."""
-    if not 0 < kind < 256:
-        raise FieldOverflowError(f"frame kind out of range: {kind}")
-    return ledger.envelope(kind, sender, tf) + ledger.BLOB.encode(payload, "payload")
-
-
 def make_frame(
     kind: int, keypair: KeyPair, sender: IvTpId, tf: TimeFlag, payload: bytes
 ) -> Frame:
     """A frame keypair signs on the first read of its signature (_SignOnRead)."""
     f = object.__new__(Frame)
     vars(f).update(kind=kind, sender=sender, tf=tf, payload=payload, _signer=keypair)
-    vars(f)["signing_bytes"] = _signing_bytes(kind, sender, tf, payload)
+    f.signing_bytes  # encoded here, so a malformed frame raises here
     return f
 
 
@@ -215,22 +211,14 @@ class Endpoint:
     alias: it writes a drop row for each frame it refuses, counted by
     reason, and note rows for what it does. It keeps the freshest beacon
     it heard from each sender, and runs every frame it heeds through one
-    pipeline: key lookup, signature check, then _receive. It heeds every
-    frame it could act on or must refuse; a known kind it has no handler
-    for it skips, unchecked, when the sender is registered."""
-
-    # Kind -> name of its handler method; a subclass without one ignores the kind.
-    _HANDLERS = {kind: f"_on_{label}" for kind, label in KIND_LABELS.items()}
-    # Set once per subclass: the known kinds it has no handler for, and the
-    # kinds heeds reads past its first test (those and endorse).
-    _UNHANDLED: frozenset[int] = frozenset()
-    _SCREENED: frozenset[int] = frozenset()
+    pipeline, handle_frame. Which kinds it acts on is its class's
+    _DISPATCH table, built from its _on_<label> methods; Endpoint itself
+    is only the base of Vehicle and sim.LedgerHost."""
 
     def __init_subclass__(cls, **kwargs):
+        # Each known kind -> the class's _on_<label> function, or None.
         super().__init_subclass__(**kwargs)
-        handlers = cls._HANDLERS.items()
-        cls._UNHANDLED = frozenset(k for k, name in handlers if not hasattr(cls, name))
-        cls._SCREENED = cls._UNHANDLED | {KIND_ENDORSE}
+        cls._DISPATCH = {k: getattr(cls, f"_on_{label}", None) for k, label in KIND_LABELS.items()}
 
     def __init__(
         self, ivtp_id: IvTpId, alias: str, chain: ledger.Chain, config: ConsensusConfig
@@ -274,10 +262,11 @@ class Endpoint:
         payload reads and names a transaction already on the chain. Such a
         frame skips handle_frame, so a forged one leaves no drop row. An
         unregistered sender's frame, an unknown kind and an unreadable
-        endorsement are heeded, and dropped by the pipeline."""
-        if f.kind not in self._SCREENED or not self.chain.is_registered(f.sender):
+        endorsement are heeded, and dropped by handle_frame."""
+        handled = self._DISPATCH.get(f.kind, True) is not None  # an unknown kind is heeded
+        if (handled and f.kind != KIND_ENDORSE) or not self.chain.is_registered(f.sender):
             return True
-        if f.kind in self._UNHANDLED:
+        if not handled:
             return False
         try:
             tx_id = f.body[0]
@@ -286,26 +275,19 @@ class Endpoint:
         return tx_id not in self.chain.tx_by_id
 
     def handle_frame(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        """Verification pipeline: on-chain key lookup, signature check,
-        then _receive. A bad frame is dropped with a trace row."""
+        """Verification pipeline: key lookup, signature check, kind (an
+        unknown one drops; one without a handler, which heeds keeps off
+        the network path, is ignored), payload read (never a beacon's),
+        carried transaction, then the handler. A bad frame is dropped
+        with a trace row; a fault in a handler raises."""
         pk = self.chain.public_key_of(f.sender)
         if pk is None:
             return self._drop(f, now, "unknown_sender")
         if not verify_frame(f, pk):
             return self._drop(f, now, "bad_signature")
-        return self._receive(f, now)
-
-    def _receive(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        """The pipeline past the key lookup and signature check: drop an
-        unknown kind, ignore one this endpoint has no handler for (on the
-        network heeds skips those, so only a direct call gets here), read
-        the payload (a beacon's is never read) and check its carried
-        transaction, then run the handler. Only the read can drop a frame
-        as bad_payload: a fault in a handler raises."""
-        name = self._HANDLERS.get(f.kind)
-        if name is None:
+        if f.kind not in self._DISPATCH:
             return self._drop(f, now, "unknown_kind")
-        handler = getattr(self, name, None)
+        handler = self._DISPATCH[f.kind]
         if handler is None:
             return []
         if f.kind != KIND_BEACON:
@@ -318,7 +300,7 @@ class Endpoint:
                 isinstance(body[-1], carries) and body[-1].author == f.sender
             ):
                 return self._drop(f, now, "tx_sender_mismatch")
-        return handler(f, now)
+        return handler(self, f, now)
 
     def _on_beacon(self, f: Frame, now: TimeFlag) -> list[Frame]:
         if f.tf > self.beacons.get(f.sender, -1):

@@ -113,6 +113,10 @@ class TestRunCommand:
             # Integers go on the wire as u64: a wider one is refused up front.
             ({"ledger": {"endowment_millitrust": 2**64}}, "ledger.endowment_millitrust"),
             ({"comms": [{"sender": "A", "at_ms": 2**64}]}, "comms[0].at_ms"),
+            # Two vehicles of one key made the dealer raise DuplicateKeyError;
+            # a vehicle named dealer hid its balance behind the dealer's.
+            ({"vehicles": [{"alias": "A"}, {"alias": "B", "seed": "A"}]}, "vehicles[1].seed"),
+            ({"vehicles": [{"alias": "dealer"}, {"alias": "B"}]}, "vehicles[0].alias"),
         ],
     )
     def test_wrongly_typed_field_is_a_schema_error(self, tmp_path, capsys, extra, fieldname):

@@ -394,6 +394,18 @@ class TestChain:
             assert ledger.balance(chain, veh) == 42_000
         assert ledger.balance(chain, dealer.dealer_id) == 0
 
+    @pytest.mark.parametrize("query", [ledger.balance, ledger.history], ids=lambda q: q.__name__)
+    def test_unregistered_id_is_an_unknown_vehicle(self, query):
+        """An id the chain never registered has neither a balance of 0 nor
+        an empty history: the query raises UnknownVehicleError, a KeyError
+        naming the id."""
+        _, chain, ids, _ = make_fleet(1)
+        stranger = identity.sha256(b"never registered")
+        with pytest.raises(ledger.UnknownVehicleError) as err:
+            query(chain, stranger)
+        assert isinstance(err.value, KeyError) and err.value.args == (stranger.hex(),)
+        query(chain, ids[0])  # a registered one answers
+
     def test_duplicate_registration_rejected(self):
         dealer, chain, ids, keys = make_fleet(1)
         kp = keys[ids[0]]

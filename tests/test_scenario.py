@@ -172,6 +172,17 @@ class TestLoad:
                  }]},
                 "intersections[0].arrival_ms.A",
             ),
+            # Two vehicles whose seeds, after seed_bytes, give one key: the
+            # alias is the default seed, and a name is its SHA-256 in hex.
+            ({"vehicles": [{"alias": "IV-1"}, {"alias": "IV-2", "seed": "IV-1"}]},
+             "vehicles[1].seed"),
+            ({"vehicles": [{"alias": "A", "seed": identity.sha256(b"B").hex()}, {"alias": "B"}]},
+             "vehicles[1].seed"),
+            ({"vehicles": [{"alias": "A", "seed": "ab" * 32}, {"alias": "B", "seed": "AB" * 32}]},
+             "vehicles[1].seed"),
+            # The run's own names for the dealer and the ledger host.
+            ({"vehicles": [{"alias": "A"}, {"alias": "dealer"}]}, "vehicles[1].alias"),
+            ({"vehicles": [{"alias": "host"}]}, "vehicles[0].alias"),
         ],
     )
     def test_validation_errors_name_the_field(self, raw, fieldname):

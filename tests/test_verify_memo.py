@@ -473,6 +473,51 @@ class TestUnhandledKinds:
         ]
         assert host.drops.total() == 0 and ed25519_verifies() == 1
 
+    @pytest.mark.parametrize(
+        "endpoint, kind", [("vehicle", KIND_ENDORSE), ("host", KIND_SCHEDULE)]
+    )
+    def test_direct_call_with_a_kind_it_has_no_handler_for(self, endpoint, kind, monkeypatch):
+        """handle_frame called directly, as the network never calls it
+        (heeds skips the frame), with a well-signed frame of a kind the
+        endpoint has no handler for and a garbage payload: it returns [],
+        writes no drop row and never reads the payload."""
+        net, _chain, vehicles, host, _ghost_kp, _ghost = _endorse_net()
+        receiver = host if endpoint == "host" else vehicles[1]
+        f = make_frame(kind, vehicles[0].keypair, vehicles[0].ivtp_id, 5, b"\xffgarbage")
+        reads, decode_exact = [], ledger.decode_exact
+
+        def counted(*args):
+            reads.append(args)
+            return decode_exact(*args)
+
+        monkeypatch.setattr(ledger, "decode_exact", counted)
+        assert receiver.handle_frame(f, 5) == []
+        assert reads == [] and "body" not in vars(f)
+        assert verify_frame(f, vehicles[0].keypair.public_key)  # checked: well signed
+        assert receiver.drops == {} and [r for r in net.trace if r["dir"] == "drop"] == []
+        with pytest.raises(DECODE_ERRORS):
+            f.body  # the payload would not have read
+
+    def test_each_class_has_its_own_table(self):
+        """A Vehicle subclass that defines _on_endorse heeds a registered
+        sender's endorse frame of a pending transaction and runs its
+        handler on it, while a plain Vehicle still skips the frame."""
+        heard = []
+
+        class Endorsing(Vehicle):
+            def _on_endorse(self, f, now):
+                heard.append((self.alias, f.body, now))
+                return []
+
+        _dealer, chain, ids, keys = make_fleet(3)
+        sender, plain = (Vehicle(veh, keys[veh], chain) for veh in ids[:2])
+        endorsing = Endorsing(ids[2], keys[ids[2]], chain, alias="IV-3")
+        tx = signed_comm(plain.keypair, plain.ivtp_id)  # pending: not on the chain
+        f = sender._frame(KIND_ENDORSE, 5, tx.tx_id, "valid")
+        assert endorsing.heeds(f) and not plain.heeds(f)
+        assert endorsing.handle_frame(f, 6) == [] and endorsing.drops == {}
+        assert heard == [("IV-3", (tx.tx_id, "valid"), 6)]
+
 
 def _state(*registrations):
     """A bare ledger state with these (id, public key) registrations."""
