@@ -22,13 +22,6 @@ from .ledger import TimeFlag, agree_message
 
 REWARD_MILLI_TRUST = 500
 
-# Who pays whom for a committed schedule. The default follows the
-# reward table (first arrival pays the proposer); the alternative reads
-# the fee as a bounty the proposer owes the right-of-way holder.
-REWARD_FIRST_TO_PROPOSER = "first_to_proposer"
-REWARD_PROPOSER_TO_FIRST = "proposer_to_first"
-REWARD_DIRECTIONS = (REWARD_FIRST_TO_PROPOSER, REWARD_PROPOSER_TO_FIRST)
-
 
 class EmptyIntentsError(ValueError):
     """Ordering requested with no arrival announcements at all."""
@@ -162,12 +155,8 @@ def recover(session: IntersectionSession) -> Phase:
     return session.phase
 
 
-def reward_parties(ordering, proposer: IvTpId, direction: str) -> tuple[IvTpId, IvTpId]:
-    """Resolve (payer, payee) for a committed ordering. Equal payer and
-    payee means no reward changes hands (no self-payment)."""
-    first = ordering[0]
-    if direction == REWARD_PROPOSER_TO_FIRST:
-        return proposer, first
-    if direction == REWARD_FIRST_TO_PROPOSER:
-        return first, proposer
-    raise ValueError(f"unknown reward direction: {direction}")
+def reward_parties(ordering, proposer: IvTpId) -> tuple[IvTpId, IvTpId]:
+    """(payer, payee) of a committed ordering's fee: the first vehicle in
+    the order pays the proposer. Equal payer and payee means no reward
+    changes hands (no self-payment)."""
+    return ordering[0], proposer

@@ -54,8 +54,8 @@ def _resolve_vehicle(chain: ledger.Chain, query: str) -> bytes | None:
 
 
 def _cmd_inspect(args) -> int:
-    # The file is read one block at a time, each replayed as it is read:
-    # the first fault met, structural or in the replay, is the one told.
+    # Blocks are replayed as they are read: validate tells the first fault
+    # met ahead of a checksum mismatch; a query refuses a mismatch unreplayed.
     try:
         with open(args.chain, "rb") as f:
             chain_file = ledger.parse_chain_bytes(f)

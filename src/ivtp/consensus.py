@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
-from . import arbitration, ledger
+from . import ledger
 from .identity import IvTpId
 from .ledger import ArbitrationTx, Chain, RegisterTx, TimeFlag, Transaction
 
@@ -23,13 +23,12 @@ VERDICT_INVALID = "invalid"
 
 @dataclass(frozen=True)
 class ConsensusConfig:
-    """The protocol timings and reward rule every participant follows."""
+    """The protocol timings every participant follows."""
 
     beacon_period_ms: int = 100
     beacon_window_ms: int = 500
     pending_ttl_ms: int = 2000
     agree_timeout_ms: int = 150
-    reward_direction: str = arbitration.REWARD_FIRST_TO_PROPOSER
 
 
 @dataclass(frozen=True)

@@ -775,15 +775,17 @@ def chain_to_bytes(chain: Chain) -> bytes:
 
 
 _FILE_HEADER = struct.Struct(">4sBQ")  # magic, version, endowment
+_HASH_READ = 1 << 16  # bytes per read of the digest pass
 
 
 class ChainFile:
-    """One read of a chain file, front to back (parse_chain_bytes opens
-    it). Each read is the header, a block's length or blob, or the
-    digest, and all but the digest feed one SHA-256 (a file that cannot
-    seek is read whole first). blocks() parses a block only when the next
-    is asked for, so a replay of them checks each block, and lets go of
-    its tx spans, before the next is read."""
+    """One read of a chain file (parse_chain_bytes opens it). Opening it
+    hashes the body in bounded reads and compares the trailing digest,
+    so checksum_ok is known before any block is parsed; then the body is
+    read again, front to back: the header, then each block's length and
+    blob (a file that cannot seek is read whole first). blocks() parses a
+    block only when the next is asked for, so a replay of them checks
+    each block, and lets go of its tx spans, before the next is read."""
 
     def __init__(self, f):
         if not f.seekable():  # a pipe, say: its size is known only once it is read
@@ -793,9 +795,12 @@ class ChainFile:
         f.seek(0)
         if self._left < _FILE_HEADER.size:
             raise CorruptChainFileError("truncated file")
-        self._sha = hashlib.sha256()
+        sha = hashlib.sha256()
+        for at in range(0, self._left, _HASH_READ):
+            sha.update(f.read(min(_HASH_READ, self._left - at)))
+        self.checksum_ok = sha.digest() == f.read(HASH_LEN)
+        f.seek(0)
         self.endowment = 0
-        self.checksum_ok: bool | None = None  # known once blocks() is done
 
     def _read(self, n: int) -> bytes:
         if n > self._left:
@@ -804,13 +809,12 @@ class ChainFile:
         if len(data) != n:
             raise CorruptChainFileError("truncated file")
         self._left -= n
-        self._sha.update(data)
         return data
 
     def blocks(self) -> Iterator[Block]:
         """Each block in file order. Within the read each distinct vehicle
         id is one bytes object, and a block_hash is its successor's
-        prev_hash object. At the end, checksum_ok is set."""
+        prev_hash object."""
         ids: dict[bytes, bytes] = {}
         prev = None
         while self._left:
@@ -821,16 +825,13 @@ class ChainFile:
                 object.__setattr__(prev, "block_hash", block.prev_hash)
             yield block
             prev = block
-        if self.checksum_ok is None:  # a second pass finds nothing left to read
-            self.checksum_ok = self._sha.digest() == self._f.read(HASH_LEN)
 
     def chain(self) -> Chain:
-        """The chain, replayed as it is read; raises CorruptChainFileError
-        on the first fault met, then on a checksum mismatch."""
-        chain = Chain.from_blocks(self.blocks(), self.endowment)
+        """The chain, replayed as it is read. Raises CorruptChainFileError on
+        a checksum mismatch before any replay, else on the first fault met."""
         if not self.checksum_ok:
             raise CorruptChainFileError("file checksum mismatch")
-        return chain
+        return Chain.from_blocks(self.blocks(), self.endowment)
 
 
 def parse_chain_bytes(f) -> ChainFile:

@@ -12,7 +12,6 @@ import json
 import os
 from dataclasses import dataclass
 
-from .arbitration import REWARD_DIRECTIONS
 from .consensus import ConsensusConfig
 from .identity import sha256
 from .ledger import DEFAULT_ENDOWMENT
@@ -112,9 +111,19 @@ def _nonneg(section: str, key: str, value) -> int:
     return value
 
 
+def _known(cls, raw: dict, where: str = "") -> None:
+    """raw, refused at its first key in file order that names no field
+    of cls: a misspelled field must not leave its default in force."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    for key in raw:
+        if key not in names:
+            raise ValidationError(f"{where}{key}", "unknown field")
+
+
 def _counts(cls, section: str, raw: dict, **given):
     """A cls whose fields, but those given, are the non-negative integers
     in raw under their names, or the field defaults where absent."""
+    _known(cls, raw, f"{section}.")
     counts = {
         f.name: _nonneg(section, f.name, raw.get(f.name, f.default))
         for f in dataclasses.fields(cls) if f.name not in given
@@ -132,6 +141,7 @@ def _text(where: str, entry: dict, key: str, default: str | None = None) -> str:
 def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ValidationError("$", "scenario must be a JSON object")
+    _known(ScenarioConfig, raw)
     name = raw.get("name", name)
     if not isinstance(name, str):
         raise ValidationError("name", "must be a string")
@@ -141,13 +151,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if isinstance(drop, bool) or not isinstance(drop, (int, float)) or not 0 <= drop <= 1:
         raise ValidationError("network.drop_probability", "must be a number within [0, 1]")
     network = _counts(NetworkConfig, "network", net_raw, drop_probability=float(drop))
-    # The reward rule is a top-level key of the file, and part of the consensus.
-    direction = raw.get("reward_direction", ConsensusConfig.reward_direction)
-    if direction not in REWARD_DIRECTIONS:
-        raise ValidationError("reward_direction", f"unknown value {direction!r}")
-    consensus = _counts(
-        ConsensusConfig, "consensus", _section(raw, "consensus"), reward_direction=direction
-    )
+    consensus = _counts(ConsensusConfig, "consensus", _section(raw, "consensus"))
     if consensus.beacon_period_ms == 0 or consensus.beacon_window_ms == 0:
         raise ValidationError("consensus", "beacon period and window must be positive")
     led = _counts(LedgerConfig, "ledger", _section(raw, "ledger"))
@@ -161,6 +165,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     for i, entry in enumerate(vehicles_raw):
         if not isinstance(entry, dict) or "alias" not in entry:
             raise ValidationError(f"vehicles[{i}]", "must be an object with an alias")
+        _known(VehicleSpec, entry, f"vehicles[{i}].")
         alias = entry["alias"]
         if not isinstance(alias, str) or not alias:
             raise ValidationError(f"vehicles[{i}].alias", "must be a non-empty string")
@@ -180,6 +185,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         where = f"intersections[{i}]"
         if not isinstance(entry, dict) or "id" not in entry:
             raise ValidationError(where, "must be an object with an id")
+        _known(IntersectionSpec, entry, f"{where}.")
         participants = entry.get("participants", [])
         if not isinstance(participants, list) or len(participants) < 1:
             raise ValidationError(f"{where}.participants", "must be a non-empty list")
@@ -223,6 +229,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         where = f"comms[{i}]"
         if not isinstance(entry, dict):
             raise ValidationError(where, "must be an object")
+        _known(CommSpec, entry, f"{where}.")
         sender = entry.get("sender")
         if not isinstance(sender, str) or sender not in seen_aliases:
             raise ValidationError(f"{where}.sender", f"unknown vehicle alias {sender!r}")

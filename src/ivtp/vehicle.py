@@ -453,32 +453,7 @@ class Vehicle(Endpoint):
                 "round": session.round,
             },
         )
-        out = [self._frame(KIND_REWARD_NOTICE, now, arb)]
-        out.extend(self._maybe_pay_reward(arb, now))
-        return out
-
-    def _maybe_pay_reward(self, arb: ArbitrationTx, now: TimeFlag) -> list[Frame]:
-        """Whoever owes the fee signs and announces its own transfer."""
-        payer, payee = arbitration.reward_parties(
-            arb.ordering, arb.proposer, self.config.reward_direction
-        )
-        if payer != self.ivtp_id or payer == payee or arb.intersection_id in self.paid_for:
-            return []
-        self.paid_for.add(arb.intersection_id)
-        reward = sign_tx(
-            RewardTx(
-                author=self.ivtp_id,
-                tf=now,
-                signature=b"",
-                from_id=self.ivtp_id,
-                to_id=payee,
-                amount=arbitration.REWARD_MILLI_TRUST,
-                reason=arb.intersection_id,
-            ),
-            self.keypair,
-        )
-        self.submitted.append(reward)
-        return [self._frame(KIND_REWARD_NOTICE, now, reward)]
+        return [self._frame(KIND_REWARD_NOTICE, now, arb)]
 
     def _enter_recovery(self, session: IntersectionSession, now: TimeFlag) -> list[Frame]:
         phase = arbitration.recover(session)
@@ -648,7 +623,7 @@ class Vehicle(Endpoint):
         session = self.sessions.get(tx.intersection_id)
         # Act only on an outcome for an intersection this vehicle takes
         # part in that would apply: check_tx wants the proposer as author
-        # and every member's agreement, this vehicle's included.
+        # and the agreement of every member of the order but the proposer.
         if (
             session is None
             or self.ivtp_id not in session.participants
@@ -658,4 +633,23 @@ class Vehicle(Endpoint):
         if session.phase not in (Phase.COMMITTED, Phase.ABORTED):
             session.phase = Phase.COMMITTED
             session.proposer = tx.proposer
-        return out + self._maybe_pay_reward(tx, now)
+        # The first in the order, hearing the outcome, pays the proposer: it
+        # signs and announces its own transfer, once per intersection.
+        payer, payee = arbitration.reward_parties(tx.ordering, tx.proposer)
+        if payer != self.ivtp_id or payer == payee or tx.intersection_id in self.paid_for:
+            return out
+        self.paid_for.add(tx.intersection_id)
+        reward = sign_tx(
+            RewardTx(
+                author=self.ivtp_id,
+                tf=now,
+                signature=b"",
+                from_id=self.ivtp_id,
+                to_id=payee,
+                amount=arbitration.REWARD_MILLI_TRUST,
+                reason=tx.intersection_id,
+            ),
+            self.keypair,
+        )
+        self.submitted.append(reward)
+        return out + [self._frame(KIND_REWARD_NOTICE, now, reward)]

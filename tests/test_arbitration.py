@@ -214,16 +214,11 @@ class TestRecovery:
 
 class TestRewardParties:
     def test_directions(self):
+        """The first vehicle in the order pays the proposer."""
         a, b, c = _vids(3)
-        assert reward_parties((a, b, c), c, arbitration.REWARD_FIRST_TO_PROPOSER) == (a, c)
-        assert reward_parties((a, b, c), c, arbitration.REWARD_PROPOSER_TO_FIRST) == (c, a)
+        assert reward_parties((a, b, c), c) == (a, c)
 
     def test_self_payment_collapses(self):
         a, b = _vids(2)
-        payer, payee = reward_parties((a, b), a, arbitration.REWARD_FIRST_TO_PROPOSER)
+        payer, payee = reward_parties((a, b), a)
         assert payer == payee == a
-
-    def test_unknown_direction_rejected(self):
-        a, b = _vids(2)
-        with pytest.raises(ValueError):
-            reward_parties((a, b), a, "sideways")

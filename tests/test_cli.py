@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from ivtp import cli, identity, ledger, scenario, sim
-from conftest import read_chain, signed_comm, tag2_tx_bytes
+from conftest import Meter, counting_ed25519, read_chain, signed_comm, tag2_tx_bytes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -117,6 +117,8 @@ class TestRunCommand:
             # a vehicle named dealer hid its balance behind the dealer's.
             ({"vehicles": [{"alias": "A"}, {"alias": "B", "seed": "A"}]}, "vehicles[1].seed"),
             ({"vehicles": [{"alias": "dealer"}, {"alias": "B"}]}, "vehicles[0].alias"),
+            # A misspelled field was read as absent, and its default ran.
+            ({"consensus": {"beacon_perod_ms": 1}}, "consensus.beacon_perod_ms"),
         ],
     )
     def test_wrongly_typed_field_is_a_schema_error(self, tmp_path, capsys, extra, fieldname):
@@ -270,7 +272,8 @@ class TestInspectValidate:
         _write_forged(tmp_path / "forged.bin", blocks, handles.chain.state.endowment)
         body = (tmp_path / "forged.bin").read_bytes()[: -ledger.HASH_LEN]
         path = tmp_path / "forged_then_cut.bin"
-        path.write_bytes(body + ledger._u32(2**32 - 1) + bytes(ledger.HASH_LEN))
+        cut = body + ledger._u32(2**32 - 1)
+        path.write_bytes(cut + hashlib.sha256(cut).digest())  # a digest that holds
 
         assert cli.main(["inspect", str(path), "validate"]) == 1
         captured = capsys.readouterr()
@@ -285,9 +288,10 @@ class TestInspectValidate:
         assert cli.main(["inspect", str(path), "validate"]) == 1
         assert capsys.readouterr().err == "corrupt chain file: truncated encoding\n"
 
-    def test_query_tells_a_replay_fault_before_a_checksum_mismatch(self, run_dir, tmp_path, capsys):
-        """A query reads the checksum only after the replay: a file with a
-        bad block and a bad digest is refused for the block."""
+    def test_query_tells_a_checksum_mismatch_before_a_replay_fault(self, run_dir, tmp_path, capsys):
+        """A query checks the digest before it replays anything: a file
+        with a bad block and a bad digest is refused for the digest.
+        validate still names the bad block first."""
         _, handles = run_dir
         blocks = list(handles.chain.blocks)
         blocks[2] = dataclasses.replace(blocks[2], merkle_root=b"\x22" * 32)
@@ -298,9 +302,26 @@ class TestInspectValidate:
         path.write_bytes(bytes(data))
         veh = handles.chain.blocks[1].txs[0].ivtp_id.hex()
         assert cli.main(["inspect", str(path), "balance", veh]) == 1
-        assert capsys.readouterr().err == (
-            "corrupt chain file: chain INVALID at block 2: merkle root mismatch\n"
+        assert capsys.readouterr().err == "corrupt chain file: file checksum mismatch\n"
+        assert cli.main(["inspect", str(path), "validate"]) == 1
+        assert capsys.readouterr().out == (
+            "INVALID: chain INVALID at block 2: merkle root mismatch\n"
         )
+
+    @pytest.mark.parametrize("query", ["balance", "history", "comm-table"])
+    def test_header_flip_is_refused_before_any_verify(self, run_dir, tmp_path, capsys, query):
+        """The endowment lies in no block hash, only under the file digest:
+        a query refuses the flipped file without one Ed25519 verify."""
+        out_dir, handles = run_dir
+        data = bytearray((out_dir / "chain.bin").read_bytes())
+        data[12] ^= 0x01  # endowment low byte
+        path = tmp_path / "header.bin"
+        path.write_bytes(bytes(data))
+        veh = handles.chain.blocks[1].txs[0].ivtp_id.hex()
+        with counting_ed25519(Meter()) as verifies:
+            assert cli.main(["inspect", str(path), query, veh]) == 1
+        assert verifies() == 0
+        assert capsys.readouterr().err == "corrupt chain file: file checksum mismatch\n"
 
     def test_checksum_mismatch_refused_after_a_sound_replay(self, run_dir, tmp_path, capsys):
         out_dir, handles = run_dir

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ivtp import scenario, sim
+from ivtp import ledger, scenario, sim
 from conftest import read_chain, scenario_path
 from synthetic import render, synthetic_scenario
 
@@ -61,3 +61,22 @@ def test_artifacts_match_golden_digests(name, tmp_path, locked_run):
     assert [b.block_hash for b in loaded.blocks] == [b.block_hash for b in chain.blocks]
     assert list(loaded.state.balances.items()) == list(chain.state.balances.items())
     assert list(loaded.state.registrations.items()) == list(chain.state.registrations.items())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_the_first_in_the_order_pays_the_proposer(name, locked_run):
+    """The fee rule on every locked run: no vehicle submits a reward for
+    a session it proposed, and each committed reward that names an
+    intersection goes from the first vehicle in that intersection's
+    committed ordering to its proposer."""
+    handles, _verifies, _signs = locked_run(name)
+    for veh in handles.vehicles.values():
+        proposed = {tx.intersection_id for tx in veh.submitted if isinstance(tx, ledger.ArbitrationTx)}
+        paid_for = {tx.reason for tx in veh.submitted if isinstance(tx, ledger.RewardTx)}
+        assert not proposed & paid_for
+    txs = [tx for block in handles.chain.blocks for tx in block.txs]
+    outcomes = {tx.intersection_id: tx for tx in txs if isinstance(tx, ledger.ArbitrationTx)}
+    for tx in txs:
+        if isinstance(tx, ledger.RewardTx) and tx.reason in outcomes:
+            arb = outcomes[tx.reason]
+            assert (tx.from_id, tx.to_id) == (arb.ordering[0], arb.proposer)

@@ -732,18 +732,23 @@ class TestChainFile:
             ledger.parse_chain_bytes(io.BytesIO(bytes(data))).chain()
 
     def test_no_read_exceeds_one_block(self):
-        """The reader reads the header, then each block's length and blob,
-        then the digest: every byte once, and never more at a time than
-        the largest block's blob."""
-        chain = _comm_chain()
+        """The reader first hashes the body in reads of at most 64 KiB and
+        reads the digest; then it reads the header, then each block's
+        length and blob: every body byte once more, and never more at a
+        time than the largest block's blob."""
+        chain = _comm_chain(240)
         data = ledger.chain_to_bytes(chain)
+        body = len(data) - ledger.HASH_LEN
+        assert 1 << 16 < body < 2 << 16
         f = _RecordedReads(data)
         loaded = ledger.parse_chain_bytes(f).chain()
         assert [b.block_hash for b in loaded.blocks] == [b.block_hash for b in chain.blocks]
+        digest_pass, parse = f.sizes[:3], f.sizes[3:]
+        assert digest_pass == [1 << 16, body - (1 << 16), ledger.HASH_LEN]
         largest = max(len(ledger.encode_block(b)) for b in chain.blocks)
-        assert len(f.sizes) == 2 + 2 * len(chain.blocks)
-        assert 0 < max(f.sizes) <= largest < len(data) // 10
-        assert sum(f.sizes) == len(data)
+        assert len(parse) == 1 + 2 * len(chain.blocks)
+        assert 0 < max(parse) <= largest < len(data) // 10
+        assert sum(parse) == body
 
     def test_each_block_is_replayed_before_the_next_is_read(self):
         chain = _comm_chain(5)
@@ -784,7 +789,8 @@ class TestChainFile:
 
     def test_first_fault_met_is_reported(self):
         """A replay fault stops the read: a later structural fault is not
-        reached, and neither is the checksum."""
+        reached. The checksum is known on open, and chain() refuses a
+        mismatch before it replays anything."""
         chain = _comm_chain(5)
         blocks = list(chain.blocks)
         blocks[2] = dataclasses.replace(blocks[2], merkle_root=b"\x22" * 32)
@@ -794,15 +800,16 @@ class TestChainFile:
         )
         broken = body + b"\xff\xff\xff\xff" + bytes(ledger.HASH_LEN)  # a length past the end
         chain_file = ledger.parse_chain_bytes(io.BytesIO(broken))
+        assert chain_file.checksum_ok is False
         report = ledger.validate_blocks(chain_file.blocks(), chain_file.endowment)
         assert (report.height, report.cause) == (2, "merkle root mismatch")
-        assert chain_file.checksum_ok is None
-        with pytest.raises(ledger.CorruptChainFileError, match="block 2: merkle root mismatch"):
+        with pytest.raises(ledger.CorruptChainFileError, match="^file checksum mismatch$"):
             ledger.parse_chain_bytes(io.BytesIO(broken)).chain()
         # The same length fault after a valid chain is met once the replay gets there.
         valid = ledger.chain_to_bytes(chain)[: -ledger.HASH_LEN]
+        chain_file = ledger.parse_chain_bytes(io.BytesIO(valid + b"\xff\xff\xff\xff" + bytes(32)))
         with pytest.raises(ledger.CorruptChainFileError, match="^truncated encoding$"):
-            ledger.parse_chain_bytes(io.BytesIO(valid + b"\xff\xff\xff\xff" + bytes(32))).chain()
+            ledger.validate_blocks(chain_file.blocks(), chain_file.endowment)
 
     def test_a_second_pass_reads_nothing_and_keeps_the_verdict(self):
         chain = _comm_chain(2)

@@ -51,7 +51,6 @@ class TestLoad:
         assert cfg.consensus.agree_timeout_ms == 150
         assert cfg.ledger.endowment_millitrust == 100_000
         assert cfg.run.t_end_ms == 2000
-        assert cfg.consensus.reward_direction == "first_to_proposer"
         assert cfg.vehicles[0].seed == "A"  # alias doubles as key seed
 
     def test_parse_error_carries_line(self, tmp_path):
@@ -183,6 +182,24 @@ class TestLoad:
             # The run's own names for the dealer and the ledger host.
             ({"vehicles": [{"alias": "A"}, {"alias": "dealer"}]}, "vehicles[1].alias"),
             ({"vehicles": [{"alias": "host"}]}, "vehicles[0].alias"),
+            # A misspelled field is refused, not read as absent: the first
+            # unknown key in file order is named.
+            ({"vehicles": [{"alias": "A"}], "netwrok": {"latency_ms": 5}}, "netwrok"),
+            ({"vehicles": [{"alias": "A"}], "consensus": {"beacon_perod_ms": 1}},
+             "consensus.beacon_perod_ms"),
+            ({"vehicles": [{"alias": "A", "sed": "x"}]}, "vehicles[0].sed"),
+            ({"vehicles": [{"alias": "A"}], "run": {"t_end": 5}}, "run.t_end"),
+            ({"vehicles": [{"alias": "A"}], "ledger": {"endowment": 1}}, "ledger.endowment"),
+            (
+                {"vehicles": [{"alias": "A"}],
+                 "intersections": [{
+                     "id": "x", "participants": ["A"], "window_ms": 5,
+                     "arrival_ms": {"A": 0}, "compute_delay_ms": {"A": 1},
+                 }]},
+                "intersections[0].window_ms",
+            ),
+            ({"vehicles": [{"alias": "A"}], "comms": [{"sender": "A", "at": 5}]}, "comms[0].at"),
+            ({"vehicles": [{"alias": "A"}], "zz": 1, "aa": 2}, "zz"),
         ],
     )
     def test_validation_errors_name_the_field(self, raw, fieldname):
@@ -415,23 +432,6 @@ class TestRun:
         assert report["balances"]["IV-3"] == 100_500
         assert report["balances"]["IV-1"] == 99_500
         assert ledger.validate_chain(handles.chain).ok
-
-    def test_proposer_to_first_reward(self):
-        """The scenario's reward rule reaches every vehicle: the proposer
-        IV-3 pays the fee to IV-1, first in the order."""
-        raw = json.loads((SCENARIOS / "intersection_table2.json").read_text())
-        raw["reward_direction"] = "proposer_to_first"
-        cfg = scenario.scenario_from_dict(raw)
-        assert cfg.consensus.reward_direction == "proposer_to_first"
-        report = sim.run(cfg).report
-        assert report["sessions"]["crossing-1"]["reward"] == {
-            "from": "IV-3", "to": "IV-1", "amount": 500, "reason": "crossing-1",
-        }
-        assert report["balances"]["IV-1"] == 100_500
-        assert report["balances"]["IV-3"] == 99_500
-        assert report["trace_digest"] == (
-            "752fb11f34b4e0e0e799aa322ab0c60d35bd76f4a3a9bf8a978a7641a39f7be9"
-        )
 
     def test_artifacts_written_and_reloadable(self, tmp_path):
         cfg = scenario.load_scenario(SCENARIOS / "intersection_table2.json")

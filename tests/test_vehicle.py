@@ -8,6 +8,7 @@ import struct
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from ivtp import arbitration, consensus, identity, ledger, netsim, scenario, sim, vehicle
 from ivtp.arbitration import Phase
@@ -723,3 +724,189 @@ class TestArbitraryPayloads:
         net.run_until(1000)
         for reason in {r for p in (*receivers, host) for r in p.drops}:
             assert reason in _PIPELINE_REASONS or reason.startswith("bad_payload:")
+
+
+class _Adversary:
+    """A registered key that runs no protocol: it sends whatever a rule
+    tells it to, well signed, and keeps every frame it hears to replay."""
+
+    def __init__(self, member: Vehicle):
+        self.ivtp_id, self.keypair = member.ivtp_id, member.keypair
+        self.heard: list[Frame] = []
+
+    def heeds(self, f: Frame) -> bool:
+        return True
+
+    def handle_frame(self, f: Frame, now) -> list:
+        self.heard.append(f)
+        return []
+
+    def handle_timer(self, tag, now) -> list:
+        return []
+
+
+_who = st.sampled_from([0, 1])
+
+
+class AdversaryMachine(RuleBasedStateMachine):
+    """Two adversaries, each with its own registered key, join the
+    intersection_table2 run and send well-signed frames of every kind:
+    any payload, replays, forged outcomes, endorsements of unknown,
+    stale, pending and committed transactions, transactions whose tf is
+    ahead of the clock or past the TTL, and rewards to each other that
+    name the real intersection. Whatever they send, supply is conserved,
+    the chain validates, nothing raises out of run_until, every drop is
+    the pipeline's, and no handler runs on a frame whose signature was
+    not checked against its sender's key."""
+
+    def __init__(self):
+        super().__init__()
+        raw = json.loads((SCENARIOS / "intersection_table2.json").read_text())
+        raw["vehicles"] += [{"alias": "X-1"}, {"alias": "X-2"}]
+        cfg = scenario.scenario_from_dict(raw)
+        self.chain, self.net, vehicles = sim._build_world(cfg)
+        self.advs = [_Adversary(vehicles.pop(alias)) for alias in ("X-1", "X-2")]
+        for adv in self.advs:
+            self.net.join(adv)  # in place of the honest vehicle of that key
+        sim._schedule(cfg, self.net, vehicles)
+        self.endpoints = [self.net.participants[sim.HOST_ID], *vehicles.values()]
+        self.ids = sorted(v.ivtp_id for v in vehicles.values()) + [a.ivtp_id for a in self.advs]
+        self.ttl = cfg.consensus.pending_ttl_ms
+        self.supply = ledger.total_supply(self.chain)
+        self.stale: list[bytes] = []  # ids of the skewed transactions sent
+        self.unchecked: list[tuple[str, str]] = []  # (endpoint, kind) a handler ran on unchecked
+        self.valid_height = -1
+        self.tables = {cls: cls._DISPATCH for cls in (Vehicle, sim.LedgerHost)}
+        for cls, table in self.tables.items():
+            cls._DISPATCH = {k: handler and self._guarded(handler) for k, handler in table.items()}
+
+    def _guarded(self, handler):
+        def run(endpoint, f, now):
+            if vars(f).get("_sig_verdict") != endpoint.chain.public_key_of(f.sender):
+                self.unchecked.append((endpoint.alias, f.kind_label))
+            return handler(endpoint, f, now)
+
+        return run
+
+    def teardown(self):
+        for cls, table in self.tables.items():
+            cls._DISPATCH = table
+
+    def _send(self, who: int, kind: int, *values, payload: bytes | None = None):
+        adv, now = self.advs[who], self.net.clock
+        if payload is None:
+            payload = vehicle.encode_payload(kind, *values)
+        self.net.broadcast(make_frame(kind, adv.keypair, adv.ivtp_id, now, payload), now)
+
+    def _signed(self, who: int, tx_type, **fields):
+        adv = self.advs[who]
+        tx = tx_type(author=adv.ivtp_id, signature=b"", **fields)
+        return ledger.sign_tx(tx, adv.keypair)
+
+    @rule(dt=st.integers(min_value=1, max_value=400))
+    def advance(self, dt):
+        self.net.run_until(self.net.clock + dt)
+
+    @rule(who=_who)
+    def beacon(self, who):
+        self._send(who, KIND_BEACON, payload=vehicle._BEACON_PAYLOAD)
+
+    @rule(who=_who, kind_payload=_any_payload())
+    def send_any(self, who, kind_payload):
+        kind, payload = kind_payload
+        self._send(who, kind, payload=payload)
+
+    @precondition(lambda self: self.advs[0].heard)
+    @rule(who=_who, pick=st.integers(min_value=0), resign=st.booleans())
+    def replay(self, who, pick, resign):
+        """A heard frame sent again: as it was, or its payload re-signed."""
+        f = self.advs[0].heard[pick % len(self.advs[0].heard)]
+        if resign:
+            self._send(who, f.kind, payload=f.payload)
+        else:
+            self.net.broadcast(Frame(f.kind, f.sender, f.tf, f.payload, f.signature), self.net.clock)
+
+    @rule(
+        who=_who,
+        iid=st.sampled_from(["crossing-1", "x-9"]),
+        members=st.lists(st.integers(min_value=0, max_value=5), max_size=6, unique=True),
+        agreed=st.booleans(),
+    )
+    def forge_outcome(self, who, iid, members, agreed):
+        """An outcome the adversary proposes. With agreements, the other
+        adversary's is real and an honest vehicle's is made up."""
+        me, other = self.advs[who], self.advs[1 - who]
+        ordering = tuple(dict.fromkeys([me.ivtp_id, *(self.ids[i] for i in members)]))
+        agreements = []
+        for veh in ordering[1:] if agreed else ():
+            sig = (
+                arbitration.agreement_signature(other.keypair, iid, ordering)
+                if veh == other.ivtp_id else identity.sha256(veh) * 2
+            )
+            agreements.append((veh, sig))
+        arb = self._signed(
+            who, ledger.ArbitrationTx, tf=self.net.clock, intersection_id=iid,
+            ordering=ordering, proposer=me.ivtp_id, agreements=tuple(sorted(agreements)),
+        )
+        self._send(who, KIND_REWARD_NOTICE, arb)
+
+    @rule(
+        who=_who,
+        source=st.sampled_from(["unknown", "stale", "pending", "committed"]),
+        pick=st.integers(min_value=0),
+        verdict=st.sampled_from([consensus.VERDICT_VALID, consensus.VERDICT_INVALID]),
+    )
+    def endorse(self, who, source, pick, verdict):
+        pools = {
+            "unknown": [identity.sha256(b"%d" % pick)],
+            "stale": self.stale,
+            "pending": list(self.endpoints[0].pending),
+            "committed": list(self.chain.tx_by_id),
+        }
+        pool = pools[source] or pools["unknown"]
+        self._send(who, KIND_ENDORSE, pool[pick % len(pool)], verdict)
+
+    @rule(who=_who, skew=st.integers(min_value=1, max_value=3000), ahead=st.booleans())
+    def skewed_tx(self, who, skew, ahead):
+        """A comm whose tf is ahead of the clock or past the TTL."""
+        now = self.net.clock
+        tf = now + skew if ahead else max(0, now - self.ttl - skew)
+        me = self.advs[who].ivtp_id
+        tx = self._signed(
+            who, ledger.CommTx, tf=tf, sender=me, receivers=(self.advs[1 - who].ivtp_id,),
+            message_hash=identity.sha256(b"m"), tf_sent=tf,
+        )
+        self.stale.append(tx.tx_id)
+        self._send(who, KIND_COMM, b"m", tx)
+
+    @rule(who=_who)
+    def reward_the_other(self, who):
+        """A fee paid to the other adversary for the real intersection.
+        The ledger takes it until it knows who owes whom: not asserted."""
+        tx = self._signed(
+            who, ledger.RewardTx, tf=self.net.clock, from_id=self.advs[who].ivtp_id,
+            to_id=self.advs[1 - who].ivtp_id, amount=arbitration.REWARD_MILLI_TRUST,
+            reason="crossing-1",
+        )
+        self._send(who, KIND_REWARD_NOTICE, tx)
+
+    @invariant()
+    def supply_is_conserved_and_the_chain_validates(self):
+        assert ledger.total_supply(self.chain) == self.supply
+        if self.chain.height != self.valid_height:
+            assert ledger.validate_chain(self.chain).ok
+            self.valid_height = self.chain.height
+
+    @invariant()
+    def every_drop_is_the_pipelines(self):
+        for endpoint in self.endpoints:
+            for reason in endpoint.drops:
+                assert reason in _PIPELINE_REASONS or reason.startswith("bad_payload:")
+
+    @invariant()
+    def no_handler_runs_unchecked(self):
+        assert self.unchecked == []
+
+
+TestAdversaries = AdversaryMachine.TestCase
+TestAdversaries.settings = settings(max_examples=50, stateful_step_count=40, deadline=None)
