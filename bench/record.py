@@ -60,8 +60,9 @@ frame on that first read times the check alone too) and warm (the same
 frame again, as every further receiver checks it), raw Ed25519
 ``identity.sign`` and ``identity.verify`` of one frame's signing bytes,
 and a frame payload's encode plus decode (``payload_endorse`` for an
-endorse frame, ``payload_schedule_12`` for a schedule of 12 vehicles: a
-sender's encoding, then a fresh frame's ``body``), and a receiving
+endorse frame, ``payload_schedule_12`` for a schedule of 12 vehicles, with the fields
+that checkout's schedule has: a sender's encoding, then a fresh frame's
+``body``), and a receiving
 vehicle's ``heeds`` plus ``handle_frame`` of another registered
 vehicle's beacon that it already verified (``handle_frame_warm``, the
 path every receiver after the first takes). Each timed loop
@@ -256,16 +257,19 @@ message = warm.signing_bytes
 signature = identity.sign(kp, message)
 
 # Payload encode plus decode, as a sender writes and a receiver reads it:
-# an endorse frame's, and a schedule frame's for 12 vehicles.
+# an endorse frame's, and a schedule frame's for 12 vehicles. The schedule
+# values are cut to the fields this checkout's schedule has (an order
+# only, or an order and the arrival times it was sorted from).
 crew = ids[:12]
-basis = tuple((veh, 100 + i) for i, veh in enumerate(crew))
 E, S = vehicle.KIND_ENDORSE, vehicle.KIND_SCHEDULE
+schedule = ("x-1", 0, crew, tuple((veh, 100 + i) for i, veh in enumerate(crew)))
+schedule = schedule[: len(vehicle.PAYLOAD_FIELDS[S])]
 
 def endorse_payload():
     return vehicle.Frame(E, ids[0], 0, vehicle.encode_payload(E, ids[1], "valid")).body
 
 def schedule_payload():
-    payload = vehicle.encode_payload(S, "x-1", 0, crew, basis)
+    payload = vehicle.encode_payload(S, *schedule)
     return vehicle.Frame(S, ids[0], 0, payload).body
 
 # A registered vehicle's beacon, already verified, as every receiver after

@@ -61,21 +61,6 @@ def elect_scheduler(
     return scheduler, intent_completion_time + compute_delays[scheduler]
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """A proposed crossing order together with the arrival times it was
-    derived from, so receivers can recheck the sort."""
-
-    ordering: tuple[IvTpId, ...]
-    basis: tuple[tuple[IvTpId, TimeFlag], ...]
-
-    def consistent(self) -> bool:
-        basis = dict(self.basis)
-        if len(basis) != len(self.basis) or not basis:
-            return False
-        return list(self.ordering) == compute_order(basis)
-
-
 @dataclass
 class IntersectionSession:
     """One vehicle's view of one intersection negotiation."""
@@ -87,7 +72,7 @@ class IntersectionSession:
     phase: Phase = Phase.COLLECTING
     round: int = 0
     proposer: IvTpId | None = None
-    schedule: Schedule | None = None
+    ordering: tuple[IvTpId, ...] | None = None  # the proposed order, once proposed or agreed to
     agreements: dict[IvTpId, bytes] = field(default_factory=dict)
 
     def add_intent(self, vehicle: IvTpId, tf: TimeFlag) -> bool:
@@ -109,18 +94,11 @@ class IntersectionSession:
         scheduler = min(self.participants)
         return scheduler, now + self.compute_delays[scheduler]
 
-    def make_schedule(self) -> Schedule:
-        ordering = tuple(compute_order(self.intents))
-        basis = tuple(sorted(self.intents.items()))
-        return Schedule(ordering=ordering, basis=basis)
-
-    def matches(self, schedule: Schedule) -> bool:
+    def matches(self, ordering: tuple[IvTpId, ...]) -> bool:
         """True when this vehicle's own intent set is complete and
         reproduces the proposed ordering exactly: a vehicle cannot vouch
         for an order it cannot recompute."""
-        if not self.is_complete() or not schedule.consistent():
-            return False
-        return list(schedule.ordering) == compute_order(self.intents)
+        return self.is_complete() and list(ordering) == compute_order(self.intents)
 
     def record_agreement(self, vehicle: IvTpId, sig: bytes) -> None:
         if vehicle in self.participants and vehicle != self.proposer:
@@ -146,7 +124,7 @@ def recover(session: IntersectionSession) -> Phase:
         return session.phase
     session.round += 1
     session.agreements.clear()
-    session.schedule = None
+    session.ordering = None
     session.proposer = None
     if session.round >= 2:
         session.phase = Phase.ABORTED

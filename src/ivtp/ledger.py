@@ -178,7 +178,6 @@ IDS = _list_of(ID)._replace(intern=lambda vs, ids: tuple([ids.setdefault(v, v) f
 AGREEMENTS = _list_of(ID, SIGNATURE)._replace(  # (voter id, signature) pairs
     intern=lambda rows, ids: tuple([(ids.setdefault(v, v), sig) for v, sig in rows])
 )
-STAMPED_IDS = _list_of(ID, U64)  # (id, time flag) pairs
 _ENVELOPE = struct.Struct(">B" + ID.fmt + U64.fmt)  # tag, author, tf
 
 

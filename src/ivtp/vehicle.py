@@ -6,15 +6,16 @@ trust-point id, a time flag and a kind-specific payload, signed by the
 sender when its signature is first read, in practice by the first
 receiver that checks it: a frame nobody checks is never signed, and as
 Ed25519 is deterministic the bytes are what an eager sign makes.
-Frames travel between participants as objects; their only byte
-form is the signing bytes. Each payload is its kind's fields in wire
-order (PAYLOAD_FIELDS), written and read by the ledger's codecs. A
-receiver verifies the signature against the sender's on-chain key, then
-reads the payload, before any handler sees the content; frames that fail
-are dropped and counted, never raised. A frame the receiver would not act
-on is ignored unchecked (Endpoint.heeds): a registered sender's frame of a
-kind its class's table (Endpoint._DISPATCH) has no handler for, and an
-endorsement of a transaction already on the chain.
+Frames travel between participants as objects; their only byte form is
+the signing bytes. Each payload is the fields its kind's handler reads, in
+wire order (PAYLOAD_FIELDS; a beacon's is empty), written and read by the
+ledger's codecs, the same way for every kind. A receiver verifies the
+signature against the sender's on-chain key, then reads the payload,
+before any handler sees the content; frames that fail are dropped and
+counted, never raised. A frame the receiver would not act on is ignored
+unchecked (Endpoint.heeds): a registered sender's frame of a kind its
+class's table (Endpoint._DISPATCH) has no handler for, and an endorsement
+of a transaction already on the chain.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import arbitration, consensus, identity, ledger
-from .arbitration import IntersectionSession, Phase, Schedule
+from .arbitration import IntersectionSession, Phase
 from .consensus import ConsensusConfig
 from .identity import IvTpId, KeyPair, sha256, short_id
 from .ledger import (
@@ -31,7 +32,6 @@ from .ledger import (
     ID,
     IDS,
     SIGNATURE,
-    STAMPED_IDS,
     TEXT,
     U64,
     ArbitrationTx,
@@ -74,16 +74,14 @@ TX = Codec(
     lambda r: canonical_decode(BLOB.decode(r)),
 )
 
-# Each kind's payload fields, in wire order, with the codec of each.
+# Each kind's payload: the fields its handler reads, in wire order, with a codec each.
 PAYLOAD_FIELDS = {
-    KIND_BEACON: (("network_id", TEXT), ("position_zone", TEXT)),
+    KIND_BEACON: (),
     KIND_COMM: (("message", BLOB), ("tx", TX)),
     KIND_INTENT: (("intersection", TEXT), ("tf", U64)),
-    KIND_SCHEDULE: (
-        ("intersection", TEXT), ("round", U64), ("ordering", IDS), ("basis", STAMPED_IDS),
-    ),
+    KIND_SCHEDULE: (("intersection", TEXT), ("round", U64), ("ordering", IDS)),
     KIND_AGREE: (("intersection", TEXT), ("round", U64), ("sig", SIGNATURE)),
-    KIND_DISAGREE: (("intersection", TEXT), ("round", U64), ("ordering", IDS)),
+    KIND_DISAGREE: (("intersection", TEXT), ("round", U64)),
     KIND_ENDORSE: (("tx_id", ID), ("verdict", TEXT)),
     KIND_REWARD_NOTICE: (("tx", TX),),
 }
@@ -198,10 +196,6 @@ def encode_payload(kind: int, *values) -> bytes:
     return b"".join([codec.encode(v, name) for (name, codec), v in zip(fields, values, strict=True)])
 
 
-# Every beacon carries the same payload, which no receiver reads.
-_BEACON_PAYLOAD = encode_payload(KIND_BEACON, "net-0", "zone-0")
-
-
 # ---------------------------------------------------------------------------
 # The agent
 # ---------------------------------------------------------------------------
@@ -277,9 +271,9 @@ class Endpoint:
     def handle_frame(self, f: Frame, now: TimeFlag) -> list[Frame]:
         """Verification pipeline: key lookup, signature check, kind (an
         unknown one drops; one without a handler, which heeds keeps off
-        the network path, is ignored), payload read (never a beacon's),
-        carried transaction, then the handler. A bad frame is dropped
-        with a trace row; a fault in a handler raises."""
+        the network path, is ignored), payload read, carried transaction,
+        then the handler. A bad frame is dropped with a trace row; a fault
+        in a handler raises."""
         pk = self.chain.public_key_of(f.sender)
         if pk is None:
             return self._drop(f, now, "unknown_sender")
@@ -290,16 +284,15 @@ class Endpoint:
         handler = self._DISPATCH[f.kind]
         if handler is None:
             return []
-        if f.kind != KIND_BEACON:
-            try:
-                body = f.body
-            except DECODE_ERRORS as exc:
-                return self._drop(f, now, f"bad_payload:{exc}")
-            carries = CARRIES.get(f.kind)
-            if carries is not None and not (
-                isinstance(body[-1], carries) and body[-1].author == f.sender
-            ):
-                return self._drop(f, now, "tx_sender_mismatch")
+        try:
+            body = f.body
+        except DECODE_ERRORS as exc:
+            return self._drop(f, now, f"bad_payload:{exc}")
+        carries = CARRIES.get(f.kind)
+        if carries is not None and not (
+            isinstance(body[-1], carries) and body[-1].author == f.sender
+        ):
+            return self._drop(f, now, "tx_sender_mismatch")
         return handler(self, f, now)
 
     def _on_beacon(self, f: Frame, now: TimeFlag) -> list[Frame]:
@@ -348,7 +341,7 @@ class Vehicle(Endpoint):
         alone; also refreshes our own entry in the local freshness table
         so we count ourselves active."""
         self.beacons[self.ivtp_id] = now
-        return make_frame(KIND_BEACON, self.keypair, self.ivtp_id, now, _BEACON_PAYLOAD)
+        return self._frame(KIND_BEACON, now)
 
     def send_comm(self, payload: bytes, now: TimeFlag) -> tuple[Frame, CommTx]:
         """Broadcast a message and the matching on-chain record. The
@@ -415,14 +408,8 @@ class Vehicle(Endpoint):
 
     def _propose(self, session: IntersectionSession, now: TimeFlag) -> list[Frame]:
         session.phase = Phase.AGREEING
-        schedule = session.make_schedule()
-        session.schedule = schedule
-        out = [
-            self._frame(
-                KIND_SCHEDULE, now, session.intersection_id, session.round,
-                schedule.ordering, schedule.basis,
-            )
-        ]
+        ordering = session.ordering = tuple(arbitration.compute_order(session.intents))
+        out = [self._frame(KIND_SCHEDULE, now, session.intersection_id, session.round, ordering)]
         if session.unanimous():  # single-participant session
             out.extend(self._commit(session, now))
         return out
@@ -436,7 +423,7 @@ class Vehicle(Endpoint):
                 tf=now,
                 signature=b"",
                 intersection_id=session.intersection_id,
-                ordering=session.schedule.ordering,
+                ordering=session.ordering,
                 proposer=self.ivtp_id,
                 agreements=tuple(sorted(session.agreements.items())),
             ),
@@ -448,7 +435,7 @@ class Vehicle(Endpoint):
             "session_committed",
             {
                 "intersection": session.intersection_id,
-                "ordering": [self._name_of(v) for v in session.schedule.ordering],
+                "ordering": [self._name_of(v) for v in session.ordering],
                 "proposer": self.alias,
                 "round": session.round,
             },
@@ -561,7 +548,7 @@ class Vehicle(Endpoint):
         return []
 
     def _on_schedule(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        iid, round_, ordering, basis = f.body
+        iid, round_, ordering = f.body
         session = self.sessions.get(iid)
         if session is None or self.ivtp_id not in session.participants:
             return []
@@ -571,15 +558,13 @@ class Vehicle(Endpoint):
             return []  # leftover from an already-failed round
         if session.proposer is not None and f.sender != session.proposer:
             return []
-        schedule = Schedule(ordering=ordering, basis=basis)
-        if session.matches(schedule):
+        if session.matches(ordering):
             session.phase = Phase.AGREEING
             session.proposer = f.sender
-            session.schedule = schedule
-            sig = arbitration.agreement_signature(self.keypair, iid, schedule.ordering)
+            session.ordering = ordering
+            sig = arbitration.agreement_signature(self.keypair, iid, ordering)
             return [self._frame(KIND_AGREE, now, iid, session.round, sig)]
-        mine = arbitration.compute_order(session.intents) if session.intents else ()
-        disagree = self._frame(KIND_DISAGREE, now, iid, session.round, mine)
+        disagree = self._frame(KIND_DISAGREE, now, iid, session.round)
         return [disagree] + self._enter_recovery(session, now)
 
     def _on_agree(self, f: Frame, now: TimeFlag) -> list[Frame]:
@@ -594,7 +579,7 @@ class Vehicle(Endpoint):
         ):
             return []
         pk = self.chain.public_key_of(f.sender)
-        msg = agree_message(session.intersection_id, session.schedule.ordering)
+        msg = agree_message(session.intersection_id, session.ordering)
         if pk is None or not identity.verify(pk, msg, sig):
             return self._drop(f, now, "bad_agreement_sig")
         session.record_agreement(f.sender, sig)
@@ -603,7 +588,7 @@ class Vehicle(Endpoint):
         return []
 
     def _on_disagree(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        iid, round_, _ordering = f.body
+        iid, round_ = f.body
         session = self.sessions.get(iid)
         if (
             session is None
@@ -622,11 +607,13 @@ class Vehicle(Endpoint):
             return out
         session = self.sessions.get(tx.intersection_id)
         # Act only on an outcome for an intersection this vehicle takes
-        # part in that would apply: check_tx wants the proposer as author
-        # and the agreement of every member of the order but the proposer.
+        # part in, ordering exactly its participants, that would apply:
+        # check_tx wants the proposer as author and the agreement of every
+        # member of the order but the proposer.
         if (
             session is None
             or self.ivtp_id not in session.participants
+            or set(tx.ordering) != session.participants
             or self.chain.state.check_tx(tx, self.chain.height + 1) is not None
         ):
             return out

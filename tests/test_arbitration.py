@@ -10,7 +10,6 @@ from ivtp import arbitration
 from ivtp.arbitration import (
     IntersectionSession,
     Phase,
-    Schedule,
     compute_order,
     elect_scheduler,
     recover,
@@ -140,27 +139,18 @@ class TestSession:
     def test_matches_accepts_own_recomputation(self):
         a, b = _vids(2)
         s = _session([a, b], [1, 2], intents={a: 10, b: 12})
-        assert s.matches(s.make_schedule())
+        assert s.matches(tuple(compute_order(s.intents)))
 
     def test_matches_rejects_forged_ordering(self):
         a, b = _vids(2)
         s = _session([a, b], [1, 2], intents={a: 10, b: 12})
-        forged = Schedule(ordering=(b, a), basis=tuple(sorted(s.intents.items())))
-        assert not s.matches(forged)
-
-    def test_matches_rejects_inconsistent_basis(self):
-        a, b = _vids(2)
-        s = _session([a, b], [1, 2], intents={a: 10, b: 12})
-        forged = Schedule(ordering=(b, a), basis=((a, 10), (b, 5)))
-        # Internally consistent with its own basis, but not with ours.
-        assert forged.consistent()
-        assert not s.matches(forged)
+        assert not s.matches((b, a))
 
     def test_incomplete_collector_cannot_vouch(self):
         a, b = _vids(2)
         full = _session([a, b], [1, 2], intents={a: 10, b: 12})
         starved = _session([a, b], [1, 2], intents={a: 10})
-        proposal = full.make_schedule()
+        proposal = tuple(compute_order(full.intents))
         assert not starved.matches(proposal)
 
     def test_agreement_bookkeeping(self):
@@ -181,11 +171,11 @@ class TestRecovery:
         s = _session([a, b], [1, 2], intents={a: 10, b: 12})
         s.phase = Phase.AGREEING
         s.proposer = a
-        s.schedule = s.make_schedule()
+        s.ordering = tuple(compute_order(s.intents))
         s.agreements[b] = b"sig"
         assert recover(s) is Phase.COLLECTING
         assert s.round == 1
-        assert s.proposer is None and s.schedule is None and not s.agreements
+        assert s.proposer is None and s.ordering is None and not s.agreements
         assert s.intents  # arrival knowledge survives the retry
 
     def test_second_failure_aborts(self):

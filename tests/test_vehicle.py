@@ -54,7 +54,6 @@ _FIELD_VALUES = {
     ledger.IDS: _id_lists,
     ledger.SIGNATURE: _sigs,
     ledger.BLOB: st.binary(max_size=40),
-    ledger.STAMPED_IDS: st.lists(st.tuples(_ids, _u64s), max_size=4).map(tuple),
     vehicle.TX: st.one_of(
         st.builds(
             ledger.CommTx, author=_ids, tf=_u64s, signature=_sigs, sender=_ids,
@@ -151,7 +150,7 @@ def _sample_payload(kind, v):
     values = {
         KIND_COMM: (b"m", tx),
         KIND_INTENT: ("x-1", 5),
-        KIND_SCHEDULE: ("x-1", 0, ids, ((v.ivtp_id, 5),)),
+        KIND_SCHEDULE: ("x-1", 0, ids),
         KIND_ENDORSE: (tx.tx_id, consensus.VERDICT_VALID),
         KIND_REWARD_NOTICE: (_reward(v, v),),
     }[kind]
@@ -225,6 +224,16 @@ class TestPipeline:
         assert host.pending == {} and host.early_endorsements == {}
         host_reads = kind in (KIND_COMM, KIND_ENDORSE, KIND_REWARD_NOTICE)
         assert [r.split(":")[0] for r in host.drops] == (["bad_payload"] if host_reads else [])
+
+    def test_beacon_with_a_payload_dropped(self):
+        """A beacon's payload is empty: one with bytes in it drops like any
+        other kind's payload with bytes past its fields."""
+        net, (a, b), host = _with_host(2)
+        net.broadcast(make_frame(KIND_BEACON, a.keypair, a.ivtp_id, 5, b"{}"), 5)
+        net.run_until(10)
+        for endpoint in (b, host):
+            assert endpoint.drops == {"bad_payload:trailing bytes after payload": 1}
+            assert endpoint.beacons == {}
 
     def test_beacon_updates_freshness_and_ignores_stale(self):
         _, _, (a, b) = _wire(2)
@@ -356,7 +365,7 @@ class TestIntersection:
             s = v.sessions["x-1"]
             assert s.phase is Phase.COMMITTED
             assert s.proposer == ids[2]  # smallest compute delay
-            assert s.schedule.ordering == tuple(ids)  # arrival order
+            assert s.ordering == tuple(ids)  # arrival order
         proposer = vehicles[2]
         arbs = [t for t in proposer.submitted if isinstance(t, ledger.ArbitrationTx)]
         assert len(arbs) == 1
@@ -373,7 +382,7 @@ class TestIntersection:
         net.run_until(300)
         s = vehicles[0].sessions["x-1"]
         assert s.phase is Phase.COMMITTED
-        assert s.schedule.ordering == (vehicles[0].ivtp_id,)
+        assert s.ordering == (vehicles[0].ivtp_id,)
 
     def test_duplicate_session_refused(self):
         _, net, (v,) = _wire(1)
@@ -400,7 +409,7 @@ class TestIntersection:
         for v in vehicles:
             s = v.sessions["x-1"]
             assert s.phase is Phase.COMMITTED, v.alias
-            assert s.schedule.ordering == tuple(ids)
+            assert s.ordering == tuple(ids)
         retries = [r for r in net.trace if r["kind"] == "session_retry"]
         assert retries
         commits = [r for r in net.trace if r["kind"] == "session_committed"]
@@ -626,6 +635,34 @@ class TestRewardGuard:
         _announce(net, iv2, tx, 20)  # a replay of the same announcement
         assert _fees(iv1) == [(iv2.ivtp_id, "x-1")]
 
+    def test_outcome_ordering_an_outsider_does_not_end_the_session(self):
+        """A registered vehicle outside crossing-1 announces, early in the
+        intersection_table2 run, an outcome that orders only itself: it
+        needs no agreement to pass check_tx, yet ends no session. The
+        honest outcome commits and every participant holds its proposer."""
+        raw = json.loads((SCENARIOS / "intersection_table2.json").read_text())
+        raw["vehicles"].append({"alias": "X-1"})
+        cfg = scenario.scenario_from_dict(raw)
+        chain, net, vehicles = sim._build_world(cfg)
+        outsider = vehicles.pop("X-1")
+        net.join(_Adversary(outsider))
+        sim._schedule(cfg, net, vehicles)
+        net.run_until(5)
+        forged = _arbitration(outsider, [outsider], "crossing-1")
+        assert chain.state.check_tx(forged, chain.height + 1) is None
+        _announce(net, outsider, forged, 5)
+        net.run_until(cfg.run.t_end_ms)
+        honest = vehicles["IV-3"].ivtp_id  # the smallest compute delay
+        for v in vehicles.values():
+            assert (v.sessions["crossing-1"].phase, v.sessions["crossing-1"].proposer) == (
+                Phase.COMMITTED, honest,
+            )
+        outcomes = [
+            (tx.proposer, tx.ordering) for block in chain.blocks for tx in block.txs
+            if isinstance(tx, ledger.ArbitrationTx) and tx.intersection_id == "crossing-1"
+        ]
+        assert (honest, tuple(v.ivtp_id for v in vehicles.values())) in outcomes
+
     def test_outsider_does_not_pay(self):
         net, (iv1, iv2, iv3, iv4) = self._open(4)
         iv1.sessions.clear()
@@ -809,7 +846,7 @@ class AdversaryMachine(RuleBasedStateMachine):
 
     @rule(who=_who)
     def beacon(self, who):
-        self._send(who, KIND_BEACON, payload=vehicle._BEACON_PAYLOAD)
+        self._send(who, KIND_BEACON)
 
     @rule(who=_who, kind_payload=_any_payload())
     def send_any(self, who, kind_payload):
@@ -902,6 +939,12 @@ class AdversaryMachine(RuleBasedStateMachine):
         for endpoint in self.endpoints:
             for reason in endpoint.drops:
                 assert reason in _PIPELINE_REASONS or reason.startswith("bad_payload:")
+
+    @invariant()
+    def a_committed_session_holds_one_of_its_participants(self):
+        for v in self.endpoints[1:]:
+            s = v.sessions["crossing-1"]
+            assert s.phase is not Phase.COMMITTED or s.proposer in s.participants
 
     @invariant()
     def no_handler_runs_unchecked(self):

@@ -456,7 +456,7 @@ class TestUnhandledKinds:
         while every vehicle that hears it drops it, for one verify."""
         net, _chain, vehicles, host, _ghost_kp, _ghost = _endorse_net()
         iv1 = vehicles[0]
-        genuine = iv1._frame(KIND_SCHEDULE, 5, "x-1", 0, (iv1.ivtp_id,), ((iv1.ivtp_id, 5),))
+        genuine = iv1._frame(KIND_SCHEDULE, 5, "x-1", 0, (iv1.ivtp_id,))
         forged = dataclasses.replace(genuine, signature=bytes(64))
         ed25519_verifies.reset()
         net.broadcast(forged, 5)
@@ -625,7 +625,7 @@ class TestCachedSigningBytes:
 
     def test_forged_frame_drops_after_the_original_is_cached(self):
         a, b = _pair()
-        f = make_frame(KIND_BEACON, b.keypair, b.ivtp_id, 0, b"{}")
+        f = make_frame(KIND_BEACON, b.keypair, b.ivtp_id, 0, b"")
         assert a.handle_frame(f, 0) == [] and a.drop_count == 0
         for forged in (
             dataclasses.replace(f, tf=999),
