@@ -1,7 +1,7 @@
 """Record a BENCH_<n>.json file: the benchmark run in alternating pairs of
 a parent commit and the working tree, the synthetic N-vehicle matrix, and
-the per-layer codec, dispatch, frame-verify, Ed25519 and frame-payload
-microbenches.
+the per-layer codec, dispatch, frame-verify, Ed25519, frame-payload,
+Merkle and commit microbenches.
 
     python3 bench/record.py --parent PARENT_REV --seed 2001 --pairs 10 --out BENCH_<n>.json
 
@@ -58,14 +58,20 @@ no-op participants, 1 ms latency and 2 ms jitter, drained by
 frame's signature is read before the timing, so a checkout that signs a
 frame on that first read times the check alone too) and warm (the same
 frame again, as every further receiver checks it), raw Ed25519
-``identity.sign`` and ``identity.verify`` of one frame's signing bytes,
-and a frame payload's encode plus decode (``payload_endorse`` for an
-endorse frame, ``payload_schedule_12`` for a schedule of 12 vehicles, with the fields
-that checkout's schedule has: a sender's encoding, then a fresh frame's
-``body``), and a receiving
-vehicle's ``heeds`` plus ``handle_frame`` of another registered
-vehicle's beacon that it already verified (``handle_frame_warm``, the
-path every receiver after the first takes). Each timed loop
+``identity.sign`` and ``identity.verify`` of one frame's signing bytes
+(in a checkout whose ``identity.verify`` keeps loaded public keys, under
+a key already loaded), ``identity.verify`` under keys it has not seen
+before (``ed25519_verify_new_key``; keygen and signing outside the
+timing), a frame payload's encode plus decode (``payload_endorse`` for
+an endorse frame, ``payload_schedule_12`` for a schedule of 12 vehicles,
+with the fields that checkout's schedule has: a sender's encoding, then
+a fresh frame's ``body``), a receiving vehicle's ``heeds`` plus
+``handle_frame`` of another registered vehicle's beacon that it already
+verified (``handle_frame_warm``, the path every receiver after the first
+takes), ``merkle_root`` over one block's 32 tx ids (``merkle_root_32``)
+and ``try_commit`` of a pool 32 deep whose every transaction commits,
+as one block onto a fresh chain each time, with the signatures checked
+before the timing (``try_commit_32``). Each timed loop
 runs inside ``perfbench/calib.py``'s ``Sampler``, so each value has
 its raw seconds per call (``_s``) and the same scaled to the reference
 host speed (``_ref_s``). Each side runs each set in ten fresh
@@ -291,6 +297,37 @@ def handle_frame_warm():
     if receiver.heeds(heard):
         receiver.handle_frame(heard, 50)
 
+# try_commit of a pool 32 deep, each transaction endorsed by the other
+# vehicle: one block of 32 onto a fresh chain holding the registrations
+# (the signatures are checked before the timing), and merkle_root over
+# that block's tx ids.
+def fresh_chain():
+    fresh = ledger.Chain.create(dealer, endowment=100000, genesis_tf=0)
+    fresh.append_block([p.tx for p in regs], timestamp=0)
+    return fresh
+
+author, endorser = (i.ivtp_id for i, _ in fleet)
+pool = []
+for i in range(32):
+    tx = ledger.sign_tx(ledger.CommTx(
+        author=author, tf=1 + i, signature=b"", sender=author,
+        message_hash=identity.sha256(b"%d" % i), tf_sent=1 + i,
+    ), fleet[0][1])
+    pool.append(consensus.PendingTx(tx=tx))
+    pool[-1].add(consensus.Endorsement(tx.tx_id, endorser, consensus.VERDICT_VALID))
+active = {author, endorser}
+assert len(consensus.try_commit(pool, active, fresh_chain(), now=100).block.txs) == 32
+chains = iter([fresh_chain() for _ in range(3 * 200)])
+block_ids = [p.tx.tx_id for p in pool]
+
+# identity.verify under keys this process has not verified under before;
+# keygen and signing outside the timing.
+unseen = []
+for i in range(3 * 400):
+    pair = identity.keygen(identity.sha256(b"unseen %d" % i))
+    unseen.append((pair.public_key, message, identity.sign(pair, message)))
+unseen = iter(unseen)
+
 out = {}
 for name, fn, reps in [
     ("dispatch_63", dispatch, 1000),
@@ -298,9 +335,12 @@ for name, fn, reps in [
     ("verify_frame_warm", lambda: vehicle.verify_frame(warm, kp.public_key), 100000),
     ("ed25519_sign", lambda: identity.sign(kp, message), 400),
     ("ed25519_verify", lambda: identity.verify(kp.public_key, message, signature), 400),
+    ("ed25519_verify_new_key", lambda: identity.verify(*next(unseen)), 400),
     ("payload_endorse", endorse_payload, 20000),
     ("payload_schedule_12", schedule_payload, 5000),
     ("handle_frame_warm", handle_frame_warm, 100000),
+    ("merkle_root_32", lambda: ledger.merkle_root(block_ids), 20000),
+    ("try_commit_32", lambda: consensus.try_commit(pool, active, next(chains), now=100), 200),
 ]:
     best = min(timed(fn, reps) for _ in range(3))
     out[name + "_s"], out[name + "_ref_s"] = best
@@ -416,7 +456,8 @@ LAYER_METRICS = tuple(
     f"{name}{unit}"
     for name in (
         "dispatch_63", "verify_frame_cold", "verify_frame_warm", "ed25519_sign",
-        "ed25519_verify", "payload_endorse", "payload_schedule_12", "handle_frame_warm",
+        "ed25519_verify", "ed25519_verify_new_key", "payload_endorse", "payload_schedule_12",
+        "handle_frame_warm", "merkle_root_32", "try_commit_32",
     )
     for unit in ("_s", "_ref_s")
 )

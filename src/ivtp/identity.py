@@ -4,7 +4,7 @@ Every vehicle owns a deterministic keypair derived from a 32-byte seed.
 A dealer authority binds each public key to a unique 32-byte trust-point
 ID (the IV-TP ID) and signs that binding. All signing in the system is
 Ed25519, which is fully deterministic, so a simulation run never depends
-on ambient randomness.
+on ambient randomness. verify keeps loaded public keys, never a verdict.
 """
 
 from __future__ import annotations
@@ -38,12 +38,24 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+class once:
+    """A lazy attribute: fn(obj), made on the first read and kept in obj's
+    __dict__, out of ==, hash and repr; a value preset there is what is read,
+    and a read that raises keeps nothing. cached_property without its RLock."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else vars(obj).setdefault(self.name, self.fn(obj))
+
+
 @dataclass(frozen=True)
 class KeyPair:
     secret_key: bytes  # the 32-byte seed; public key is derivable from it
     public_key: bytes
 
-    @functools.cached_property
+    @once
     def _signer(self) -> ed25519.Ed25519PrivateKey:
         """The loaded private key, kept in __dict__: out of == and repr."""
         return ed25519.Ed25519PrivateKey.from_private_bytes(self.secret_key)
@@ -63,15 +75,18 @@ def sign(kp: KeyPair, message: bytes) -> bytes:
     return kp._signer.sign(message)
 
 
+@functools.lru_cache(maxsize=1024)  # parsed keys by their bytes; one that raises is not kept
+def _public_key(key: bytes) -> ed25519.Ed25519PublicKey:
+    return ed25519.Ed25519PublicKey.from_public_bytes(key)
+
+
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """True iff signature was produced over exactly these bytes by the
     secret key matching public_key. Never raises on malformed input."""
     if len(public_key) != PUBLIC_KEY_LEN or len(signature) != SIGNATURE_LEN:
         return False
     try:
-        ed25519.Ed25519PublicKey.from_public_bytes(bytes(public_key)).verify(
-            bytes(signature), bytes(message)
-        )
+        _public_key(bytes(public_key)).verify(bytes(signature), bytes(message))
     except (InvalidSignature, ValueError):
         return False
     return True

@@ -33,12 +33,12 @@ import io
 import itertools
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import identity
-from .identity import IvTpId, sha256
+from .identity import IvTpId, once, sha256
 
 TimeFlag = int  # simulation milliseconds
 
@@ -259,10 +259,10 @@ class Transaction:
         # second key added after __init__ (tx_id is one) un-shares the dict.
         object.__setattr__(self, "_sig_verdict", None)
 
-    @cached_property
+    @once
     def tx_id(self) -> bytes:
-        """SHA-256 of the canonical encoding (the span, if any), once per
-        object; cached in __dict__, so == and hash see only the fields."""
+        """SHA-256 of the canonical encoding (the span, if any), hashed once
+        per object (identity.once), out of ==, hash and repr."""
         return sha256(vars(self).get("_span") or canonical_encode(self))
 
 
@@ -431,7 +431,7 @@ class Block:
     def header_bytes(self) -> bytes:
         return _BLOCK_HEADER.encode(self)
 
-    @cached_property
+    @once
     def block_hash(self) -> bytes:
         """SHA-256 of the header, once per block (decode_block's read)."""
         return sha256(self.header_bytes())

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import arbitration, consensus, identity, ledger
 from .arbitration import IntersectionSession, Phase
 from .consensus import ConsensusConfig
-from .identity import IvTpId, KeyPair, sha256, short_id
+from .identity import IvTpId, KeyPair, once, sha256, short_id
 from .ledger import (
     BLOB,
     ID,
@@ -103,20 +103,6 @@ class SessionExistsError(ValueError):
     """A vehicle runs at most one session per intersection at a time."""
 
 
-class _once:
-    """functools.cached_property without the RLock CPython 3.11 takes on
-    each first read: the value goes into the instance's __dict__."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = vars(obj)[self.name] = self.fn(obj)
-        return value
-
-
 class _SignOnRead:
     """A make_frame frame's signature: made by identity.sign on first read,
     then kept in __dict__ like a field's value. b"" on the class: the default."""
@@ -139,17 +125,16 @@ class Frame:
     payload: bytes
     signature: bytes = _SignOnRead()
 
-    # Each _once attribute below, and the signature check (verify_frame), is
-    # made once per frame object, however many receivers read it. The values
-    # live in __dict__, so ==, hash and repr see only the fields. One that
+    # Each @once attribute below, and the signature check (verify_frame), is
+    # made once per frame object, however many receivers read it. One that
     # raises stores nothing: every receiver re-raises, and drops alike.
 
-    @_once
+    @once
     def kind_label(self) -> str:
         label = KIND_LABELS.get(self.kind)
         return f"kind-{self.kind}" if label is None else label
 
-    @_once
+    @once
     def signing_bytes(self) -> bytes:
         """What the sender signs: the ledger's envelope (kind as the tag,
         sender, tf), then the length-prefixed payload. Raises
@@ -159,7 +144,7 @@ class Frame:
             raise FieldOverflowError(f"frame kind out of range: {kind}")
         return ledger.envelope(kind, self.sender, self.tf) + BLOB.encode(self.payload, "payload")
 
-    @_once
+    @once
     def body(self) -> tuple:
         """The payload's field values in PAYLOAD_FIELDS order, a carried
         transaction decoded. Raises one of DECODE_ERRORS unless the

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ed25519
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +72,89 @@ class TestKeys:
         whole reproducibility contract leans on."""
         kp = identity.keygen(identity.sha256(b"k"))
         assert identity.sign(kp, b"m") == identity.sign(kp, b"m")
+
+
+class TestKeyCache:
+    """verify loads each public key once, by its bytes, into a bounded
+    table; the table holds keys, never verdicts."""
+
+    def test_a_loaded_key_still_checks_every_call(self):
+        kp = identity.keygen(identity.sha256(b"k"))
+        other = identity.keygen(identity.sha256(b"j"))
+        sig = identity.sign(kp, b"hello")
+        assert identity.verify(kp.public_key, b"hello", sig)
+        assert not identity.verify(kp.public_key, b"hellp", sig)
+        assert not identity.verify(kp.public_key, b"hello", identity.sign(other, b"hello"))
+        assert not identity.verify(kp.public_key, b"hello", sig[:-1])
+        assert not identity.verify(kp.public_key, b"hello", bytes(64))
+        assert identity.verify(kp.public_key, b"hello", sig)
+
+    def test_a_mutated_key_buffer_is_looked_up_by_its_new_bytes(self):
+        kp = identity.keygen(identity.sha256(b"k"))
+        other = identity.keygen(identity.sha256(b"j"))
+        sig = identity.sign(other, b"hello")
+        key = bytearray(kp.public_key)
+        assert not identity.verify(key, b"hello", sig)
+        key[:] = other.public_key
+        assert identity.verify(key, b"hello", sig)
+        key[0] ^= 0x01
+        assert not identity.verify(key, b"hello", sig)
+
+    def test_a_key_that_fails_to_load_is_not_kept(self, monkeypatch):
+        """Each call tries the load again, and each reads False."""
+        kp = identity.keygen(identity.sha256(b"unloadable"))
+        sig = identity.sign(kp, b"m")
+        identity._public_key.cache_clear()
+        loads = []
+
+        def refuse(key):
+            loads.append(key)
+            raise ValueError("not a point")
+
+        monkeypatch.setattr(ed25519.Ed25519PublicKey, "from_public_bytes", refuse)
+        assert [identity.verify(kp.public_key, b"m", sig) for _ in range(3)] == [False] * 3
+        assert loads == [kp.public_key] * 3
+        assert identity._public_key.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert identity.verify(kp.public_key, b"m", sig)
+
+    def test_the_table_holds_at_most_its_bound(self):
+        bound = identity._public_key.cache_info().maxsize
+        assert bound == 1024
+        for i in range(bound + 1):
+            assert not identity.verify(identity.sha256(b"%d" % i), b"m", bytes(64))
+        assert identity._public_key.cache_info().currsize == bound
+
+
+class TestOnce:
+    class Lazy:
+        def __init__(self, fields):
+            self.fields, self.reads = fields, 0
+
+        @identity.once
+        def total(self):
+            """The sum, made once."""
+            self.reads += 1
+            return sum(self.fields)
+
+    def test_made_once_on_first_read(self):
+        lazy = self.Lazy([1, 2])
+        assert "total" not in vars(lazy)
+        assert lazy.total == lazy.total == 3 and lazy.reads == 1
+        assert vars(lazy)["total"] == 3
+        assert self.Lazy.total.__doc__ == "The sum, made once."
+
+    def test_a_preset_value_is_what_is_read(self):
+        lazy = self.Lazy([1, 2])
+        object.__setattr__(lazy, "total", 7)
+        assert lazy.total == 7 and lazy.reads == 0
+
+    def test_a_read_that_raises_keeps_nothing(self):
+        lazy = self.Lazy([1, "x"])
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                lazy.total
+        assert "total" not in vars(lazy) and lazy.reads == 2
 
 
 class TestDerivation:

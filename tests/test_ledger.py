@@ -155,6 +155,26 @@ class TestCodec:
         assert later.tx_id == hashlib.sha256(ledger.canonical_encode(later)).digest()
         assert later.tx_id != tx.tx_id
 
+    def test_tx_id_hashed_once_per_object(self, monkeypatch):
+        """identity.once: the first read hashes, later reads hash nothing,
+        and the id stays out of ==, hash and repr."""
+        raw = ledger.canonical_encode(signed_comm(_kp(b"a"), b"\x01" * 32))
+        tx, twin = ledger.canonical_decode(raw), ledger.canonical_decode(raw)
+        hashed = []
+        monkeypatch.setattr(ledger, "sha256", lambda data: hashed.append(data) or b"\x07" * 32)
+        assert [tx.tx_id for _ in range(3)] == [b"\x07" * 32] * 3
+        assert hashed == [raw]
+        assert tx == twin and hash(tx) == hash(twin) and repr(tx) == repr(twin)
+
+    def test_decoded_block_hash_is_the_one_preset(self, monkeypatch):
+        """decode_block presets block_hash from the header bytes it read,
+        and identity.once reads a preset value: reading it hashes nothing."""
+        tx = signed_comm(_kp(b"a"), b"\x01" * 32)
+        block = ledger.Block(0, ledger.GENESIS_PREV_HASH, ledger.merkle_root([tx.tx_id]), 1, (tx,))
+        decoded = ledger.decode_block(ledger._Reader(ledger.encode_block(block)))
+        monkeypatch.setattr(ledger, "sha256", None)
+        assert decoded.block_hash == hashlib.sha256(block.header_bytes()).digest()
+
     def test_tag_2_is_unassigned(self):
         """Liveness beacons are frames: a well-formed, well-signed tag-2
         encoding is not a transaction."""

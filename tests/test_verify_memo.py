@@ -98,7 +98,7 @@ class TestBytesLike:
             assert identity.verify(*wrapped) is identity.verify(*args)
 
     def test_mutated_buffer_is_checked_afresh(self, signed):
-        """identity.verify keeps nothing: a buffer is checked as it is."""
+        """identity.verify keeps no verdict: a buffer is checked as it is."""
         kp, message, sig = signed
         buf = bytearray(message)
         assert identity.verify(kp.public_key, buf, sig)
