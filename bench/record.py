@@ -59,10 +59,11 @@ frame's signature is read before the timing, so a checkout that signs a
 frame on that first read times the check alone too) and warm (the same
 frame again, as every further receiver checks it), raw Ed25519
 ``identity.sign`` and ``identity.verify`` of one frame's signing bytes
-(in a checkout whose ``identity.verify`` keeps loaded public keys, under
-a key already loaded), ``identity.verify`` under keys it has not seen
-before (``ed25519_verify_new_key``; keygen and signing outside the
-timing), a frame payload's encode plus decode (``payload_endorse`` for
+(under a key already used, which matters only to a checkout whose
+``identity.verify`` keeps loaded public keys; the libsodium one keeps
+none), ``identity.verify`` under keys it has not seen before
+(``ed25519_verify_new_key``; keygen and signing outside the timing), a
+frame payload's encode plus decode (``payload_endorse`` for
 an endorse frame, ``payload_schedule_12`` for a schedule of 12 vehicles,
 with the fields that checkout's schedule has: a sender's encoding, then
 a fresh frame's ``body``), a receiving vehicle's ``heeds`` plus

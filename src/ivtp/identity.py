@@ -4,19 +4,19 @@ Every vehicle owns a deterministic keypair derived from a 32-byte seed.
 A dealer authority binds each public key to a unique 32-byte trust-point
 ID (the IV-TP ID) and signs that binding. All signing in the system is
 Ed25519, which is fully deterministic, so a simulation run never depends
-on ambient randomness. verify keeps loaded public keys, never a verdict.
+on ambient randomness.
+
+Ed25519 is libsodium's, called through ctypes: RFC 8032 signatures, checked
+cofactorless, and libsodium also refuses small-order keys and R values and
+non-canonical encodings, which plain RFC 8032 verification accepts.
 """
 
 from __future__ import annotations
 
-import functools
+import ctypes
 import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric import ed25519
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 # 32-byte identifiers and keys, 64-byte signatures throughout.
 IvTpId = bytes
@@ -38,6 +38,47 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def _load_sodium() -> ctypes.CDLL:
+    """libsodium, loaded by its soname (no ldconfig lookup) and initialised,
+    with every function used here typed."""
+    try:
+        lib = ctypes.CDLL("libsodium.so.23")
+    except OSError as exc:
+        raise ImportError(
+            "ivtp needs libsodium (libsodium.so.23, Debian package libsodium23)",
+            name="libsodium.so.23",
+        ) from exc
+    buf, size = ctypes.c_char_p, ctypes.c_ulonglong
+    for name, argtypes in [
+        ("sodium_init", ()),
+        ("crypto_sign_ed25519_seed_keypair", (buf, buf, buf)),
+        ("crypto_sign_ed25519_detached", (buf, ctypes.c_void_p, buf, size, buf)),
+        ("crypto_sign_ed25519_verify_detached", (buf, buf, size, buf)),
+    ]:
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, ctypes.c_int
+    if lib.sodium_init() < 0:
+        raise ImportError("libsodium.so.23 failed to initialise", name="libsodium.so.23")
+    return lib
+
+
+_sodium = _load_sodium()
+_seed_keypair_c = _sodium.crypto_sign_ed25519_seed_keypair
+_sign_detached = _sodium.crypto_sign_ed25519_detached
+# The one Ed25519 check: (signature, message, message length, public key) -> 0 iff valid.
+_verify_detached = _sodium.crypto_sign_ed25519_verify_detached
+
+
+def _seed_keypair(seed: bytes) -> tuple[bytes, bytes]:
+    """(public key, libsodium's 64-byte secret key) of a 32-byte seed."""
+    if len(seed) != SEED_LEN:
+        raise SeedLengthError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
+    pk, sk = ctypes.create_string_buffer(PUBLIC_KEY_LEN), ctypes.create_string_buffer(64)
+    if _seed_keypair_c(pk, sk, bytes(seed)) != 0:
+        raise ValueError("libsodium refused the seed")
+    return pk.raw, sk.raw
+
+
 class once:
     """A lazy attribute: fn(obj), made on the first read and kept in obj's
     __dict__, out of ==, hash and repr; a value preset there is what is read,
@@ -56,28 +97,23 @@ class KeyPair:
     public_key: bytes
 
     @once
-    def _signer(self) -> ed25519.Ed25519PrivateKey:
-        """The loaded private key, kept in __dict__: out of == and repr."""
-        return ed25519.Ed25519PrivateKey.from_private_bytes(self.secret_key)
+    def _signer(self) -> bytes:
+        """libsodium's 64-byte secret key, made from the seed alone (never
+        from public_key) and kept in __dict__: out of == and repr."""
+        return _seed_keypair(self.secret_key)[1]
 
 
 def keygen(seed: bytes) -> KeyPair:
     """Derive an Ed25519 keypair from a 32-byte seed. Same seed, same keypair."""
-    if len(seed) != SEED_LEN:
-        raise SeedLengthError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
-    sk = ed25519.Ed25519PrivateKey.from_private_bytes(seed)
-    pk = sk.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    return KeyPair(secret_key=seed, public_key=pk)
+    return KeyPair(secret_key=seed, public_key=_seed_keypair(seed)[0])
 
 
 def sign(kp: KeyPair, message: bytes) -> bytes:
     """Sign message bytes; deterministic, no per-call randomness."""
-    return kp._signer.sign(message)
-
-
-@functools.lru_cache(maxsize=1024)  # parsed keys by their bytes; one that raises is not kept
-def _public_key(key: bytes) -> ed25519.Ed25519PublicKey:
-    return ed25519.Ed25519PublicKey.from_public_bytes(key)
+    message, sig = bytes(message), ctypes.create_string_buffer(SIGNATURE_LEN)
+    if _sign_detached(sig, None, message, len(message), kp._signer) != 0:
+        raise ValueError("libsodium refused to sign")
+    return sig.raw
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -85,11 +121,8 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     secret key matching public_key. Never raises on malformed input."""
     if len(public_key) != PUBLIC_KEY_LEN or len(signature) != SIGNATURE_LEN:
         return False
-    try:
-        _public_key(bytes(public_key)).verify(bytes(signature), bytes(message))
-    except (InvalidSignature, ValueError):
-        return False
-    return True
+    message = bytes(message)
+    return _verify_detached(bytes(signature), message, len(message), bytes(public_key)) == 0
 
 
 def verify_once(owner, slot: str, key, check: Callable[[], bool]) -> bool:

@@ -4,7 +4,6 @@ import contextlib
 from pathlib import Path
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from ivtp import consensus, identity, ledger, netsim, scenario, sim
 
@@ -126,22 +125,17 @@ class Meter:
 
 @contextlib.contextmanager
 def counting_ed25519(meter: Meter):
-    """Count into meter every Ed25519 verify made inside the block. Inside
-    it identity.verify loads each key afresh, uncached, wrapped to count:
-    no key loaded before the block escapes the count, and none loaded in
-    it counts after."""
-    load = ed25519.Ed25519PublicKey.from_public_bytes
+    """Count into meter every Ed25519 verify made inside the block: each
+    call of identity's bound libsodium verify function, the one place a
+    signature is checked."""
+    verify = identity._verify_detached
 
-    class Counting:
-        def __init__(self, key):
-            self.key = key
-
-        def verify(self, signature, message):
-            meter.count += 1
-            return self.key.verify(signature, message)
+    def counted(*args):
+        meter.count += 1
+        return verify(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(identity, "_public_key", lambda b: Counting(load(b)))
+        patch.setattr(identity, "_verify_detached", counted)
         yield meter
 
 

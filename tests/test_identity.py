@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +68,30 @@ class TestKeys:
         assert vars(a)["_signer"] is signer
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
+    def test_a_mismatched_public_key_does_not_change_the_signature(self):
+        """The signing key comes from the seed alone, never from the pair's
+        public_key."""
+        seed = identity.sha256(b"k")
+        odd = identity.KeyPair(secret_key=seed, public_key=identity.keygen(bytes(32)).public_key)
+        assert identity.sign(odd, b"m") == identity.sign(identity.keygen(seed), b"m")
+
+    def test_a_short_secret_key_is_refused_before_libsodium(self, monkeypatch):
+        calls = []
+        for name in ("_seed_keypair_c", "_sign_detached"):
+            monkeypatch.setattr(identity, name, lambda *args: calls.append(args))
+        kp = identity.KeyPair(secret_key=bytes(31), public_key=bytes(32))
+        with pytest.raises(ValueError):
+            identity.sign(kp, b"m")
+        assert calls == [] and "_signer" not in vars(kp)
+
+    def test_a_missing_libsodium_is_an_import_error_naming_it(self, monkeypatch):
+        def missing(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(identity.ctypes, "CDLL", missing)
+        with pytest.raises(ImportError, match="libsodium.so.23"):
+            identity._load_sodium()
+
     def test_signatures_deterministic(self):
         """Identical inputs produce identical signatures, which the
         whole reproducibility contract leans on."""
@@ -75,8 +100,8 @@ class TestKeys:
 
 
 class TestKeyCache:
-    """verify loads each public key once, by its bytes, into a bounded
-    table; the table holds keys, never verdicts."""
+    """verify reads the key by its bytes at every call and keeps nothing:
+    no loaded key, no verdict."""
 
     def test_a_loaded_key_still_checks_every_call(self):
         kp = identity.keygen(identity.sha256(b"k"))
@@ -100,30 +125,55 @@ class TestKeyCache:
         key[0] ^= 0x01
         assert not identity.verify(key, b"hello", sig)
 
-    def test_a_key_that_fails_to_load_is_not_kept(self, monkeypatch):
-        """Each call tries the load again, and each reads False."""
-        kp = identity.keygen(identity.sha256(b"unloadable"))
-        sig = identity.sign(kp, b"m")
-        identity._public_key.cache_clear()
-        loads = []
 
-        def refuse(key):
-            loads.append(key)
-            raise ValueError("not a point")
+def reference_verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    """cryptography's (OpenSSL's) Ed25519 check: plain RFC 8032, cofactorless."""
+    try:
+        ed25519.Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+    except (InvalidSignature, ValueError):
+        return False
+    return True
 
-        monkeypatch.setattr(ed25519.Ed25519PublicKey, "from_public_bytes", refuse)
-        assert [identity.verify(kp.public_key, b"m", sig) for _ in range(3)] == [False] * 3
-        assert loads == [kp.public_key] * 3
-        assert identity._public_key.cache_info().currsize == 0
-        monkeypatch.undo()
-        assert identity.verify(kp.public_key, b"m", sig)
 
-    def test_the_table_holds_at_most_its_bound(self):
-        bound = identity._public_key.cache_info().maxsize
-        assert bound == 1024
-        for i in range(bound + 1):
-            assert not identity.verify(identity.sha256(b"%d" % i), b"m", bytes(64))
-        assert identity._public_key.cache_info().currsize == bound
+def flip_bit(data: bytes, bit: int) -> bytes:
+    bit %= 8 * len(data)
+    return data[: bit // 8] + bytes([data[bit // 8] ^ 1 << bit % 8]) + data[bit // 8 + 1 :]
+
+
+_seeds = st.binary(min_size=32, max_size=32)
+_messages = st.binary(min_size=1, max_size=300)
+
+
+class TestAgainstCryptography:
+    """cryptography is the independent reference: the same RFC 8032 keys
+    and signatures byte for byte, and the same verdicts on honest and
+    corrupted signatures. libsodium refuses more than OpenSSL, never less."""
+
+    @given(_seeds, _messages)
+    @settings(max_examples=300, deadline=None)
+    def test_keys_and_signatures_are_the_references(self, seed, message):
+        reference = ed25519.Ed25519PrivateKey.from_private_bytes(seed)
+        kp = identity.keygen(seed)
+        assert kp.public_key == reference.public_key().public_bytes_raw()
+        assert identity.sign(kp, message) == reference.sign(message)
+
+    @given(_seeds, _messages, st.sampled_from([None, "key", "signature", "message"]), st.integers(0))
+    @settings(max_examples=600, deadline=None)
+    def test_verdicts_are_the_references(self, seed, message, flipped, bit):
+        kp = identity.keygen(seed)
+        fields = {"key": kp.public_key, "message": message, "signature": identity.sign(kp, message)}
+        if flipped is not None:
+            fields[flipped] = flip_bit(fields[flipped], bit)
+        args = fields["key"], fields["message"], fields["signature"]
+        assert identity.verify(*args) == reference_verify(*args) == (flipped is None)
+
+    def test_the_identity_point_forges_for_openssl_only(self):
+        """A small-order key with a small-order R and S = 0 holds for every
+        message under the cofactorless check; libsodium refuses both."""
+        key, forged = b"\x01" + bytes(31), b"\x01" + bytes(63)
+        for message in (b"", b"m", identity.sha256(b"any")):
+            assert reference_verify(key, message, forged)
+            assert not identity.verify(key, message, forged)
 
 
 class TestOnce:

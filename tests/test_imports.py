@@ -1,8 +1,11 @@
 """Every import in the library, its tests and the bench scripts is used:
 a static check with the stdlib ast module. Package re-exports (__init__.py) and
-__future__ imports are exempt."""
+__future__ imports are exempt. And the program itself imports no cryptography."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +50,17 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
 def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_program_loads_no_cryptography():
+    """Ed25519 is libsodium's: importing the CLI and the simulator pulls in
+    no cryptography module (the tests keep it as their reference)."""
+    probe = (
+        "import sys, ivtp.cli, ivtp.sim; "
+        "print(sorted(m for m in sys.modules if m.startswith('cryptography')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

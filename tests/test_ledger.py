@@ -680,6 +680,30 @@ class TestValidation:
         assert not report.ok
         assert report.height == bad_block.height
 
+    def test_a_small_order_key_signs_nothing(self):
+        """The identity point registered as a vehicle key: under a plain
+        cofactorless check (OpenSSL's) R = identity, S = 0 holds for any
+        message, so anyone could spend that id's points. The transfer is
+        refused, when admitted and when replayed."""
+        dealer, chain, ids, keys = make_fleet(2)
+        issuance = dealer.issue(b"\x01" + bytes(31))
+        register = ledger.register_tx_from_issuance(issuance, dealer, tf=1)
+        assert chain.append_block([register], timestamp=1)[1] == []
+        forged = ledger.RewardTx(
+            author=issuance.ivtp_id, tf=2, signature=b"\x01" + bytes(63),
+            from_id=issuance.ivtp_id, to_id=ids[0], amount=1_000, reason="forged",
+        )
+        assert chain.append_block([forged], timestamp=2) == (None, [(forged, "bad_signature")])
+        _assert_left_out(chain, [forged])
+
+        honest = signed_comm(keys[ids[0]], ids[0], tf=2, receivers=(ids[1],))
+        chain.append_block([honest], timestamp=2)
+        spliced = dataclasses.replace(
+            chain.blocks[-1], txs=(forged,), merkle_root=ledger.merkle_root([forged.tx_id])
+        )
+        report = ledger.validate_blocks(chain.blocks[:-1] + [spliced], chain.state.endowment)
+        assert (report.ok, report.height, report.cause) == (False, spliced.height, "bad_signature")
+
     def test_broken_link_detected(self):
         import dataclasses
 
