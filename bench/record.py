@@ -58,15 +58,10 @@ no-op participants, 1 ms latency and 2 ms jitter, drained by
 frame's signature is read before the timing, so a checkout that signs a
 frame on that first read times the check alone too) and warm (the same
 frame again, as every further receiver checks it), raw Ed25519
-``identity.sign`` and ``identity.verify`` of one frame's signing bytes
-(under a key already used, which matters only to a checkout whose
-``identity.verify`` keeps loaded public keys; the libsodium one keeps
-none), ``identity.verify`` under keys it has not seen before
-(``ed25519_verify_new_key``; keygen and signing outside the timing), a
-frame payload's encode plus decode (``payload_endorse`` for
-an endorse frame, ``payload_schedule_12`` for a schedule of 12 vehicles,
-with the fields that checkout's schedule has: a sender's encoding, then
-a fresh frame's ``body``), a receiving vehicle's ``heeds`` plus
+``identity.sign`` and ``identity.verify`` of one frame's signing bytes,
+a frame payload's encode plus decode (``payload_endorse`` for an endorse
+frame, ``payload_schedule_12`` for a schedule of 12 vehicles: a sender's
+encoding, then a fresh frame's ``body``), a receiving vehicle's ``heeds`` plus
 ``handle_frame`` of another registered vehicle's beacon that it already
 verified (``handle_frame_warm``, the path every receiver after the first
 takes), ``merkle_root`` over one block's 32 tx ids (``merkle_root_32``)
@@ -264,13 +259,9 @@ message = warm.signing_bytes
 signature = identity.sign(kp, message)
 
 # Payload encode plus decode, as a sender writes and a receiver reads it:
-# an endorse frame's, and a schedule frame's for 12 vehicles. The schedule
-# values are cut to the fields this checkout's schedule has (an order
-# only, or an order and the arrival times it was sorted from).
-crew = ids[:12]
+# an endorse frame's, and a schedule frame's for 12 vehicles.
 E, S = vehicle.KIND_ENDORSE, vehicle.KIND_SCHEDULE
-schedule = ("x-1", 0, crew, tuple((veh, 100 + i) for i, veh in enumerate(crew)))
-schedule = schedule[: len(vehicle.PAYLOAD_FIELDS[S])]
+schedule = ("x-1", 0, ids[:12])
 
 def endorse_payload():
     return vehicle.Frame(E, ids[0], 0, vehicle.encode_payload(E, ids[1], "valid")).body
@@ -321,14 +312,6 @@ assert len(consensus.try_commit(pool, active, fresh_chain(), now=100).block.txs)
 chains = iter([fresh_chain() for _ in range(3 * 200)])
 block_ids = [p.tx.tx_id for p in pool]
 
-# identity.verify under keys this process has not verified under before;
-# keygen and signing outside the timing.
-unseen = []
-for i in range(3 * 400):
-    pair = identity.keygen(identity.sha256(b"unseen %d" % i))
-    unseen.append((pair.public_key, message, identity.sign(pair, message)))
-unseen = iter(unseen)
-
 out = {}
 for name, fn, reps in [
     ("dispatch_63", dispatch, 1000),
@@ -336,7 +319,6 @@ for name, fn, reps in [
     ("verify_frame_warm", lambda: vehicle.verify_frame(warm, kp.public_key), 100000),
     ("ed25519_sign", lambda: identity.sign(kp, message), 400),
     ("ed25519_verify", lambda: identity.verify(kp.public_key, message, signature), 400),
-    ("ed25519_verify_new_key", lambda: identity.verify(*next(unseen)), 400),
     ("payload_endorse", endorse_payload, 20000),
     ("payload_schedule_12", schedule_payload, 5000),
     ("handle_frame_warm", handle_frame_warm, 100000),
@@ -457,7 +439,7 @@ LAYER_METRICS = tuple(
     f"{name}{unit}"
     for name in (
         "dispatch_63", "verify_frame_cold", "verify_frame_warm", "ed25519_sign",
-        "ed25519_verify", "ed25519_verify_new_key", "payload_endorse", "payload_schedule_12",
+        "ed25519_verify", "payload_endorse", "payload_schedule_12",
         "handle_frame_warm", "merkle_root_32", "try_commit_32",
     )
     for unit in ("_s", "_ref_s")

@@ -54,6 +54,7 @@ def _load_sodium() -> ctypes.CDLL:
         ("crypto_sign_ed25519_seed_keypair", (buf, buf, buf)),
         ("crypto_sign_ed25519_detached", (buf, ctypes.c_void_p, buf, size, buf)),
         ("crypto_sign_ed25519_verify_detached", (buf, buf, size, buf)),
+        ("crypto_core_ed25519_is_valid_point", (buf,)),
     ]:
         fn = getattr(lib, name)
         fn.argtypes, fn.restype = argtypes, ctypes.c_int
@@ -67,6 +68,7 @@ _seed_keypair_c = _sodium.crypto_sign_ed25519_seed_keypair
 _sign_detached = _sodium.crypto_sign_ed25519_detached
 # The one Ed25519 check: (signature, message, message length, public key) -> 0 iff valid.
 _verify_detached = _sodium.crypto_sign_ed25519_verify_detached
+_is_valid_point = _sodium.crypto_core_ed25519_is_valid_point
 
 
 def _seed_keypair(seed: bytes) -> tuple[bytes, bytes]:
@@ -125,6 +127,12 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     return _verify_detached(bytes(signature), message, len(message), bytes(public_key)) == 0
 
 
+def valid_public_key(public_key: bytes) -> bool:
+    """True iff public_key is a canonical point of the prime-order subgroup,
+    as every keygen key is; a small-order key never verifies a signature."""
+    return len(public_key) == PUBLIC_KEY_LEN and _is_valid_point(bytes(public_key)) == 1
+
+
 def verify_once(owner, slot: str, key, check: Callable[[], bool]) -> bool:
     """check() of whether owner's signatures hold under key, made once per
     owner and key. Its verdict stays in owner's __dict__ slot, out of ==,
@@ -175,8 +183,8 @@ class DealerAuthority:
         return cls(dealer_id=dealer_id, keypair=kp)
 
     def issue(self, vehicle_pk: bytes) -> Issuance:
-        if len(vehicle_pk) != PUBLIC_KEY_LEN:
-            raise ValueError(f"public key must be {PUBLIC_KEY_LEN} bytes")
+        if not valid_public_key(vehicle_pk):
+            raise ValueError("public key is not a 32-byte point of the prime-order subgroup")
         if vehicle_pk in self.issued_keys:
             raise DuplicateKeyError(
                 f"public key {vehicle_pk.hex()[:16]} already has an identity"

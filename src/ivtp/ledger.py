@@ -488,22 +488,21 @@ class LedgerState:
     registrations: dict[IvTpId, bytes] = field(default_factory=dict)
     registered_pks: set[bytes] = field(default_factory=set)
     tx_by_id: dict[bytes, Transaction] = field(default_factory=dict)
-    dealer_id: IvTpId | None = None
-    dealer_pk: bytes | None = None
+    dealer_id: IvTpId | None = None  # its key is registrations[dealer_id]
 
     def check_tx(self, tx: Transaction, height: int) -> str | None:
         """Return a failure code, or None if tx can apply to this state.
         Signature checks live here too so replay is self-contained; the
         verdicts of the tx's own and agreement signatures stay on the tx."""
         if isinstance(tx, RegisterTx):
+            if not identity.valid_public_key(tx.vehicle_pk):
+                return "invalid_public_key"
             if height > 0:
-                if self.dealer_id is None:
-                    return "no_dealer"
                 if tx.dealer_id != self.dealer_id:
                     return "unknown_dealer"
                 if tx.ivtp_id != identity.ivtp_id_from(tx.dealer_id, tx.vehicle_pk, tx.counter):
                     return "bad_id_derivation"
-                signer_pk = self.dealer_pk
+                signer_pk = self.registrations[self.dealer_id]
             else:
                 # Genesis self-registration is the trust root.
                 signer_pk = tx.vehicle_pk
@@ -580,7 +579,7 @@ class LedgerState:
             self.registrations[tx.ivtp_id] = tx.vehicle_pk
             self.registered_pks.add(tx.vehicle_pk)
             if height == 0:  # genesis registers the dealer
-                self.dealer_id, self.dealer_pk = tx.ivtp_id, tx.vehicle_pk
+                self.dealer_id = tx.ivtp_id
             self.balances[tx.ivtp_id] = self.endowment if height else 0  # the dealer holds none
         elif isinstance(tx, RewardTx):
             self.balances[tx.from_id] -= tx.amount

@@ -315,6 +315,12 @@ class Vehicle(Endpoint):
     def _frame(self, kind: int, now: TimeFlag, *values) -> Frame:
         return make_frame(kind, self.keypair, self.ivtp_id, now, encode_payload(kind, *values))
 
+    def _author(self, tx_cls: type[Transaction], now: TimeFlag, **fields) -> Transaction:
+        """A tx_cls this vehicle authors at now, signed and kept in submitted."""
+        tx = sign_tx(tx_cls(author=self.ivtp_id, tf=now, signature=b"", **fields), self.keypair)
+        self.submitted.append(tx)
+        return tx
+
     def _set_timer(self, fire_at: TimeFlag, tag) -> None:
         if self.net is not None:
             self.net.set_timer(self.ivtp_id, fire_at, tag)
@@ -334,19 +340,10 @@ class Vehicle(Endpoint):
         if not self.chain.is_registered(self.ivtp_id):
             raise NotRegisteredError(self.alias)
         receivers = tuple(sorted(self.active(now) - {self.ivtp_id}))
-        tx = sign_tx(
-            CommTx(
-                author=self.ivtp_id,
-                tf=now,
-                signature=b"",
-                sender=self.ivtp_id,
-                receivers=receivers,
-                message_hash=sha256(payload),
-                tf_sent=now,
-            ),
-            self.keypair,
+        tx = self._author(
+            CommTx, now, sender=self.ivtp_id, receivers=receivers,
+            message_hash=sha256(payload), tf_sent=now,
         )
-        self.submitted.append(tx)
         return self._frame(KIND_COMM, now, payload, tx), tx
 
     # -- sessions -----------------------------------------------------------
@@ -358,6 +355,9 @@ class Vehicle(Endpoint):
         compute_delays: dict[IvTpId, int],
         collection_deadline: TimeFlag,
     ) -> IntersectionSession:
+        """This vehicle's session of an intersection it takes part in."""
+        if self.ivtp_id not in participants:
+            raise ValueError(f"{self.alias} is not a participant of {intersection_id}")
         if intersection_id in self.sessions:
             raise SessionExistsError(intersection_id)
         session = IntersectionSession(
@@ -366,8 +366,7 @@ class Vehicle(Endpoint):
             compute_delays=dict(compute_delays),
         )
         self.sessions[intersection_id] = session
-        if self.ivtp_id in participants:
-            self._set_timer(collection_deadline, ("collect_deadline", intersection_id, 0))
+        self._set_timer(collection_deadline, ("collect_deadline", intersection_id, 0))
         return session
 
     def announce_arrival(self, intersection_id: str, now: TimeFlag) -> list[Frame]:
@@ -402,19 +401,11 @@ class Vehicle(Endpoint):
     def _commit(self, session: IntersectionSession, now: TimeFlag) -> list[Frame]:
         """Proposer side: unanimity reached, publish the outcome."""
         session.phase = Phase.COMMITTED
-        arb = sign_tx(
-            ArbitrationTx(
-                author=self.ivtp_id,
-                tf=now,
-                signature=b"",
-                intersection_id=session.intersection_id,
-                ordering=session.ordering,
-                proposer=self.ivtp_id,
-                agreements=tuple(sorted(session.agreements.items())),
-            ),
-            self.keypair,
+        arb = self._author(
+            ArbitrationTx, now, intersection_id=session.intersection_id,
+            ordering=session.ordering, proposer=self.ivtp_id,
+            agreements=tuple(sorted(session.agreements.items())),
         )
-        self.submitted.append(arb)
         self._note(
             now,
             "session_committed",
@@ -524,9 +515,7 @@ class Vehicle(Endpoint):
     def _on_intent(self, f: Frame, now: TimeFlag) -> list[Frame]:
         iid, tf = f.body
         session = self.sessions.get(iid)
-        if session is None or f.sender not in session.participants:
-            return []
-        if session.phase is not Phase.COLLECTING:
+        if session is None or session.phase is not Phase.COLLECTING:
             return []
         if session.add_intent(f.sender, tf):
             return self._enter_election(session, now)
@@ -535,9 +524,7 @@ class Vehicle(Endpoint):
     def _on_schedule(self, f: Frame, now: TimeFlag) -> list[Frame]:
         iid, round_, ordering = f.body
         session = self.sessions.get(iid)
-        if session is None or self.ivtp_id not in session.participants:
-            return []
-        if session.phase in (Phase.COMMITTED, Phase.ABORTED) or f.sender == self.ivtp_id:
+        if session is None or session.phase in (Phase.COMMITTED, Phase.ABORTED):
             return []
         if round_ != session.round:
             return []  # leftover from an already-failed round
@@ -577,7 +564,6 @@ class Vehicle(Endpoint):
         session = self.sessions.get(iid)
         if (
             session is None
-            or self.ivtp_id not in session.participants
             or f.sender not in session.participants
             or session.phase in (Phase.COMMITTED, Phase.ABORTED)
             or round_ < session.round
@@ -597,7 +583,6 @@ class Vehicle(Endpoint):
         # member of the order but the proposer.
         if (
             session is None
-            or self.ivtp_id not in session.participants
             or set(tx.ordering) != session.participants
             or self.chain.state.check_tx(tx, self.chain.height + 1) is not None
         ):
@@ -611,17 +596,8 @@ class Vehicle(Endpoint):
         if payer != self.ivtp_id or payer == payee or tx.intersection_id in self.paid_for:
             return out
         self.paid_for.add(tx.intersection_id)
-        reward = sign_tx(
-            RewardTx(
-                author=self.ivtp_id,
-                tf=now,
-                signature=b"",
-                from_id=self.ivtp_id,
-                to_id=payee,
-                amount=arbitration.REWARD_MILLI_TRUST,
-                reason=tx.intersection_id,
-            ),
-            self.keypair,
+        reward = self._author(
+            RewardTx, now, from_id=self.ivtp_id, to_id=payee,
+            amount=arbitration.REWARD_MILLI_TRUST, reason=tx.intersection_id,
         )
-        self.submitted.append(reward)
         return out + [self._frame(KIND_REWARD_NOTICE, now, reward)]

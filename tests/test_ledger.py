@@ -681,28 +681,31 @@ class TestValidation:
         assert report.height == bad_block.height
 
     def test_a_small_order_key_signs_nothing(self):
-        """The identity point registered as a vehicle key: under a plain
-        cofactorless check (OpenSSL's) R = identity, S = 0 holds for any
-        message, so anyone could spend that id's points. The transfer is
-        refused, when admitted and when replayed."""
+        """The identity point as a vehicle key: no signature ever verifies
+        under it, so its id could never act. The dealer refuses to issue it,
+        and a registration of it that the dealer signed anyway is refused
+        before any signature check, when admitted and when replayed. (Under
+        OpenSSL's cofactorless check it would instead sign for anyone:
+        TestAgainstCryptography's identity-point case.)"""
         dealer, chain, ids, keys = make_fleet(2)
-        issuance = dealer.issue(b"\x01" + bytes(31))
-        register = ledger.register_tx_from_issuance(issuance, dealer, tf=1)
-        assert chain.append_block([register], timestamp=1)[1] == []
-        forged = ledger.RewardTx(
-            author=issuance.ivtp_id, tf=2, signature=b"\x01" + bytes(63),
-            from_id=issuance.ivtp_id, to_id=ids[0], amount=1_000, reason="forged",
+        key = b"\x01" + bytes(31)
+        with pytest.raises(ValueError, match="prime-order subgroup"):
+            dealer.issue(key)
+        register = _registration(dealer, key, dealer.issuance_counter)
+        assert chain.append_block([register], timestamp=1) == (
+            None, [(register, "invalid_public_key")]
         )
-        assert chain.append_block([forged], timestamp=2) == (None, [(forged, "bad_signature")])
-        _assert_left_out(chain, [forged])
+        _assert_left_out(chain, [register])
 
-        honest = signed_comm(keys[ids[0]], ids[0], tf=2, receivers=(ids[1],))
-        chain.append_block([honest], timestamp=2)
+        honest = signed_comm(keys[ids[0]], ids[0], tf=1, receivers=(ids[1],))
+        chain.append_block([honest], timestamp=1)
         spliced = dataclasses.replace(
-            chain.blocks[-1], txs=(forged,), merkle_root=ledger.merkle_root([forged.tx_id])
+            chain.blocks[-1], txs=(register,), merkle_root=ledger.merkle_root([register.tx_id])
         )
         report = ledger.validate_blocks(chain.blocks[:-1] + [spliced], chain.state.endowment)
-        assert (report.ok, report.height, report.cause) == (False, spliced.height, "bad_signature")
+        assert (report.ok, report.height, report.cause) == (
+            False, spliced.height, "invalid_public_key"
+        )
 
     def test_broken_link_detected(self):
         import dataclasses
@@ -724,6 +727,147 @@ class TestValidation:
         )
         assert not report.ok
         assert report.height == 1
+
+
+_STRANGER = identity.sha256(b"never registered")
+
+
+def _flip(sig: bytes) -> bytes:
+    return bytes([sig[0] ^ 1]) + sig[1:]
+
+
+def _registration(dealer, pk, counter):
+    """A registration of pk under counter that dealer signs, built by hand
+    (DealerAuthority.issue would refuse some of the keys tested here)."""
+    ivtp_id = identity.ivtp_id_from(dealer.dealer_id, pk, counter)
+    binding = identity.sign(dealer.keypair, identity.binding_message(ivtp_id, pk))
+    issuance = identity.Issuance(ivtp_id, pk, dealer.dealer_id, counter, binding)
+    return ledger.register_tx_from_issuance(issuance, dealer, tf=1)
+
+
+class _Valid:
+    """make_fleet(3) and one transaction of each kind at tf 1 that applies
+    to it: a newcomer's registration, a comm, a fee and an outcome."""
+
+    def __init__(self):
+        self.dealer, self.chain, self.ids, self.keys = make_fleet(3)
+        a, b, c = self.ids
+        newcomer = _kp(b"newcomer").public_key
+        self.register = _registration(self.dealer, newcomer, self.dealer.issuance_counter)
+        self.comm = signed_comm(self.keys[a], a, receivers=(b, c))
+        self.reward = self.resign(
+            ledger.RewardTx(a, 1, b"", from_id=a, to_id=b, amount=500, reason="x-1")
+        )
+        statement = ledger.agree_message("x-1", (a, b, c))
+        agreements = tuple((v, identity.sign(self.keys[v], statement)) for v in (a, c))
+        self.outcome = self.resign(
+            ledger.ArbitrationTx(
+                b, 1, b"", intersection_id="x-1", ordering=(a, b, c), proposer=b,
+                agreements=agreements,
+            )
+        )
+
+    def resign(self, tx, **fields):
+        """tx with fields replaced, signed again by whoever signs it at
+        height 1: the dealer for a registration, else its author."""
+        tx = dataclasses.replace(tx, **fields)
+        signer = self.dealer.keypair if isinstance(tx, ledger.RegisterTx) else self.keys[tx.author]
+        return ledger.sign_tx(tx, signer)
+
+
+# A check_tx cause per row: a minimal edit of one of _Valid's transactions,
+# and the cause it is refused for.
+_REFUSALS = [
+    ("unknown_dealer", lambda w: w.resign(w.register, dealer_id=identity.sha256(b"rival"))),
+    ("bad_id_derivation", lambda w: w.resign(w.register, counter=w.register.counter + 1)),
+    ("author_not_registrant", lambda w: w.resign(w.register, author=w.ids[0])),
+    (
+        "duplicate_public_key",
+        lambda w: _registration(w.dealer, w.keys[w.ids[0]].public_key, w.register.counter),
+    ),
+    (
+        "bad_binding_signature",
+        lambda w: w.resign(w.register, dealer_sig=_flip(w.register.dealer_sig)),
+    ),
+    (
+        "bad_signature",  # the registration's own signature, which the dealer makes
+        lambda w: dataclasses.replace(w.register, signature=_flip(w.register.signature)),
+    ),
+    ("receiver_not_registered", lambda w: w.resign(w.comm, receivers=(w.ids[1], _STRANGER))),
+    ("author_not_payer", lambda w: w.resign(w.reward, from_id=w.ids[2])),
+    ("non_positive_amount", lambda w: w.resign(w.reward, amount=0)),
+    ("recipient_not_registered", lambda w: w.resign(w.reward, to_id=_STRANGER)),
+    (
+        "duplicate_in_ordering",
+        lambda w: w.resign(w.outcome, ordering=w.outcome.ordering + (w.ids[0],)),
+    ),
+    ("author_not_proposer", lambda w: w.resign(w.outcome, proposer=w.ids[0])),
+    ("proposer_not_in_ordering", lambda w: w.resign(w.outcome, ordering=(w.ids[0], w.ids[2]))),
+    (
+        "member_not_registered",
+        lambda w: w.resign(w.outcome, ordering=w.outcome.ordering + (_STRANGER,)),
+    ),
+]
+
+
+class TestRefusals:
+    """Each refusal, met as the chain meets it: a transaction through
+    append_block and through the replay of a block holding it alone, a
+    header through validate_blocks. Each row's edit is the only change to
+    something that applies, so the row also pins the order of the checks."""
+
+    @pytest.mark.parametrize("kind", ["register", "comm", "reward", "outcome"])
+    def test_the_unedited_transactions_apply(self, kind):
+        w = _Valid()
+        tx = getattr(w, kind)
+        assert w.chain.append_block([tx], timestamp=1)[1] == []
+        assert ledger.validate_chain(w.chain).ok
+
+    @pytest.mark.parametrize("cause, edit", _REFUSALS, ids=[cause for cause, _ in _REFUSALS])
+    def test_a_transaction_is_refused_for_its_cause(self, cause, edit):
+        w = _Valid()
+        tx = edit(w)
+        chain = w.chain
+        block = ledger.Block(
+            chain.height + 1, chain.tip.block_hash, ledger.merkle_root([tx.tx_id]), 1, (tx,)
+        )
+        report = ledger.validate_blocks(chain.blocks + [block], chain.state.endowment)
+        assert (report.ok, report.height, report.tx_id, report.cause) == (
+            False, block.height, tx.tx_id, cause
+        )
+        assert chain.append_block([tx], timestamp=1) == (None, [(tx, cause)])
+        _assert_left_out(chain, [tx])
+
+    @pytest.mark.parametrize(
+        "cause, at, edit",
+        [
+            ("bad genesis header", 0, lambda block: dataclasses.replace(block, height=1)),
+            ("non-contiguous height", 3, lambda block: dataclasses.replace(block, height=4)),
+            ("timestamp not monotone", 3, lambda block: dataclasses.replace(block, timestamp=1)),
+            ("empty block", 3, lambda block: dataclasses.replace(block, txs=())),
+        ],
+    )
+    def test_a_header_is_refused_for_its_cause(self, cause, at, edit):
+        """Blocks at timestamps 0, 0, 2 and 3; one is edited."""
+        w = _Valid()
+        w.chain.append_block([w.comm], timestamp=2)
+        w.chain.append_block([w.reward], timestamp=3)
+        blocks = list(w.chain.blocks)
+        assert ledger.validate_blocks(blocks, w.chain.state.endowment).ok
+        blocks[at] = edit(blocks[at])
+        report = ledger.validate_blocks(blocks, w.chain.state.endowment)
+        assert (report.ok, report.height, report.cause) == (False, blocks[at].height, cause)
+
+    def test_a_state_with_no_dealer_refuses_a_registration_as_unknown_dealer(self):
+        """No replay reaches a height above 0 without a dealer (genesis holds
+        exactly the dealer's self-registration), and a state built without
+        one has no dealer id a registration could name."""
+        w = _Valid()
+        dealerless = ledger.Chain(w.chain.blocks, ledger.LedgerState(w.chain.state.endowment))
+        assert dealerless.state.dealer_id is None
+        assert dealerless.append_block([w.register], timestamp=1) == (
+            None, [(w.register, "unknown_dealer")]
+        )
 
 
 class _RecordedReads(io.BytesIO):

@@ -390,6 +390,42 @@ class TestIntersection:
         with pytest.raises(vehicle.SessionExistsError):
             v.open_session("x-1", frozenset([v.ivtp_id]), {v.ivtp_id: 1}, 100)
 
+    def test_a_vehicle_outside_the_participants_holds_no_session(self):
+        """Only a participant holds a session: one held by any other vehicle
+        would elect, then retry and abort a session its participants commit."""
+        _, _, (v, other) = _wire(2)
+        with pytest.raises(ValueError, match="not a participant"):
+            v.open_session("x-1", frozenset([other.ivtp_id]), {other.ivtp_id: 1}, 100)
+        assert v.sessions == {}
+
+    def test_forged_agreement_is_dropped_by_the_proposer(self, monkeypatch):
+        """IV-1 answers the schedule with a well-signed agree frame whose
+        agreement signature is wrong. The proposer, IV-2 (the least compute
+        delay), drops it as bad_agreement_sig and commits nothing; at the
+        agree deadline, agree_timeout_ms after the last intent, its session
+        moves to round 1."""
+        _, net, vehicles = _wire(3)
+        forger, proposer, _ = vehicles
+        honest = arbitration.agreement_signature
+
+        def agreement_signature(keypair, iid, ordering):
+            sig = honest(keypair, iid, ordering)
+            return bytes([sig[0] ^ 1]) + sig[1:] if keypair is forger.keypair else sig
+
+        monkeypatch.setattr(arbitration, "agreement_signature", agreement_signature)
+        _intersection(net, vehicles, [100, 110, 130], [3, 2, 4])
+        deadline = 130 + consensus.ConsensusConfig().agree_timeout_ms
+        net.run_until(deadline - 1)
+        s = proposer.sessions["x-1"]
+        assert (s.phase, s.round, s.proposer) == (Phase.AGREEING, 0, proposer.ivtp_id)
+        assert proposer.drops == {"bad_agreement_sig": 1}
+        assert set(s.agreements) == {vehicles[2].ivtp_id}
+        assert not [t for t in proposer.submitted if isinstance(t, ledger.ArbitrationTx)]
+        net.run_until(deadline)
+        assert s.round == 1
+        notes = [(r["t_ms"], r["kind"]) for r in net.trace if r["dir"] == "note"]
+        assert notes == [(deadline, "session_retry")] * 3
+
     def test_lost_intent_recovers_in_round_two(self):
         """One intent silently lost on one link: the starved vehicle
         disagrees with the early schedule, everyone re-collects, and the
