@@ -48,7 +48,9 @@ so every transaction is checked cold, and take the tracemalloc peak of
 one cold read of the chain file from disk up to the replayed ``Chain``
 (``read_peak_kib``). ``canonical_decode_s`` is the decode alone: a
 decoded transaction keeps the bytes it was read from and hashes its id
-from them when first asked. The codec set also counts, for one cold
+from them when first asked. ``chain_decode_s`` is the chain file's
+decode alone: every block of ``parse_chain_bytes`` read, with no replay
+and so no Ed25519 check. The codec set also counts, for one cold
 round trip, each side's calls of ``tx_signing_bytes``,
 ``canonical_encode`` and ``Block.header_bytes`` (``encode_calls``);
 they are deterministic, so one run per side is kept. The layer
@@ -200,6 +202,7 @@ print(json.dumps({
     "canonical_decode_s": best(lambda: [ledger.canonical_decode(b) for b in encoded], 15),
     "tx_signing_bytes_s": best(lambda: [ledger.tx_signing_bytes(tx) for tx in txs], 15),
     "chain_round_trip_s": best(round_trip, 3),
+    "chain_decode_s": best(lambda: list(ledger.parse_chain_bytes(io.BytesIO(data)).blocks()), 15),
     "encode_calls": encode_calls(),
     "read_peak_kib": read_peak_kib(),
 }))
@@ -433,7 +436,7 @@ def microbench(checkout: Path, script: str, *args: str) -> dict:
 
 CODEC_METRICS = (
     "canonical_encode_s", "canonical_decode_s", "tx_signing_bytes_s", "chain_round_trip_s",
-    "read_peak_kib",
+    "chain_decode_s", "read_peak_kib",
 )
 LAYER_METRICS = tuple(
     f"{name}{unit}"

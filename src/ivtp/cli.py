@@ -66,7 +66,7 @@ def _cmd_inspect(args) -> int:
     except OSError as exc:  # missing, a directory, unreadable
         print(f"chain file not found or unreadable: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # CorruptChainFileError, or text that is not UTF-8
+    except ledger.CorruptChainFileError as exc:
         print(f"corrupt chain file: {exc}", file=sys.stderr)
         return 1
 

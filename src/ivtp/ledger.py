@@ -3,22 +3,24 @@ chained blocks, replayable ledger state, and queries over the blocks.
 
 Transactions are canonically encoded to bytes (injective, self
 delimiting), identified by the SHA-256 of that encoding, and grouped
-into blocks whose Merkle root commits to the transaction list. Each run
-of fixed-width fields decodes through one struct. A decoded transaction
-carries the bytes it was read from until its signature is checked over
-them, and a decoded block its header's hash, so replaying a loaded
-chain encodes nothing. A chain file is read one block at a time, and
-each block is replayed before the next is read. The blocks are the
-record. The ledger state holds only what the validity
-rules read (registrations, balances, applied tx ids); it is a pure
-function of the chain and is rebuilt by replay during validation. An
-edit that leaves every hash as it was (a flipped byte, a cut) is
-detected; one that recomputes the hashes can pass, as blocks are
-unsigned: a file alone shows only that each transaction was signed by
-its author and passes the replay rules. A commit and a replay admit
-each transaction through one step, LedgerState.admit, which changes the
-state only for a transaction that passes. Who talked to
-whom and a vehicle's history are read off the blocks when asked for.
+into blocks whose Merkle root commits to the transaction list. Each byte
+layout decodes through one Plan, compiled at import, which one loop
+walks: a run of fixed-width fields is one struct call, each other field
+a read that checks its bounds. A decoded transaction carries the bytes
+it was read from until its signature is checked over them, and a decoded
+block its header's hash, so replaying a loaded chain encodes nothing. A
+chain file is read one block at a time, and each block is replayed
+before the next is read. The blocks are the record. The ledger state
+holds only what the validity rules read (registrations, balances,
+applied tx ids); it is a pure function of the chain and is rebuilt by
+replay during validation. An edit that leaves every hash as it was (a
+flipped byte, a cut) is detected; one that recomputes the hashes can
+pass, as blocks are unsigned: a file alone shows only that each
+transaction was signed by its author and passes the replay rules. A
+commit and a replay admit each transaction through one step,
+LedgerState.admit, which changes the state only for a transaction that
+passes. Who talked to whom and a vehicle's history are read off the
+blocks when asked for.
 
 Units: trust points are integers in milli-trust (1 IV-TP = 1000).
 Registration grants each vehicle a configurable endowment; rewards are
@@ -33,7 +35,6 @@ import io
 import itertools
 import struct
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -90,51 +91,39 @@ def _blob(b: bytes, name: str = "blob") -> bytes:
     return _u32(len(b), name) + b
 
 
-class _Reader:
-    """Reads data front to back. take slices data, so a reader over a
-    memoryview copies nothing."""
+_COUNT = struct.Struct(">I")  # the u32 count before a list or blob
 
-    def __init__(self, data):
-        self.data = data
-        self.end = len(data)
-        self.pos = 0
 
-    def _skip(self, n: int) -> int:
-        """Move past n bytes; return where they start."""
-        start, self.pos = self.pos, self.pos + n
-        if self.pos > self.end:
-            raise CorruptChainFileError("truncated encoding")
-        return start
+def _read_blob(data, pos: int, size: int = 1) -> tuple:
+    """The u32-counted run of size-byte items at pos, a slice of data, and its end."""
+    try:
+        (n,) = _COUNT.unpack_from(data, pos)
+    except struct.error:
+        raise CorruptChainFileError("truncated encoding") from None
+    end = pos + 4 + n * size
+    if end > len(data):
+        raise CorruptChainFileError("truncated encoding")
+    return data[pos + 4 : end], end
 
-    def take(self, n: int):
-        return self.data[self._skip(n) : self.pos]
 
-    def unpack(self, run: struct.Struct) -> tuple:
-        return run.unpack_from(self.data, self._skip(run.size))
-
-    def blob(self):
-        return self.take(U32.decode(self))
-
-    def finish(self, what: str) -> None:
-        if self.pos != self.end:
-            raise CorruptChainFileError(f"trailing bytes after {what}")
+def _read_text(data, pos: int) -> tuple:
+    blob, end = _read_blob(data, pos)
+    try:
+        return str(blob, "utf-8"), end
+    except UnicodeDecodeError:
+        raise CorruptChainFileError("text is not UTF-8") from None
 
 
 class Codec(NamedTuple):
-    """One field's wire form. encode(value, name) raises
-    FieldOverflowError, naming the field, if value does not fit. A
-    fixed-width codec has a struct code, fmt; one of vehicle ids has
-    intern(value, ids), value with each id swapped for ids' object."""
+    """One field's wire form. encode(value, name) raises FieldOverflowError,
+    naming the field, if value does not fit. A fixed-width codec has a
+    struct code, fmt; any other a read(data, pos) -> (value, end) that checks
+    its bounds. intern(value, ids) swaps each vehicle id for ids' object."""
 
-    encode: Callable[[object, str], bytes]
-    decode: Callable[[_Reader], object]
+    encode: Callable[[object, str], bytes] | None
+    read: Callable[[object, int], tuple] | None = None
     fmt: str = ""
     intern: Callable[[object, dict], object] | None = None
-
-
-def _fixed(encode, fmt: str) -> Codec:
-    one = struct.Struct(">" + fmt)
-    return Codec(encode, lambda r: r.unpack(one)[0], fmt)
 
 
 def _fixed_width(n: int) -> Codec:
@@ -143,14 +132,14 @@ def _fixed_width(n: int) -> Codec:
             raise FieldOverflowError(f"{name} must be {n} bytes, got {len(b)}")
         return b
 
-    return _fixed(encode, f"{n}s")
+    return Codec(encode, fmt=f"{n}s")
 
 
 def _list_of(*item: Codec) -> Codec:
     """u32 count, then each item: a value of the one fixed-width codec, or
     a tuple of one value per codec. All items are read through one struct."""
-    each, one = struct.Struct(">" + "".join([c.fmt for c in item])), len(item) == 1
-    first = item[0].encode
+    each = "".join([c.fmt for c in item])
+    size, one, first = struct.calcsize(">" + each), len(item) == 1, item[0].encode
 
     def encode(seq, name: str) -> bytes:
         if one:
@@ -158,27 +147,61 @@ def _list_of(*item: Codec) -> Codec:
         parts = [c.encode(v, name) for row in seq for c, v in zip(item, row)]
         return _u32(len(seq), name) + b"".join(parts)
 
-    def decode(r: _Reader) -> tuple:
-        rows = each.iter_unpack(r.take(U32.decode(r) * each.size))
-        return tuple([v for v, in rows]) if one else tuple(rows)
+    def read(data, pos: int) -> tuple:
+        run, end = _read_blob(data, pos, size)
+        flat = struct.unpack(">" + each * (len(run) // size), run)
+        return (flat if one else tuple(zip(*[iter(flat)] * len(item)))), end
 
-    return Codec(encode, decode)
+    return Codec(encode, read)
 
 
-U32 = _fixed(_u32, "I")
+U32 = Codec(_u32, fmt="I")
 ID = _fixed_width(HASH_LEN)
 PUBLIC_KEY = _fixed_width(identity.PUBLIC_KEY_LEN)
 SIGNATURE = _fixed_width(identity.SIGNATURE_LEN)
-U64 = _fixed(_u64, "Q")
-BLOB = Codec(_blob, _Reader.blob)
-TEXT = Codec(lambda s, name: _blob(s.encode(), name), lambda r: str(r.blob(), "utf-8"))
+U64 = Codec(_u64, fmt="Q")
+BLOB = Codec(_blob, _read_blob)
+TEXT = Codec(lambda s, name: _blob(s.encode(), name), _read_text)
 # Vehicle ids: the same few recur all through a chain file.
 VEHICLE_ID = ID._replace(intern=lambda v, ids: ids.setdefault(v, v))
 IDS = _list_of(ID)._replace(intern=lambda vs, ids: tuple([ids.setdefault(v, v) for v in vs]))
 AGREEMENTS = _list_of(ID, SIGNATURE)._replace(  # (voter id, signature) pairs
     intern=lambda rows, ids: tuple([(ids.setdefault(v, v), sig) for v, sig in rows])
 )
-_ENVELOPE = struct.Struct(">B" + ID.fmt + U64.fmt)  # tag, author, tf
+
+
+class Plan:
+    """A byte layout compiled for reading: each run of adjacent
+    fixed-width codecs is one struct, each other codec its own read."""
+
+    def __init__(self, codecs):
+        self.steps = []  # (unpack_from, size, None) of a run, or (None, 0, read)
+        for fixed, run in itertools.groupby(codecs, key=lambda c: bool(c.fmt)):
+            if fixed:
+                run = struct.Struct(">" + "".join([c.fmt for c in run]))
+                self.steps.append((run.unpack_from, run.size, None))
+            else:
+                self.steps += [(None, 0, c.read) for c in run]
+        self.interns = [(i, c.intern) for i, c in enumerate(codecs) if c.intern]
+
+    def read(self, data, ids: dict | None = None) -> tuple[list, int]:
+        """The values data holds from its start, in codec order, vehicle
+        ids interned in ids if given, and where the last one ends."""
+        values, pos = [], 0
+        for unpack, size, read in self.steps:
+            if read is None:
+                try:
+                    values += unpack(data, pos)
+                except struct.error:
+                    raise CorruptChainFileError("truncated encoding") from None
+                pos += size
+            else:
+                value, pos = read(data, pos)
+                values.append(value)
+        if ids is not None:
+            for i, intern in self.interns:
+                values[i] = intern(values[i], ids)
+        return values, pos
 
 
 def _wire(codec: Codec, default=dataclasses.MISSING):
@@ -187,42 +210,24 @@ def _wire(codec: Codec, default=dataclasses.MISSING):
     return field(default=default, metadata={"codec": codec})
 
 
-class _Layout:
-    """The _wire fields of a dataclass in declaration order, then tail's
-    codecs (read, not written); a run of fixed-width ones is one struct."""
+class _Layout(Plan):
+    """The _wire fields of a dataclass in declaration order, written by
+    encode, and read as one plan between head's codecs and tail's."""
 
-    def __init__(self, cls, *tail: Codec):
+    def __init__(self, cls, head=(), tail=()):
         wired = [f for f in dataclasses.fields(cls) if "codec" in f.metadata]
         self.encoders = [(f.name, f.metadata["codec"].encode) for f in wired]
-        self.steps = []  # each reads a tuple of values
-        codecs = [f.metadata["codec"] for f in wired] + list(tail)
-        self.interns = [(i, c.intern) for i, c in enumerate(codecs) if c.intern]
-        for fixed, run in itertools.groupby(codecs, key=lambda c: bool(c.fmt)):
-            if fixed:
-                run = struct.Struct(">" + "".join([c.fmt for c in run]))
-                self.steps.append(partial(_Reader.unpack, run=run))
-            else:
-                self.steps += [lambda r, decode=c.decode: (decode(r),) for c in run]
+        super().__init__([*head, *[f.metadata["codec"] for f in wired], *tail])
 
     def encode(self, obj) -> bytes:
         return b"".join([encode(getattr(obj, name), name) for name, encode in self.encoders])
 
-    def decode(self, r: _Reader, ids: dict | None = None) -> list:
-        """The field values, then tail's, in order, vehicle ids interned
-        in ids if given."""
-        values = [value for step in self.steps for value in step(r)]
-        if ids is not None:
-            for i, intern in self.interns:
-                values[i] = intern(values[i], ids)
-        return values
 
-
-def decode_exact(data: bytes, codecs, what: str) -> tuple:
-    """The values each codec reads from data in turn; data must end where
-    the last one does."""
-    r = _Reader(data)
-    values = tuple([codec.decode(r) for codec in codecs])
-    r.finish(what)
+def decode_exact(data, plan: Plan, what: str, ids: dict | None = None) -> list:
+    """The values plan reads from data, which must end where the last does."""
+    values, end = plan.read(data, ids)
+    if end != len(data):
+        raise CorruptChainFileError(f"trailing bytes after {what}")
     return values
 
 
@@ -323,7 +328,8 @@ class ArbitrationTx(Transaction):
         object.__setattr__(self, "_agreements_verdict", None)  # keyed by the voters' keys
 
 
-_TX_LAYOUTS = {cls: _Layout(cls, SIGNATURE) for cls in Transaction.__subclasses__()}
+_TX_HEAD = (Codec(None, fmt="B"), VEHICLE_ID, U64)  # tag, author, tf, as envelope writes them
+_TX_LAYOUTS = {cls: _Layout(cls, _TX_HEAD, (SIGNATURE,)) for cls in Transaction.__subclasses__()}
 _TX_BY_TAG = {cls.TAG: cls for cls in _TX_LAYOUTS}
 
 
@@ -344,16 +350,12 @@ def canonical_decode(data, ids: dict | None = None) -> Transaction:
     """Inverse of canonical_encode; rejects trailing garbage. data, bytes
     or a memoryview into a chain file's block, becomes the tx's span.
     With ids, each vehicle id read is ids' one object for it."""
-    r = _Reader(data)
-    tag, author, tf = r.unpack(_ENVELOPE)
-    cls = _TX_BY_TAG.get(tag)
+    cls = _TX_BY_TAG.get(data[0]) if data else None
     if cls is None:
+        (tag, _, _), _ = Plan(_TX_HEAD).read(data)  # a cut envelope is truncated, whatever its tag
         raise CorruptChainFileError(f"unknown transaction tag {tag}")
-    values = _TX_LAYOUTS[cls].decode(r, ids)
-    r.finish("transaction")
-    if ids is not None:
-        author = ids.setdefault(author, author)
-    tx = cls(author, tf, values.pop(), *values)
+    _, author, tf, *fields, signature = decode_exact(data, _TX_LAYOUTS[cls], "transaction", ids)
+    tx = cls(author, tf, signature, *fields)
     object.__setattr__(tx, "_span", data)
     return tx
 
@@ -437,7 +439,7 @@ class Block:
         return sha256(self.header_bytes())
 
 
-_BLOCK_HEADER = _Layout(Block)
+_BLOCK_HEADER = _Layout(Block, tail=(U32,))  # and the tx count: all one struct
 
 
 def encode_block(block: Block) -> bytes:
@@ -445,10 +447,17 @@ def encode_block(block: Block) -> bytes:
     return b"".join([block.header_bytes(), _u32(len(txs)), *txs])
 
 
-def decode_block(r: _Reader, ids: dict | None = None) -> Block:
-    start, header = r.pos, _BLOCK_HEADER.decode(r)
-    header_hash = sha256(r.data[start : r.pos])  # block_hash, from the bytes read
-    block = Block(*header, tuple([canonical_decode(r.blob(), ids) for _ in range(U32.decode(r))]))
+def decode_block(data, ids: dict | None = None) -> Block:
+    """Inverse of encode_block; rejects trailing garbage. Presets block_hash."""
+    (*header, count), pos = _BLOCK_HEADER.read(data)
+    header_hash = sha256(data[: pos - _COUNT.size])
+    txs = []
+    for _ in range(count):
+        blob, pos = _read_blob(data, pos)
+        txs.append(canonical_decode(blob, ids))
+    if pos != len(data):
+        raise CorruptChainFileError("trailing bytes after block")
+    block = Block(*header, tuple(txs))
     object.__setattr__(block, "block_hash", header_hash)
     return block
 
@@ -816,9 +825,7 @@ class ChainFile:
         ids: dict[bytes, bytes] = {}
         prev = None
         while self._left:
-            blob = _Reader(memoryview(self._read(int.from_bytes(self._read(4), "big"))))
-            block = decode_block(blob, ids)
-            blob.finish("block")
+            block = decode_block(memoryview(self._read(int.from_bytes(self._read(4), "big"))), ids)
             if prev is not None and block.prev_hash == prev.block_hash:
                 object.__setattr__(prev, "block_hash", block.prev_hash)
             yield block

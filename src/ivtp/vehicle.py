@@ -68,11 +68,14 @@ KIND_LABELS = {
     KIND_REWARD_NOTICE: "reward_notice",
 }
 
+
+def _read_tx(data, pos: int) -> tuple:
+    blob, end = BLOB.read(data, pos)
+    return canonical_decode(blob), end
+
+
 # A carried transaction: its canonical encoding as a blob, decoded on read.
-TX = Codec(
-    lambda tx, name: BLOB.encode(canonical_encode(tx), name),
-    lambda r: canonical_decode(BLOB.decode(r)),
-)
+TX = Codec(lambda tx, name: BLOB.encode(canonical_encode(tx), name), _read_tx)
 
 # Each kind's payload: the fields its handler reads, in wire order, with a codec each.
 PAYLOAD_FIELDS = {
@@ -85,10 +88,10 @@ PAYLOAD_FIELDS = {
     KIND_ENDORSE: (("tx_id", ID), ("verdict", TEXT)),
     KIND_REWARD_NOTICE: (("tx", TX),),
 }
-_PAYLOAD_CODECS = {kind: [codec for _, codec in fields] for kind, fields in PAYLOAD_FIELDS.items()}
+_PAYLOAD_PLANS = {k: ledger.Plan([c for _, c in fields]) for k, fields in PAYLOAD_FIELDS.items()}
 
 # What decoding a payload raises; a frame whose payload raises it is dropped.
-DECODE_ERRORS = (CorruptChainFileError, UnicodeDecodeError)
+DECODE_ERRORS = CorruptChainFileError
 
 # The transaction kinds a comm and a reward notice may carry, as their
 # payload's last field. The frame's sender must be its author.
@@ -147,10 +150,10 @@ class Frame:
     @once
     def body(self) -> tuple:
         """The payload's field values in PAYLOAD_FIELDS order, a carried
-        transaction decoded. Raises one of DECODE_ERRORS unless the
+        transaction decoded. Raises CorruptChainFileError unless the
         payload is exactly those fields. A function of the payload alone,
         shared by every receiver; Endpoint.heeds reads it unchecked."""
-        return ledger.decode_exact(self.payload, _PAYLOAD_CODECS[self.kind], "payload")
+        return tuple(ledger.decode_exact(self.payload, _PAYLOAD_PLANS[self.kind], "payload"))
 
 
 def make_frame(

@@ -171,7 +171,7 @@ class TestCodec:
         and identity.once reads a preset value: reading it hashes nothing."""
         tx = signed_comm(_kp(b"a"), b"\x01" * 32)
         block = ledger.Block(0, ledger.GENESIS_PREV_HASH, ledger.merkle_root([tx.tx_id]), 1, (tx,))
-        decoded = ledger.decode_block(ledger._Reader(ledger.encode_block(block)))
+        decoded = ledger.decode_block(ledger.encode_block(block))
         monkeypatch.setattr(ledger, "sha256", None)
         assert decoded.block_hash == hashlib.sha256(block.header_bytes()).digest()
 
@@ -343,7 +343,18 @@ class TestPinnedBytes:
         tx = ledger.canonical_encode(block.txs[0])
         encoded = ledger.encode_block(block)
         assert encoded == header + struct.pack(">II", 1, len(tx)) + tx
-        assert ledger.decode_block(ledger._Reader(encoded)) == block
+        assert ledger.decode_block(encoded) == block
+
+    def test_every_cut_of_a_block_is_truncated(self):
+        """A block of every transaction kind, cut anywhere: the read stops
+        at the first field that runs past the end, with one message."""
+        txs = tuple([tx for tx, _ in _pinned_txs()])
+        block = ledger.Block(3, _b(21), ledger.merkle_root([tx.tx_id for tx in txs]), 9, txs)
+        encoded = ledger.encode_block(block)
+        assert ledger.decode_block(encoded) == block
+        for cut in range(len(encoded)):
+            with pytest.raises(ledger.CorruptChainFileError, match="^truncated encoding$"):
+                ledger.decode_block(encoded[:cut])
 
     def test_agree_message_bytes(self):
         crossing = _CROSSING.encode()
@@ -998,6 +1009,19 @@ class TestChainFile:
         chain_file = ledger.parse_chain_bytes(io.BytesIO(valid + b"\xff\xff\xff\xff" + bytes(32)))
         with pytest.raises(ledger.CorruptChainFileError, match="^truncated encoding$"):
             ledger.validate_blocks(chain_file.blocks(), chain_file.endowment)
+
+    def test_text_that_is_not_utf8_is_a_corrupt_file(self):
+        """A committed reward's reason with a byte that is not UTF-8, under
+        a recomputed file checksum: the read raises CorruptChainFileError."""
+        _, chain, (a, b), keys = make_fleet(2)
+        reward = ledger.RewardTx(a, 1, b"", from_id=a, to_id=b, amount=5, reason="x-1")
+        chain.append_block([ledger.sign_tx(reward, keys[a])], timestamp=1)
+        body = ledger.chain_to_bytes(chain)[: -ledger.HASH_LEN]
+        at = body.rindex(b"x-1")
+        body = body[:at] + b"\xff" + body[at + 1 :]
+        f = io.BytesIO(body + hashlib.sha256(body).digest())
+        with pytest.raises(ledger.CorruptChainFileError, match="^text is not UTF-8$"):
+            ledger.parse_chain_bytes(f).chain()
 
     def test_a_second_pass_reads_nothing_and_keeps_the_verdict(self):
         chain = _comm_chain(2)

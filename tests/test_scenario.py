@@ -200,6 +200,20 @@ class TestLoad:
             ),
             ({"vehicles": [{"alias": "A"}], "comms": [{"sender": "A", "at": 5}]}, "comms[0].at"),
             ({"vehicles": [{"alias": "A"}], "zz": 1, "aa": 2}, "zz"),
+            ([], "$"),
+            ({"vehicles": [{"alias": "A"}], "consensus": {"beacon_period_ms": 0}}, "consensus"),
+            ({"vehicles": [5]}, "vehicles[0]"),
+            ({"vehicles": [{"alias": ""}]}, "vehicles[0].alias"),
+            ({"vehicles": [{"alias": "A"}], "intersections": [{"participants": ["A"]}]},
+             "intersections[0]"),
+            ({"vehicles": [{"alias": "A"}], "intersections": [{"id": "x", "participants": []}]},
+             "intersections[0].participants"),
+            (
+                {"vehicles": [{"alias": "A"}],
+                 "intersections": [{"id": "x", "participants": ["A", "A"]}]},
+                "intersections[0].participants",
+            ),
+            ({"vehicles": [{"alias": "A"}], "comms": [5]}, "comms[0]"),
         ],
     )
     def test_validation_errors_name_the_field(self, raw, fieldname):
@@ -212,10 +226,11 @@ class TestLoad:
             "id": "x", "participants": ["A"],
             "arrival_ms": {"A": 0}, "compute_delay_ms": {"A": 1},
         }
-        with pytest.raises(scenario.ValidationError):
+        with pytest.raises(scenario.ValidationError) as err:
             scenario.scenario_from_dict(
                 {"vehicles": [{"alias": "A"}], "intersections": [entry, dict(entry)]}
             )
+        assert err.value.field == "intersections"
 
 
 def _signed(tx, kp):

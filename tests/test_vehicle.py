@@ -13,8 +13,10 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from ivtp import arbitration, consensus, identity, ledger, netsim, scenario, sim, vehicle
 from ivtp.arbitration import Phase
 from ivtp.vehicle import (
+    KIND_AGREE,
     KIND_BEACON,
     KIND_COMM,
+    KIND_DISAGREE,
     KIND_ENDORSE,
     KIND_INTENT,
     KIND_LABELS,
@@ -151,6 +153,8 @@ def _sample_payload(kind, v):
         KIND_COMM: (b"m", tx),
         KIND_INTENT: ("x-1", 5),
         KIND_SCHEDULE: ("x-1", 0, ids),
+        KIND_AGREE: ("x-1", 0, identity.sign(v.keypair, ledger.agree_message("x-1", ids))),
+        KIND_DISAGREE: ("x-1", 0),
         KIND_ENDORSE: (tx.tx_id, consensus.VERDICT_VALID),
         KIND_REWARD_NOTICE: (_reward(v, v),),
     }[kind]
@@ -224,6 +228,41 @@ class TestPipeline:
         assert host.pending == {} and host.early_endorsements == {}
         host_reads = kind in (KIND_COMM, KIND_ENDORSE, KIND_REWARD_NOTICE)
         assert [r.split(":")[0] for r in host.drops] == (["bad_payload"] if host_reads else [])
+
+    @pytest.mark.parametrize(
+        "kind",
+        [KIND_INTENT, KIND_SCHEDULE, KIND_AGREE, KIND_DISAGREE, KIND_COMM, KIND_ENDORSE,
+         KIND_REWARD_NOTICE],
+    )
+    def test_every_cut_and_one_byte_more_drop_with_one_message(self, kind):
+        """A well-formed payload cut anywhere drops as truncated, and one
+        with a byte past its last field as trailing bytes, at every
+        endpoint that reads the kind: vehicles all but endorsements, the
+        ledger host comms, endorsements and reward notices."""
+        _, vehicles, host = _with_host(3)
+        a, *receivers = vehicles
+        readers = [] if kind == KIND_ENDORSE else [*receivers]
+        if kind in (KIND_COMM, KIND_ENDORSE, KIND_REWARD_NOTICE):
+            readers.append(host)
+        payload = _sample_payload(kind, a)
+        for mangled in [payload[:cut] for cut in range(len(payload))] + [payload + b"\0"]:
+            f = make_frame(kind, a.keypair, a.ivtp_id, 5, mangled)
+            for endpoint in readers:
+                assert endpoint.handle_frame(f, 5) == []
+        for endpoint in readers:
+            assert endpoint.drops == {
+                "bad_payload:truncated encoding": len(payload),
+                "bad_payload:trailing bytes after payload": 1,
+            }
+
+    def test_text_that_is_not_utf8_drops(self):
+        """An intent whose intersection is not UTF-8 drops at every vehicle
+        with the decoder's own message."""
+        net, (a, *receivers), host = _with_host(3)
+        payload = vehicle.encode_payload(KIND_INTENT, "x-1", 5).replace(b"x-1", b"\xff-1")
+        net.broadcast(make_frame(KIND_INTENT, a.keypair, a.ivtp_id, 5, payload), 5)
+        net.run_until(10)
+        assert [v.drops for v in receivers] == [{"bad_payload:text is not UTF-8": 1}] * 2
 
     def test_beacon_with_a_payload_dropped(self):
         """A beacon's payload is empty: one with bytes in it drops like any
