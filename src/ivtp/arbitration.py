@@ -23,10 +23,6 @@ from .ledger import TimeFlag, agree_message
 REWARD_MILLI_TRUST = 500
 
 
-class EmptyIntentsError(ValueError):
-    """Ordering requested with no arrival announcements at all."""
-
-
 class Phase(enum.Enum):
     COLLECTING = "collecting"
     PROPOSING = "proposing"
@@ -39,26 +35,25 @@ def compute_order(intents: Mapping[IvTpId, TimeFlag]) -> list[IvTpId]:
     """First come first serve: arrival time ascending, id ascending on
     ties, so every participant derives the identical order."""
     if not intents:
-        raise EmptyIntentsError("no intents to order")
+        raise ValueError("no intents to order")
     return sorted(intents, key=lambda veh: (intents[veh], veh))
 
 
-def elect_scheduler(
-    participants: Iterable[IvTpId],
-    compute_delays: Mapping[IvTpId, int],
-    intent_completion_time: TimeFlag,
-) -> tuple[IvTpId, TimeFlag]:
-    """The vehicle that finishes computing the order first proposes it.
+def elect(
+    participants: Iterable[IvTpId], compute_delays: Mapping[IvTpId, int], round_: int
+) -> IvTpId:
+    """The proposer of a session round, the same at every participant.
 
-    Finish time = completion of intent collection + that vehicle's own
-    compute delay; ties go to the lower id. Returns the scheduler and
-    the time its proposal goes out.
+    Round 0: the vehicle that computes the order first, the least compute
+    delay with ties to the lower id. A retry round: the lowest id, so a
+    retry cannot stall on the same failure.
     """
-    pool = sorted(participants)
+    pool = list(participants)
     if not pool:
-        raise EmptyIntentsError("no participants")
-    scheduler = min(pool, key=lambda veh: (intent_completion_time + compute_delays[veh], veh))
-    return scheduler, intent_completion_time + compute_delays[scheduler]
+        raise ValueError("no participants to elect from")
+    if round_ == 0:
+        return min(pool, key=lambda veh: (compute_delays[veh], veh))
+    return min(pool)
 
 
 @dataclass
@@ -85,14 +80,6 @@ class IntersectionSession:
 
     def is_complete(self) -> bool:
         return set(self.intents) == set(self.participants)
-
-    def elect(self, now: TimeFlag) -> tuple[IvTpId, TimeFlag]:
-        """Round 0 elects by compute speed; recovery rounds fall back to
-        the lowest id so a retry cannot stall on the same failure."""
-        if self.round == 0:
-            return elect_scheduler(self.participants, self.compute_delays, now)
-        scheduler = min(self.participants)
-        return scheduler, now + self.compute_delays[scheduler]
 
     def matches(self, ordering: tuple[IvTpId, ...]) -> bool:
         """True when this vehicle's own intent set is complete and

@@ -44,13 +44,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _resolve_vehicle(chain: ledger.Chain, query: str) -> bytes | None:
-    """Accept a full 64-char hex id or any unambiguous hex prefix."""
+def _matching_vehicles(chain: ledger.Chain, query: str) -> list[bytes]:
+    """The registered ids that a full 64-char hex id or a hex prefix names."""
     query = query.lower()
-    matches = [
-        veh for veh in chain.state.registrations if veh.hex().startswith(query)
-    ]
-    return matches[0] if len(matches) == 1 else None
+    return [veh for veh in chain.state.registrations if veh.hex().startswith(query)]
 
 
 def _cmd_inspect(args) -> int:
@@ -95,10 +92,12 @@ def _cmd_inspect(args) -> int:
     if not args.vehicle:
         print(f"{args.query} needs a vehicle id", file=sys.stderr)
         return 2
-    veh = _resolve_vehicle(chain, args.vehicle)
-    if veh is None:
-        print(f"unknown vehicle: {args.vehicle}", file=sys.stderr)
+    matches = _matching_vehicles(chain, args.vehicle)
+    if len(matches) != 1:
+        many = f"ambiguous vehicle prefix: {args.vehicle} matches {len(matches)} vehicles"
+        print(many if matches else f"unknown vehicle: {args.vehicle}", file=sys.stderr)
         return 1
+    (veh,) = matches
     if args.query == "balance":
         print(json.dumps({"vehicle": veh.hex(), "balance": ledger.balance(chain, veh)}))
         return 0

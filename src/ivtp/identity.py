@@ -26,14 +26,6 @@ PUBLIC_KEY_LEN = 32
 SIGNATURE_LEN = 64
 
 
-class SeedLengthError(ValueError):
-    """Keypair seed is not exactly 32 bytes."""
-
-
-class DuplicateKeyError(ValueError):
-    """Public key was already issued an identity by this dealer."""
-
-
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
@@ -74,7 +66,7 @@ _is_valid_point = _sodium.crypto_core_ed25519_is_valid_point
 def _seed_keypair(seed: bytes) -> tuple[bytes, bytes]:
     """(public key, libsodium's 64-byte secret key) of a 32-byte seed."""
     if len(seed) != SEED_LEN:
-        raise SeedLengthError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
+        raise ValueError(f"seed must be {SEED_LEN} bytes, got {len(seed)}")
     pk, sk = ctypes.create_string_buffer(PUBLIC_KEY_LEN), ctypes.create_string_buffer(64)
     if _seed_keypair_c(pk, sk, bytes(seed)) != 0:
         raise ValueError("libsodium refused the seed")
@@ -186,9 +178,7 @@ class DealerAuthority:
         if not valid_public_key(vehicle_pk):
             raise ValueError("public key is not a 32-byte point of the prime-order subgroup")
         if vehicle_pk in self.issued_keys:
-            raise DuplicateKeyError(
-                f"public key {vehicle_pk.hex()[:16]} already has an identity"
-            )
+            raise ValueError(f"public key {vehicle_pk.hex()[:16]} already has an identity")
         ivtp_id = ivtp_id_from(self.dealer_id, vehicle_pk, self.issuance_counter)
         sig = sign(self.keypair, binding_message(ivtp_id, vehicle_pk))
         issuance = Issuance(

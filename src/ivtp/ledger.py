@@ -55,18 +55,6 @@ class FieldOverflowError(ValueError):
     """A length or integer does not fit its fixed-width encoding."""
 
 
-class EmptyLeafListError(ValueError):
-    """Merkle root of zero leaves is undefined."""
-
-
-class NonMonotonicTimestampError(ValueError):
-    """Block timestamp went backwards."""
-
-
-class UnknownVehicleError(KeyError):
-    """Queried identity is not registered on this chain."""
-
-
 class CorruptChainFileError(ValueError):
     """Chain file or block list does not decode or does not replay."""
 
@@ -408,7 +396,7 @@ def merkle_root(tx_ids: list[bytes]) -> bytes:
     """Binary Merkle tree over 32-byte leaves; an odd node at any level
     is paired with itself. A single leaf therefore hashes with itself."""
     if not tx_ids:
-        raise EmptyLeafListError("merkle root needs at least one leaf")
+        raise ValueError("merkle root needs at least one leaf")
     level = list(tx_ids)
     while True:
         if len(level) % 2 == 1:
@@ -673,9 +661,7 @@ class Chain:
         block of those that applied. Returns that block, or None if none
         did, and each refused tx with its cause."""
         if timestamp < self.tip.timestamp:
-            raise NonMonotonicTimestampError(
-                f"timestamp {timestamp} precedes tip {self.tip.timestamp}"
-            )
+            raise ValueError(f"timestamp {timestamp} precedes tip {self.tip.timestamp}")
         height, admitted, refused = self.height + 1, [], []
         for tx in txs:
             cause = self.state.admit(tx, height, timestamp)
@@ -743,7 +729,7 @@ def comm_table(chain: Chain) -> dict[IvTpId, list[IvTpId]]:
 
 def balance(chain: Chain, ivtp_id: IvTpId) -> int:
     if ivtp_id not in chain.state.registrations:
-        raise UnknownVehicleError(ivtp_id.hex())
+        raise KeyError(f"{ivtp_id.hex()} is not registered on this chain")
     return chain.state.balances.get(ivtp_id, 0)
 
 
@@ -761,7 +747,7 @@ def _named(tx: Transaction) -> tuple[IvTpId, ...]:
 def history(chain: Chain, ivtp_id: IvTpId) -> list[Transaction]:
     """Every committed tx the identity took part in, in commit order."""
     if ivtp_id not in chain.state.registrations:
-        raise UnknownVehicleError(ivtp_id.hex())
+        raise KeyError(f"{ivtp_id.hex()} is not registered on this chain")
     return [tx for block in chain.blocks for tx in block.txs if ivtp_id in _named(tx)]
 
 

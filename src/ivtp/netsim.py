@@ -27,14 +27,6 @@ from .identity import IvTpId, short_id
 from .ledger import TimeFlag
 
 
-class UnknownSenderError(ValueError):
-    """Broadcast attempted by an id that never joined the network."""
-
-
-class PastDeadlineError(ValueError):
-    """Timer requested for a time the clock has already passed."""
-
-
 _U64 = struct.Struct(">Q")
 
 
@@ -262,7 +254,7 @@ class Network:
         one), then jitter takes one, uniform over 0..jitter_ms."""
         sender = frame.sender
         if sender not in self.participants:
-            raise UnknownSenderError(short_id(sender))
+            raise ValueError(f"broadcast by {short_id(sender)}, which never joined")
         self.trace.send(at, self.names[sender], frame.kind_label, frame.tf)
         draw, drop_rule, buckets = self.rng.next_u64, self.drop_rule, self._buckets
         p_drop = self.config.drop_probability
@@ -289,7 +281,7 @@ class Network:
         """Hand tag to owner's handle_timer at fire_at. Timers are never
         cancelled: a handler ignores a tag its state has moved past."""
         if fire_at < self.clock:
-            raise PastDeadlineError(f"fire_at {fire_at} < clock {self.clock}")
+            raise ValueError(f"timer due at {fire_at}, past the clock {self.clock}")
         self._bucket(fire_at).append((owner, tag, True))
 
     def run_until(self, t_end: TimeFlag) -> None:

@@ -90,20 +90,9 @@ PAYLOAD_FIELDS = {
 }
 _PAYLOAD_PLANS = {k: ledger.Plan([c for _, c in fields]) for k, fields in PAYLOAD_FIELDS.items()}
 
-# What decoding a payload raises; a frame whose payload raises it is dropped.
-DECODE_ERRORS = CorruptChainFileError
-
 # The transaction kinds a comm and a reward notice may carry, as their
 # payload's last field. The frame's sender must be its author.
 CARRIES = {KIND_COMM: CommTx, KIND_REWARD_NOTICE: (ArbitrationTx, RewardTx)}
-
-
-class NotRegisteredError(ValueError):
-    """Action requires the vehicle to be registered on the chain."""
-
-
-class SessionExistsError(ValueError):
-    """A vehicle runs at most one session per intersection at a time."""
 
 
 class _SignOnRead:
@@ -252,7 +241,7 @@ class Endpoint:
             return False
         try:
             tx_id = f.body[0]
-        except DECODE_ERRORS:
+        except CorruptChainFileError:
             return True
         return tx_id not in self.chain.tx_by_id
 
@@ -274,7 +263,7 @@ class Endpoint:
             return []
         try:
             body = f.body
-        except DECODE_ERRORS as exc:
+        except CorruptChainFileError as exc:
             return self._drop(f, now, f"bad_payload:{exc}")
         carries = CARRIES.get(f.kind)
         if carries is not None and not (
@@ -341,7 +330,7 @@ class Vehicle(Endpoint):
         """Broadcast a message and the matching on-chain record. The
         record's receivers are the peers active right now."""
         if not self.chain.is_registered(self.ivtp_id):
-            raise NotRegisteredError(self.alias)
+            raise ValueError(f"{self.alias} is not registered")
         receivers = tuple(sorted(self.active(now) - {self.ivtp_id}))
         tx = self._author(
             CommTx, now, sender=self.ivtp_id, receivers=receivers,
@@ -362,7 +351,7 @@ class Vehicle(Endpoint):
         if self.ivtp_id not in participants:
             raise ValueError(f"{self.alias} is not a participant of {intersection_id}")
         if intersection_id in self.sessions:
-            raise SessionExistsError(intersection_id)
+            raise ValueError(f"{self.alias} already holds a session of {intersection_id}")
         session = IntersectionSession(
             intersection_id=intersection_id,
             participants=participants,
@@ -378,20 +367,21 @@ class Vehicle(Endpoint):
         session = self.sessions[intersection_id]
         out = [self._frame(KIND_INTENT, now, intersection_id, now)]
         if session.add_intent(self.ivtp_id, now) and session.phase is Phase.COLLECTING:
-            out.extend(self._enter_election(session, now))
+            self._enter_election(session, now)
         return out
 
-    def _enter_election(self, session: IntersectionSession, now: TimeFlag) -> list[Frame]:
+    def _enter_election(self, session: IntersectionSession, now: TimeFlag) -> None:
         """All intents are in: everyone knows who will propose, and when
-        to give up waiting for the outcome."""
+        to give up waiting for the outcome. The proposer proposes once it
+        has computed the order, its compute delay from now."""
         session.phase = Phase.PROPOSING
-        scheduler, t_prop = session.elect(now)
-        session.proposer = scheduler
+        proposer = session.proposer = arbitration.elect(
+            session.participants, session.compute_delays, session.round
+        )
         iid = session.intersection_id
-        if scheduler == self.ivtp_id:
-            self._set_timer(t_prop, ("propose", iid, session.round))
+        if proposer == self.ivtp_id:
+            self._set_timer(now + session.compute_delays[proposer], ("propose", iid, session.round))
         self._set_timer(now + self.config.agree_timeout_ms, ("agree_deadline", iid, session.round))
-        return []
 
     def _propose(self, session: IntersectionSession, now: TimeFlag) -> list[Frame]:
         session.phase = Phase.AGREEING
@@ -445,7 +435,7 @@ class Vehicle(Endpoint):
         # A vehicle that already holds every intent re-elects right away;
         # the ones that were missing intents wait for the re-broadcasts.
         if session.is_complete():
-            out.extend(self._enter_election(session, now))
+            self._enter_election(session, now)
         return out
 
     def _name_of(self, veh: IvTpId) -> str:
@@ -521,7 +511,7 @@ class Vehicle(Endpoint):
         if session is None or session.phase is not Phase.COLLECTING:
             return []
         if session.add_intent(f.sender, tf):
-            return self._enter_election(session, now)
+            self._enter_election(session, now)
         return []
 
     def _on_schedule(self, f: Frame, now: TimeFlag) -> list[Frame]:
@@ -535,7 +525,6 @@ class Vehicle(Endpoint):
             return []
         if session.matches(ordering):
             session.phase = Phase.AGREEING
-            session.proposer = f.sender
             session.ordering = ordering
             sig = arbitration.agreement_signature(self.keypair, iid, ordering)
             return [self._frame(KIND_AGREE, now, iid, session.round, sig)]

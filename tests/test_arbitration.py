@@ -1,4 +1,4 @@
-"""Crossing-order computation, scheduler election, session state machine."""
+"""Crossing-order computation, proposer election, session state machine."""
 
 import itertools
 
@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivtp import arbitration
 from ivtp.arbitration import (
     IntersectionSession,
     Phase,
     compute_order,
-    elect_scheduler,
+    elect,
     recover,
     reward_parties,
 )
@@ -39,7 +38,7 @@ class TestComputeOrder:
         assert compute_order(intents) == [a, b, c, d]
 
     def test_empty_rejected(self):
-        with pytest.raises(arbitration.EmptyIntentsError):
+        with pytest.raises(ValueError, match="no intents"):
             compute_order({})
 
     def test_single(self):
@@ -79,40 +78,38 @@ class TestElection:
     def test_fastest_calculator_wins(self):
         ids = _vids(4)
         delays = {veh: d for veh, d in zip(ids, [9, 8, 5, 7])}
-        scheduler, t = elect_scheduler(ids, delays, intent_completion_time=1070)
-        assert scheduler == ids[2]
-        assert t == 1075
+        assert elect(ids, delays, 0) == ids[2]
 
     def test_tie_goes_to_lower_id(self):
         ids = _vids(3)
-        delays = dict.fromkeys(ids, 6)
-        scheduler, t = elect_scheduler(ids, delays, 100)
-        assert scheduler == ids[0]
-        assert t == 106
+        assert elect(ids, dict.fromkeys(ids, 6), 0) == ids[0]
 
     def test_single_participant(self):
         (a,) = _vids(1)
-        assert elect_scheduler([a], {a: 3}, 10) == (a, 13)
+        assert elect([a], {a: 3}, 0) == a
+        assert elect([a], {a: 3}, 1) == a
 
     def test_empty_rejected(self):
-        with pytest.raises(arbitration.EmptyIntentsError):
-            elect_scheduler([], {}, 0)
+        with pytest.raises(ValueError, match="no participants"):
+            elect([], {}, 0)
 
     @given(
-        st.lists(st.integers(1, 50), min_size=1, max_size=6, unique=True),
-        st.integers(0, 10_000),
-        st.integers(0, 10_000),
+        st.lists(st.integers(1, 50), min_size=1, max_size=6),
+        st.integers(0, 1),
+        st.randoms(use_true_random=False),
     )
     @settings(max_examples=100, deadline=None)
-    def test_winner_independent_of_completion_time(self, delays, t1, t2):
-        """finish = completion + delay shifts every candidate equally, so
-        vehicles observing different completion instants still elect the
-        same scheduler."""
+    def test_every_participant_elects_the_same(self, delays, round_, rnd):
+        """The election reads only the participants, their delays and the
+        round, so every participant elects the same proposer whatever
+        order it holds the ids in, tied delays included."""
         ids = _vids(len(delays))
         delay_map = {veh: d for veh, d in zip(ids, delays)}
-        w1, _ = elect_scheduler(ids, delay_map, t1)
-        w2, _ = elect_scheduler(ids, delay_map, t2)
-        assert w1 == w2
+        shuffled = list(ids)
+        rnd.shuffle(shuffled)
+        winner = elect(ids, delay_map, round_)
+        assert elect(shuffled, dict(reversed(delay_map.items())), round_) == winner
+        assert elect(frozenset(ids), delay_map, round_) == winner
 
 
 class TestSession:
@@ -195,11 +192,9 @@ class TestRecovery:
     def test_retry_round_elects_lowest_id(self):
         ids = _vids(3)
         s = _session(ids, [9, 5, 7], intents=dict.fromkeys(ids, 10))
-        assert s.elect(100)[0] == ids[1]  # round 0: fastest
-        s.round = 1
-        scheduler, t = s.elect(200)
-        assert scheduler == ids[0]  # retry: lowest id
-        assert t == 209
+        assert elect(s.participants, s.compute_delays, s.round) == ids[1]  # round 0: fastest
+        recover(s)
+        assert elect(s.participants, s.compute_delays, s.round) == ids[0]  # retry: lowest id
 
 
 class TestRewardParties:

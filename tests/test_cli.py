@@ -113,7 +113,7 @@ class TestRunCommand:
             # Integers go on the wire as u64: a wider one is refused up front.
             ({"ledger": {"endowment_millitrust": 2**64}}, "ledger.endowment_millitrust"),
             ({"comms": [{"sender": "A", "at_ms": 2**64}]}, "comms[0].at_ms"),
-            # Two vehicles of one key made the dealer raise DuplicateKeyError;
+            # Two vehicles of one key made the dealer refuse the second key;
             # a vehicle named dealer hid its balance behind the dealer's.
             ({"vehicles": [{"alias": "A"}, {"alias": "B", "seed": "A"}]}, "vehicles[1].seed"),
             ({"vehicles": [{"alias": "dealer"}, {"alias": "B"}]}, "vehicles[0].alias"),
@@ -467,6 +467,15 @@ class TestInspectQueries:
         rc = cli.main(["inspect", str(out_dir / "chain.bin"), "balance", "ffff"])
         assert rc == 1
         assert "unknown vehicle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("query", ["balance", "history"])
+    def test_ambiguous_prefix_is_not_an_unknown_vehicle(self, run_dir, capsys, query):
+        """Three of the run's registered ids start with 8 (8e32…, 86d2…,
+        84fc…): the prefix names none of them, and the message says so."""
+        out_dir, _ = run_dir
+        rc = cli.main(["inspect", str(out_dir / "chain.bin"), query, "8"])
+        assert rc == 1
+        assert capsys.readouterr().err == "ambiguous vehicle prefix: 8 matches 3 vehicles\n"
 
     def test_balance_requires_vehicle_argument(self, run_dir, capsys):
         out_dir, _ = run_dir

@@ -1,8 +1,11 @@
 """Every import in the library, its tests and the bench scripts is used:
 a static check with the stdlib ast module. Package re-exports (__init__.py) and
-__future__ imports are exempt. And the program itself imports no cryptography."""
+__future__ imports are exempt. Every exception class the library defines is
+caught somewhere in it, by the same kind of check. And the program itself
+imports no cryptography."""
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -40,6 +43,57 @@ def test_checker_flags_an_unused_name():
         "sys.exit()\n"
     )
     assert unused_imports(source) == ["os (line 2)", "d (line 3)"]
+
+
+def _name(node: ast.expr) -> str | None:
+    """The last part of a Name or dotted Attribute, else None."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _is_error(base: ast.expr, errors: list[str]) -> bool:
+    name = _name(base)
+    builtin = getattr(builtins, name or "", None)
+    return name in errors or (isinstance(builtin, type) and issubclass(builtin, BaseException))
+
+
+def uncaught_error_classes(sources: list[str]) -> list[str]:
+    """Exception classes defined in sources that no except clause names.
+    A class is an exception class if a base is a built-in exception or
+    another exception class the sources define."""
+    nodes = [node for source in sources for node in ast.walk(ast.parse(source))]
+    pending = [node for node in nodes if isinstance(node, ast.ClassDef)]
+    errors: list[str] = []
+    while True:  # until no class is found to derive from an exception
+        found = [node for node in pending if any(_is_error(base, errors) for base in node.bases)]
+        if not found:
+            break
+        errors += [node.name for node in found]
+        pending = [node for node in pending if node not in found]
+    caught = set()
+    for node in nodes:
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught |= {_name(kind) for kind in kinds}
+    return [name for name in errors if name not in caught]
+
+
+def test_checker_flags_an_uncaught_error_class():
+    source = (
+        "class Caught(ValueError): pass\n"
+        "class Uncaught(KeyError): pass\n"
+        "class Derived(Caught): pass\n"
+        "class Plain: pass\n"
+        "try:\n    pass\nexcept (m.Caught, OSError):\n    pass\n"
+    )
+    assert uncaught_error_classes([source]) == ["Uncaught", "Derived"]
+
+
+def test_every_error_class_is_caught():
+    """An exception class that no caller catches is a built-in error with
+    a longer name: the guard should raise the built-in type it subclasses."""
+    assert uncaught_error_classes([path.read_text() for path in MODULES]) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

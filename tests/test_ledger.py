@@ -1,5 +1,6 @@
 """Transactions, blocks, chain validation, balances, persistence."""
 
+import ast
 import dataclasses
 import hashlib
 import importlib.util
@@ -381,7 +382,7 @@ def _merkle_oracle(leaves):
 
 class TestMerkle:
     def test_empty_rejected(self):
-        with pytest.raises(ledger.EmptyLeafListError):
+        with pytest.raises(ValueError, match="at least one leaf"):
             ledger.merkle_root([])
 
     def test_single_leaf_pairs_with_itself(self):
@@ -428,13 +429,12 @@ class TestChain:
     @pytest.mark.parametrize("query", [ledger.balance, ledger.history], ids=lambda q: q.__name__)
     def test_unregistered_id_is_an_unknown_vehicle(self, query):
         """An id the chain never registered has neither a balance of 0 nor
-        an empty history: the query raises UnknownVehicleError, a KeyError
-        naming the id."""
+        an empty history: the query raises a KeyError naming the id."""
         _, chain, ids, _ = make_fleet(1)
         stranger = identity.sha256(b"never registered")
-        with pytest.raises(ledger.UnknownVehicleError) as err:
+        with pytest.raises(KeyError, match="is not registered") as err:
             query(chain, stranger)
-        assert isinstance(err.value, KeyError) and err.value.args == (stranger.hex(),)
+        assert err.value.args == (f"{stranger.hex()} is not registered on this chain",)
         query(chain, ids[0])  # a registered one answers
 
     def test_duplicate_registration_rejected(self):
@@ -468,7 +468,7 @@ class TestChain:
             ),
             keys[ids[0]],
         )
-        with pytest.raises(ledger.NonMonotonicTimestampError):
+        with pytest.raises(ValueError, match="precedes tip"):
             chain.append_block([tx], timestamp=-1)
 
     def test_insufficient_balance_named_error(self):
@@ -786,12 +786,15 @@ class _Valid:
         return ledger.sign_tx(tx, signer)
 
 
-# A check_tx cause per row: a minimal edit of one of _Valid's transactions,
-# and the cause it is refused for.
+# A check_tx or admit cause per row: a minimal edit of one of _Valid's
+# transactions, and the cause it is refused for.
 _REFUSALS = [
+    ("invalid_public_key", lambda w: w.resign(w.register, vehicle_pk=b"\x01" + bytes(31))),
     ("unknown_dealer", lambda w: w.resign(w.register, dealer_id=identity.sha256(b"rival"))),
     ("bad_id_derivation", lambda w: w.resign(w.register, counter=w.register.counter + 1)),
     ("author_not_registrant", lambda w: w.resign(w.register, author=w.ids[0])),
+    # A fleet vehicle's own registration, again at tf 1.
+    ("duplicate_id", lambda w: w.resign(w.chain.blocks[1].txs[0], tf=1)),
     (
         "duplicate_public_key",
         lambda w: _registration(w.dealer, w.keys[w.ids[0]].public_key, w.register.counter),
@@ -804,10 +807,16 @@ _REFUSALS = [
         "bad_signature",  # the registration's own signature, which the dealer makes
         lambda w: dataclasses.replace(w.register, signature=_flip(w.register.signature)),
     ),
+    ("not_registered", lambda w: dataclasses.replace(w.comm, author=_STRANGER, sender=_STRANGER)),
+    ("sender_mismatch", lambda w: w.resign(w.comm, sender=w.ids[1])),
     ("receiver_not_registered", lambda w: w.resign(w.comm, receivers=(w.ids[1], _STRANGER))),
     ("author_not_payer", lambda w: w.resign(w.reward, from_id=w.ids[2])),
     ("non_positive_amount", lambda w: w.resign(w.reward, amount=0)),
     ("recipient_not_registered", lambda w: w.resign(w.reward, to_id=_STRANGER)),
+    (
+        "insufficient_balance",
+        lambda w: w.resign(w.reward, amount=w.chain.state.balances[w.ids[0]] + 1),
+    ),
     (
         "duplicate_in_ordering",
         lambda w: w.resign(w.outcome, ordering=w.outcome.ordering + (w.ids[0],)),
@@ -818,7 +827,40 @@ _REFUSALS = [
         "member_not_registered",
         lambda w: w.resign(w.outcome, ordering=w.outcome.ordering + (_STRANGER,)),
     ),
+    ("agreements_incomplete", lambda w: w.resign(w.outcome, agreements=w.outcome.agreements[1:])),
+    (
+        "bad_agreement_signature",
+        lambda w: w.resign(
+            w.outcome, agreements=tuple((v, _flip(sig)) for v, sig in w.outcome.agreements)
+        ),
+    ),
+    ("tx_after_block", lambda w: w.resign(w.comm, tf=2)),  # its block's timestamp is 1
 ]
+
+# A _header_fault cause per row: the block of _Valid's chain edited (at
+# timestamps 0, 0, 2 and 3 once TestRefusals adds a comm and a fee), and the edit.
+_HEADER_REFUSALS = [
+    ("bad genesis header", 0, lambda block: dataclasses.replace(block, height=1)),
+    ("non-contiguous height", 3, lambda block: dataclasses.replace(block, height=4)),
+    ("timestamp not monotone", 3, lambda block: dataclasses.replace(block, timestamp=1)),
+    ("empty block", 3, lambda block: dataclasses.replace(block, txs=())),
+    (
+        "genesis must hold exactly one transaction",
+        0,
+        lambda block: dataclasses.replace(block, txs=block.txs * 2),
+    ),
+    ("prev_hash mismatch", 3, lambda block: dataclasses.replace(block, prev_hash=bytes(32))),
+    ("merkle root mismatch", 3, lambda block: dataclasses.replace(block, merkle_root=bytes(32))),
+]
+
+
+def _returned_causes(*names: str) -> set[str]:
+    """The strings that the named functions of ledger.py return, read with ast."""
+    tree = ast.parse(pathlib.Path(ledger.__file__).read_text())
+    funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name in names]
+    assert sorted(func.name for func in funcs) == sorted(names)
+    returned = [n.value for func in funcs for n in ast.walk(func) if isinstance(n, ast.Return)]
+    return {v.value for v in returned if isinstance(v, ast.Constant) and isinstance(v.value, str)}
 
 
 class TestRefusals:
@@ -849,15 +891,7 @@ class TestRefusals:
         assert chain.append_block([tx], timestamp=1) == (None, [(tx, cause)])
         _assert_left_out(chain, [tx])
 
-    @pytest.mark.parametrize(
-        "cause, at, edit",
-        [
-            ("bad genesis header", 0, lambda block: dataclasses.replace(block, height=1)),
-            ("non-contiguous height", 3, lambda block: dataclasses.replace(block, height=4)),
-            ("timestamp not monotone", 3, lambda block: dataclasses.replace(block, timestamp=1)),
-            ("empty block", 3, lambda block: dataclasses.replace(block, txs=())),
-        ],
-    )
+    @pytest.mark.parametrize("cause, at, edit", _HEADER_REFUSALS)
     def test_a_header_is_refused_for_its_cause(self, cause, at, edit):
         """Blocks at timestamps 0, 0, 2 and 3; one is edited."""
         w = _Valid()
@@ -868,6 +902,39 @@ class TestRefusals:
         blocks[at] = edit(blocks[at])
         report = ledger.validate_blocks(blocks, w.chain.state.endowment)
         assert (report.ok, report.height, report.cause) == (False, blocks[at].height, cause)
+
+    @pytest.mark.parametrize("kind", ["comm", "reward", "outcome"])
+    def test_an_authors_bad_signature_is_refused(self, kind):
+        """check_tx's second bad_signature: the author's, on every kind the
+        dealer does not sign (a registration's is a row of _REFUSALS)."""
+        w = _Valid()
+        tx = getattr(w, kind)
+        forged = dataclasses.replace(tx, signature=_flip(tx.signature))
+        assert w.chain.append_block([forged], timestamp=1) == (None, [(forged, "bad_signature")])
+        _assert_left_out(w.chain, [forged])
+
+    def test_a_transaction_already_applied_is_refused_as_duplicate_tx(self):
+        """admit refuses a tx_id it has applied before check_tx, which
+        would apply the same comm again."""
+        w = _Valid()
+        block, _ = w.chain.append_block([w.comm], timestamp=1)
+        height = w.chain.height
+        assert w.chain.state.check_tx(w.comm, height + 1) is None
+        again = dataclasses.replace(block, height=height + 1, prev_hash=block.block_hash)
+        report = ledger.validate_blocks(w.chain.blocks + [again], w.chain.state.endowment)
+        assert (report.ok, report.height, report.tx_id, report.cause) == (
+            False, height + 1, w.comm.tx_id, "duplicate_tx"
+        )
+        assert w.chain.append_block([w.comm], timestamp=1) == (None, [(w.comm, "duplicate_tx")])
+        assert w.chain.height == height
+
+    def test_every_cause_has_a_row(self):
+        """The causes the tables and tests above reach are every cause that
+        check_tx, admit and _header_fault can return, so a new cause cannot
+        land without a row."""
+        tested = {cause for cause, _ in _REFUSALS} | {cause for cause, _, _ in _HEADER_REFUSALS}
+        tested |= {"duplicate_tx"}  # test_a_transaction_already_applied_is_refused_as_duplicate_tx
+        assert tested == _returned_causes("check_tx", "admit", "_header_fault")
 
     def test_a_state_with_no_dealer_refuses_a_registration_as_unknown_dealer(self):
         """No replay reaches a height above 0 without a dealer (genesis holds

@@ -96,7 +96,7 @@ class TestDelivery:
     def test_unknown_sender_rejected(self):
         net = netsim.Network()
         net.join(Recorder(_ids(1)[0]))
-        with pytest.raises(netsim.UnknownSenderError):
+        with pytest.raises(ValueError, match="never joined"):
             net.broadcast(_frame(b"\x99" * 32), at=0)
 
     def test_zero_link_delivers_at_send_time(self):
@@ -403,7 +403,7 @@ class TestTimers:
         net = netsim.Network()
         net.join(Recorder(ids[0]))
         net.run_until(50)
-        with pytest.raises(netsim.PastDeadlineError):
+        with pytest.raises(ValueError, match="past the clock"):
             net.set_timer(ids[0], fire_at=49, tag="late")
 
     def test_timer_and_delivery_share_one_ordering(self):

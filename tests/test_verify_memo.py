@@ -13,9 +13,8 @@ from pathlib import Path
 import pytest
 
 from ivtp import identity, ledger, netsim, scenario, sim
-from ivtp.ledger import FieldOverflowError
+from ivtp.ledger import CorruptChainFileError, FieldOverflowError
 from ivtp.vehicle import (
-    DECODE_ERRORS,
     KIND_BEACON,
     KIND_COMM,
     KIND_ENDORSE,
@@ -354,7 +353,7 @@ class TestEndorsementOfCommittedTx:
         payload = iv1._frame(KIND_ENDORSE, 5, tx_id, "valid").payload + b"\x00"
         signed = make_frame(KIND_ENDORSE, iv1.keypair, iv1.ivtp_id, 5, payload)
         forged = dataclasses.replace(signed, signature=bytes(64))
-        with pytest.raises(DECODE_ERRORS) as unread:
+        with pytest.raises(CorruptChainFileError) as unread:
             dataclasses.replace(signed).body
         assert all(host.heeds(f) for f in (signed, forged))
         assert not any(v.heeds(f) for v in vehicles for f in (signed, forged))
@@ -495,7 +494,7 @@ class TestUnhandledKinds:
         assert reads == [] and "body" not in vars(f)
         assert verify_frame(f, vehicles[0].keypair.public_key)  # checked: well signed
         assert receiver.drops == {} and [r for r in net.trace if r["dir"] == "drop"] == []
-        with pytest.raises(DECODE_ERRORS):
+        with pytest.raises(CorruptChainFileError):
             f.body  # the payload would not have read
 
     def test_each_class_has_its_own_table(self):
