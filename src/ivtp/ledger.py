@@ -365,6 +365,11 @@ def agree_message(intersection_id: str, ordering) -> bytes:
     return b"ivtp/agree" + body
 
 
+def agreement_signature(keypair: identity.KeyPair, intersection_id: str, ordering) -> bytes:
+    """A participant's agreement to a crossing order: its signature of agree_message."""
+    return identity.sign(keypair, agree_message(intersection_id, ordering))
+
+
 def sign_tx(tx: Transaction, keypair: identity.KeyPair) -> Transaction:
     """tx with its envelope signature made by keypair (the signature
     field of tx itself is not signed, so any placeholder will do), its

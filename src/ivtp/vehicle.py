@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import arbitration, consensus, identity, ledger
-from .arbitration import IntersectionSession, Phase
+from .arbitration import IntersectionSession
 from .consensus import ConsensusConfig
 from .identity import IvTpId, KeyPair, once, sha256, short_id
 from .ledger import (
@@ -43,6 +43,7 @@ from .ledger import (
     TimeFlag,
     Transaction,
     agree_message,
+    agreement_signature,
     canonical_decode,
     canonical_encode,
     sign_tx,
@@ -93,6 +94,9 @@ _PAYLOAD_PLANS = {k: ledger.Plan([c for _, c in fields]) for k, fields in PAYLOA
 # The transaction kinds a comm and a reward notice may carry, as their
 # payload's last field. The frame's sender must be its author.
 CARRIES = {KIND_COMM: CommTx, KIND_REWARD_NOTICE: (ArbitrationTx, RewardTx)}
+
+# The frame kinds of arbitration.step's broadcast actions.
+_SESSION_KINDS = {"intent": KIND_INTENT, "schedule": KIND_SCHEDULE, "disagree": KIND_DISAGREE}
 
 
 class _SignOnRead:
@@ -298,7 +302,6 @@ class Vehicle(Endpoint):
         self.keypair = keypair
         # tx_id -> tf of each transaction endorsed, oldest first (see _endorse_tx).
         self.endorsed: dict[bytes, TimeFlag] = {}
-        self.paid_for: set[str] = set()  # intersection ids this vehicle paid a fee for
         self.sessions: dict[str, IntersectionSession] = {}
         self.submitted: list[Transaction] = []
 
@@ -352,96 +355,47 @@ class Vehicle(Endpoint):
             raise ValueError(f"{self.alias} is not a participant of {intersection_id}")
         if intersection_id in self.sessions:
             raise ValueError(f"{self.alias} already holds a session of {intersection_id}")
-        session = IntersectionSession(
+        session = self.sessions[intersection_id] = IntersectionSession(
             intersection_id=intersection_id,
             participants=participants,
             compute_delays=dict(compute_delays),
+            owner=self.ivtp_id,
         )
-        self.sessions[intersection_id] = session
-        self._set_timer(collection_deadline, ("collect_deadline", intersection_id, 0))
+        self._step(session, ("open", collection_deadline), 0)  # opening reads no clock
         return session
 
-    def announce_arrival(self, intersection_id: str, now: TimeFlag) -> list[Frame]:
-        """Called at this vehicle's arrival time: broadcast the intent
-        and record it locally."""
-        session = self.sessions[intersection_id]
-        out = [self._frame(KIND_INTENT, now, intersection_id, now)]
-        if session.add_intent(self.ivtp_id, now) and session.phase is Phase.COLLECTING:
-            self._enter_election(session, now)
+    def _step(
+        self, session: IntersectionSession, event: tuple, now: TimeFlag, f: Frame | None = None
+    ) -> list[Frame]:
+        """Feed event to session (arbitration.step) and carry out its
+        actions in order: each becomes a frame to broadcast, an _author
+        call, a timer, a note row or a drop row of f."""
+        iid, out = session.intersection_id, []
+        for act in arbitration.step(session, event, now, self.config):
+            head = act[0]
+            if head == "timer":
+                self._set_timer(act[1], act[2])
+            elif head == "note":
+                self._note(now, act[1], {k: self._named(v) for k, v in act[2].items()})
+            elif head == "drop":
+                self._drop(f, now, act[1])
+            elif head == "agree":
+                sig = agreement_signature(self.keypair, iid, act[2])
+                out.append(self._frame(KIND_AGREE, now, iid, act[1], sig))
+            elif head == "author":  # an outcome or a fee, announced
+                tx = self._author(act[1], now, **act[2])
+                out.append(self._frame(KIND_REWARD_NOTICE, now, tx))
+            else:  # intent, schedule or disagree: that frame
+                out.append(self._frame(_SESSION_KINDS[head], now, iid, *act[1:]))
         return out
 
-    def _enter_election(self, session: IntersectionSession, now: TimeFlag) -> None:
-        """All intents are in: everyone knows who will propose, and when
-        to give up waiting for the outcome. The proposer proposes once it
-        has computed the order, its compute delay from now."""
-        session.phase = Phase.PROPOSING
-        proposer = session.proposer = arbitration.elect(
-            session.participants, session.compute_delays, session.round
-        )
-        iid = session.intersection_id
-        if proposer == self.ivtp_id:
-            self._set_timer(now + session.compute_delays[proposer], ("propose", iid, session.round))
-        self._set_timer(now + self.config.agree_timeout_ms, ("agree_deadline", iid, session.round))
-
-    def _propose(self, session: IntersectionSession, now: TimeFlag) -> list[Frame]:
-        session.phase = Phase.AGREEING
-        ordering = session.ordering = tuple(arbitration.compute_order(session.intents))
-        out = [self._frame(KIND_SCHEDULE, now, session.intersection_id, session.round, ordering)]
-        if session.unanimous():  # single-participant session
-            out.extend(self._commit(session, now))
-        return out
-
-    def _commit(self, session: IntersectionSession, now: TimeFlag) -> list[Frame]:
-        """Proposer side: unanimity reached, publish the outcome."""
-        session.phase = Phase.COMMITTED
-        arb = self._author(
-            ArbitrationTx, now, intersection_id=session.intersection_id,
-            ordering=session.ordering, proposer=self.ivtp_id,
-            agreements=tuple(sorted(session.agreements.items())),
-        )
-        self._note(
-            now,
-            "session_committed",
-            {
-                "intersection": session.intersection_id,
-                "ordering": [self._name_of(v) for v in session.ordering],
-                "proposer": self.alias,
-                "round": session.round,
-            },
-        )
-        return [self._frame(KIND_REWARD_NOTICE, now, arb)]
-
-    def _enter_recovery(self, session: IntersectionSession, now: TimeFlag) -> list[Frame]:
-        phase = arbitration.recover(session)
-        iid = session.intersection_id
-        if phase is Phase.ABORTED:
-            self._note(
-                now,
-                "session_aborted",
-                {
-                    "intersection": iid,
-                    "fallback": [self._name_of(v) for v in session.fallback_ordering()],
-                },
-            )
-            return []
-        self._note(now, "session_retry", {"intersection": iid, "round": session.round})
-        out = []
-        own_tf = session.intents.get(self.ivtp_id)
-        if own_tf is not None:
-            out.append(self._frame(KIND_INTENT, now, iid, own_tf))
-        self._set_timer(
-            now + self.config.agree_timeout_ms, ("collect_deadline", iid, session.round)
-        )
-        # A vehicle that already holds every intent re-elects right away;
-        # the ones that were missing intents wait for the re-broadcasts.
-        if session.is_complete():
-            self._enter_election(session, now)
-        return out
-
-    def _name_of(self, veh: IvTpId) -> str:
-        if self.net is not None:
-            return self.net.names[veh]
-        return short_id(veh)
+    def _named(self, value):
+        """A note's value with each vehicle id in it named as in the trace."""
+        if isinstance(value, (list, tuple)):
+            return [self._named(v) for v in value]
+        if not isinstance(value, bytes):
+            return value
+        return short_id(value) if self.net is None else self.net.names[value]
 
     # -- receiving ----------------------------------------------------------
 
@@ -458,20 +412,9 @@ class Vehicle(Endpoint):
         if kind == "comm":
             frame, _tx = self.send_comm(tag[1], now)
             return [frame]
-        if kind == "arrive":
-            return self.announce_arrival(tag[1], now)
-        # A session timer of a round or phase the session has left does nothing.
+        # An arrival, or a session timer: (kind, intersection id, round).
         session = self.sessions.get(tag[1])
-        if session is None or session.round != tag[2]:
-            return []
-        phase = session.phase
-        if kind == "propose" and phase is Phase.PROPOSING and session.proposer == self.ivtp_id:
-            return self._propose(session, now)
-        if kind == "collect_deadline" and phase is Phase.COLLECTING and not session.is_complete():
-            return self._enter_recovery(session, now)
-        if kind == "agree_deadline" and phase in (Phase.PROPOSING, Phase.AGREEING):
-            return self._enter_recovery(session, now)
-        return []
+        return [] if session is None else self._step(session, (kind, *tag[2:]), now)
 
     # -- kind handlers ------------------------------------------------------
 
@@ -505,91 +448,30 @@ class Vehicle(Endpoint):
             verdict = consensus.VERDICT_INVALID  # content does not match record
         return self._endorse_tx(tx, verdict, now)
 
-    def _on_intent(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        iid, tf = f.body
+    def _on_session(self, f: Frame, now: TimeFlag) -> list[Frame]:
+        """An intent, schedule, agree or disagree frame: an event of the
+        session it names, if this vehicle holds one. An agreement's
+        signature is checked only if step asks."""
+        iid, *values = f.body
         session = self.sessions.get(iid)
-        if session is None or session.phase is not Phase.COLLECTING:
+        if session is None:
             return []
-        if session.add_intent(f.sender, tf):
-            self._enter_election(session, now)
-        return []
+        event = (f.kind_label, f.sender, *values)
+        if f.kind == KIND_AGREE:
+            pk, sig = self.chain.public_key_of(f.sender), values[1]
+            event += (lambda: identity.verify(pk, agree_message(iid, session.ordering), sig),)
+        return self._step(session, event, now, f)
 
-    def _on_schedule(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        iid, round_, ordering = f.body
-        session = self.sessions.get(iid)
-        if session is None or session.phase in (Phase.COMMITTED, Phase.ABORTED):
-            return []
-        if round_ != session.round:
-            return []  # leftover from an already-failed round
-        if session.proposer is not None and f.sender != session.proposer:
-            return []
-        if session.matches(ordering):
-            session.phase = Phase.AGREEING
-            session.ordering = ordering
-            sig = arbitration.agreement_signature(self.keypair, iid, ordering)
-            return [self._frame(KIND_AGREE, now, iid, session.round, sig)]
-        disagree = self._frame(KIND_DISAGREE, now, iid, session.round)
-        return [disagree] + self._enter_recovery(session, now)
-
-    def _on_agree(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        iid, round_, sig = f.body
-        session = self.sessions.get(iid)
-        if (
-            session is None
-            or session.proposer != self.ivtp_id
-            or session.phase is not Phase.AGREEING
-            or f.sender not in session.participants
-            or round_ != session.round
-        ):
-            return []
-        pk = self.chain.public_key_of(f.sender)
-        msg = agree_message(session.intersection_id, session.ordering)
-        if pk is None or not identity.verify(pk, msg, sig):
-            return self._drop(f, now, "bad_agreement_sig")
-        session.record_agreement(f.sender, sig)
-        if session.unanimous():
-            return self._commit(session, now)
-        return []
-
-    def _on_disagree(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        iid, round_ = f.body
-        session = self.sessions.get(iid)
-        if (
-            session is None
-            or f.sender not in session.participants
-            or session.phase in (Phase.COMMITTED, Phase.ABORTED)
-            or round_ < session.round
-        ):
-            return []
-        return self._enter_recovery(session, now)
+    _on_intent = _on_schedule = _on_agree = _on_disagree = _on_session
 
     def _on_reward_notice(self, f: Frame, now: TimeFlag) -> list[Frame]:
         (tx,) = f.body
         out = self._endorse_tx(tx, None, now)
-        if not isinstance(tx, ArbitrationTx):
+        session = self.sessions.get(tx.intersection_id) if isinstance(tx, ArbitrationTx) else None
+        if session is None:
             return out
-        session = self.sessions.get(tx.intersection_id)
-        # Act only on an outcome for an intersection this vehicle takes
-        # part in, ordering exactly its participants, that would apply:
-        # check_tx wants the proposer as author and the agreement of every
-        # member of the order but the proposer.
-        if (
-            session is None
-            or set(tx.ordering) != session.participants
-            or self.chain.state.check_tx(tx, self.chain.height + 1) is not None
-        ):
-            return out
-        if session.phase not in (Phase.COMMITTED, Phase.ABORTED):
-            session.phase = Phase.COMMITTED
-            session.proposer = tx.proposer
-        # The first in the order, hearing the outcome, pays the proposer: it
-        # signs and announces its own transfer, once per intersection.
-        payer, payee = arbitration.reward_parties(tx.ordering, tx.proposer)
-        if payer != self.ivtp_id or payer == payee or tx.intersection_id in self.paid_for:
-            return out
-        self.paid_for.add(tx.intersection_id)
-        reward = self._author(
-            RewardTx, now, from_id=self.ivtp_id, to_id=payee,
-            amount=arbitration.REWARD_MILLI_TRUST, reason=tx.intersection_id,
-        )
-        return out + [self._frame(KIND_REWARD_NOTICE, now, reward)]
+
+        def applies() -> bool:
+            return self.chain.state.check_tx(tx, self.chain.height + 1) is None
+
+        return out + self._step(session, ("outcome", tx.ordering, tx.proposer, applies), now)

@@ -1,4 +1,5 @@
-"""Crossing-order computation, proposer election, session state machine."""
+"""Crossing-order computation, proposer election, and the session state
+machine driven through arbitration.step's events."""
 
 import itertools
 
@@ -11,24 +12,37 @@ from ivtp.arbitration import (
     Phase,
     compute_order,
     elect,
-    recover,
     reward_parties,
+    step,
 )
+from ivtp.consensus import ConsensusConfig
+from ivtp.ledger import ArbitrationTx
 
 
 def _vids(n):
     return [bytes([i]) * 32 for i in range(1, n + 1)]
 
 
-def _session(ids, delays, intents=None):
+CONFIG = ConsensusConfig()
+TIMEOUT = CONFIG.agree_timeout_ms
+
+
+def _session(ids, delays, intents=None, owner=None):
+    """owner's session (the first id by default), given each intent in
+    intents as an event at its own time."""
     s = IntersectionSession(
         intersection_id="x-1",
         participants=frozenset(ids),
         compute_delays={veh: d for veh, d in zip(ids, delays)},
+        owner=owner or ids[0],
     )
     for veh, tf in (intents or {}).items():
-        s.add_intent(veh, tf)
+        step(s, ("intent", veh, tf), tf, CONFIG)
     return s
+
+
+def _yes():
+    return True
 
 
 class TestComputeOrder:
@@ -115,86 +129,111 @@ class TestElection:
 class TestSession:
     def test_add_intent_completes_once_all_present(self):
         a, b = _vids(2)
-        s = _session([a, b], [1, 2])
-        assert not s.add_intent(a, 10)
-        assert s.add_intent(b, 12)
-        assert s.is_complete()
+        s = _session([a, b], [1, 2], owner=b)
+        assert step(s, ("intent", a, 10), 10, CONFIG) == []
+        assert s.phase is Phase.COLLECTING
+        # b's own arrival completes the set: a (the least delay) will propose.
+        assert step(s, ("arrive",), 12, CONFIG) == [
+            ("intent", 12), ("timer", 12 + TIMEOUT, ("agree_deadline", "x-1", 0)),
+        ]
+        assert (s.phase, s.proposer, s.intents) == (Phase.PROPOSING, a, {a: 10, b: 12})
 
     def test_rebroadcast_never_overwrites(self):
         a, b = _vids(2)
-        s = _session([a, b], [1, 2])
-        s.add_intent(a, 10)
-        s.add_intent(a, 99)
+        s = _session([a, b], [1, 2], owner=b)
+        step(s, ("intent", a, 10), 10, CONFIG)
+        step(s, ("intent", a, 99), 99, CONFIG)
         assert s.intents[a] == 10
 
     def test_outsider_intent_ignored(self):
         a, b, ghost = _vids(3)
         s = _session([a, b], [1, 2])
-        assert not s.add_intent(ghost, 5)
+        assert step(s, ("intent", ghost, 5), 5, CONFIG) == []
         assert ghost not in s.intents
 
     def test_matches_accepts_own_recomputation(self):
         a, b = _vids(2)
-        s = _session([a, b], [1, 2], intents={a: 10, b: 12})
-        assert s.matches(tuple(compute_order(s.intents)))
+        s = _session([a, b], [1, 2], intents={a: 10, b: 12}, owner=b)
+        ordering = tuple(compute_order(s.intents))
+        assert step(s, ("schedule", a, 0, ordering), 13, CONFIG) == [("agree", 0, ordering)]
+        assert (s.phase, s.ordering) == (Phase.AGREEING, ordering)
 
     def test_matches_rejects_forged_ordering(self):
         a, b = _vids(2)
-        s = _session([a, b], [1, 2], intents={a: 10, b: 12})
-        assert not s.matches((b, a))
+        s = _session([a, b], [1, 2], intents={a: 10, b: 12}, owner=b)
+        actions = step(s, ("schedule", a, 0, (b, a)), 13, CONFIG)
+        retry = ("note", "session_retry", {"intersection": "x-1", "round": 1})
+        assert actions[:2] == [("disagree", 0), retry]
+        assert s.round == 1
 
     def test_incomplete_collector_cannot_vouch(self):
         a, b = _vids(2)
         full = _session([a, b], [1, 2], intents={a: 10, b: 12})
-        starved = _session([a, b], [1, 2], intents={a: 10})
+        starved = _session([a, b], [1, 2], intents={a: 10}, owner=b)
         proposal = tuple(compute_order(full.intents))
-        assert not starved.matches(proposal)
+        assert step(starved, ("schedule", a, 0, proposal), 13, CONFIG)[0] == ("disagree", 0)
 
     def test_agreement_bookkeeping(self):
         a, b, c = _vids(3)
         s = _session([a, b, c], [1, 2, 3], intents={a: 1, b: 2, c: 3})
-        s.proposer = a
-        s.record_agreement(a, b"self")  # proposer never counts
-        s.record_agreement(b, b"sb")
-        assert not s.unanimous()
-        s.record_agreement(c, b"sc")
-        assert s.unanimous()
-        assert set(s.agreements) == {b, c}
+        ordering = (a, b, c)
+        assert step(s, ("propose", 0), 4, CONFIG) == [("schedule", 0, ordering)]
+        assert step(s, ("agree", a, 0, b"self", _yes), 5, CONFIG) == []  # proposer never counts
+        assert step(s, ("agree", b, 0, b"sb", _yes), 5, CONFIG) == []
+        outcome = {
+            "intersection_id": "x-1", "ordering": ordering, "proposer": a,
+            "agreements": ((b, b"sb"), (c, b"sc")),
+        }
+        assert step(s, ("agree", c, 0, b"sc", _yes), 6, CONFIG) == [
+            ("author", ArbitrationTx, outcome),
+            ("note", "session_committed",
+             {"intersection": "x-1", "ordering": ordering, "proposer": a, "round": 0}),
+        ]
+        assert s.phase is Phase.COMMITTED
+        assert s.agreements == {b: b"sb", c: b"sc"}
 
 
 class TestRecovery:
     def test_first_failure_restarts_collection(self):
+        """A participant holding every intent re-elects in the retry round
+        at once: the lowest id, a, proposes; b re-broadcasts its intent."""
         a, b = _vids(2)
-        s = _session([a, b], [1, 2], intents={a: 10, b: 12})
-        s.phase = Phase.AGREEING
-        s.proposer = a
-        s.ordering = tuple(compute_order(s.intents))
-        s.agreements[b] = b"sig"
-        assert recover(s) is Phase.COLLECTING
-        assert s.round == 1
-        assert s.proposer is None and s.ordering is None and not s.agreements
+        s = _session([a, b], [2, 1], intents={a: 10, b: 12}, owner=b)
+        step(s, ("propose", 0), 13, CONFIG)  # b, the least delay, proposes round 0
+        s.agreements[a] = b"sig"
+        assert step(s, ("agree_deadline", 0), 162, CONFIG) == [
+            ("note", "session_retry", {"intersection": "x-1", "round": 1}),
+            ("intent", 12),
+            ("timer", 162 + TIMEOUT, ("collect_deadline", "x-1", 1)),
+            ("timer", 162 + TIMEOUT, ("agree_deadline", "x-1", 1)),
+        ]
+        assert s.ordering is None and not s.agreements
+        assert (s.phase, s.round, s.proposer) == (Phase.PROPOSING, 1, a)
         assert s.intents  # arrival knowledge survives the retry
 
     def test_second_failure_aborts(self):
         a, b = _vids(2)
         s = _session([a, b], [1, 2])
-        recover(s)
-        assert recover(s) is Phase.ABORTED
-        assert s.fallback_ordering() == sorted([a, b])
+        step(s, ("disagree", b, 0), 5, CONFIG)
+        assert step(s, ("disagree", b, 1), 6, CONFIG) == [
+            ("note", "session_aborted", {"intersection": "x-1", "fallback": sorted([a, b])}),
+        ]
+        assert s.phase is Phase.ABORTED
 
     def test_terminal_phases_stick(self):
         a, b = _vids(2)
         s = _session([a, b], [1, 2])
         s.phase = Phase.COMMITTED
-        assert recover(s) is Phase.COMMITTED
-        assert s.round == 0
+        for event in [("disagree", b, 0), ("collect_deadline", 0), ("agree_deadline", 0)]:
+            assert step(s, event, 5, CONFIG) == []
+        assert (s.phase, s.round) == (Phase.COMMITTED, 0)
 
     def test_retry_round_elects_lowest_id(self):
         ids = _vids(3)
         s = _session(ids, [9, 5, 7], intents=dict.fromkeys(ids, 10))
-        assert elect(s.participants, s.compute_delays, s.round) == ids[1]  # round 0: fastest
-        recover(s)
-        assert elect(s.participants, s.compute_delays, s.round) == ids[0]  # retry: lowest id
+        assert s.proposer == ids[1]  # round 0: fastest
+        step(s, ("disagree", ids[2], 0), 11, CONFIG)
+        assert s.proposer == ids[0]  # retry: lowest id
 
 
 class TestRewardParties:

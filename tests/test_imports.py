@@ -1,8 +1,9 @@
 """Every import in the library, its tests and the bench scripts is used:
 a static check with the stdlib ast module. Package re-exports (__init__.py) and
 __future__ imports are exempt. Every exception class the library defines is
-caught somewhere in it, by the same kind of check. And the program itself
-imports no cryptography."""
+caught somewhere in it, by the same kind of check. The program itself
+imports no cryptography, and the session protocol (arbitration) neither the
+network nor any signing."""
 
 import ast
 import builtins
@@ -118,3 +119,19 @@ def test_the_program_loads_no_cryptography():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+def test_arbitration_is_pure():
+    """The session protocol (arbitration.step) runs with no network and no
+    cryptography: arbitration imports neither the network, the vehicle
+    nor the simulator, and calls no sign or verify."""
+    tree = ast.parse((SRC / "arbitration.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not {"netsim", "vehicle", "sim"} & {name.rsplit(".", 1)[-1] for name in imported}
+    calls = {_name(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not {"sign", "verify"} & calls

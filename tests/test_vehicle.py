@@ -437,6 +437,26 @@ class TestIntersection:
             v.open_session("x-1", frozenset([other.ivtp_id]), {other.ivtp_id: 1}, 100)
         assert v.sessions == {}
 
+    @pytest.mark.parametrize("steerer", [4, 0], ids=["outsider", "participant_not_elected"])
+    def test_only_the_elected_proposer_steers(self, steerer):
+        """IV-3 proposes both rounds (the least delay, then the lowest id).
+        IV-5, outside x-1, or IV-1, a participant elected in neither round,
+        broadcasts a made-up round-0 schedule at 105 ms, before the
+        intents are all in, and a round-1 schedule at 110 ms. Neither
+        moves a session: all four commit IV-3's order in round 0."""
+        _, net, vehicles = _wire(5)
+        members, sender = vehicles[:4], vehicles[steerer]
+        _intersection(net, members, [100, 110, 130, 170], [9, 8, 5, 7])
+        ids = tuple(v.ivtp_id for v in members)
+        for at, round_ in [(105, 0), (110, 1)]:
+            net.run_until(at)
+            net.broadcast(sender._frame(KIND_SCHEDULE, at, "x-1", round_, ids[::-1]), at)
+        net.run_until(600)
+        for v in members:
+            s = v.sessions["x-1"]
+            assert (s.phase, s.round, s.proposer, s.ordering) == (Phase.COMMITTED, 0, ids[2], ids)
+        assert [r for r in net.trace if r["kind"] == "session_retry"] == []
+
     def test_forged_agreement_is_dropped_by_the_proposer(self, monkeypatch):
         """IV-1 answers the schedule with a well-signed agree frame whose
         agreement signature is wrong. The proposer, IV-2 (the least compute
@@ -445,13 +465,13 @@ class TestIntersection:
         moves to round 1."""
         _, net, vehicles = _wire(3)
         forger, proposer, _ = vehicles
-        honest = arbitration.agreement_signature
+        honest = vehicle.agreement_signature
 
         def agreement_signature(keypair, iid, ordering):
             sig = honest(keypair, iid, ordering)
             return bytes([sig[0] ^ 1]) + sig[1:] if keypair is forger.keypair else sig
 
-        monkeypatch.setattr(arbitration, "agreement_signature", agreement_signature)
+        monkeypatch.setattr(vehicle, "agreement_signature", agreement_signature)
         _intersection(net, vehicles, [100, 110, 130], [3, 2, 4])
         deadline = 130 + consensus.ConsensusConfig().agree_timeout_ms
         net.run_until(deadline - 1)
@@ -865,11 +885,12 @@ class AdversaryMachine(RuleBasedStateMachine):
     intersection_table2 run and send well-signed frames of every kind:
     any payload, replays, forged outcomes, endorsements of unknown,
     stale, pending and committed transactions, transactions whose tf is
-    ahead of the clock or past the TTL, and rewards to each other that
-    name the real intersection. Whatever they send, supply is conserved,
-    the chain validates, nothing raises out of run_until, every drop is
-    the pipeline's, and no handler runs on a frame whose signature was
-    not checked against its sender's key."""
+    ahead of the clock or past the TTL, rewards to each other that name
+    the real intersection, and schedules of it for a live round. Whatever
+    they send, supply is conserved, the chain validates, nothing raises
+    out of run_until, every drop is the pipeline's, the honest session
+    neither retries nor ends but by its own outcome, and no handler runs
+    on a frame whose signature was not checked against its sender's key."""
 
     def __init__(self):
         super().__init__()
@@ -991,6 +1012,15 @@ class AdversaryMachine(RuleBasedStateMachine):
         self.stale.append(tx.tx_id)
         self._send(who, KIND_COMM, b"m", tx)
 
+    @rule(who=_who, pick_round=st.integers(min_value=0), order=st.permutations(range(4)))
+    def steer(self, who, pick_round, order):
+        """A well-formed schedule of crossing-1 for a round a participant
+        is in, ordering exactly the participants."""
+        rounds = sorted({v.sessions["crossing-1"].round for v in self.endpoints[1:]})
+        members = sorted(self.endpoints[1].sessions["crossing-1"].participants)
+        ordering = tuple(members[i] for i in order)
+        self._send(who, KIND_SCHEDULE, "crossing-1", rounds[pick_round % len(rounds)], ordering)
+
     @rule(who=_who)
     def reward_the_other(self, who):
         """A fee paid to the other adversary for the real intersection.
@@ -1016,10 +1046,15 @@ class AdversaryMachine(RuleBasedStateMachine):
                 assert reason in _PIPELINE_REASONS or reason.startswith("bad_payload:")
 
     @invariant()
-    def a_committed_session_holds_one_of_its_participants(self):
+    def outsiders_never_retry_or_end_a_session(self):
+        """The outsiders' frames never move crossing-1 past round 0, nor
+        end it but by the honest proposer's outcome: a committed session
+        holds that proposer, one of its participants."""
         for v in self.endpoints[1:]:
             s = v.sessions["crossing-1"]
-            assert s.phase is not Phase.COMMITTED or s.proposer in s.participants
+            proposer = arbitration.elect(s.participants, s.compute_delays, 0)
+            assert s.round == 0 and s.phase is not Phase.ABORTED
+            assert s.phase is not Phase.COMMITTED or s.proposer == proposer
 
     @invariant()
     def no_handler_runs_unchecked(self):
