@@ -78,6 +78,26 @@ interpreter keeps the best of its repetitions. The record gives every
 interpreter's value, each side's median and quartiles, the pairs the
 change won, and the SHA-256 of the chain file each side wrote.
 
+The cold-import set runs, in twenty fresh interpreters per side in
+alternating order, perfbench/worker.py's own imports and then times
+``import ivtp; from ivtp import cli, ledger, scenario, sim`` as the worker
+imports it (``import_s``: every run, the medians and quartiles, and the
+pairs won). One more interpreter per side makes that import under
+cProfile: its call count (``import_calls``) and the functions that
+``dataclasses`` compiled for ivtp's classes (``generated_functions``).
+
+The work counts are deterministic, so they are taken once per side: the
+calls cProfile counts in one warm ``sim.run`` of town_n12 and of churn_n6
+at SEED (after the worker's ``t_end_ms=0`` set-up run, as perfbench times
+it), and in one cold chain_audit inspect (a fresh interpreter reading the
+chain ``perfbench/worker.py chain SEED`` wrote), each with its
+``identity.verify`` and ``identity.sign`` calls (the Ed25519 verifies and
+signs) and its ``Rng.next_u64`` draws. The counts sum the profiler's own
+entries: ``pstats`` keys functions by (file, line, name), so it merges
+the ``__init__`` methods that ``dataclasses`` compiles, which all read
+("<string>", 2, "__init__"), and keeps the count of only one of them.
+Neither set is inside the timed pairs.
+
 It also records each side's line count of ``src/ivtp/*.py``, as
 ``wc -l`` counts them, next to the numbers.
 
@@ -107,6 +127,7 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SYNTHETIC_N = (4, 8, 16, 32, 64)
 MATRIX_REPS = 10
 CODEC_RUNS = 10
+IMPORT_RUNS = 20
 
 # Run in a fresh interpreter with the checkout's src on sys.path:
 # argv is (tests dir, perfbench dir, N). The call runs inside
@@ -334,6 +355,79 @@ print(json.dumps(out))
 """
 
 
+# Run in a fresh interpreter with the checkout's src on sys.path: argv is
+# (perfbench dir of this checkout, "time" or "profile"). After
+# perfbench/worker.py's own imports, ivtp is imported as the worker
+# imports it: timed, or counted by cProfile.
+_IMPORT_RUN = """
+import argparse, contextlib, dataclasses, hashlib, io, json, math, resource, sys, time
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import calib
+profiled = sys.argv[2] == "profile"
+if profiled:
+    import cProfile
+    profiler = cProfile.Profile()
+    profiler.enable()
+t0 = time.perf_counter()
+import ivtp
+from ivtp import cli, ledger, scenario, sim
+import_s = time.perf_counter() - t0
+if not profiled:
+    print(json.dumps({"import_s": import_s}))
+    sys.exit()
+profiler.disable()
+import inspect
+generated = [
+    value for name, module in sys.modules.items() if name.startswith("ivtp.")
+    for cls in vars(module).values()
+    if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == name
+    for value in vars(cls).values()
+    if inspect.isfunction(value) and inspect.unwrap(value).__code__.co_filename == "<string>"
+]
+print(json.dumps({
+    "import_calls": sum(entry.callcount for entry in profiler.getstats()),
+    "generated_functions": len(generated),
+}))
+"""
+
+
+# Run in a fresh interpreter with the checkout's src on sys.path: argv is
+# (perfbench dir of this checkout, workload, then the seed, or on
+# chain_audit the chain file and the vehicle to ask for). The calls of one
+# warm sim.run or one cold inspect, summed over the profiler's entries.
+_WORK_RUN = """
+import contextlib, cProfile, dataclasses, io, json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+from ivtp import cli, scenario, sim
+workload, profiler = sys.argv[2], cProfile.Profile()
+if workload == "chain_audit":
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert profiler.runcall(cli.main, ["inspect", sys.argv[3], "balance", sys.argv[4]]) == 0
+else:
+    import gen
+    raw = json.loads(gen.scenario_bytes(getattr(gen, workload)(int(sys.argv[3]))))
+    cfg = scenario.scenario_from_dict(raw, name="scenario")
+    sim.run(dataclasses.replace(cfg, run=scenario.RunConfig(t_end_ms=0)))
+    with tempfile.TemporaryDirectory() as out:
+        profiler.runcall(sim.run, cfg, out)
+entries = [e for e in profiler.getstats() if not isinstance(e.code, str)]
+
+def calls(module, name):
+    return sum(
+        e.callcount for e in entries
+        if e.code.co_filename.endswith(module) and e.code.co_name == name
+    )
+
+print(json.dumps({
+    "calls": sum(e.callcount for e in profiler.getstats()),
+    "verifies": calls("identity.py", "verify"),
+    "signs": calls("identity.py", "sign"),
+    "rng_draws": calls("netsim.py", "next_u64"),
+}))
+"""
+
+
 # Unscaled medians that perfbench/run.py prints before its result line,
 # kept next to it: a change in the reference-scaled metrics can then be
 # read as a change in the call's own time or in the calibration ticks'.
@@ -427,9 +521,9 @@ def synthetic(checkout: Path, n: int) -> dict:
     return json.loads(run(cmd, checkout, env))
 
 
-def microbench(checkout: Path, script: str, *args: str) -> dict:
+def microbench(checkout: Path, script: str, *args: str, hash_seed: str = "0") -> dict:
     """One microbench script run in a fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONHASHSEED": "0"}
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONHASHSEED": hash_seed}
     cmd = [sys.executable, "-c", script, str(ROOT / "perfbench"), *args]
     return json.loads(run(cmd, checkout, env))
 
@@ -472,6 +566,38 @@ def micro_summary(runs: dict, metrics) -> dict:
             "pairs": len(parent),
         }
     return out
+
+
+def cold_imports(sides: dict) -> dict:
+    """import_s in IMPORT_RUNS alternating interpreters per side, and
+    each side's import_calls and generated_functions."""
+    runs = {side: [] for side in sides}
+    for i in range(IMPORT_RUNS):
+        for side in alternating(i):
+            runs[side].append(microbench(sides[side], _IMPORT_RUN, "time"))
+    counted = {side: microbench(sides[side], _IMPORT_RUN, "profile") for side in sides}
+    return {
+        **micro_summary(runs, ("import_s",)),
+        **{name: {side: c[name] for side, c in counted.items()} for name in counted["change"]},
+    }
+
+
+def work_counts(checkout: Path, seed: int, hash_seed: str = "0") -> dict:
+    """Per workload, the calls, Ed25519 verifies and signs and Rng draws of
+    one warm run or one cold audit at seed in checkout."""
+    counts = {}
+    for workload in (w["name"] for w in BENCHMARK["workloads"]):
+        if workload == "chain_audit":
+            with tempfile.TemporaryDirectory() as out:
+                cmd = [sys.executable, "perfbench/worker.py", "chain", str(seed), out]
+                made = json.loads(run(cmd, checkout).splitlines()[-1])
+                args = (f"{out}/chain.bin", made["query"])
+                counts[workload] = microbench(checkout, _WORK_RUN, workload, *args,
+                                              hash_seed=hash_seed)
+        else:
+            counts[workload] = microbench(checkout, _WORK_RUN, workload, str(seed),
+                                          hash_seed=hash_seed)
+    return counts
 
 
 MATRIX_TIMES = ("run_s", "ref_s", "tick_ms")
@@ -607,6 +733,14 @@ def measure(args, sides: dict, cpu: int) -> dict:
     peak = record["codec"]["read_peak_kib"]
     print(f"cold read traced peak: {peak['parent']['median']:.0f} -> "
           f"{peak['change']['median']:.0f} KiB", flush=True)
+    imports = record["cold_import"] = cold_imports(sides)
+    timed = imports["import_s"]
+    print(f"cold import: {timed['parent']['median'] * 1e3:.1f} -> "
+          f"{timed['change']['median'] * 1e3:.1f} ms (won {timed['change_won']} of "
+          f"{IMPORT_RUNS}), calls {imports['import_calls']}, "
+          f"generated {imports['generated_functions']}", flush=True)
+    record["work_counts"] = {side: work_counts(sides[side], args.seed) for side in sides}
+    print(f"work counts: {record['work_counts']}", flush=True)
     return record
 
 

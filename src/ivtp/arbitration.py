@@ -15,12 +15,12 @@ trace rows.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Iterable, Mapping
 
 from . import ledger
 from .consensus import ConsensusConfig
-from .identity import IvTpId
+from .identity import IvTpId, mutable
 from .ledger import TimeFlag
 
 REWARD_MILLI_TRUST = 500
@@ -62,7 +62,7 @@ def elect(
     return min(pool)
 
 
-@dataclass
+@mutable
 class IntersectionSession:
     """One participant's view of one intersection negotiation: owner's."""
 

@@ -11,17 +11,17 @@ never count toward their own quorum.
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from . import ledger
-from .identity import IvTpId
+from .identity import IvTpId, frozen, mutable
 from .ledger import ArbitrationTx, Chain, RegisterTx, TimeFlag, Transaction
 
 VERDICT_VALID = "valid"
 VERDICT_INVALID = "invalid"
 
 
-@dataclass(frozen=True)
+@frozen
 class ConsensusConfig:
     """The protocol timings every participant follows."""
 
@@ -31,7 +31,7 @@ class ConsensusConfig:
     agree_timeout_ms: int = 150
 
 
-@dataclass(frozen=True)
+@frozen
 class Endorsement:
     """A verdict on a pending transaction by a non-author. Pool
     bookkeeping only: the ledger host builds one from an endorse frame
@@ -79,8 +79,10 @@ def quorum_threshold(n_active_excluding_author: int) -> int:
     return 0 if n == 0 else n // 2 + 1
 
 
-@dataclass
+@mutable
 class PendingTx:
+    """A transaction in the pool with the endorsements it has gathered."""
+
     tx: Transaction
     endorsements: dict[IvTpId, Endorsement] = field(default_factory=dict)
 
@@ -95,8 +97,10 @@ class PendingTx:
         return sum(1 for e in self.endorsements.values() if e.verdict == verdict)
 
 
-@dataclass
+@mutable
 class CommitResult:
+    """What try_commit did: the new block, if any, and the pool's rest."""
+
     block: ledger.Block | None
     still_pending: list[PendingTx]
     rejected: list[tuple[PendingTx, str]]

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 # 32-byte identifiers and keys, 64-byte signatures throughout.
@@ -85,8 +86,44 @@ class once:
         return self if obj is None else vars(obj).setdefault(self.name, self.fn(obj))
 
 
-@dataclass(frozen=True)
+# One ==, hash and repr for every ivtp dataclass, as dataclasses would
+# compile them per class: over the fields in declaration order that have
+# compare (hash) or repr set; == answers NotImplemented for another class.
+
+def _eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    names = [f.name for f in fields(self) if f.compare]
+    return tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
+
+
+def _hash(self):
+    hashed = (f for f in fields(self) if (f.compare if f.hash is None else f.hash))
+    return hash(tuple(getattr(self, f.name) for f in hashed))
+
+
+@reprlib.recursive_repr()
+def _repr(self):
+    shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self) if f.repr)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def frozen(cls):
+    """@dataclass(frozen=True), hashable, with the shared ==, hash and repr."""
+    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
+    return dataclass(cls, frozen=True, eq=False, repr=False)
+
+
+def mutable(cls):
+    """@dataclass with the shared == and repr, unhashable as eq makes it."""
+    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, None, _repr
+    return dataclass(cls, eq=False, repr=False)
+
+
+@frozen
 class KeyPair:
+    """A vehicle's or the dealer's Ed25519 keypair, made by keygen."""
+
     secret_key: bytes  # the 32-byte seed; public key is derivable from it
     public_key: bytes
 
@@ -141,7 +178,7 @@ def ivtp_id_from(dealer_id: bytes, vehicle_pk: bytes, counter: int) -> IvTpId:
     return sha256(dealer_id + vehicle_pk + counter.to_bytes(8, "big"))
 
 
-@dataclass(frozen=True)
+@frozen
 class Issuance:
     """A dealer's signed binding of a trust-point ID to a public key."""
 
@@ -156,7 +193,7 @@ def binding_message(ivtp_id: bytes, vehicle_pk: bytes) -> bytes:
     return ivtp_id + vehicle_pk
 
 
-@dataclass
+@mutable
 class DealerAuthority:
     """Issues trust-point identities. The counter strictly increases, so
     two issuances can never collide even for identical public keys from

@@ -34,12 +34,12 @@ import hashlib
 import io
 import itertools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import identity
-from .identity import IvTpId, once, sha256
+from .identity import IvTpId, frozen, mutable, once, sha256
 
 TimeFlag = int  # simulation milliseconds
 
@@ -229,7 +229,7 @@ def envelope(tag: int, author: IvTpId, tf: TimeFlag) -> bytes:
 # Transactions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class Transaction:
     """Common envelope: author identity, time flag, author signature.
 
@@ -259,7 +259,7 @@ class Transaction:
         return sha256(vars(self).get("_span") or canonical_encode(self))
 
 
-@dataclass(frozen=True)
+@frozen
 class RegisterTx(Transaction):
     """Binds a trust-point ID to a vehicle public key, signed by the
     issuing dealer. Carries dealer_id and counter so the ID derivation
@@ -274,7 +274,7 @@ class RegisterTx(Transaction):
     TAG = 1
 
 
-@dataclass(frozen=True)
+@frozen
 class CommTx(Transaction):
     """A broadcast message record: sender, intended receivers, and the
     hash of the payload (content stays off-chain)."""
@@ -287,7 +287,7 @@ class CommTx(Transaction):
     TAG = 3
 
 
-@dataclass(frozen=True)
+@frozen
 class RewardTx(Transaction):
     """Transfer of trust points. Author must equal the paying side."""
 
@@ -299,7 +299,7 @@ class RewardTx(Transaction):
     TAG = 4
 
 
-@dataclass(frozen=True)
+@frozen
 class ArbitrationTx(Transaction):
     """A committed intersection crossing order plus every participant's
     signed agreement (proposer excluded, it authored the tx)."""
@@ -415,8 +415,10 @@ def merkle_root(tx_ids: list[bytes]) -> bytes:
 # Blocks and chain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class Block:
+    """A block: its header fields, on the wire in this order, then its txs."""
+
     height: int = _wire(U64)
     prev_hash: bytes = _wire(ID)
     merkle_root: bytes = _wire(ID)
@@ -455,8 +457,10 @@ def decode_block(data, ids: dict | None = None) -> Block:
     return block
 
 
-@dataclass
+@mutable
 class ValidationReport:
+    """validate_blocks' verdict on a chain: where and why it fails, if it does."""
+
     ok: bool
     height: int | None = None
     tx_id: bytes | None = None
@@ -476,7 +480,7 @@ class ValidationReport:
         return f"chain INVALID at {where}: {self.cause}"
 
 
-@dataclass
+@mutable
 class LedgerState:
     """What check_tx reads, replayed from the chain. balances keeps
     registration order.

@@ -19,11 +19,10 @@ import heapq
 import json
 import struct
 from collections import Counter, deque
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Protocol
 
-from .identity import IvTpId, short_id
+from .identity import IvTpId, frozen, short_id
 from .ledger import TimeFlag
 
 
@@ -48,7 +47,7 @@ class Rng:
         return _U64.unpack_from(h.digest())[0]
 
 
-@dataclass(frozen=True)
+@frozen
 class NetworkConfig:
     """One network's delivery model and seed. With zero jitter and loss,
     delivery lands at exactly send time + latency."""

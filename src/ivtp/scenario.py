@@ -10,10 +10,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from dataclasses import dataclass
 
 from .consensus import ConsensusConfig
-from .identity import sha256
+from .identity import frozen, sha256
 from .ledger import DEFAULT_ENDOWMENT
 from .netsim import NetworkConfig
 
@@ -51,19 +50,25 @@ def seed_bytes(seed: str) -> bytes:
     return sha256(seed.encode())
 
 
-@dataclass(frozen=True)
+@frozen
 class LedgerConfig:
+    """The chain's genesis terms: each registered vehicle's endowment."""
+
     endowment_millitrust: int = DEFAULT_ENDOWMENT
 
 
-@dataclass(frozen=True)
+@frozen
 class VehicleSpec:
+    """One vehicle of the scenario, by alias, with its key seed."""
+
     alias: str
     seed: str  # defaults to the alias itself
 
 
-@dataclass(frozen=True)
+@frozen
 class IntersectionSpec:
+    """One intersection: its participants' arrivals and compute delays."""
+
     id: str
     participants: tuple[str, ...]
     arrival_ms: dict[str, int]
@@ -71,7 +76,7 @@ class IntersectionSpec:
     collection_window_ms: int = 300
 
 
-@dataclass(frozen=True)
+@frozen
 class CommSpec:
     """A scripted broadcast: sender says payload at at_ms."""
 
@@ -80,13 +85,17 @@ class CommSpec:
     payload: str
 
 
-@dataclass(frozen=True)
+@frozen
 class RunConfig:
+    """How long the simulation runs, in simulated milliseconds."""
+
     t_end_ms: int = 2000
 
 
-@dataclass(frozen=True)
+@frozen
 class ScenarioConfig:
+    """One validated scenario file: everything sim.run reads."""
+
     name: str
     network: NetworkConfig
     consensus: ConsensusConfig

@@ -11,12 +11,11 @@ synchronized replica.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import consensus, identity, ledger, netsim, vehicle
 from .consensus import ConsensusConfig
-from .identity import sha256
+from .identity import mutable, sha256
 from .ledger import ArbitrationTx, RewardTx, TimeFlag, Transaction
 from .scenario import DEALER_ALIAS, HOST_ALIAS, ScenarioConfig, seed_bytes
 from .vehicle import Endpoint, Frame, Vehicle
@@ -127,7 +126,7 @@ class LedgerHost(Endpoint):
         return []
 
 
-@dataclass
+@mutable
 class RunHandles:
     """Everything a caller might want to poke at after a run."""
 

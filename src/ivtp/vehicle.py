@@ -21,12 +21,11 @@ of a transaction already on the chain.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from . import arbitration, consensus, identity, ledger
 from .arbitration import IntersectionSession
 from .consensus import ConsensusConfig
-from .identity import IvTpId, KeyPair, once, sha256, short_id
+from .identity import IvTpId, KeyPair, frozen, once, sha256, short_id
 from .ledger import (
     BLOB,
     ID,
@@ -110,7 +109,7 @@ class _SignOnRead:
         return sig
 
 
-@dataclass(frozen=True)
+@frozen
 class Frame:
     """One broadcast message, heard by every participant in range. One that
     make_frame built is signed on the first read of its signature."""

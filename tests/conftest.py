@@ -1,6 +1,8 @@
 """Shared fixtures and the acceptance-criteria result banner."""
 
 import contextlib
+import dataclasses
+import importlib
 from pathlib import Path
 
 import pytest
@@ -57,6 +59,17 @@ def make_fleet(n: int, endowment: int = 100_000):
         result = consensus.try_commit(pending, set(), chain, now=0)
         assert result.block is not None and not result.still_pending
     return dealer, chain, ids, keys
+
+
+def ivtp_dataclasses() -> list[type]:
+    """Every dataclass a module of src/ivtp defines, in module order."""
+    paths = sorted((ROOT / "src" / "ivtp").glob("*.py"))
+    modules = [importlib.import_module(f"ivtp.{path.stem}") for path in paths]
+    return [
+        obj for module in modules for obj in vars(module).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        and obj.__module__ == module.__name__
+    ]
 
 
 def signed_comm(kp: identity.KeyPair, author: bytes, tf: int = 1, receivers=(), message=b"m"):

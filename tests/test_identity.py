@@ -1,16 +1,18 @@
 """Keys, trust-point identity derivation, and dealer issuance."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from conftest import ROOT, ivtp_dataclasses
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivtp import identity
+from ivtp import arbitration, consensus, identity, ledger, netsim, scenario, sim, vehicle
 
 VECTORS = Path(__file__).resolve().parent.parent / "vectors"
 
@@ -205,6 +207,109 @@ class TestOnce:
             with pytest.raises(TypeError):
                 lazy.total
         assert "total" not in vars(lazy) and lazy.reads == 2
+
+
+def _samples() -> list:
+    """One instance of every ivtp dataclass, most made as a run makes them,
+    and a frame make_frame signs on the first read of its signature."""
+    dealer = identity.DealerAuthority.from_name("dealer")
+    chain = ledger.Chain.create(dealer, endowment=100_000, genesis_tf=0)
+    kp = identity.keygen(identity.sha256(b"IV-1"))
+    issuance = dealer.issue(kp.public_key)
+    me = issuance.ivtp_id
+    register = ledger.register_tx_from_issuance(issuance, dealer, tf=0)
+    pending = consensus.PendingTx(tx=register)
+    result = consensus.try_commit([pending], set(), chain, now=0)
+    comm = ledger.sign_tx(ledger.CommTx(me, 1, b"", me, (me,), identity.sha256(b"m"), 1), kp)
+    reward = ledger.sign_tx(ledger.RewardTx(me, 2, b"", me, dealer.dealer_id, 5, "fee"), kp)
+    crossing = ledger.sign_tx(
+        ledger.ArbitrationTx(me, 3, b"", "x-1", (me,), me, ((me, bytes(64)),)), kp
+    )
+    cfg = scenario.load_scenario(ROOT / "scenarios" / "intersection_table2.json")
+    return [
+        kp, issuance, dealer,
+        ledger.Transaction(me, 0, b""), register, comm, reward, crossing,
+        chain.tip, ledger.validate_chain(chain), chain.state,
+        cfg.consensus, consensus.Endorsement(register.tx_id, me, consensus.VERDICT_VALID),
+        pending, result,
+        arbitration.IntersectionSession("x-1", frozenset({me}), {me: 5}, me),
+        cfg.network, cfg.ledger, cfg.vehicles[0], cfg.intersections[0], cfg.comms[0],
+        cfg.run, cfg,
+        sim.RunHandles(chain, {}, netsim.Network(cfg.network), {"ok": True}),
+        vehicle.Frame(vehicle.KIND_BEACON, me, 4, b"{}", bytes(64)),
+        vehicle.make_frame(vehicle.KIND_BEACON, kp, me, 5, b"{}"),
+    ]
+
+
+SAMPLES = _samples()
+
+
+def _twin_class(cls: type) -> type:
+    """cls's fields in a dataclass of cls's name with every method the
+    stdlib generates."""
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        [
+            (f.name, f.type, dataclasses.field(repr=f.repr, hash=f.hash, compare=f.compare))
+            for f in dataclasses.fields(cls)
+        ],
+        frozen=cls.__dataclass_params__.frozen,
+    )
+
+
+def _twin(twin_class: type, obj):
+    return twin_class(**{f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+
+
+def _hashed(obj):
+    try:
+        return hash(obj)
+    except TypeError:
+        return TypeError
+
+
+class TestSharedDataclassMethods:
+    """identity.frozen and identity.mutable give every ivtp dataclass one
+    shared ==, hash and repr. Each agrees with what dataclasses generates
+    for the same fields: a twin made by make_dataclass."""
+
+    def test_a_sample_of_every_dataclass(self):
+        assert {type(obj) for obj in SAMPLES} == set(ivtp_dataclasses())
+
+    @pytest.mark.parametrize("obj", SAMPLES, ids=lambda obj: type(obj).__name__)
+    def test_agrees_with_the_generated_methods(self, obj):
+        twin_class = _twin_class(type(obj))
+        twin = _twin(twin_class, obj)
+        assert repr(obj) == repr(twin)
+        # One copy as it is, and one per field with that field changed:
+        # a compare=False field (ValidationReport's) leaves == true.
+        changed = [{}, *({f.name: object()} for f in dataclasses.fields(obj))]
+        for change in changed:
+            copy = dataclasses.replace(obj, **change)
+            assert (obj == copy) is (twin == _twin(twin_class, copy))
+            assert _hashed(copy) == _hashed(_twin(twin_class, copy))
+        assert obj.__eq__(twin) is NotImplemented and twin.__eq__(obj) is NotImplemented
+        assert obj != twin
+        assert _hashed(obj) == _hashed(twin)
+        if not type(obj).__dataclass_params__.frozen:
+            assert type(obj).__hash__ is None
+            with pytest.raises(TypeError):
+                hash(obj)
+
+    def test_comparing_a_make_frame_frame_signs_it(self):
+        kp = identity.keygen(identity.sha256(b"IV-1"))
+        fresh = [vehicle.make_frame(vehicle.KIND_BEACON, kp, bytes(32), 5, b"{}") for _ in "ab"]
+        assert all("signature" not in vars(f) for f in fresh)
+        assert fresh[0] == fresh[1]
+        assert all(len(vars(f)["signature"]) == identity.SIGNATURE_LEN for f in fresh)
+
+    def test_a_recursive_repr_reads_dots(self):
+        classes = consensus.CommitResult, _twin_class(consensus.CommitResult)
+        result, twin = (cls(None, [], []) for cls in classes)
+        result.still_pending.append(result)
+        twin.still_pending.append(twin)
+        assert repr(result) == repr(twin)
+        assert repr(result) == "CommitResult(block=None, still_pending=[...], rejected=[])"
 
 
 class TestDerivation:

@@ -1,14 +1,17 @@
 """bench/record.py stopped by a signal: the recording ends, and with it
 every process it started and the extracts it made. One recording is
-started, in a throwaway git repository holding what it reads."""
+started, in a throwaway git repository holding what it reads. Its work
+and import counts repeat under another hash seed."""
 
 import contextlib
+import importlib.util
 import os
 import shutil
 import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,3 +83,23 @@ def test_sigterm_ends_every_process_and_removes_the_extracts(tmp_path):
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
         recorder.wait(timeout=60)
+
+
+def test_work_and_import_counts_repeat_under_two_hash_seeds():
+    """The call, Ed25519 and Rng counts of a warm run, a cold audit and the
+    cold import are exact: PYTHONHASHSEED 0 and 1 read the same."""
+    spec = importlib.util.spec_from_file_location("record", ROOT / "bench" / "record.py")
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+
+    def counts(hash_seed: str) -> tuple:
+        imported = record.microbench(ROOT, record._IMPORT_RUN, "profile", hash_seed=hash_seed)
+        return record.work_counts(ROOT, 1, hash_seed), imported
+
+    with ThreadPoolExecutor(2) as pool:
+        first, second = pool.map(counts, ["0", "1"])
+    assert first == second
+    work, imported = first
+    assert work["town_n12"]["verifies"] > 0 and work["town_n12"]["rng_draws"] > 0
+    assert work["chain_audit"]["signs"] == 0 and work["chain_audit"]["verifies"] > 0
+    assert imported["generated_functions"] == 61
