@@ -42,16 +42,14 @@ class Endorsement:
     verdict: str  # VERDICT_VALID or VERDICT_INVALID
 
 
-def active_vehicles(
-    chain: Chain, now: TimeFlag, window_ms: int, beacons: dict[IvTpId, TimeFlag]
-) -> set[IvTpId]:
-    """Registered vehicles whose freshest beacon in the caller's table
-    (vehicle id -> beacon tf) lies in the closed interval
-    [now - window_ms, now]."""
+def active_vehicles(now: TimeFlag, window_ms: int, beacons: dict[IvTpId, TimeFlag]) -> set[IvTpId]:
+    """Vehicles whose beacon tf in the caller's table lies in the closed
+    interval [now - window_ms, now]. Every id in the table passed the gate
+    (Endpoint.handle_frame) or is the caller's own: no registration is read."""
     if window_ms <= 0:
         raise ValueError("window_ms must be positive")
     lo = now - window_ms
-    return {veh for veh, tf in beacons.items() if lo <= tf <= now and chain.is_registered(veh)}
+    return {veh for veh, tf in beacons.items() if lo <= tf <= now}
 
 
 def pod_check(active_set: set[IvTpId], tx: Transaction, chain: Chain) -> str | None:

@@ -247,11 +247,6 @@ class Transaction:
 
     TAG = 0  # overridden per variant
 
-    def __post_init__(self):
-        # The signature's verdict slot (identity.verify_once), made here: a
-        # second key added after __init__ (tx_id is one) un-shares the dict.
-        object.__setattr__(self, "_sig_verdict", None)
-
     @once
     def tx_id(self) -> bytes:
         """SHA-256 of the canonical encoding (the span, if any), hashed once
@@ -310,10 +305,6 @@ class ArbitrationTx(Transaction):
     agreements: tuple[tuple[IvTpId, bytes], ...] = _wire(AGREEMENTS, ())
 
     TAG = 5
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "_agreements_verdict", None)  # keyed by the voters' keys
 
 
 _TX_HEAD = (Codec(None, fmt="B"), VEHICLE_ID, U64)  # tag, author, tf, as envelope writes them
@@ -685,12 +676,6 @@ class Chain:
         self.blocks.append(block)
         return block, refused
 
-    def is_registered(self, ivtp_id: IvTpId) -> bool:
-        return ivtp_id in self.state.registrations
-
-    def public_key_of(self, ivtp_id: IvTpId) -> bytes | None:
-        return self.state.registrations.get(ivtp_id)
-
 
 def validate_chain(chain: Chain) -> ValidationReport:
     """Recompute every hash, Merkle root, link and signature, replaying
@@ -781,13 +766,14 @@ _HASH_READ = 1 << 16  # bytes per read of the digest pass
 
 
 class ChainFile:
-    """One read of a chain file (parse_chain_bytes opens it). Opening it
-    hashes the body in bounded reads and compares the trailing digest,
-    so checksum_ok is known before any block is parsed; then the body is
-    read again, front to back: the header, then each block's length and
-    blob (a file that cannot seek is read whole first). blocks() parses a
-    block only when the next is asked for, so a replay of them checks
-    each block, and lets go of its tx spans, before the next is read."""
+    """One read of a chain file f, opened binary. Opening it hashes the
+    body in bounded reads and compares the trailing digest, so checksum_ok
+    is known before any block is parsed; then it reads and checks the
+    header (magic, version, endowment). The rest is read front to back,
+    each block's length and blob (a file that cannot seek is read whole
+    first). blocks() parses a block only when the next is asked for, so a
+    replay of them checks each block, and lets go of its tx spans, before
+    the next is read. Replay validation is validate_blocks' job."""
 
     def __init__(self, f):
         if not f.seekable():  # a pipe, say: its size is known only once it is read
@@ -802,7 +788,11 @@ class ChainFile:
             sha.update(f.read(min(_HASH_READ, self._left - at)))
         self.checksum_ok = sha.digest() == f.read(HASH_LEN)
         f.seek(0)
-        self.endowment = 0
+        magic, version, self.endowment = _FILE_HEADER.unpack(self._read(_FILE_HEADER.size))
+        if magic != CHAIN_MAGIC:
+            raise CorruptChainFileError("bad magic")
+        if version != CHAIN_VERSION:
+            raise CorruptChainFileError("unsupported version")
 
     def _read(self, n: int) -> bytes:
         if n > self._left:
@@ -835,15 +825,8 @@ class ChainFile:
 
 
 def parse_chain_bytes(f) -> ChainFile:
-    """Open a read of the chain file f, opened binary, past its
-    checked header. Replay validation is validate_blocks' job."""
-    file = ChainFile(f)
-    magic, version, file.endowment = _FILE_HEADER.unpack(file._read(_FILE_HEADER.size))
-    if magic != CHAIN_MAGIC:
-        raise CorruptChainFileError("bad magic")
-    if version != CHAIN_VERSION:
-        raise CorruptChainFileError("unsupported version")
-    return file
+    """Open a read of the chain file f, opened binary, past its checked header."""
+    return ChainFile(f)
 
 
 def save_chain(chain: Chain, path) -> None:

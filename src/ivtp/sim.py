@@ -56,12 +56,9 @@ class LedgerHost(Endpoint):
         self.sweep(now)
 
     def ingest_endorsement(self, e: consensus.Endorsement, now: TimeFlag) -> None:
-        """Pool an endorsement taken from a verified endorse frame; only
-        registered endorsers count."""
-        if not self.chain.is_registered(e.endorser):
-            return
-        if e.tx_id in self.chain.tx_by_id:
-            return
+        """Pool an endorsement taken from an endorse frame the gate admitted:
+        handle_frame checked its sender's key and signature, and heeds skipped
+        it if it names a transaction already on the chain."""
         item = self.pending.get(e.tx_id)
         if item is not None:
             item.add(e)

@@ -221,11 +221,10 @@ class Endpoint:
             self.net.trace.note(now, self.alias, kind, detail)
 
     def active(self, now: TimeFlag) -> set[IvTpId]:
-        """Registered vehicles whose freshest beacon heard here is at most
-        beacon_window_ms old."""
-        return consensus.active_vehicles(
-            self.chain, now, self.config.beacon_window_ms, self.beacons
-        )
+        """Vehicles whose freshest beacon heard here is at most
+        beacon_window_ms old: senders handle_frame admitted, and this
+        endpoint if it beacons."""
+        return consensus.active_vehicles(now, self.config.beacon_window_ms, self.beacons)
 
     # netsim.Participant protocol
 
@@ -238,7 +237,7 @@ class Endpoint:
         unregistered sender's frame, an unknown kind and an unreadable
         endorsement are heeded, and dropped by handle_frame."""
         handled = self._DISPATCH.get(f.kind, True) is not None  # an unknown kind is heeded
-        if (handled and f.kind != KIND_ENDORSE) or not self.chain.is_registered(f.sender):
+        if (handled and f.kind != KIND_ENDORSE) or f.sender not in self.chain.state.registrations:
             return True
         if not handled:
             return False
@@ -249,12 +248,13 @@ class Endpoint:
         return tx_id not in self.chain.tx_by_id
 
     def handle_frame(self, f: Frame, now: TimeFlag) -> list[Frame]:
-        """Verification pipeline: key lookup, signature check, kind (an
-        unknown one drops; one without a handler, which heeds keeps off
-        the network path, is ignored), payload read, carried transaction,
-        then the handler. A bad frame is dropped with a trace row; a fault
-        in a handler raises."""
-        pk = self.chain.public_key_of(f.sender)
+        """Verification pipeline: key lookup (the gate: the one place a
+        sender is checked against the chain's registrations), signature
+        check, kind (an unknown one drops; one without a handler, which
+        heeds keeps off the network path, is ignored), payload read,
+        carried transaction, then the handler. A bad frame is dropped with
+        a trace row; a fault in a handler raises."""
+        pk = self.chain.state.registrations.get(f.sender)
         if pk is None:
             return self._drop(f, now, "unknown_sender")
         if not verify_frame(f, pk):
@@ -331,7 +331,7 @@ class Vehicle(Endpoint):
     def send_comm(self, payload: bytes, now: TimeFlag) -> tuple[Frame, CommTx]:
         """Broadcast a message and the matching on-chain record. The
         record's receivers are the peers active right now."""
-        if not self.chain.is_registered(self.ivtp_id):
+        if self.ivtp_id not in self.chain.state.registrations:
             raise ValueError(f"{self.alias} is not registered")
         receivers = tuple(sorted(self.active(now) - {self.ivtp_id}))
         tx = self._author(
@@ -457,7 +457,7 @@ class Vehicle(Endpoint):
             return []
         event = (f.kind_label, f.sender, *values)
         if f.kind == KIND_AGREE:
-            pk, sig = self.chain.public_key_of(f.sender), values[1]
+            pk, sig = self.chain.state.registrations[f.sender], values[1]
             event += (lambda: identity.verify(pk, agree_message(iid, session.ordering), sig),)
         return self._step(session, event, now, f)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivtp import consensus, identity, ledger, sim, vehicle
-from ivtp.vehicle import KIND_ENDORSE, make_frame
+from ivtp.vehicle import KIND_BEACON, KIND_ENDORSE, make_frame
 from conftest import make_fleet, signed_comm
 
 
@@ -19,42 +19,41 @@ def _signed(tx, kp):
 
 class TestActiveVehicles:
     def test_no_beacons_means_nobody_active(self):
-        _, chain, _, _ = make_fleet(3)
-        assert consensus.active_vehicles(chain, now=1000, window_ms=500, beacons={}) == set()
+        assert consensus.active_vehicles(now=1000, window_ms=500, beacons={}) == set()
 
     def test_window_boundaries_are_closed(self):
         """A beacon exactly window_ms old still counts; one ms older does not."""
-        _, chain, ids, _ = make_fleet(2)
+        _, _, ids, _ = make_fleet(2)
         beacons = {ids[0]: 500}
-        assert consensus.active_vehicles(chain, now=1000, window_ms=500, beacons=beacons) == {
-            ids[0]
-        }
-        assert consensus.active_vehicles(chain, now=1001, window_ms=500, beacons=beacons) == set()
+        assert consensus.active_vehicles(now=1000, window_ms=500, beacons=beacons) == {ids[0]}
+        assert consensus.active_vehicles(now=1001, window_ms=500, beacons=beacons) == set()
 
     def test_future_beacon_not_active_yet(self):
-        _, chain, ids, _ = make_fleet(2)
+        _, _, ids, _ = make_fleet(2)
         beacons = {ids[0]: 900}
-        assert consensus.active_vehicles(chain, now=800, window_ms=500, beacons=beacons) == set()
+        assert consensus.active_vehicles(now=800, window_ms=500, beacons=beacons) == set()
 
     def test_pending_beacons_count(self):
-        _, chain, ids, _ = make_fleet(2)
-        active = consensus.active_vehicles(
-            chain, now=1000, window_ms=500, beacons={ids[1]: 700}
-        )
+        _, _, ids, _ = make_fleet(2)
+        active = consensus.active_vehicles(now=1000, window_ms=500, beacons={ids[1]: 700})
         assert active == {ids[1]}
 
     def test_unregistered_never_active(self):
+        """The frame pipeline drops an unregistered sender's well-signed
+        beacon, so it never reaches the beacon table or the active set."""
         _, chain, _, _ = make_fleet(1)
+        host = sim.LedgerHost(chain)
         ghost = identity.sha256(b"ghost")
-        active = consensus.active_vehicles(
-            chain, now=1000, window_ms=500, beacons={ghost: 1000}
-        )
-        assert active == set()
+        beacon = make_frame(KIND_BEACON, identity.keygen(ghost), ghost, 1000, b"")
+        host.handle_frame(beacon, now=1000)
+        assert host.drops == {"unknown_sender": 1}
+        assert ghost not in host.active(1000) and host.beacons == {}
+        assert host.pending == {} and host.early_endorsements == {}
 
     def test_nonpositive_window_rejected(self):
-        _, chain, ids, _ = make_fleet(1)
+        _, _, ids, _ = make_fleet(1)
         with pytest.raises(ValueError):
-            consensus.active_vehicles(chain, now=0, window_ms=0, beacons={ids[0]: 0})
+            consensus.active_vehicles(now=0, window_ms=0, beacons={ids[0]: 0})
 
 
 class TestQuorum:

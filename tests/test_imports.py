@@ -5,7 +5,8 @@ caught somewhere in it, by the same kind of check. The program itself
 imports no cryptography, and the session protocol (arbitration) neither the
 network nor any signing. Importing ivtp generates, per dataclass, only the
 methods the shared ==, hash and repr (identity.frozen, identity.mutable)
-do not replace."""
+do not replace. Every parameter of a library function is read, but for
+those a protocol fixes."""
 
 import ast
 import builtins
@@ -48,6 +49,88 @@ def test_checker_flags_an_unused_name():
         "sys.exit()\n"
     )
     assert unused_imports(source) == ["os (line 2)", "d (line 3)"]
+
+
+def unused_parameters(source: str) -> list[tuple[str, str]]:
+    """(qualified name, parameter) of each parameter of a function or
+    lambda that its body, nested functions included, never loads. self,
+    cls and names that start with _ are exempt, and so is every parameter
+    of a function whose body is only a docstring, `...` or pass."""
+    found: list[tuple[str, str]] = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, prefix)
+                continue
+            name = prefix + getattr(child, "name", "<lambda>")
+            body = child.body if isinstance(child.body, list) else [child.body]
+            stub = isinstance(child.body, list) and all(
+                isinstance(stmt, ast.Pass)
+                or (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
+                for stmt in body
+            )
+            loaded = {
+                n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            a = child.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            found.extend(
+                (name, p.arg) for p in params
+                if not stub and p.arg not in loaded and p.arg not in ("self", "cls")
+                and not p.arg.startswith("_")
+            )
+            visit(child, name + ".")
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_checker_flags_an_unused_parameter():
+    source = (
+        "def active_vehicles(chain, now, window_ms, beacons):\n"
+        "    lo = now - window_ms\n"
+        "    return {veh for veh, tf in beacons.items() if lo <= tf <= now}\n"
+        "class C:\n"
+        "    def documented(self, a):\n        'Only a docstring.'\n"
+        "    def passes(self, a):\n        pass\n"
+        "    @classmethod\n"
+        "    def make(cls, _unused, b, *args, key, **kw):\n"
+        "        return lambda x, y: (y, b, key)\n"
+        "def outer(a):\n    def inner():\n        return a\n    return inner\n"
+    )
+    assert unused_parameters(source) == [
+        ("active_vehicles", "chain"),
+        ("C.make", "args"),
+        ("C.make", "kw"),
+        ("C.make.<lambda>", "x"),
+    ]
+
+
+# Parameters a protocol fixes: argparse's handler, the descriptor
+# protocol, netsim.Participant and the dispatch table's handler signature.
+PROTOCOL_PARAMETERS = [
+    ("cli", "_cmd_vectors", "args"),
+    ("identity", "once.__get__", "owner"),
+    ("sim", "LedgerHost.handle_timer", "tag"),
+    ("sim", "LedgerHost.handle_timer", "now"),
+    ("vehicle", "_SignOnRead.__get__", "owner"),
+    ("vehicle", "Endpoint._on_beacon", "now"),
+]
+
+
+def test_every_parameter_is_read():
+    """A parameter no body reads is an argument every caller passes for
+    nothing: drop it, unless a protocol fixes it (PROTOCOL_PARAMETERS)."""
+    found = [
+        (path.stem, name, param)
+        for path in MODULES for name, param in unused_parameters(path.read_text())
+    ]
+    assert found == PROTOCOL_PARAMETERS
 
 
 def _name(node: ast.expr) -> str | None:

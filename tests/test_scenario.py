@@ -328,11 +328,15 @@ class TestLedgerHost:
         assert list(host.early_endorsements) == [tx_id]
 
     def test_unregistered_endorser_ignored(self):
+        """The frame pipeline drops an unregistered sender's well-signed
+        endorse frame: nothing is pooled and the sender is never active."""
         host, _, _, _ = self._host()
         ghost = identity.sha256(b"ghost")
-        e = consensus.Endorsement(identity.sha256(b"t"), ghost, consensus.VERDICT_VALID)
-        host.ingest_endorsement(e, now=1)
-        assert host.early_endorsements == {}
+        body = vehicle.encode_payload(KIND_ENDORSE, identity.sha256(b"t"), consensus.VERDICT_VALID)
+        host.handle_frame(make_frame(KIND_ENDORSE, identity.keygen(ghost), ghost, 1, body), now=1)
+        assert host.drops == {"unknown_sender": 1}
+        assert ghost not in host.active(1)
+        assert host.pending == {} and host.early_endorsements == {}
 
     def test_early_endorsements_expire_with_the_ttl(self):
         """An endorsement for a tx the host never hears is dropped

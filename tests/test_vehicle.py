@@ -859,8 +859,8 @@ class TestArbitraryPayloads:
 
 
 class _Adversary:
-    """A registered key that runs no protocol: it sends whatever a rule
-    tells it to, well signed, and keeps every frame it hears to replay."""
+    """A key that runs no protocol: it sends whatever a rule tells it to,
+    well signed, and keeps every frame it hears to replay."""
 
     def __init__(self, member: Vehicle):
         self.ivtp_id, self.keypair = member.ivtp_id, member.keypair
@@ -878,6 +878,8 @@ class _Adversary:
 
 
 _who = st.sampled_from([0, 1])
+_sources = st.sampled_from(["unknown", "stale", "pending", "committed"])
+_verdicts = st.sampled_from([consensus.VERDICT_VALID, consensus.VERDICT_INVALID])
 
 
 class AdversaryMachine(RuleBasedStateMachine):
@@ -886,11 +888,15 @@ class AdversaryMachine(RuleBasedStateMachine):
     any payload, replays, forged outcomes, endorsements of unknown,
     stale, pending and committed transactions, transactions whose tf is
     ahead of the clock or past the TTL, rewards to each other that name
-    the real intersection, and schedules of it for a live round. Whatever
-    they send, supply is conserved, the chain validates, nothing raises
-    out of run_until, every drop is the pipeline's, the honest session
-    neither retries nor ends but by its own outcome, and no handler runs
-    on a frame whose signature was not checked against its sender's key."""
+    the real intersection, and schedules of it for a live round. A ghost,
+    on the network but not on the chain, sends well-signed beacons,
+    endorsements and comms of its own. Whatever they send, supply is
+    conserved, the chain validates, nothing raises out of run_until, every
+    drop of a registered sender's frame is the pipeline's and every drop
+    of the ghost's is unknown_sender, no beacon table or pool holds an
+    unregistered id, the honest session neither retries nor ends but by
+    its own outcome, and no handler runs on a frame whose signature was
+    not checked against its sender's registered key."""
 
     def __init__(self):
         super().__init__()
@@ -901,6 +907,11 @@ class AdversaryMachine(RuleBasedStateMachine):
         self.advs = [_Adversary(vehicles.pop(alias)) for alias in ("X-1", "X-2")]
         for adv in self.advs:
             self.net.join(adv)  # in place of the honest vehicle of that key
+        ghost_id = identity.sha256(b"ghost")
+        # A key no dealer registered: its id and keypair, held as a Vehicle holds them.
+        self.ghost = _Adversary(Vehicle(ghost_id, identity.keygen(ghost_id), self.chain))
+        self.net.names[ghost_id] = "ghost"
+        self.net.join(self.ghost)
         sim._schedule(cfg, self.net, vehicles)
         self.endpoints = [self.net.participants[sim.HOST_ID], *vehicles.values()]
         self.ids = sorted(v.ivtp_id for v in vehicles.values()) + [a.ivtp_id for a in self.advs]
@@ -912,10 +923,19 @@ class AdversaryMachine(RuleBasedStateMachine):
         self.tables = {cls: cls._DISPATCH for cls in (Vehicle, sim.LedgerHost)}
         for cls, table in self.tables.items():
             cls._DISPATCH = {k: handler and self._guarded(handler) for k, handler in table.items()}
+        self.dropped: set[tuple[bytes, str]] = set()  # (sender, reason) of every drop
+        self.real_drop = vehicle.Endpoint._drop
+
+        def drop(endpoint, f, now, reason):
+            self.dropped.add((f.sender, reason))
+            return self.real_drop(endpoint, f, now, reason)
+
+        vehicle.Endpoint._drop = drop
 
     def _guarded(self, handler):
         def run(endpoint, f, now):
-            if vars(f).get("_sig_verdict") != endpoint.chain.public_key_of(f.sender):
+            pk = endpoint.chain.state.registrations.get(f.sender)
+            if pk is None or vars(f).get("_sig_verdict") != pk:
                 self.unchecked.append((endpoint.alias, f.kind_label))
             return handler(endpoint, f, now)
 
@@ -924,9 +944,13 @@ class AdversaryMachine(RuleBasedStateMachine):
     def teardown(self):
         for cls, table in self.tables.items():
             cls._DISPATCH = table
+        vehicle.Endpoint._drop = self.real_drop
 
     def _send(self, who: int, kind: int, *values, payload: bytes | None = None):
-        adv, now = self.advs[who], self.net.clock
+        self._send_as(self.advs[who], kind, *values, payload=payload)
+
+    def _send_as(self, adv: _Adversary, kind: int, *values, payload: bytes | None = None):
+        now = self.net.clock
         if payload is None:
             payload = vehicle.encode_payload(kind, *values)
         self.net.broadcast(make_frame(kind, adv.keypair, adv.ivtp_id, now, payload), now)
@@ -983,13 +1007,8 @@ class AdversaryMachine(RuleBasedStateMachine):
         )
         self._send(who, KIND_REWARD_NOTICE, arb)
 
-    @rule(
-        who=_who,
-        source=st.sampled_from(["unknown", "stale", "pending", "committed"]),
-        pick=st.integers(min_value=0),
-        verdict=st.sampled_from([consensus.VERDICT_VALID, consensus.VERDICT_INVALID]),
-    )
-    def endorse(self, who, source, pick, verdict):
+    def _tx_id(self, source: str, pick: int) -> bytes:
+        """An unknown, stale, pending or committed transaction's id."""
         pools = {
             "unknown": [identity.sha256(b"%d" % pick)],
             "stale": self.stale,
@@ -997,7 +1016,11 @@ class AdversaryMachine(RuleBasedStateMachine):
             "committed": list(self.chain.tx_by_id),
         }
         pool = pools[source] or pools["unknown"]
-        self._send(who, KIND_ENDORSE, pool[pick % len(pool)], verdict)
+        return pool[pick % len(pool)]
+
+    @rule(who=_who, source=_sources, pick=st.integers(min_value=0), verdict=_verdicts)
+    def endorse(self, who, source, pick, verdict):
+        self._send(who, KIND_ENDORSE, self._tx_id(source, pick), verdict)
 
     @rule(who=_who, skew=st.integers(min_value=1, max_value=3000), ahead=st.booleans())
     def skewed_tx(self, who, skew, ahead):
@@ -1032,6 +1055,24 @@ class AdversaryMachine(RuleBasedStateMachine):
         )
         self._send(who, KIND_REWARD_NOTICE, tx)
 
+    @rule()
+    def ghost_beacon(self):
+        self._send_as(self.ghost, KIND_BEACON)
+
+    @rule(source=_sources, pick=st.integers(min_value=0), verdict=_verdicts)
+    def ghost_endorse(self, source, pick, verdict):
+        self._send_as(self.ghost, KIND_ENDORSE, self._tx_id(source, pick), verdict)
+
+    @rule()
+    def ghost_comm(self):
+        """A comm carrying the ghost's own well-signed CommTx."""
+        now, me = self.net.clock, self.ghost.ivtp_id
+        tx = ledger.sign_tx(ledger.CommTx(
+            author=me, tf=now, signature=b"", sender=me, receivers=tuple(self.ids[:2]),
+            message_hash=identity.sha256(b"m"), tf_sent=now,
+        ), self.ghost.keypair)
+        self._send_as(self.ghost, KIND_COMM, b"m", tx)
+
     @invariant()
     def supply_is_conserved_and_the_chain_validates(self):
         assert ledger.total_supply(self.chain) == self.supply
@@ -1041,9 +1082,25 @@ class AdversaryMachine(RuleBasedStateMachine):
 
     @invariant()
     def every_drop_is_the_pipelines(self):
-        for endpoint in self.endpoints:
-            for reason in endpoint.drops:
+        """A registered sender's frame drops past the key lookup; the
+        ghost's frame drops at it."""
+        for sender, reason in self.dropped:
+            if sender == self.ghost.ivtp_id:
+                assert reason == "unknown_sender"
+            else:
                 assert reason in _PIPELINE_REASONS or reason.startswith("bad_payload:")
+
+    @invariant()
+    def no_table_or_pool_holds_an_unregistered_id(self):
+        """What the gate admits alone reaches a beacon table or the pool."""
+        registered = self.chain.state.registrations.keys()
+        host = self.endpoints[0]
+        for endpoint in self.endpoints:
+            assert endpoint.beacons.keys() <= registered
+        for item in host.pending.values():
+            assert item.tx.author in registered and item.endorsements.keys() <= registered
+        for entries in host.early_endorsements.values():
+            assert all(e.endorser in registered for _, e in entries)
 
     @invariant()
     def outsiders_never_retry_or_end_a_session(self):

@@ -561,11 +561,11 @@ class TestTxVerdict:
         a, _b = _pair()
         tx = signed_comm(a.keypair, a.ivtp_id)
         ed25519_verifies.reset()
-        assert tx._sig_verdict is None
+        assert vars(tx).get("_sig_verdict") is None
         assert a.chain.state.check_tx(tx, 2) is None
         assert tx._sig_verdict == a.keypair.public_key
         for twin in (dataclasses.replace(tx), ledger.canonical_decode(ledger.canonical_encode(tx))):
-            assert twin._sig_verdict is None
+            assert vars(twin).get("_sig_verdict") is None
             assert a.chain.state.check_tx(twin, 2) is None
         assert ed25519_verifies() == 3
 
