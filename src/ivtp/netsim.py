@@ -279,6 +279,8 @@ class Network:
     def set_timer(self, owner: IvTpId, fire_at: TimeFlag, tag) -> None:
         """Hand tag to owner's handle_timer at fire_at. Timers are never
         cancelled: a handler ignores a tag its state has moved past."""
+        if owner not in self.participants:
+            raise ValueError(f"timer for {short_id(owner)}, which never joined")
         if fire_at < self.clock:
             raise ValueError(f"timer due at {fire_at}, past the clock {self.clock}")
         self._bucket(fire_at).append((owner, tag, True))
@@ -297,9 +299,7 @@ class Network:
             bucket = buckets[due]
             while bucket:
                 target_id, payload, is_timer = bucket.popleft()
-                target = participants.get(target_id)
-                if target is None:
-                    continue
+                target = participants[target_id]
                 if is_timer:
                     out = target.handle_timer(payload, due)
                 else:

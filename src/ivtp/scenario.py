@@ -23,7 +23,6 @@ class ParseError(ValueError):
     def __init__(self, line: int, cause: str):
         super().__init__(f"line {line}: {cause}")
         self.line = line
-        self.cause = cause
 
 
 class ValidationError(ValueError):
@@ -32,7 +31,6 @@ class ValidationError(ValueError):
     def __init__(self, fieldname: str, cause: str):
         super().__init__(f"{fieldname}: {cause}")
         self.field = fieldname
-        self.cause = cause
 
 
 # The run's names for the dealer and the ledger host; no vehicle may take one.
@@ -81,8 +79,8 @@ class CommSpec:
     """A scripted broadcast: sender says payload at at_ms."""
 
     sender: str
-    at_ms: int
-    payload: str
+    at_ms: int = 0
+    payload: str = ""
 
 
 @frozen
@@ -106,161 +104,131 @@ class ScenarioConfig:
     run: RunConfig
 
 
-def _section(raw: dict, key: str, kind: type = dict):
-    """raw[key], an object (or a list, by kind); absent means empty."""
-    value = raw.get(key, kind())
-    if not isinstance(value, kind):
-        raise ValidationError(key, "must be an object" if kind is dict else "must be a list")
-    return value
-
-
-def _nonneg(section: str, key: str, value) -> int:
+def _u64(where: str, value) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 2**64:
-        raise ValidationError(f"{section}.{key}", "must be a non-negative integer below 2**64")
+        raise ValidationError(where, "must be a non-negative integer below 2**64")
     return value
 
 
-def _known(cls, raw: dict, where: str = "") -> None:
-    """raw, refused at its first key in file order that names no field
-    of cls: a misspelled field must not leave its default in force."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    for key in raw:
-        if key not in names:
-            raise ValidationError(f"{where}{key}", "unknown field")
-
-
-def _counts(cls, section: str, raw: dict, **given):
-    """A cls whose fields, but those given, are the non-negative integers
-    in raw under their names, or the field defaults where absent."""
-    _known(cls, raw, f"{section}.")
-    counts = {
-        f.name: _nonneg(section, f.name, raw.get(f.name, f.default))
-        for f in dataclasses.fields(cls) if f.name not in given
-    }
-    return cls(**counts, **given)
-
-
-def _text(where: str, entry: dict, key: str, default: str | None = None) -> str:
-    value = entry.get(key, default)
+def _str(where: str, value) -> str:
     if not isinstance(value, str):
-        raise ValidationError(f"{where}.{key}", "must be a string")
+        raise ValidationError(where, "must be a string")
+    try:
+        value.encode()
+    except UnicodeEncodeError:  # a lone surrogate, such as JSON's "\ud800"
+        raise ValidationError(where, "must be valid Unicode") from None
     return value
+
+
+def _fraction(where: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+        raise ValidationError(where, "must be a number within [0, 1]")
+    return float(value)
+
+
+def _per_vehicle(where: str, value) -> dict[str, int]:
+    if not isinstance(value, dict):
+        raise ValidationError(where, "must be an object")
+    return {alias: _u64(f"{where}.{alias}", v) for alias, v in value.items()}
+
+
+_CHECKS = {"int": _u64, "str": _str}
+
+
+def _known(cls, raw: dict, at: str) -> None:
+    """Refuse raw's first key in file order that names no field of cls:
+    a misspelled field must not leave its default in force."""
+    for key in raw:
+        if key not in cls.__dataclass_fields__:
+            raise ValidationError(at + key, "unknown field")
+
+
+def _read(cls, raw, where: str, **given):
+    """A cls from the JSON object raw found at where. Each field is raw's
+    value under its name, checked by its given check or else by its type
+    (an int goes on the wire as a u64; a str must encode as UTF-8), or the
+    field's default where absent. A type with no check raises KeyError."""
+    if not isinstance(raw, dict):
+        raise ValidationError(where, "must be an object")
+    _known(cls, raw, f"{where}.")
+    values = {}
+    for f in cls.__dataclass_fields__.values():
+        check = given.get(f.name) or _CHECKS[f.type]
+        if f.name in raw:
+            values[f.name] = check(f"{where}.{f.name}", raw[f.name])
+        elif f.default is dataclasses.MISSING:
+            raise ValidationError(where, f"missing field {f.name!r}")
+    return cls(**values)
+
+
+def _entries(raw: dict, key: str) -> list[tuple[str, object]]:
+    """(path, entry) for each entry of the JSON list raw[key]; absent, it is empty."""
+    value = raw.get(key, [])
+    if not isinstance(value, list):
+        raise ValidationError(key, "must be a list")
+    return [(f"{key}[{i}]", entry) for i, entry in enumerate(value)]
 
 
 def scenario_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ValidationError("$", "scenario must be a JSON object")
-    _known(ScenarioConfig, raw)
-    name = raw.get("name", name)
-    if not isinstance(name, str):
-        raise ValidationError("name", "must be a string")
-
-    net_raw = _section(raw, "network")
-    drop = net_raw.get("drop_probability", 0.0)
-    if isinstance(drop, bool) or not isinstance(drop, (int, float)) or not 0 <= drop <= 1:
-        raise ValidationError("network.drop_probability", "must be a number within [0, 1]")
-    network = _counts(NetworkConfig, "network", net_raw, drop_probability=float(drop))
-    consensus = _counts(ConsensusConfig, "consensus", _section(raw, "consensus"))
+    _known(ScenarioConfig, raw, "")
+    name = _str("name", raw.get("name", name))
+    network = _read(NetworkConfig, raw.get("network", {}), "network", drop_probability=_fraction)
+    consensus = _read(ConsensusConfig, raw.get("consensus", {}), "consensus")
     if consensus.beacon_period_ms == 0 or consensus.beacon_window_ms == 0:
         raise ValidationError("consensus", "beacon period and window must be positive")
-    led = _counts(LedgerConfig, "ledger", _section(raw, "ledger"))
+    led = _read(LedgerConfig, raw.get("ledger", {}), "ledger")
 
-    vehicles_raw = raw.get("vehicles", [])
-    if not isinstance(vehicles_raw, list) or not vehicles_raw:
+    vehicles: dict[str, VehicleSpec] = {}  # by alias
+    seen_seeds: dict[bytes, str] = {}  # key seed -> the first vehicle's path
+    for where, entry in _entries(raw, "vehicles"):
+        if isinstance(entry, dict):  # a vehicle's key seed defaults to its alias
+            entry = {"seed": entry.get("alias"), **entry}
+        v = _read(VehicleSpec, entry, where)
+        if not v.alias:
+            raise ValidationError(f"{where}.alias", "must not be empty")
+        if v.alias in vehicles:
+            raise ValidationError(f"{where}.alias", f"duplicate alias {v.alias!r}")
+        if v.alias in (DEALER_ALIAS, HOST_ALIAS):
+            raise ValidationError(f"{where}.alias", f"alias {v.alias!r} is reserved")
+        first = seen_seeds.setdefault(seed_bytes(v.seed), where)
+        if first != where:
+            raise ValidationError(f"{where}.seed", f"same key seed as {first}")
+        vehicles[v.alias] = v
+    if not vehicles:
         raise ValidationError("vehicles", "must be a non-empty list")
-    vehicles = []
-    seen_aliases: set[str] = set()
-    seen_seeds: dict[bytes, int] = {}  # key seed -> the first vehicle's index
-    for i, entry in enumerate(vehicles_raw):
-        if not isinstance(entry, dict) or "alias" not in entry:
-            raise ValidationError(f"vehicles[{i}]", "must be an object with an alias")
-        _known(VehicleSpec, entry, f"vehicles[{i}].")
-        alias = entry["alias"]
-        if not isinstance(alias, str) or not alias:
-            raise ValidationError(f"vehicles[{i}].alias", "must be a non-empty string")
-        if alias in seen_aliases:
-            raise ValidationError(f"vehicles[{i}].alias", f"duplicate alias {alias!r}")
-        if alias in (DEALER_ALIAS, HOST_ALIAS):
-            raise ValidationError(f"vehicles[{i}].alias", f"alias {alias!r} is reserved")
-        seen_aliases.add(alias)
-        seed = _text(f"vehicles[{i}]", entry, "seed", alias)
-        first = seen_seeds.setdefault(seed_bytes(seed), i)
-        if first != i:
-            raise ValidationError(f"vehicles[{i}].seed", f"same key seed as vehicles[{first}]")
-        vehicles.append(VehicleSpec(alias=alias, seed=seed))
 
-    intersections = []
-    for i, entry in enumerate(_section(raw, "intersections", list)):
-        where = f"intersections[{i}]"
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise ValidationError(where, "must be an object with an id")
-        _known(IntersectionSpec, entry, f"{where}.")
-        participants = entry.get("participants", [])
-        if not isinstance(participants, list) or len(participants) < 1:
-            raise ValidationError(f"{where}.participants", "must be a non-empty list")
-        for alias in participants:
-            if not isinstance(alias, str) or alias not in seen_aliases:
-                raise ValidationError(
-                    f"{where}.participants", f"unknown vehicle alias {alias!r}"
-                )
-        if len(set(participants)) != len(participants):
-            raise ValidationError(f"{where}.participants", "aliases must be unique")
-        arrivals = entry.get("arrival_ms", {})
-        delays = entry.get("compute_delay_ms", {})
-        for table, key in ((arrivals, "arrival_ms"), (delays, "compute_delay_ms")):
-            if not isinstance(table, dict) or set(table) != set(participants):
-                raise ValidationError(
-                    f"{where}.{key}", "must map every participant exactly once"
-                )
-            for alias, v in table.items():
-                _nonneg(f"{where}.{key}", alias, v)
-        for alias, v in delays.items():
-            if v == 0:
-                raise ValidationError(
-                    f"{where}.compute_delay_ms.{alias}", "must be positive"
-                )
-        window = entry.get("collection_window_ms", IntersectionSpec.collection_window_ms)
-        intersections.append(
-            IntersectionSpec(
-                id=_text(where, entry, "id"),
-                participants=tuple(participants),
-                arrival_ms={a: int(v) for a, v in arrivals.items()},
-                compute_delay_ms={a: int(v) for a, v in delays.items()},
-                collection_window_ms=_nonneg(where, "collection_window_ms", window),
-            )
-        )
-    ids = [x.id for x in intersections]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("intersections", "intersection ids must be unique")
+    def vehicle(where: str, alias) -> str:
+        if not isinstance(alias, str) or alias not in vehicles:
+            raise ValidationError(where, f"unknown vehicle alias {alias!r}")
+        return alias
 
-    comms = []
-    for i, entry in enumerate(_section(raw, "comms", list)):
-        where = f"comms[{i}]"
-        if not isinstance(entry, dict):
-            raise ValidationError(where, "must be an object")
-        _known(CommSpec, entry, f"{where}.")
-        sender = entry.get("sender")
-        if not isinstance(sender, str) or sender not in seen_aliases:
-            raise ValidationError(f"{where}.sender", f"unknown vehicle alias {sender!r}")
-        comms.append(
-            CommSpec(
-                sender=sender,
-                at_ms=_nonneg(where, "at_ms", entry.get("at_ms", 0)),
-                payload=_text(where, entry, "payload", ""),
-            )
-        )
+    def participants(where: str, value) -> tuple[str, ...]:
+        if not isinstance(value, list) or not value:
+            raise ValidationError(where, "must be a non-empty list")
+        if len({vehicle(where, alias) for alias in value}) != len(value):
+            raise ValidationError(where, "aliases must be unique")
+        return tuple(value)
 
-    run = _counts(RunConfig, "run", _section(raw, "run"))
+    intersections: dict[str, IntersectionSpec] = {}  # by id
+    for where, entry in _entries(raw, "intersections"):
+        x = _read(IntersectionSpec, entry, where, participants=participants,
+                  arrival_ms=_per_vehicle, compute_delay_ms=_per_vehicle)
+        for key in ("arrival_ms", "compute_delay_ms"):
+            if getattr(x, key).keys() != set(x.participants):
+                raise ValidationError(f"{where}.{key}", "must map every participant exactly once")
+        for alias, delay in x.compute_delay_ms.items():
+            if delay == 0:
+                raise ValidationError(f"{where}.compute_delay_ms.{alias}", "must be positive")
+        if x.id in intersections:
+            raise ValidationError("intersections", "intersection ids must be unique")
+        intersections[x.id] = x
 
+    comms = tuple(_read(CommSpec, e, w, sender=vehicle) for w, e in _entries(raw, "comms"))
     return ScenarioConfig(
-        name=name,
-        network=network,
-        consensus=consensus,
-        ledger=led,
-        vehicles=tuple(vehicles),
-        intersections=tuple(intersections),
-        comms=tuple(comms),
-        run=run,
+        name, network, consensus, led, tuple(vehicles.values()),
+        tuple(intersections.values()), comms, _read(RunConfig, raw.get("run", {}), "run"),
     )
 
 

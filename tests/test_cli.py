@@ -128,6 +128,23 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith(f"bad scenario: {fieldname}: ")
 
 
+    def test_lone_surrogate_is_refused_before_the_run(self, tmp_path, capsys):
+        """A JSON string escape of half a surrogate pair is no UTF-8: the
+        run raised UnicodeEncodeError mid-run, after part of trace.jsonl."""
+        p = tmp_path / "surrogate.json"
+        p.write_text(json.dumps({
+            "vehicles": [{"alias": "A"}],
+            "intersections": [{
+                "id": "\ud800", "participants": ["A"],
+                "arrival_ms": {"A": 0}, "compute_delay_ms": {"A": 1},
+            }],
+        }))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--scenario", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("bad scenario: intersections[0].id: ")
+        assert not (out / "trace.jsonl").exists()
+
+
 class TestInspectValidate:
     def test_fresh_chain_validates(self, run_dir, capsys):
         out_dir, _ = run_dir

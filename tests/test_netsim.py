@@ -406,6 +406,13 @@ class TestTimers:
         with pytest.raises(ValueError, match="past the clock"):
             net.set_timer(ids[0], fire_at=49, tag="late")
 
+    def test_timer_for_an_owner_that_never_joined_is_refused(self):
+        ids = _ids(2)
+        net = netsim.Network()
+        net.join(Recorder(ids[0]))
+        with pytest.raises(ValueError, match="never joined"):
+            net.set_timer(ids[1], fire_at=5, tag="t")
+
     def test_timer_and_delivery_share_one_ordering(self):
         ids = _ids(2)
         net = netsim.Network()

@@ -3,15 +3,19 @@
 import dataclasses
 import json
 import pathlib
+import re
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ivtp import consensus, identity, ledger, netsim, scenario, sim, vehicle
 from ivtp.vehicle import KIND_BEACON, KIND_COMM, KIND_ENDORSE, Vehicle, make_frame
 from conftest import make_fleet, read_chain, signed_comm, trace_from_rows
 
-SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 class TestSeedBytes:
@@ -214,6 +218,21 @@ class TestLoad:
                 "intersections[0].participants",
             ),
             ({"vehicles": [{"alias": "A"}], "comms": [5]}, "comms[0]"),
+            # A lone surrogate escape is legal JSON but no UTF-8: refused
+            # here, not raised as UnicodeEncodeError by the run.
+            ({"vehicles": [{"alias": "A"}], "name": "\ud800"}, "name"),
+            ({"vehicles": [{"alias": "\ud800"}]}, "vehicles[0].alias"),
+            ({"vehicles": [{"alias": "A", "seed": "\udfff"}]}, "vehicles[0].seed"),
+            (
+                {"vehicles": [{"alias": "A"}],
+                 "intersections": [{
+                     "id": "x\ud800", "participants": ["A"],
+                     "arrival_ms": {"A": 0}, "compute_delay_ms": {"A": 1},
+                 }]},
+                "intersections[0].id",
+            ),
+            ({"vehicles": [{"alias": "A"}], "comms": [{"sender": "A", "payload": "\ud800"}]},
+             "comms[0].payload"),
         ],
     )
     def test_validation_errors_name_the_field(self, raw, fieldname):
@@ -231,6 +250,106 @@ class TestLoad:
                 {"vehicles": [{"alias": "A"}], "intersections": [entry, dict(entry)]}
             )
         assert err.value.field == "intersections"
+
+    def test_read_has_no_check_for_other_field_types(self):
+        """A field type _read cannot check raises, unless given its check."""
+
+        @identity.frozen
+        class Odd:
+            share: "float"
+            count: "int" = 0
+
+        with pytest.raises(KeyError):
+            scenario._read(Odd, {"share": 0.5}, "odd")
+        odd = scenario._read(Odd, {"share": 0.5}, "odd", share=lambda where, value: value)
+        assert odd == Odd(0.5)
+
+
+def _as_json(cfg: scenario.ScenarioConfig) -> dict:
+    """cfg as the JSON object of a scenario file."""
+    return json.loads(json.dumps(dataclasses.asdict(cfg)))
+
+
+_u64s = st.integers(0, 2**64 - 1)
+_positive = st.integers(1, 2**64 - 1)
+
+
+@st.composite
+def _configs(draw) -> scenario.ScenarioConfig:
+    """A valid ScenarioConfig: it meets every rule of the schema."""
+    aliases = draw(
+        st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True)
+        .filter(lambda xs: not {scenario.DEALER_ALIAS, scenario.HOST_ALIAS} & set(xs))
+    )
+    seeds = [draw(st.just(a) | st.text(max_size=8)) for a in aliases]
+    assume(len({scenario.seed_bytes(seed) for seed in seeds}) == len(seeds))
+    intersections = []
+    for iid in draw(st.lists(st.text(max_size=6), max_size=3, unique=True)):
+        members = tuple(draw(st.permutations(aliases))[: draw(st.integers(1, len(aliases)))])
+        intersections.append(scenario.IntersectionSpec(
+            id=iid,
+            participants=members,
+            arrival_ms={a: draw(_u64s) for a in members},
+            compute_delay_ms={a: draw(_positive) for a in members},
+            collection_window_ms=draw(_u64s),
+        ))
+    comms = st.builds(scenario.CommSpec, st.sampled_from(aliases), _u64s, st.text(max_size=8))
+    return scenario.ScenarioConfig(
+        name=draw(st.text(max_size=8)),
+        network=draw(st.builds(scenario.NetworkConfig, _u64s, _u64s, st.floats(0, 1), _u64s)),
+        consensus=draw(st.builds(consensus.ConsensusConfig, _positive, _positive, _u64s, _u64s)),
+        ledger=scenario.LedgerConfig(draw(_u64s)),
+        vehicles=tuple(map(scenario.VehicleSpec, aliases, seeds)),
+        intersections=tuple(intersections),
+        comms=tuple(draw(st.lists(comms, max_size=3))),
+        run=scenario.RunConfig(draw(_u64s)),
+    )
+
+
+class TestRoundTrip:
+    """A valid config written as a scenario file's JSON reads back equal."""
+
+    @given(_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_generated_config(self, cfg):
+        assert scenario.scenario_from_dict(_as_json(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(SCENARIOS.glob("*.json")) + sorted((ROOT / "vectors").glob("synthetic_n*.json")),
+        ids=lambda path: path.name,
+    )
+    def test_bundled_config(self, path):
+        cfg = scenario.load_scenario(path)
+        assert scenario.scenario_from_dict(_as_json(cfg)) == cfg
+
+
+# A row of README's scenario field table: `section.field` | default |.
+_README_ROW = re.compile(r"^\| `(\w+(?:\[\])?)\.(\w+)` \| ([^|]*) \|", re.M)
+
+
+def test_readme_scenario_defaults_are_the_dataclass_defaults():
+    """Each default in the table is the literal its field defaults to, and
+    each field with a default has a row: the two cannot drift apart."""
+    text = (ROOT / "README.md").read_text()
+    table = text[text.index("## Scenario files"):text.index("## Run artifacts")]
+    cells = {(section, name): cell.strip() for section, name, cell in _README_ROW.findall(table)}
+    sections = {
+        "network": scenario.NetworkConfig, "consensus": consensus.ConsensusConfig,
+        "ledger": scenario.LedgerConfig, "vehicles[]": scenario.VehicleSpec,
+        "intersections[]": scenario.IntersectionSpec, "comms[]": scenario.CommSpec,
+        "run": scenario.RunConfig,
+    }
+    assert {section for section, _ in cells} <= set(sections)
+    for section, cls in sections.items():
+        for f in dataclasses.fields(cls):
+            cell = cells.get((section, f.name))
+            if f.default is dataclasses.MISSING:
+                assert cell in (None, "required", "the alias"), f"{section}.{f.name}"
+            else:
+                assert cell is not None, f"no row for {section}.{f.name}"
+                value = json.loads(cell)
+                assert (type(value), value) == (type(f.default), f.default), f"{section}.{f.name}"
 
 
 def _signed(tx, kp):
