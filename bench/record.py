@@ -235,7 +235,7 @@ print(json.dumps({
 # calib.Sampler, so every value has a raw time and a ref time (scaled to
 # the reference host speed, as perfbench/worker.py scales its calls).
 _LAYER_RUN = """
-import json, os, sys, time
+import json, os, sys, time, types
 sys.path.insert(0, sys.argv[1])
 import calib
 from ivtp import consensus, identity, ledger, netsim, vehicle
@@ -317,6 +317,15 @@ def handle_frame_warm():
 # vehicle: one block of 32 onto a fresh chain holding the registrations
 # (the signatures are checked before the timing), and merkle_root over
 # that block's tx ids.
+def endorse(item, endorser):
+    # PendingTx.add takes (endorser, verdict); a checkout older than that
+    # takes one record, which its PendingTx reads only .endorser and
+    # .verdict of.
+    try:
+        item.add(endorser, consensus.VERDICT_VALID)
+    except TypeError:
+        item.add(types.SimpleNamespace(endorser=endorser, verdict=consensus.VERDICT_VALID))
+
 def fresh_chain():
     fresh = ledger.Chain.create(dealer, endowment=100000, genesis_tf=0)
     fresh.append_block([p.tx for p in regs], timestamp=0)
@@ -330,9 +339,12 @@ for i in range(32):
         message_hash=identity.sha256(b"%d" % i), tf_sent=1 + i,
     ), fleet[0][1])
     pool.append(consensus.PendingTx(tx=tx))
-    pool[-1].add(consensus.Endorsement(tx.tx_id, endorser, consensus.VERDICT_VALID))
+    endorse(pool[-1], endorser)
 active = {author, endorser}
-assert len(consensus.try_commit(pool, active, fresh_chain(), now=100).block.txs) == 32
+# rejected holds (tx, cause) pairs, or (PendingTx, cause) in an older
+# checkout: empty in either shape.
+committed = consensus.try_commit(pool, active, fresh_chain(), now=100)
+assert len(committed.block.txs) == 32 and committed.rejected == []
 chains = iter([fresh_chain() for _ in range(3 * 200)])
 block_ids = [p.tx.tx_id for p in pool]
 

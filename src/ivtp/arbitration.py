@@ -76,7 +76,6 @@ class IntersectionSession:
     proposer: IvTpId | None = None
     ordering: tuple[IvTpId, ...] | None = None  # the proposed order, once proposed or agreed to
     agreements: dict[IvTpId, bytes] = field(default_factory=dict)
-    paid: bool = False  # the owner has paid a fee for this intersection
 
     def fallback_ordering(self) -> list[IvTpId]:
         """Safe deterministic order used when a session aborts."""
@@ -121,23 +120,24 @@ def step(
             return []
         s.intents.setdefault(sender, tf)  # a re-broadcast never moves the first time
         return _election(s, now, config) if s.intents.keys() == s.participants else []
-    if head == "outcome":
-        # Only an outcome ordering exactly the participants, that check_tx
-        # would apply: the proposer as author, every other member's agreement.
-        ordering, proposer, applies = args
-        if set(ordering) != s.participants or not applies():
-            return []
-        if s.phase not in (Phase.COMMITTED, Phase.ABORTED):
-            s.phase, s.proposer = Phase.COMMITTED, proposer
-        # The first in the order pays the proposer, once per intersection.
-        payer, payee = reward_parties(ordering, proposer)
-        if payer != s.owner or payer == payee or s.paid:
-            return []
-        s.paid = True
-        fee = dict(from_id=payer, to_id=payee, amount=REWARD_MILLI_TRUST, reason=s.intersection_id)
-        return [("author", ledger.RewardTx, fee)]
     if s.phase in (Phase.COMMITTED, Phase.ABORTED):
         return []
+    if head == "outcome":
+        # Only the open round's elected proposer ends the session, with an
+        # outcome ordering exactly the participants that check_tx would
+        # apply: the proposer as author, every other member's agreement.
+        ordering, proposer, applies = args
+        if proposer != elect(s.participants, s.compute_delays, s.round):
+            return []
+        if set(ordering) != s.participants or not applies():
+            return []
+        s.phase, s.proposer = Phase.COMMITTED, proposer
+        # The first in the order pays the proposer.
+        payer, payee = reward_parties(ordering, proposer)
+        if payer != s.owner or payer == payee:
+            return []
+        fee = dict(from_id=payer, to_id=payee, amount=REWARD_MILLI_TRUST, reason=s.intersection_id)
+        return [("author", ledger.RewardTx, fee)]
     if head == "disagree":
         sender, round_ = args
         if sender not in s.participants or round_ < s.round:

@@ -31,17 +31,6 @@ class ConsensusConfig:
     agree_timeout_ms: int = 150
 
 
-@frozen
-class Endorsement:
-    """A verdict on a pending transaction by a non-author. Pool
-    bookkeeping only: the ledger host builds one from an endorse frame
-    whose signature it has checked, so the endorser is the frame sender."""
-
-    tx_id: bytes
-    endorser: IvTpId
-    verdict: str  # VERDICT_VALID or VERDICT_INVALID
-
-
 def active_vehicles(now: TimeFlag, window_ms: int, beacons: dict[IvTpId, TimeFlag]) -> set[IvTpId]:
     """Vehicles whose beacon tf in the caller's table lies in the closed
     interval [now - window_ms, now]. Every id in the table passed the gate
@@ -79,20 +68,19 @@ def quorum_threshold(n_active_excluding_author: int) -> int:
 
 @mutable
 class PendingTx:
-    """A transaction in the pool with the endorsements it has gathered."""
+    """A transaction in the pool with the verdicts of its endorsers."""
 
     tx: Transaction
-    endorsements: dict[IvTpId, Endorsement] = field(default_factory=dict)
+    verdicts: dict[IvTpId, str] = field(default_factory=dict)  # VERDICT_VALID or VERDICT_INVALID
 
-    def add(self, e: Endorsement) -> bool:
-        """Record an endorsement; first verdict per endorser wins."""
-        if e.endorser == self.tx.author or e.endorser in self.endorsements:
-            return False
-        self.endorsements[e.endorser] = e
-        return True
+    def add(self, endorser: IvTpId, verdict: str) -> None:
+        """Record an endorsement: an endorser's first verdict wins, and
+        the author's own never counts."""
+        if endorser != self.tx.author:
+            self.verdicts.setdefault(endorser, verdict)
 
     def count(self, verdict: str) -> int:
-        return sum(1 for e in self.endorsements.values() if e.verdict == verdict)
+        return sum(1 for v in self.verdicts.values() if v == verdict)
 
 
 @mutable
@@ -101,7 +89,7 @@ class CommitResult:
 
     block: ledger.Block | None
     still_pending: list[PendingTx]
-    rejected: list[tuple[PendingTx, str]]
+    rejected: list[tuple[Transaction, str]]  # each refused tx with its cause
 
 
 def try_commit(
@@ -119,14 +107,14 @@ def try_commit(
     """
     committable: list[PendingTx] = []
     still_pending: list[PendingTx] = []
-    rejected: list[tuple[PendingTx, str]] = []
+    rejected: list[tuple[Transaction, str]] = []
     for item in pending:
         others = active_set - {item.tx.author}
         needed = quorum_threshold(len(others))
         if item.count(VERDICT_VALID) >= needed:
             committable.append(item)
         elif needed > 0 and item.count(VERDICT_INVALID) >= needed:
-            rejected.append((item, "quorum_invalid"))
+            rejected.append((item.tx, "quorum_invalid"))
         else:
             still_pending.append(item)
     if not committable:
@@ -134,6 +122,4 @@ def try_commit(
 
     committable.sort(key=lambda p: (p.tx.tf, p.tx.tx_id))
     block, refused = chain.append_block([item.tx for item in committable], timestamp=now)
-    by_id = {item.tx.tx_id: item for item in committable}
-    rejected += [(by_id[tx.tx_id], cause) for tx, cause in refused]
-    return CommitResult(block, still_pending, rejected)
+    return CommitResult(block, still_pending, rejected + refused)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import consensus, identity, ledger, netsim, vehicle
 from .consensus import ConsensusConfig
-from .identity import mutable, sha256
+from .identity import IvTpId, mutable, sha256
 from .ledger import ArbitrationTx, RewardTx, TimeFlag, Transaction
 from .scenario import DEALER_ALIAS, HOST_ALIAS, ScenarioConfig, seed_bytes
 from .vehicle import Endpoint, Frame, Vehicle
@@ -37,11 +37,9 @@ class LedgerHost(Endpoint):
         super().__init__(HOST_ID, HOST_ALIAS, chain, config)
         # tx_id -> its pooled tx, in arrival order.
         self.pending: dict[bytes, consensus.PendingTx] = {}
-        # tx_id -> (arrival time, endorsement) for txs not heard yet;
-        # sweep drops an entry pending_ttl_ms after it arrived.
-        self.early_endorsements: dict[
-            bytes, list[tuple[TimeFlag, consensus.Endorsement]]
-        ] = {}
+        # tx_id -> (arrival time, endorser, verdict) for txs not heard
+        # yet; sweep drops an entry pending_ttl_ms after it arrived.
+        self.early_endorsements: dict[bytes, list[tuple[TimeFlag, IvTpId, str]]] = {}
 
     def ingest_tx(self, tx: Transaction, now: TimeFlag) -> None:
         """Pool a transaction for quorum, unless its tf is ahead of the
@@ -51,19 +49,21 @@ class LedgerHost(Endpoint):
         if tx_id in self.pending or tx_id in self.chain.tx_by_id or tx.tf > now:
             return
         item = self.pending[tx_id] = consensus.PendingTx(tx=tx)
-        for _arrived, e in self.early_endorsements.pop(tx_id, []):
-            item.add(e)
+        for _arrived, endorser, verdict in self.early_endorsements.pop(tx_id, []):
+            item.add(endorser, verdict)
         self.sweep(now)
 
-    def ingest_endorsement(self, e: consensus.Endorsement, now: TimeFlag) -> None:
+    def ingest_endorsement(
+        self, tx_id: bytes, endorser: IvTpId, verdict: str, now: TimeFlag
+    ) -> None:
         """Pool an endorsement taken from an endorse frame the gate admitted:
         handle_frame checked its sender's key and signature, and heeds skipped
         it if it names a transaction already on the chain."""
-        item = self.pending.get(e.tx_id)
+        item = self.pending.get(tx_id)
         if item is not None:
-            item.add(e)
+            item.add(endorser, verdict)
         else:
-            self.early_endorsements.setdefault(e.tx_id, []).append((now, e))
+            self.early_endorsements.setdefault(tx_id, []).append((now, endorser, verdict))
         self.sweep(now)
 
     def sweep(self, now: TimeFlag) -> None:
@@ -75,7 +75,7 @@ class LedgerHost(Endpoint):
         self.early_endorsements = {
             tx_id: kept
             for tx_id, entries in self.early_endorsements.items()
-            if (kept := [(t, e) for t, e in entries if now - t <= ttl])
+            if (kept := [entry for entry in entries if now - entry[0] <= ttl])
         }
         for tx_id, item in list(self.pending.items()):
             if now - item.tx.tf > ttl:
@@ -86,12 +86,8 @@ class LedgerHost(Endpoint):
 
         result = consensus.try_commit(self.pending.values(), self.active(now), self.chain, now)
         self.pending = {item.tx.tx_id: item for item in result.still_pending}
-        for item, cause in result.rejected:
-            self._note(
-                now,
-                "tx_rejected",
-                {"tx_id": item.tx.tx_id.hex()[:16], "cause": cause},
-            )
+        for tx, cause in result.rejected:
+            self._note(now, "tx_rejected", {"tx_id": tx.tx_id.hex()[:16], "cause": cause})
         if result.block is not None:
             self._note(
                 now,
@@ -116,7 +112,7 @@ class LedgerHost(Endpoint):
 
     def _on_endorse(self, f: Frame, now: TimeFlag) -> list:
         tx_id, verdict = f.body
-        self.ingest_endorsement(consensus.Endorsement(tx_id, f.sender, verdict), now)
+        self.ingest_endorsement(tx_id, f.sender, verdict, now)
         return []
 
     def handle_timer(self, tag, now: TimeFlag) -> list:

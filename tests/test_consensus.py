@@ -95,9 +95,7 @@ class TestEndorsements:
         tx_id = identity.sha256(b"tx")
         f = _endorse_frame(keys[ids[1]], ids[1], tx_id, consensus.VERDICT_VALID)
         host.handle_frame(f, now=1)
-        assert host.early_endorsements == {
-            tx_id: [(1, consensus.Endorsement(tx_id, ids[1], consensus.VERDICT_VALID))]
-        }
+        assert host.early_endorsements == {tx_id: [(1, ids[1], consensus.VERDICT_VALID)]}
 
     def test_verdict_is_signed(self):
         """Flipping the verdict after signing must break the signature."""
@@ -112,17 +110,15 @@ class TestEndorsements:
         host.handle_frame(flipped, now=1)
         assert host.early_endorsements == {}
         host.handle_frame(f, now=1)
-        assert [e.verdict for _, e in host.early_endorsements[tx_id]] == [
-            consensus.VERDICT_VALID
-        ]
+        assert [v for _, _, v in host.early_endorsements[tx_id]] == [consensus.VERDICT_VALID]
 
     def test_author_cannot_self_endorse(self):
         _, _, ids, keys = make_fleet(1)
         author = ids[0]
         tx = signed_comm(keys[author], author)
         item = consensus.PendingTx(tx=tx)
-        e = consensus.Endorsement(tx.tx_id, author, consensus.VERDICT_VALID)
-        assert not item.add(e)
+        item.add(author, consensus.VERDICT_VALID)
+        assert item.verdicts == {}
         assert item.count(consensus.VERDICT_VALID) == 0
 
     def test_first_verdict_per_endorser_wins(self):
@@ -130,10 +126,9 @@ class TestEndorsements:
         tx = signed_comm(keys[ids[0]], ids[0])
         item = consensus.PendingTx(tx=tx)
         other = ids[1]
-        assert item.add(consensus.Endorsement(tx.tx_id, other, consensus.VERDICT_VALID))
-        assert not item.add(
-            consensus.Endorsement(tx.tx_id, other, consensus.VERDICT_INVALID)
-        )
+        item.add(other, consensus.VERDICT_VALID)
+        item.add(other, consensus.VERDICT_INVALID)
+        assert item.verdicts == {other: consensus.VERDICT_VALID}
         assert item.count(consensus.VERDICT_VALID) == 1
         assert item.count(consensus.VERDICT_INVALID) == 0
 
@@ -237,9 +232,7 @@ class TestTryCommit:
         tx = signed_comm(keys[author], author, tf=10)
         item = consensus.PendingTx(tx=tx)
         for veh in endorsers:
-            item.add(
-                consensus.Endorsement(tx.tx_id, veh, verdict or consensus.VERDICT_VALID)
-            )
+            item.add(veh, verdict or consensus.VERDICT_VALID)
         return item
 
     def test_commits_at_threshold(self):
@@ -279,7 +272,7 @@ class TestTryCommit:
             item = consensus.PendingTx(tx=tx)
             for veh in ids:
                 if veh != author:
-                    item.add(consensus.Endorsement(tx.tx_id, veh, consensus.VERDICT_VALID))
+                    item.add(veh, consensus.VERDICT_VALID)
             items.append(item)
         result = consensus.try_commit(items, active, chain, now=40)
         txs = result.block.txs
@@ -307,7 +300,7 @@ class TestTryCommit:
             )
             item = consensus.PendingTx(tx=tx)
             for veh in ids[1:]:
-                item.add(consensus.Endorsement(tx.tx_id, veh, consensus.VERDICT_VALID))
+                item.add(veh, consensus.VERDICT_VALID)
             items.append(item)
         result = consensus.try_commit(items, active, chain, now=20)
         assert result.block is not None
@@ -342,7 +335,7 @@ class TestTryCommit:
         items = [consensus.PendingTx(tx=tx) for tx in txs]
         for item in items:
             for veh in ids:
-                item.add(consensus.Endorsement(item.tx.tx_id, veh, consensus.VERDICT_VALID))
+                item.add(veh, consensus.VERDICT_VALID)
         return items
 
     def test_refused_tx_leaves_the_rest_committed(self):
@@ -351,7 +344,7 @@ class TestTryCommit:
         result = consensus.try_commit(items, set(ids), chain, now=20)
         assert result.block is chain.tip
         assert result.block.txs == (items[0].tx, items[2].tx)
-        assert result.rejected == [(items[1], "insufficient_balance")]
+        assert result.rejected == [(items[1].tx, "insufficient_balance")]
         assert not result.still_pending
         assert items[1].tx.tx_id not in chain.tx_by_id
         assert ledger.validate_chain(chain).state == chain.state
@@ -384,7 +377,7 @@ class TestTryCommit:
         result = consensus.try_commit([waiting, refused], set(ids), chain, now=20)
         assert result.block is None
         assert result.still_pending == [waiting]
-        assert result.rejected == [(refused, "quorum_invalid")]
+        assert result.rejected == [(refused.tx, "quorum_invalid")]
 
     def test_no_committable_returns_no_block(self):
         _, chain, ids, _ = make_fleet(2)

@@ -5,8 +5,12 @@ two or three participants' sessions through it with no network simulator
 and no cryptography, and tries every way the deliveries can go: each
 frame reaches each other participant LATENCY ms after it is sent, or is
 lost, with at most a set number of losses in a run. A scope may add an
-outsider that broadcasts made-up schedules at set times. Timers fire,
-and simultaneous events run, in the order netsim dispatches them.
+outsider that broadcasts made-up schedules at set times, and a thief: the
+last participant, which also announces at set times an outcome naming
+itself that check_tx would apply, as one that pooled the others'
+agreements could. The outsider's and the thief's set frames all arrive.
+Timers fire, and simultaneous events run, in the order netsim dispatches
+them.
 
 The search is stateless: each run replays its loss choices from the start
 (Godefroid, "Model checking for programming languages using VeriSoft",
@@ -17,6 +21,7 @@ Abstractions", 2006). Each run checks that:
   _time_bound: the last arrival, plus the collection window, plus three
   agree timeouts;
 - the participants that commit hold one order and one proposer;
+- each commits to the proposer elect picks for the round it commits in;
 - an outsider's schedule leaves a session as it was and makes it do
   nothing.
 A participant that commits while another aborts (a split) is possible
@@ -29,7 +34,7 @@ from typing import NamedTuple
 
 import pytest
 
-from ivtp.arbitration import IntersectionSession, Phase, step
+from ivtp.arbitration import IntersectionSession, Phase, elect, step
 from ivtp.consensus import ConsensusConfig
 from ivtp.ledger import ArbitrationTx
 
@@ -44,6 +49,7 @@ class Scope(NamedTuple):
     delays: tuple[int, ...]
     max_losses: int
     outsider: tuple[tuple[int, int], ...] = ()  # (time, round) of each outsider schedule
+    thief: tuple[int, ...] = ()  # time of each outcome the thief announces
     window: int = 300
 
 
@@ -75,12 +81,16 @@ class Run:
         for v, at in zip(ids, scope.arrivals):
             self._apply(v, ("open", max(scope.arrivals) + scope.window), 0)
             self._push(at, v, ("arrive",))
+        # A set frame is queued as (sender, event) with no target.
         for at, round_ in scope.outsider:
-            self._push(at, OUTSIDER, ("schedule", OUTSIDER, round_, tuple(reversed(ids))))
+            self._push(at, None, (OUTSIDER, ("schedule", OUTSIDER, round_, tuple(reversed(ids)))))
+        thief = ids[-1]
+        for at in scope.thief:
+            self._push(at, None, (thief, ("outcome", tuple(ids), thief, lambda: True)))
         while self.queue:
             now, _, target, event = heapq.heappop(self.queue)
-            if target == OUTSIDER:
-                self._broadcast(OUTSIDER, event, now)
+            if target is None:
+                self._broadcast(*event, now, lossy=False)
             else:
                 self._apply(target, event, now)
 
@@ -97,6 +107,11 @@ class Run:
         if s.phase is Phase.COMMITTED and v not in self.committed:
             order = event[1] if event[0] == "outcome" else s.ordering
             self.committed[v] = (order, s.proposer)
+            if s.proposer != elect(s.participants, s.compute_delays, s.round):
+                self.faults.append(
+                    f"{now} ms: {_name(v)} committed to {_name(s.proposer)},"
+                    f" whom round {s.round} did not elect"
+                )
         if s.phase in ENDED and v not in self.ended:
             self.ended[v] = now
         for act in actions:
@@ -116,12 +131,12 @@ class Run:
             elif head != "author":  # a fee changes no session
                 self._broadcast(v, (head, v, *act[1:]), now)
 
-    def _broadcast(self, sender, event, now):
+    def _broadcast(self, sender, event, now, lossy=True):
         for r in self.sessions:
             if r == sender:
                 continue
             lost = False
-            if sender != OUTSIDER:  # an outsider's frames all arrive
+            if lossy:
                 n = len(self.taken)
                 lost = self.choices[n] if n < len(self.choices) else False
                 self.taken.append(lost)
@@ -166,6 +181,9 @@ EVERY = 99  # more losses than a run of two participants has deliveries
 # An outsider's round-0 and round-1 schedules before, between and after
 # the arrivals, the elections and the outcomes.
 STEERING = tuple((at, r) for at in (95, 101, 105, 111, 131, 135, 140, 200) for r in (0, 1))
+# The thief's outcomes: before the arrivals, while intents are collected,
+# while the proposer computes and collects agreements, and in the retry round.
+THIEVING = (95, 105, 115, 131, 135, 137, 140, 200, 300, 450)
 
 SCOPES = {
     "two": Scope((100, 110), (2, 1), max_losses=EVERY),
@@ -175,6 +193,9 @@ SCOPES = {
     "three_lowest_fastest": Scope((100, 130, 110), (1, 8, 5), max_losses=3),
     "two_outsider": Scope((100, 110), (2, 1), max_losses=EVERY, outsider=STEERING),
     "three_outsider": Scope((100, 110, 130), (9, 5, 7), max_losses=2, outsider=STEERING),
+    # P2 is elected in round 0 and P1 in round 1, so the thief P3 never is.
+    "two_thief": Scope((100, 110), (1, 2), max_losses=EVERY, thief=THIEVING),
+    "three_thief": Scope((100, 110, 130), (9, 5, 7), max_losses=2, thief=THIEVING),
 }
 
 

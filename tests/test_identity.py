@@ -230,8 +230,7 @@ def _samples() -> list:
         kp, issuance, dealer,
         ledger.Transaction(me, 0, b""), register, comm, reward, crossing,
         chain.tip, ledger.validate_chain(chain), chain.state,
-        cfg.consensus, consensus.Endorsement(register.tx_id, me, consensus.VERDICT_VALID),
-        pending, result,
+        cfg.consensus, pending, result,
         arbitration.IntersectionSession("x-1", frozenset({me}), {me: 5}, me),
         cfg.network, cfg.ledger, cfg.vehicles[0], cfg.intersections[0], cfg.comms[0],
         cfg.run, cfg,

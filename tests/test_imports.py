@@ -236,15 +236,15 @@ def generated_methods(cls: type) -> list[str]:
 def test_dataclasses_generate_only_init_and_frozen_guards():
     """Each ivtp dataclass shares identity's ==, hash and repr and has a
     docstring of its own, so dataclasses compiles only __init__ and, for a
-    frozen class, its __setattr__ and __delattr__ guards: 61 functions for
-    the 25 classes, not 129 (and no inspect.signature for a docstring)."""
+    frozen class, its __setattr__ and __delattr__ guards: 58 functions for
+    the 24 classes, not 123 (and no inspect.signature for a docstring)."""
     classes = ivtp_dataclasses()
     generated = {cls.__name__: generated_methods(cls) for cls in classes}
     undocumented = [
         cls.__name__ for cls in classes
         if not cls.__doc__ or cls.__doc__.startswith(f"{cls.__name__}(")
     ]
-    assert (sum(map(len, generated.values())), undocumented) == (61, [])
+    assert (sum(map(len, generated.values())), undocumented) == (58, [])
     assert generated == {
         cls.__name__: ["__init__"]
         + (["__setattr__", "__delattr__"] if cls.__dataclass_params__.frozen else [])

@@ -102,4 +102,4 @@ def test_work_and_import_counts_repeat_under_two_hash_seeds():
     work, imported = first
     assert work["town_n12"]["verifies"] > 0 and work["town_n12"]["rng_draws"] > 0
     assert work["chain_audit"]["signs"] == 0 and work["chain_audit"]["verifies"] > 0
-    assert imported["generated_functions"] == 61
+    assert imported["generated_functions"] == 58

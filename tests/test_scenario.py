@@ -417,8 +417,7 @@ class TestLedgerHost:
             ),
             keys[ids[0]],
         )
-        e = consensus.Endorsement(tx.tx_id, ids[1], consensus.VERDICT_VALID)
-        host.ingest_endorsement(e, now=1)
+        host.ingest_endorsement(tx.tx_id, ids[1], consensus.VERDICT_VALID, now=1)
         assert host.early_endorsements
         host.ingest_tx(tx, now=2)
         assert host.pending[tx.tx_id].count(consensus.VERDICT_VALID) == 1
@@ -461,16 +460,54 @@ class TestLedgerHost:
         """An endorsement for a tx the host never hears is dropped
         pending_ttl_ms after it arrived, not kept for the whole run."""
         host, _, ids, keys = self._host(ttl=100, beacons_at=1)
-        early = consensus.Endorsement(identity.sha256(b"t"), ids[1], consensus.VERDICT_VALID)
-        late = consensus.Endorsement(identity.sha256(b"t"), ids[2], consensus.VERDICT_VALID)
-        host.ingest_endorsement(early, now=1)
-        host.ingest_endorsement(late, now=50)
+        tx_id, valid = identity.sha256(b"t"), consensus.VERDICT_VALID
+        host.ingest_endorsement(tx_id, ids[1], valid, now=1)
+        host.ingest_endorsement(tx_id, ids[2], valid, now=50)
         host.sweep(now=101)  # exactly ttl old: still kept
-        assert host.early_endorsements == {early.tx_id: [(1, early), (50, late)]}
+        assert host.early_endorsements == {tx_id: [(1, ids[1], valid), (50, ids[2], valid)]}
         host.sweep(now=102)
-        assert host.early_endorsements == {early.tx_id: [(50, late)]}
+        assert host.early_endorsements == {tx_id: [(50, ids[2], valid)]}
         host.sweep(now=151)
         assert host.early_endorsements == {}
+
+    @staticmethod
+    def _endorse(host, keys, endorser, tx_id, verdict, at):
+        """endorser's signed endorse frame of tx_id, heard by host at at."""
+        body = vehicle.encode_payload(KIND_ENDORSE, tx_id, verdict)
+        frame = make_frame(KIND_ENDORSE, keys[endorser], endorser, at, body)
+        assert host.handle_frame(frame, at) == []
+
+    def test_second_early_endorsement_outlives_the_first(self):
+        """An endorser's repeat of an early endorsement is kept after its
+        first expires, and counts once the tx arrives."""
+        host, _, ids, keys = self._host(ttl=100, beacons_at=1)
+        tx = signed_comm(keys[ids[0]], ids[0], tf=60)
+        for at in (1, 50):
+            self._endorse(host, keys, ids[1], tx.tx_id, consensus.VERDICT_VALID, at)
+        host.sweep(now=102)  # the first is 101 ms old, past the ttl
+        host.ingest_tx(tx, now=102)
+        assert host.pending[tx.tx_id].count(consensus.VERDICT_VALID) == 1
+
+    def test_authors_early_endorsement_never_counts(self):
+        host, _, ids, keys = self._host(beacons_at=1)
+        tx = signed_comm(keys[ids[0]], ids[0], tf=5)
+        self._endorse(host, keys, ids[0], tx.tx_id, consensus.VERDICT_VALID, 2)
+        self._endorse(host, keys, ids[1], tx.tx_id, consensus.VERDICT_VALID, 3)
+        host.ingest_tx(tx, now=5)
+        assert host.pending[tx.tx_id].count(consensus.VERDICT_VALID) == 1
+
+    def test_later_verdict_never_replaces_the_first(self):
+        """An endorser's first verdict stands, whether its later one
+        arrives before the tx or after."""
+        host, _, ids, keys = self._host(n=4, beacons_at=1)
+        tx = signed_comm(keys[ids[0]], ids[0], tf=5)
+        valid, invalid = consensus.VERDICT_VALID, consensus.VERDICT_INVALID
+        self._endorse(host, keys, ids[1], tx.tx_id, valid, 2)
+        self._endorse(host, keys, ids[1], tx.tx_id, invalid, 3)
+        host.ingest_tx(tx, now=5)
+        self._endorse(host, keys, ids[1], tx.tx_id, invalid, 6)
+        item = host.pending[tx.tx_id]
+        assert (item.count(valid), item.count(invalid)) == (1, 0)
 
     def test_ttl_reaps_stale_pending(self):
         host, _, ids, keys = self._host(ttl=100, beacons_at=1)

@@ -320,7 +320,7 @@ class TestComm:
         assert host.early_endorsements == {}
         host.handle_frame(out[0], 20)
         assert host.early_endorsements == {
-            tx.tx_id: [(20, consensus.Endorsement(tx.tx_id, a.ivtp_id, consensus.VERDICT_VALID))]
+            tx.tx_id: [(20, a.ivtp_id, consensus.VERDICT_VALID)]
         }
 
     def test_body_hash_mismatch_endorsed_invalid(self):
@@ -698,10 +698,13 @@ class TestRewardGuard:
         assert _fees(iv1) == paid == [(handles.vehicles["IV-3"].ivtp_id, "crossing-1")]
 
     def _open(self, n=3, iid="x-1"):
+        """n vehicles in one session of iid, whose round-0 proposer is
+        IV-2: it has the least compute delay."""
         _, net, vehicles = _wire(n)
         ids = frozenset(v.ivtp_id for v in vehicles)
+        delays = {veh: 1 if veh == vehicles[1].ivtp_id else 2 for veh in ids}
         for v in vehicles:
-            v.open_session(iid, ids, {veh: 1 for veh in ids}, 10_000)
+            v.open_session(iid, ids, delays, 10_000)
         return net, vehicles
 
     @staticmethod
@@ -729,6 +732,18 @@ class TestRewardGuard:
         assert self._phases([iv1, iv3]) == [(Phase.COMMITTED, iv2.ivtp_id)] * 2
         _announce(net, iv2, tx, 20)  # a replay of the same announcement
         assert _fees(iv1) == [(iv2.ivtp_id, "x-1")]
+
+    def test_outcome_of_a_proposer_not_elected_is_not_paid(self):
+        """A participant the round did not elect announces an outcome that
+        carries every other participant's agreement, as one that pooled
+        them could: check_tx applies it, yet no session ends and nobody
+        pays."""
+        net, (iv1, iv2, iv3) = self._open()
+        tx = _arbitration(iv3, [iv1, iv2, iv3], "x-1", [iv1, iv2])
+        assert iv1.chain.state.check_tx(tx, iv1.chain.height + 1) is None
+        _announce(net, iv3, tx, 5)
+        assert _fees(iv1) == _fees(iv2) == []
+        assert self._phases([iv1, iv2]) == [(Phase.COLLECTING, None)] * 2
 
     def test_outcome_ordering_an_outsider_does_not_end_the_session(self):
         """A registered vehicle outside crossing-1 announces, early in the
@@ -1098,9 +1113,9 @@ class AdversaryMachine(RuleBasedStateMachine):
         for endpoint in self.endpoints:
             assert endpoint.beacons.keys() <= registered
         for item in host.pending.values():
-            assert item.tx.author in registered and item.endorsements.keys() <= registered
+            assert item.tx.author in registered and item.verdicts.keys() <= registered
         for entries in host.early_endorsements.values():
-            assert all(e.endorser in registered for _, e in entries)
+            assert all(endorser in registered for _, endorser, _ in entries)
 
     @invariant()
     def outsiders_never_retry_or_end_a_session(self):
